@@ -35,7 +35,7 @@ from .lattices import (
     sublattice_index,
     transcendental_slice,
 )
-from .matrices import Matrix, gcd_of, snf
+from .matrices import Matrix, gcd_of, snf, solve_rows
 
 EVEN_VECTOR = "EvenVector"
 ODD_TYPE1_VECTOR = "OddType1Vector"
@@ -93,19 +93,8 @@ def _quotient_gram(sub_rows: Matrix, complement: Sublattice) -> Matrix:
     basis completion yields the same form up to base change.
     """
     ambient = complement.ambient
-    bt = complement.basis.transpose()
-    coord_rows = []
-    for row in sub_rows.data:
-        aug = bt.hstack(Matrix([[x] for x in row]))
-        red, pivots = aug.rref()
-        if complement.rank in pivots:
-            raise DimensionError("sublattice not inside its complement")
-        x = [0] * complement.rank
-        for r, p in enumerate(pivots):
-            x[p] = red.entry(r, complement.rank)
-        coord_rows.append(x)
-    coords = Matrix(coord_rows)
-    if not coords.is_integral():
+    coords = solve_rows(complement.basis, sub_rows)
+    if coords is None or not coords.is_integral():
         raise DimensionError("sublattice not inside its complement")
     completion = _complete_to_basis(coords)
     new_basis = completion * complement.basis

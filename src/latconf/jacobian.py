@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from .configs import smoothness
 from .errors import DimensionError, LabelError, SmoothnessRequired
 from .matrices import Matrix
 
@@ -38,14 +39,6 @@ def _check_kappa(kappa: int) -> int:
     if kappa not in range(1, 8):
         raise LabelError("kappa must be a nonzero character 1..7")
     return kappa
-
-
-def _is_smooth(q: Matrix) -> bool:
-    for s in combinations(range(NCHARS), 4):
-        sub = Matrix.from_columns([list(q.column(j)) for j in s])
-        if sub.det() == 0:
-            return False
-    return True
 
 
 def monomial_labels():
@@ -187,7 +180,7 @@ def kappa_target(q, kappa: int, require_smooth: bool = True):
     """
     q = _check_system(q)
     kappa = _check_kappa(kappa)
-    if require_smooth and not _is_smooth(q):
+    if require_smooth and not smoothness(q)[0]:
         raise SmoothnessRequired(
             "kappa_target dimensions presuppose a smooth system"
         )
@@ -213,6 +206,7 @@ class PeriodMapData:
     matrix: Matrix  # target.dimension x source.dimension
     rank: int
     kernel: Matrix  # rows: kernel coordinates on the source basis
+    second_dim: int  # dimension of the second summand of the target
 
     def to_json(self):
         return {
@@ -221,8 +215,6 @@ class PeriodMapData:
             "rank": self.rank,
             "kernel_dim": self.kernel.rows,
         }
-
-    second_dim: int = 2
 
 
 def period_map(q, kappa: int, require_smooth: bool = True) -> PeriodMapData:

@@ -29,7 +29,7 @@ from .errors import (
     IntegralityViolation,
 )
 from .finite_forms import FiniteForm, finite_form_isometric, trivial_form
-from .matrices import Matrix, gcd_of, hnf, snf
+from .matrices import Matrix, gcd_of, hnf, snf, solve_rows
 
 
 class Lattice:
@@ -73,36 +73,9 @@ class Lattice:
 
     def signature(self):
         """(positive, negative) inertia counts by congruence diagonalization."""
-        n = self.n
-        a = [list(row) for row in self.gram.data]
-        pos = neg = 0
-        for i in range(n):
-            if a[i][i] == 0:
-                swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
-                if swap is not None:
-                    a[i], a[swap] = a[swap], a[i]
-                    for row in a:
-                        row[i], row[swap] = row[swap], row[i]
-                else:
-                    off = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
-                    if off is None:
-                        raise DegenerateGram("degenerate Gram matrix")
-                    # diagonal block is zero: add row/col to create a pivot
-                    a[i] = [x + y for x, y in zip(a[i], a[off])]
-                    for row in a:
-                        row[i] += row[off]
-            pivot = a[i][i]
-            if pivot > 0:
-                pos += 1
-            else:
-                neg += 1
-            for j in range(i + 1, n):
-                if a[j][i] != 0:
-                    f = a[j][i] / pivot
-                    a[j] = [x - f * y for x, y in zip(a[j], a[i])]
-                    for row in a:
-                        row[j] -= f * row[i]
-        return pos, neg
+        d, _ = _diagonalize(self.gram)
+        pos = sum(1 for x in d if x > 0)
+        return pos, len(d) - pos
 
     # -- construction helpers -----------------------------------------
 
@@ -152,11 +125,8 @@ class Lattice:
         if not orders:
             return trivial_form(even), lifts
         pair = lifts * self.gram * lifts.transpose()
-        bil = [[_mod1(pair.entry(i, j)) for j in range(len(orders))] for i in range(len(orders))]
-        quad = None
-        if even:
-            quad = [_mod2(pair.entry(i, i)) for i in range(len(orders))]
-        return FiniteForm(orders, Matrix(bil), quad), lifts
+        quad = [pair.entry(i, i) for i in range(len(orders))] if even else None
+        return FiniteForm(orders, pair, quad), lifts
 
     def discriminant_form(self) -> FiniteForm:
         return self.discriminant_data()[0]
@@ -202,13 +172,46 @@ class Lattice:
         return f"Lattice({self.name or self.gram!r})"
 
 
-def _mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
+def _diagonalize(gram: Matrix):
+    """Congruence diagonalization ``gram = Lᵀ·diag(d)·L``, L upper unitriangular.
 
+    A zero pivot is first replaced by swapping in a later nonzero
+    diagonal entry, or else by adding a later row and column that pairs
+    nonzero with it; L factors ``gram`` itself only when neither step
+    was taken, which is always so for positive definite input.
 
-def _mod2(x: Fraction) -> Fraction:
-    half = Fraction(x, 2)
-    return 2 * (half - (half.numerator // half.denominator))
+    Returns:
+        (d, L): the diagonal entries and L as lists of Fractions.
+
+    Raises:
+        DegenerateGram: the matrix is singular.
+    """
+    n = gram.rows
+    a = [list(row) for row in gram.data]
+    lmat = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    d = []
+    for i in range(n):
+        if a[i][i] == 0:
+            swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
+            if swap is not None:
+                a[i], a[swap] = a[swap], a[i]
+                for row in a:
+                    row[i], row[swap] = row[swap], row[i]
+            else:
+                off = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
+                if off is None:
+                    raise DegenerateGram("degenerate Gram matrix")
+                a[i] = [x + y for x, y in zip(a[i], a[off])]
+                for row in a:
+                    row[i] += row[off]
+        pivot = a[i][i]
+        d.append(pivot)
+        for j in range(i + 1, n):
+            lmat[i][j] = a[i][j] / pivot
+        for j in range(i + 1, n):
+            for k in range(i + 1, n):
+                a[j][k] -= a[i][j] * a[i][k] / pivot
+    return d, lmat
 
 
 # ---------------------------------------------------------------------------
@@ -420,18 +423,9 @@ def sublattice_index(sub: Sublattice, sup: Sublattice) -> int:
         raise DimensionError("sublattices live in different ambients")
     if sub.rank != sup.rank:
         raise DimensionError("index requires equal ranks")
-    bt = sup.basis.transpose()
-    sol_rows = []
-    for row in sub.basis.data:
-        aug = bt.hstack(Matrix([[x] for x in row]))
-        red, pivots = aug.rref()
-        if sup.rank in pivots:
-            raise DimensionError("sub is not contained in the span of sup")
-        x = [Fraction(0)] * sup.rank
-        for r, p in enumerate(pivots):
-            x[p] = red.entry(r, sup.rank)
-        sol_rows.append(x)
-    x = Matrix(sol_rows)
+    x = solve_rows(sup.basis, sub.basis)
+    if x is None:
+        raise DimensionError("sub is not contained in the span of sup")
     if x * sup.basis != sub.basis:
         raise DimensionError("sub is not contained in the span of sup")
     if not x.is_integral():
@@ -604,20 +598,12 @@ def short_vectors(gram: Matrix, norm: Fraction):
     congruence diagonalization of the Gram matrix.
     """
     n = gram.rows
-    # gram = Lᵀ D L with L upper unitriangular
-    a = [list(row) for row in gram.data]
-    lmat = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    d = []
-    for i in range(n):
-        pivot = a[i][i]
-        if pivot <= 0:
-            raise DimensionError("short_vectors requires positive definite Gram")
-        d.append(pivot)
-        for j in range(i + 1, n):
-            lmat[i][j] = a[i][j] / pivot
-        for j in range(i + 1, n):
-            for k in range(i + 1, n):
-                a[j][k] -= a[i][j] * a[i][k] / pivot
+    try:
+        d, lmat = _diagonalize(gram)
+    except DegenerateGram:
+        d = None
+    if d is None or any(x <= 0 for x in d):
+        raise DimensionError("short_vectors requires positive definite Gram")
     out = []
     x = [0] * n
 

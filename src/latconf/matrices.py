@@ -4,9 +4,18 @@ Provides an immutable :class:`Matrix` of arbitrary-precision rationals
 (``fractions.Fraction`` entries) together with the normal forms used by
 the rest of the package:
 
-* ``rref`` / ``kernel_basis`` / ``rank`` / ``det`` over Q,
+* ``rref`` / ``kernel_basis`` / ``rank`` / ``det`` / ``inverse`` over Q,
+* ``solve_rows``: the coefficients of rows in the row span of a basis,
 * row-style Hermite normal form ``hnf`` with unimodular transform,
 * Smith normal form ``snf`` with both unimodular transforms.
+
+All elimination over Q runs through one fraction-free kernel,
+``_bareiss``: each row is scaled to integers by the lcm of its
+denominators, Bareiss steps keep every entry an integer minor of the
+input, and rationals are built only at the end (``rref`` divides each
+pivot row by its pivot once; ``det`` divides the signed last pivot by
+the product of the row multipliers).  ``inverse``, ``kernel_basis``
+and ``solve_rows`` are read off one ``rref``.
 
 Conventions (fixed once, used everywhere):
 
@@ -198,30 +207,16 @@ class Matrix:
             (R, pivots): R the RREF as a Matrix, pivots the list of
             pivot column indices (leftmost-pivot convention).
         """
-        m = [list(row) for row in self.data]
-        nrows, ncols = self.rows, self.cols
-        pivots = []
-        prow = 0
-        for col in range(ncols):
-            sel = next((r for r in range(prow, nrows) if m[r][col] != 0), None)
-            if sel is None:
-                continue
-            m[prow], m[sel] = m[sel], m[prow]
-            inv = 1 / m[prow][col]
-            m[prow] = [inv * x for x in m[prow]]
-            for r in range(nrows):
-                if r != prow and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [a - f * b for a, b in zip(m[r], m[prow])]
-            pivots.append(col)
-            prow += 1
-            if prow == nrows:
-                break
-        return Matrix(m), pivots
+        m, _ = _integer_rows(self.data)
+        pivots, _, _ = _bareiss(m, reduce=True)
+        red = [
+            [Fraction(x, m[r][p]) for x in m[r]] for r, p in enumerate(pivots)
+        ]
+        return Matrix(red + m[len(pivots):]), pivots
 
     def rank(self) -> int:
-        """Rank over Q via fraction-free (Bareiss) elimination."""
-        return _int_rank(_integer_rows(self.data))
+        """Rank over Q: the pivot count of the fraction-free elimination."""
+        return len(_bareiss(_integer_rows(self.data)[0])[0])
 
     def kernel_basis(self):
         """Echelon basis of the right null space, rows spanning it.
@@ -245,24 +240,11 @@ class Matrix:
     def det(self) -> Fraction:
         if not self.is_square():
             raise DimensionError("det requires a square matrix")
-        n = self.rows
-        m = [list(row) for row in self.data]
-        result = Fraction(1)
-        for col in range(n):
-            sel = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if sel is None:
-                return Fraction(0)
-            if sel != col:
-                m[col], m[sel] = m[sel], m[col]
-                result = -result
-            pivot = m[col][col]
-            result *= pivot
-            inv = 1 / pivot
-            for r in range(col + 1, n):
-                if m[r][col] != 0:
-                    f = m[r][col] * inv
-                    m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-        return result
+        m, scale = _integer_rows(self.data)
+        pivots, swaps, det = _bareiss(m)
+        if len(pivots) < self.rows:
+            return Fraction(0)
+        return Fraction(-det if swaps % 2 else det, scale)
 
     def inverse(self):
         if not self.is_square():
@@ -291,36 +273,79 @@ class Matrix:
 
 
 def _integer_rows(data):
-    """Scale each row by its denominator lcm, returning integer row lists."""
+    """Scale each row by the lcm of its denominators.
+
+    Returns:
+        (rows, scale): the integer row lists and the product of the
+        row multipliers, so ``det(data) = det(rows) / scale``.
+    """
     out = []
+    scale = 1
     for row in data:
         mult = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * mult) for x in row])
-    return out
+        out.append([x.numerator * (mult // x.denominator) for x in row])
+        scale *= mult
+    return out, scale
 
 
-def _int_rank(rows) -> int:
-    """Rank of integer rows by fraction-free Bareiss elimination."""
-    m = [list(r) for r in rows]
+def _bareiss(m, reduce=False):
+    """Fraction-free (Bareiss) elimination of integer rows ``m``, in place.
+
+    Each step sets every row below the pivot row (every other row, with
+    ``reduce``) to ``(pivot*row - row[col]*pivot_row) // prev``; the
+    divisions are exact because the entries stay minors of the input.
+    With ``reduce``, ``m`` ends as the last pivot times the RREF.
+
+    Returns:
+        (pivots, swaps, det): the pivot columns, the number of row
+        swaps, and the last pivot (for square nonsingular input, the
+        determinant of the row-swapped input).
+    """
     nrows = len(m)
     ncols = len(m[0]) if m else 0
+    pivots = []
+    swaps = 0
     prev = 1
     prow = 0
     for col in range(ncols):
         sel = next((r for r in range(prow, nrows) if m[r][col] != 0), None)
         if sel is None:
             continue
-        m[prow], m[sel] = m[sel], m[prow]
-        pivot = m[prow][col]
-        for r in range(prow + 1, nrows):
-            mr, mp = m[r], m[prow]
-            f = mr[col]
-            m[r] = [(pivot * a - f * b) // prev for a, b in zip(mr, mp)]
+        if sel != prow:
+            m[prow], m[sel] = m[sel], m[prow]
+            swaps += 1
+        mp = m[prow]
+        pivot = mp[col]
+        for r in range(0 if reduce else prow + 1, nrows):
+            if r != prow:
+                mr = m[r]
+                f = mr[col]
+                m[r] = [(pivot * a - f * b) // prev for a, b in zip(mr, mp)]
+        pivots.append(col)
         prev = pivot
         prow += 1
         if prow == nrows:
             break
-    return prow
+    return pivots, swaps, prev
+
+
+def solve_rows(basis: Matrix, rows: Matrix):
+    """Coefficients ``x`` with ``x * basis == rows``, or None.
+
+    One RREF of the stacked system ``[basis^T | rows^T]`` solves for
+    every row at once.  Returns None when some row lies outside the row
+    span of ``basis``; the solution is unique when ``basis`` has full
+    row rank (otherwise free coefficients are 0).
+    """
+    k = basis.rows
+    red, pivots = basis.transpose().hstack(rows.transpose()).rref()
+    if pivots and pivots[-1] >= k:
+        return None
+    x = [[0] * k for _ in range(rows.rows)]
+    for r, p in enumerate(pivots):
+        for i, value in enumerate(red.data[r][k:]):
+            x[i][p] = value
+    return Matrix(x)
 
 
 # ---------------------------------------------------------------------------

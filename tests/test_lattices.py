@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from latconf.errors import (
+    DegenerateGram,
     DimensionError,
     IntegralityViolation,
     NonIntegralLattice,
@@ -32,6 +33,7 @@ from latconf.lattices import (
     overlattice_from_isotropic,
     parse_lattice_name,
     saturation,
+    short_vectors,
     sublattice_index,
     transcendental_slice,
 )
@@ -166,6 +168,36 @@ def test_definite_isometries_z2():
     assert len(autos) == 8  # the symmetries of the square
     for g in autos:
         assert is_isometry(z2, g)
+
+
+def test_signature_with_zero_pivots():
+    assert Lattice([[0, 1], [1, 2]]).signature() == (1, 1)  # swaps a pivot in
+    assert Lattice([[0, 1], [1, 0]]).signature() == (1, 1)  # adds a row to it
+    assert Lattice([[0, 0, 1], [0, -2, 0], [1, 0, 0]]).signature() == (1, 2)
+    with pytest.raises(DegenerateGram):
+        Lattice([[0, 1, 0], [1, 0, 0], [0, 0, 0]]).signature()
+
+
+def test_short_vectors():
+    assert sorted(short_vectors(Zpq(2, 0).gram, 1)) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
+    assert len(short_vectors(Dn(4).gram, 2)) == 24
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [
+        [[1, 0], [0, -1]],  # indefinite
+        [[0, 1], [1, 0]],  # indefinite with a zero pivot
+        [[-2]],  # negative definite
+        [[1, 1], [1, 1]],  # degenerate, positive semidefinite
+        [[0, 0], [0, 0]],  # degenerate
+        [[0, 1, 0], [1, 0, 0], [0, 0, 0]],  # degenerate and indefinite
+    ],
+)
+def test_short_vectors_rejects_non_positive_definite(gram):
+    with pytest.raises(DimensionError) as info:
+        short_vectors(Matrix(gram), 2)
+    assert type(info.value) is DimensionError
 
 
 def test_is_isometry_identity():

@@ -3,13 +3,26 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latconf.errors import DimensionError, SingularMatrixError
-from latconf.matrices import Matrix, frac_to_str, hnf, snf, str_to_frac
+from latconf.matrices import (
+    Matrix,
+    frac_to_str,
+    hnf,
+    snf,
+    solve_rows,
+    str_to_frac,
+)
 
 small_int = st.integers(min_value=-9, max_value=9)
+rational = st.one_of(
+    st.just(Fraction(0)),
+    small_int.map(Fraction),
+    st.builds(Fraction, small_int, st.integers(min_value=1, max_value=7)),
+)
 
 
 def int_matrix(rows, cols):
@@ -112,3 +125,130 @@ def test_hnf_example():
     assert u * Matrix([[2, 4], [6, 8]]) == h
     assert abs(u.det()) == 1
     assert h.entry(1, 0) == 0
+
+
+# -- differential tests of the elimination kernel ------------------------
+
+
+def gauss_jordan(rows):
+    """Reference Fraction Gauss-Jordan: (RREF rows, pivots, determinant).
+
+    The determinant is only meaningful for square input.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots, det, prow = [], Fraction(1), 0
+    for col in range(ncols):
+        sel = next((r for r in range(prow, len(m)) if m[r][col] != 0), None)
+        if sel is None:
+            continue
+        if sel != prow:
+            m[prow], m[sel] = m[sel], m[prow]
+            det = -det
+        pivot = m[prow][col]
+        det *= pivot
+        m[prow] = [x / pivot for x in m[prow]]
+        for r in range(len(m)):
+            if r != prow and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[prow])]
+        pivots.append(col)
+        prow += 1
+    return m, pivots, det if len(pivots) == len(m) else Fraction(0)
+
+
+def to_sympy(m: Matrix):
+    flat = [sympy.Rational(x.numerator, x.denominator) for row in m.data for x in row]
+    return sympy.Matrix(m.rows, m.cols, flat)
+
+
+def from_sympy(rows):
+    return [[Fraction(int(x.p), int(x.q)) for x in row] for row in rows]
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """Rational matrices, often singular or with a zero row or column."""
+    nrows = draw(st.integers(min_value=0, max_value=5))
+    ncols = nrows if square else draw(st.integers(min_value=1, max_value=6))
+    data = [[draw(rational) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows >= 2 and draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, nrows - 1)) for _ in range(3))
+        c = draw(rational)
+        data[i] = [c * a + b for a, b in zip(data[j], data[k])]
+    if nrows and draw(st.booleans()):
+        if draw(st.booleans()):
+            data[draw(st.integers(0, nrows - 1))] = [Fraction(0)] * ncols
+        else:
+            col = draw(st.integers(0, ncols - 1))
+            for row in data:
+                row[col] = Fraction(0)
+    return Matrix(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+@example(Matrix([]))
+@example(Matrix([[0, Fraction(2, 3), 0, -1]]))
+@example(Matrix([[0], [Fraction(-1, 2)], [4]]))
+@example(Matrix([[0, 0], [0, 0]]))
+def test_rref_rank_kernel_against_oracles(m):
+    red, pivots = m.rref()
+    ref, ref_pivots, _ = gauss_jordan(m.data)
+    assert red == Matrix(ref) and pivots == ref_pivots
+    sym_red, sym_pivots = to_sympy(m).rref()
+    assert red.data == Matrix(from_sympy(sym_red.tolist())).data
+    assert pivots == list(sym_pivots)
+    assert m.rank() == len(ref_pivots)
+    kernel = m.kernel_basis()
+    nullspace = [list(v) for v in to_sympy(m).nullspace()]
+    assert kernel.rows == m.cols - len(pivots)
+    assert kernel.row_list() == from_sympy(nullspace)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices(square=True))
+@example(Matrix([]))
+@example(Matrix([[Fraction(-3, 4)]]))
+@example(Matrix([[0, 1], [1, 0]]))
+def test_det_inverse_against_oracles(m):
+    _, _, ref_det = gauss_jordan(m.data)
+    det = m.det()
+    assert type(det) is Fraction
+    assert det == ref_det
+    sym_det = to_sympy(m).det()
+    assert det == Fraction(int(sym_det.p), int(sym_det.q))
+    if det == 0:
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
+        return
+    inv = m.inverse()
+    ref, _, _ = gauss_jordan(m.hstack(Matrix.identity(m.rows)).data)
+    assert inv == Matrix([row[m.rows:] for row in ref])
+    assert inv.row_list() == from_sympy(to_sympy(m).inv().tolist())
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_matrices(), st.data())
+def test_solve_rows(basis, data):
+    assume(basis.rows and to_sympy(basis).rank() == basis.rows)
+    nsol = data.draw(st.integers(min_value=1, max_value=3))
+    x = Matrix([[data.draw(rational) for _ in range(basis.rows)] for _ in range(nsol)])
+    rows = x * basis
+    assert solve_rows(basis, rows) == x
+    kernel = basis.kernel_basis()
+    if kernel.rows:
+        # a nonzero kernel vector is orthogonal to the row span, so off it
+        off = rows.row_list()
+        off[-1] = [a + b for a, b in zip(off[-1], kernel.data[0])]
+        assert solve_rows(basis, Matrix(off)) is None
+
+
+def test_solve_rows_outside_span():
+    basis = Matrix([[1, 0, 0], [0, 2, 0]])
+    assert solve_rows(basis, Matrix([[3, 4, 0], [0, 1, 0]])) == Matrix(
+        [[3, 2], [0, Fraction(1, 2)]]
+    )
+    assert solve_rows(basis, Matrix([[3, 4, 0], [0, 0, 1]])) is None
+    with pytest.raises(DimensionError):
+        solve_rows(basis, Matrix([[1, 0]]))
