@@ -58,7 +58,7 @@ from .lattices import (
 )
 from .isotropic import classify_isotropic_plane, classify_isotropic_vector
 from .matrices import Matrix, frac_to_str
-from .verify import registry_ids, run_verify
+from .verify import random_system, registry_ids, run_verify
 
 
 class UsageError(Exception):
@@ -332,10 +332,7 @@ def cmd_jacobian_period_rank(args) -> int:
     if args.system is not None:
         q = _system_from(args.system)
     else:
-        rng = random.Random(args.seed)
-        from .verify import _rand_system
-
-        q = _rand_system(rng)
+        q = random_system(random.Random(args.seed))
     pm = period_map(q, args.kappa)
     return _emit(pm.to_json())
 
@@ -346,6 +343,8 @@ def cmd_jacobian_period_rank(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.filter and not any(cid.startswith(args.filter) for cid in registry_ids()):
+        raise UsageError(f"--filter {args.filter!r} matches no check id")
     report = run_verify(seed=args.seed, id_filter=args.filter)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -396,11 +396,13 @@ def smoothness(q: Matrix):
     independent; otherwise (False, first dependent 4-subset)."""
     if q.rows != 4 or q.cols != 7:
         raise DimensionError("quadric system must be 4 x 7")
-    if q.rank() != 4:
-        raise DimensionError("quadric system must have rank 4")
+    # a nonzero 4-minor already proves rank 4, so the rank is computed
+    # only once a dependent 4-subset turns up
     for s in combinations(range(7), 4):
         sub = Matrix.from_columns([list(q.column(j)) for j in s])
         if sub.det() == 0:
+            if q.rank() != 4:
+                raise DimensionError("quadric system must have rank 4")
             return False, s
     return True, None
 

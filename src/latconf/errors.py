@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the library.
 
-Every domain-level failure raises a subclass of :class:`LatconfError`
-carrying a stable machine-readable ``kind`` string, so the CLI can map
-failures to structured JSON without string matching.
+Every domain-level failure raises a subclass of :class:`LatconfError`.
+The CLI reports the class name as the error ``kind`` of its JSON error
+document, so callers never need to match message strings.
 """
 
 from __future__ import annotations
@@ -11,31 +11,21 @@ from __future__ import annotations
 class LatconfError(Exception):
     """Base class for all domain errors raised by this package."""
 
-    kind = "error"
-
 
 class DimensionError(LatconfError):
     """Operands have incompatible or unsupported dimensions."""
-
-    kind = "dimension-error"
 
 
 class SingularMatrixError(LatconfError):
     """A matrix required to be invertible is singular."""
 
-    kind = "singular-matrix"
-
 
 class NonIntegralLattice(LatconfError):
     """An operation requiring an integral Gram matrix got a non-integral one."""
 
-    kind = "non-integral-lattice"
-
 
 class DegenerateGram(LatconfError):
     """The Gram matrix is degenerate where nondegeneracy is required."""
-
-    kind = "degenerate-gram"
 
 
 class IntegralityViolation(LatconfError):
@@ -43,8 +33,6 @@ class IntegralityViolation(LatconfError):
 
     ``pair`` names the offending pair of subgroup generators.
     """
-
-    kind = "integrality-violation"
 
     def __init__(self, message, pair=None):
         super().__init__(message)
@@ -54,46 +42,30 @@ class IntegralityViolation(LatconfError):
 class GroupTooLarge(LatconfError):
     """A finite-group search exceeded the fixed backtracking bound."""
 
-    kind = "group-too-large"
-
 
 class NotPrimitive(LatconfError):
     """A vector or sublattice required to be primitive is not."""
-
-    kind = "not-primitive"
 
 
 class NotIsotropic(LatconfError):
     """A vector or sublattice required to be isotropic is not."""
 
-    kind = "not-isotropic"
-
 
 class NoFrame(LatconfError):
     """No 4 columns of a configuration form a projective frame."""
-
-    kind = "no-frame"
 
 
 class VerticesCollinear(LatconfError):
     """The three pair-vertices of a configuration are collinear."""
 
-    kind = "vertices-collinear"
-
 
 class LabelError(LatconfError):
     """Configuration labels are missing or malformed."""
-
-    kind = "label-error"
 
 
 class SmoothnessRequired(LatconfError):
     """A Jacobian-ring computation requires a smooth quadric system."""
 
-    kind = "smoothness-required"
-
 
 class InvalidName(LatconfError):
     """Unknown named-lattice constructor or bad parameters."""
-
-    kind = "invalid-name"

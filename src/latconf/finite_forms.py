@@ -4,18 +4,26 @@ A :class:`FiniteForm` is the discriminant-form object: a finite abelian
 group presented by generator orders (invariant factors, each dividing
 the next), a symmetric matrix of bilinear values in Q/Z on the
 generators, and optionally a vector of quadratic values in Q/2Z (present
-exactly when the source lattice is even).
+exactly when the source lattice is even).  The constructor rejects
+values that are not well defined on the group.
 
-Isometry testing and automorphism enumeration are exhaustive
-backtracking searches over generator images, bounded at group order
-2**10.
+Isometry testing and automorphism enumeration share one exhaustive
+backtracking search over generator images, bounded at group order
+2**10.  It runs on integer tables of the scaled form values on all
+elements: a candidate image must have an order dividing its
+generator's and the right form values against the images chosen so
+far.  Such an assignment is a form-preserving homomorphism, and its
+kernel pairs trivially with everything, so it lies in the radical of
+the source form.  One test per complete assignment (no nonzero radical
+element maps to zero) therefore decides bijectivity, for degenerate
+and nondegenerate forms alike.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import DimensionError, GroupTooLarge
 from .matrices import Matrix, frac_to_str, str_to_frac
@@ -50,10 +58,18 @@ class FiniteForm:
         bilinear = Matrix([[_mod1(x) for x in row] for row in bilinear.data])
         if not bilinear.is_symmetric():
             raise DimensionError("bilinear matrix must be symmetric")
+        if any((n * x).denominator != 1 for n, row in zip(orders, bilinear.data) for x in row):
+            raise DimensionError("bilinear values not well defined: need n_i * b_ij integral")
         if quadratic is not None:
             quadratic = tuple(_mod2(Fraction(x)) for x in quadratic)
             if len(quadratic) != len(orders):
                 raise DimensionError("quadratic vector size mismatch")
+            if any((x - bilinear.data[i][i]).denominator != 1 or n * n * x % 2
+                   for i, (n, x) in enumerate(zip(orders, quadratic))):
+                raise DimensionError(
+                    "quadratic values not well defined: need q_i = b_ii mod 1 "
+                    "and n_i^2 * q_i even"
+                )
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "bilinear", bilinear)
         object.__setattr__(self, "quadratic", quadratic)
@@ -82,9 +98,6 @@ class FiniteForm:
 
     def add(self, x, y):
         return tuple((a + b) % n for a, b, n in zip(x, y, self.orders))
-
-    def neg(self, x):
-        return tuple((-a) % n for a, n in zip(x, self.orders))
 
     def smul(self, t, x):
         return tuple((t * a) % n for a, n in zip(x, self.orders))
@@ -219,9 +232,6 @@ class FiniteForm:
         return f"FiniteForm(orders={self.orders})"
 
 
-TRIVIAL_FORM_JSON = {"orders": [], "bilinear": []}
-
-
 def trivial_form(quadratic: bool):
     """The finite form on the trivial group."""
     return FiniteForm((), Matrix.zeros(0, 0), () if quadratic else None)
@@ -233,101 +243,27 @@ def trivial_form(quadratic: bool):
 
 
 def _scaled_tables(f: FiniteForm, scale: int):
-    """Integer pairing table and quadratic vector for all elements.
+    """Integer tables of ``f`` on all elements, in ``elements()`` order.
 
-    Returns ``(elements, P, Q)`` where ``P[i][j] = scale*b(x_i,x_j)
-    mod scale`` and ``Q[i] = scale*q(x_i) mod 2*scale`` (``None``
-    without a quadratic refinement).  Returns ``None`` when the form
-    values do not scale to integers.
+    Returns ``(elements, coeff, pair, quad)``: the elements, their
+    coefficient rows as an array, ``pair[i, j] = scale*b(x_i, x_j) mod
+    scale`` and ``quad[i] = scale*q(x_i) mod 2*scale`` (``None`` without
+    a quadratic refinement).  ``f`` must have a generator, and ``scale``
+    must be a multiple of every generator order, which makes every
+    scaled value an integer.
     """
     import numpy as np
 
-    k = f.ngens
-    bs = [[Fraction(x) * scale for x in row] for row in f.bilinear.data]
-    if any(x.denominator != 1 for row in bs for x in row):
-        return None
-    bs_int = np.array([[int(x) for x in row] for row in bs], dtype=np.int64)
+    bs = np.array([[int(x * scale) for x in row] for row in f.bilinear.data], dtype=np.int64)
     elements = f.elements()
-    coeff = np.array(elements, dtype=np.int64).reshape(len(elements), k)
-    raw = coeff @ bs_int @ coeff.T
+    coeff = np.array(elements, dtype=np.int64)
+    raw = coeff @ bs @ coeff.T
     pair = raw % scale
     quad = None
     if f.quadratic is not None:
-        qs = [Fraction(x) * scale for x in f.quadratic]
-        if any(x.denominator != 1 for x in qs):
-            return None
-        qs_int = np.array([int(x) for x in qs], dtype=np.int64)
-        diag_b = np.diagonal(bs_int)
-        quad = (np.diagonal(raw) + (coeff * coeff) @ (qs_int - diag_b)) % (2 * scale)
-    return elements, pair, quad
-
-
-def _is_nondegenerate(pair) -> bool:
-    """No nonzero element pairs trivially with everything."""
-    import numpy as np
-
-    degenerate_rows = np.nonzero(~pair.any(axis=1))[0]
-    return list(degenerate_rows) == [0]  # only the zero element (index 0)
-
-
-def _search_fast(a: FiniteForm, b: FiniteForm, use_quadratic: bool):
-    """Table-driven backtracking for nondegenerate forms.
-
-    For a nondegenerate target bilinear form, any order-respecting
-    generator assignment that preserves b is automatically injective
-    (its kernel pairs trivially with everything), hence bijective; no
-    surjectivity tracking is needed.  Returns None when the fast path
-    does not apply.
-    """
-    import numpy as np
-
-    scale = 1
-    for o in a.orders:
-        scale = lcm(scale, o)
-    scale *= scale  # denominators divide products of two orders
-    ta = _scaled_tables(a, scale)
-    tb = _scaled_tables(b, scale) if b is not a else ta
-    if ta is None or tb is None:
-        return None
-    elements_a, pair_a, quad_a = ta
-    elements_b, pair_b, quad_b = tb
-    if not (_is_nondegenerate(pair_a) and _is_nondegenerate(pair_b)):
-        return None
-    index_a = {x: i for i, x in enumerate(elements_a)}
-    k = a.ngens
-    gens = [tuple(1 if j == i else 0 for j in range(k)) for i in range(k)]
-    gidx = [index_a[g] for g in gens]
-    cross = pair_a[np.ix_(gidx, gidx)]
-    order_b = np.array([b.element_order(x) for x in elements_b], dtype=np.int64)
-
-    pools = []
-    for i, n in enumerate(a.orders):
-        mask = (n % order_b) == 0
-        mask &= pair_b[np.arange(len(elements_b)), np.arange(len(elements_b))] == cross[i, i]
-        if use_quadratic:
-            mask &= quad_b == quad_a[gidx[i]]
-        pools.append(np.nonzero(mask)[0])
-
-    def rec(i, pools_i, chosen):
-        if i == k:
-            yield tuple(elements_b[j] for j in chosen)
-            return
-        for x in pools_i[0]:
-            nxt = []
-            ok = True
-            for off, pool in enumerate(pools_i[1:], start=i + 1):
-                filtered = pool[pair_b[pool, x] == cross[off, i]]
-                if filtered.size == 0 and off <= k - 1:
-                    ok = False
-                    break
-                nxt.append(filtered)
-            if not ok:
-                continue
-            chosen.append(int(x))
-            yield from rec(i + 1, nxt, chosen)
-            chosen.pop()
-
-    return rec(0, pools, [])
+        qs = np.array([int(x * scale) for x in f.quadratic], dtype=np.int64)
+        quad = (np.diagonal(raw) + (coeff * coeff) @ (qs - np.diagonal(bs))) % (2 * scale)
+    return elements, coeff, pair, quad
 
 
 def _search(a: FiniteForm, b: FiniteForm, use_quadratic: bool):
@@ -336,84 +272,63 @@ def _search(a: FiniteForm, b: FiniteForm, use_quadratic: bool):
     A witness is a tuple of elements of ``b`` (one per generator of
     ``a``) defining a group isomorphism ``a -> b`` preserving the
     bilinear form (and quadratic form when requested) on generators —
-    hence, by (bi)linearity, everywhere.
+    hence, by (bi)linearity, everywhere.  Witnesses come in
+    lexicographic order of their element indices.
     """
     if a.group_order() > SEARCH_BOUND or b.group_order() > SEARCH_BOUND:
         raise GroupTooLarge("finite form exceeds the backtracking bound")
     if use_quadratic and (a.quadratic is None or b.quadratic is None):
         raise DimensionError("quadratic comparison requires quadratic refinements")
-    if a.group_order() != b.group_order() or a.orders != b.orders:
+    if a.orders != b.orders:
         return
-    if a.ngens == 0:
+    k = a.ngens
+    if k == 0:
         yield ()
         return
 
-    fast = _search_fast(a, b, use_quadratic)
-    if fast is not None:
-        yield from fast
-        return
+    import numpy as np
 
-    elements = b.elements()
-    b_orders = {x: b.element_order(x) for x in elements}
-    # precandidates per generator: matching order divisor + self values
-    precand = []
+    orders = np.array(a.orders, dtype=np.int64)
+    scale = lcm(*a.orders)
+    ta = _scaled_tables(a, scale)
+    _, coeff_a, pair_a, quad_a = ta
+    elements_b, coeff_b, pair_b, quad_b = ta if b is a else _scaled_tables(b, scale)
+    # generator e_i sits at the mixed-radix index prod(orders[i+1:])
+    gidx = [prod(a.orders[i + 1:]) for i in range(k)]
+    cross = pair_a[np.ix_(gidx, gidx)]
+    order_b = np.lcm.reduce(orders // np.gcd(coeff_b, orders), axis=1)
+    diag_b = np.diagonal(pair_b)
+    pools = []
     for i, n in enumerate(a.orders):
-        gi = tuple(1 if j == i else 0 for j in range(a.ngens))
-        want_b = a.b(gi, gi)
-        want_q = a.q(gi) if use_quadratic else None
-        pool = [
-            x
-            for x in elements
-            if n % b_orders[x] == 0
-            and b.b(x, x) == want_b
-            and (not use_quadratic or b.q(x) == want_q)
-        ]
-        precand.append(pool)
+        mask = (n % order_b == 0) & (diag_b == cross[i, i])
+        if use_quadratic:
+            mask &= quad_b == quad_a[gidx[i]]
+        pools.append(np.nonzero(mask)[0])
+    # The kernel of a b-preserving homomorphism pairs trivially with
+    # everything, so it lies in the radical of a: the map is injective
+    # (hence bijective, the orders being equal) iff it sends no nonzero
+    # radical element to zero.
+    radical = coeff_a[1:][~pair_a[1:].any(axis=1)]
 
-    gens_a = [
-        tuple(1 if j == i else 0 for j in range(a.ngens)) for i in range(a.ngens)
-    ]
-    cross = [[a.b(gens_a[i], gens_a[j]) for j in range(i)] for i in range(a.ngens)]
-    total = a.group_order()
-
-    images: list = []
-    spans = [frozenset([b.zero()])]
-
-    def extend_span(span, g):
-        new = set(span)
-        for t in range(1, b_orders[g]):
-            tg = b.smul(t, g)
-            new.update(b.add(s, tg) for s in span)
-        return frozenset(new)
-
-    def rec(i):
-        if i == a.ngens:
-            if len(spans[-1]) == total:
-                yield tuple(images)
+    def rec(i, pools_i, chosen):
+        if i == k:
+            if not radical.size or ((radical @ coeff_b[chosen]) % orders).any(axis=1).all():
+                yield tuple(elements_b[j] for j in chosen)
             return
-        for x in precand[i]:
-            ok = True
-            for j in range(i):
-                if b.b(x, images[j]) != cross[i][j]:
-                    ok = False
+        for x in pools_i[0]:
+            nxt = []
+            for off in range(i + 1, k):
+                pool = pools_i[off - i]
+                pool = pool[pair_b[pool, x] == cross[off, i]]
+                if not pool.size:
                     break
-            if not ok:
-                continue
-            span = extend_span(spans[-1], x)
-            # partial injectivity: the images so far must generate a
-            # subgroup of full partial order
-            expected = 1
-            for j in range(i + 1):
-                expected *= a.orders[j]
-            if len(span) != expected:
-                continue
-            images.append(x)
-            spans.append(span)
-            yield from rec(i + 1)
-            spans.pop()
-            images.pop()
+                nxt.append(pool)
+            else:
+                chosen.append(int(x))
+                yield from rec(i + 1, nxt, chosen)
+                chosen.pop()
 
-    yield from rec(0)
+    yield from rec(0, pools, [])
 
 
 def finite_form_isometric(a: FiniteForm, b: FiniteForm, compare="quadratic"):
@@ -427,10 +342,7 @@ def finite_form_isometric(a: FiniteForm, b: FiniteForm, compare="quadratic"):
         A witness tuple of generator images (an explicit isomorphism
         ``a -> b``) if the forms are isometric, else ``None``.
     """
-    use_quadratic = compare == "quadratic"
-    for witness in _search(a, b, use_quadratic):
-        return witness
-    return None
+    return next(_search(a, b, compare == "quadratic"), None)
 
 
 def finite_form_automorphisms(f: FiniteForm, compare="bilinear"):

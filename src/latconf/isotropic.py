@@ -177,7 +177,8 @@ def classify_isotropic_plane(l: Lattice | None, basis) -> IsotropicClass:
 # exists iff the two rows r*G, s*G mod 2 are linearly dependent.
 
 
-def _fast_vector_kind(v) -> str:
+def fast_vector_kind(v) -> str:
+    """Kind of a primitive isotropic vector of L, read off its b-part parities."""
     parities = {x & 1 for x in v[2:]}
     if parities == {0}:
         return EVEN_VECTOR
@@ -220,7 +221,7 @@ def isotropic_vector_census(height: int = 5, vectors=None):
         vectors = enumerate_isotropic_vectors(height)
     census: dict[str, int] = {}
     for v in vectors:
-        k = _fast_vector_kind(v)
+        k = fast_vector_kind(v)
         census[k] = census.get(k, 0) + 1
     return census
 

@@ -140,7 +140,10 @@ def invariant_deformations(q) -> GradedPiece:
     dependency sum_k Q_k y_k = sum_i (sum_j q_ij x_i^2 y_j), so the
     relation rank is 22 for full-rank systems.
     """
-    q = _check_system(q)
+    return _invariant_piece(_check_system(q))
+
+
+def _invariant_piece(q: Matrix) -> GradedPiece:
     rows = quadric_rows(q) + jacobian_rows(q)
     return _make_piece((1, 0), "invariant", monomial_labels(), rows)
 
@@ -178,8 +181,10 @@ def kappa_target(q, kappa: int, require_smooth: bool = True):
     presuppose 4-column independence of the system, so non-smooth
     input is rejected unless ``require_smooth`` is disabled.
     """
-    q = _check_system(q)
-    kappa = _check_kappa(kappa)
+    return _target_pieces(_check_system(q), _check_kappa(kappa), require_smooth)
+
+
+def _target_pieces(q: Matrix, kappa: int, require_smooth: bool):
     if require_smooth and not smoothness(q)[0]:
         raise SmoothnessRequired(
             "kappa_target dimensions presuppose a smooth system"
@@ -227,8 +232,8 @@ def period_map(q, kappa: int, require_smooth: bool = True) -> PeriodMapData:
     """
     q = _check_system(q)
     kappa = _check_kappa(kappa)
-    source = invariant_deformations(q)
-    first, second = kappa_target(q, kappa, require_smooth=require_smooth)
+    source = _invariant_piece(q)
+    first, second = _target_pieces(q, kappa, require_smooth)
     cols = []
     for f in source.free:
         unit = [Fraction(0)] * AMBIENT

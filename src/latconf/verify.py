@@ -47,13 +47,17 @@ from .configs import (
     wreath_signature,
 )
 from .errors import LatconfError, VerticesCollinear
-from .finite_forms import finite_form_automorphisms, finite_form_isometric
+from .finite_forms import (
+    apply_images,
+    finite_form_automorphisms,
+    finite_form_isometric,
+)
 from .isotropic import (
-    _fast_vector_kind,
     certificate_matches,
     classify_isotropic_plane,
     classify_isotropic_vector,
     enumerate_isotropic_vectors,
+    fast_vector_kind,
     isotropic_vector_census,
     scan_isotropic_planes,
 )
@@ -161,7 +165,7 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def _rand_system(rng, smooth=True) -> Matrix:
+def random_system(rng, smooth=True) -> Matrix:
     """Random full-rank 4x7 rational system, smooth unless disabled."""
     while True:
         q = Matrix(
@@ -176,7 +180,7 @@ def _rand_system(rng, smooth=True) -> Matrix:
 def _degenerate_system(rng) -> Matrix:
     """Full-rank system with exactly one engineered dependent 4-subset."""
     while True:
-        q = _rand_system(rng)
+        q = random_system(rng)
         subset = sorted(rng.sample(range(7), 4))
         cols = [list(q.column(j)) for j in range(7)]
         # replace the last column of the subset by a combination of the
@@ -334,7 +338,7 @@ def check_isotropic_orbits(rng):
     l = transcendental_slice()
     reps = {}
     for v in vectors:
-        kind = _fast_vector_kind(v)
+        kind = fast_vector_kind(v)
         reps.setdefault(kind, v)
         if len(reps) == 3:
             break
@@ -349,7 +353,7 @@ def check_isotropic_orbits(rng):
     for v in rng.sample(vectors, 50):
         cls = classify_isotropic_vector(l, v)
         vector_certs_ok = vector_certs_ok and (
-            cls.kind == _fast_vector_kind(v) and certificate_matches(cls)
+            cls.kind == fast_vector_kind(v) and certificate_matches(cls)
         )
     scan = scan_isotropic_planes(vectors=vectors, height=5)
     plane_certs_ok = True
@@ -426,17 +430,11 @@ def check_lambda_glue(rng):
 def check_lambda_stable(rng):
     _, lam, _, gens = _lambda_data()
     lam0 = lam.subgroup(gens)
-    index = {x: i for i, x in enumerate(lam.elements())}
     count = 0
     stable = True
     for images in finite_form_automorphisms(lam, compare="bilinear"):
         count += 1
-        for g in gens:
-            img = lam.zero()
-            for coef, im in zip(g, images):
-                img = lam.add(img, lam.smul(coef, im))
-            if img not in lam0:
-                stable = False
+        stable = all(apply_images(lam, images, g) in lam0 for g in gens)
         if not stable:
             break
     return stable and count > 0, {
@@ -485,7 +483,7 @@ JACOBIAN_SAMPLES = 100
 def check_target_dim_4(rng):
     bad = []
     for trial in range(JACOBIAN_SAMPLES):
-        q = _rand_system(rng)
+        q = random_system(rng)
         for kappa in range(1, 8):
             pm = period_map(q, kappa)
             if not (
@@ -506,7 +504,7 @@ def check_target_dim_4(rng):
 
 
 def check_jacobian_counts(rng):
-    q = _rand_system(rng)
+    q = random_system(rng)
     kappa = 1 + rng.randrange(7)
     src = invariant_deformations(q)
     count1 = src.dimension == AMBIENT - 16 - 7 + 1  # the single overlap
@@ -534,7 +532,7 @@ def check_jacobian_counts(rng):
         qbad = Matrix.from_columns(cols)
         if qbad.rank() == 4:
             break
-        q = _rand_system(rng)
+        q = random_system(rng)
     first, _second = kappa_target(qbad, kappa, require_smooth=False)
     degenerate_breaks = first.dimension != 4
     ok = count1 and count2 and images_zero and spans and degenerate_breaks
@@ -755,7 +753,7 @@ def check_smoothness_paths(rng):
         if i < 20:
             q = _degenerate_system(rng)
         else:
-            q = _rand_system(rng, smooth=False)
+            q = random_system(rng, smooth=False)
         samples.append(q)
     for q in samples:
         path1 = smoothness(q)[0]  # 35 nonzero 4x4 minors of the system
@@ -782,7 +780,7 @@ def check_smoothness_paths(rng):
 def check_drop_line_paths(rng):
     mismatches = 0
     for _ in range(100):
-        q = _rand_system(rng)
+        q = random_system(rng)
         kappa = 1 + rng.randrange(7)
         config = seven_line_config(q)
         dropped = drop_line(config, kappa)

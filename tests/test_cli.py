@@ -111,3 +111,10 @@ def test_verify_filter_deterministic(capsys, tmp_path):
     assert all(
         s == "Skipped" for i, s in statuses.items() if i != "f2-census"
     )
+
+
+def test_verify_filter_matching_nothing_exit_2(capsys):
+    code, doc = run_json(capsys, "verify", "--filter", "nonexistent")
+    assert code == 2
+    assert doc["error"]["kind"] == "UsageError"
+    assert "nonexistent" in doc["error"]["message"]

@@ -1,8 +1,11 @@
 """Finite bilinear/quadratic forms and isometry search."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latconf.errors import DimensionError
 from latconf.finite_forms import (
@@ -21,6 +24,22 @@ def test_construction_validation():
         FiniteForm((2, 3), Matrix.zeros(2, 2))  # 3 does not divide by 2
     with pytest.raises(DimensionError):
         FiniteForm((2,), Matrix.zeros(2, 2))
+
+
+def test_construction_rejects_ill_defined_forms():
+    # b(1, 1) = 1/3 on Z/2 would give b((1,), (2,)) = 2/3, not b((1,), (0,)) = 0
+    with pytest.raises(DimensionError):
+        FiniteForm((2,), [[Fraction(1, 3)]])
+    with pytest.raises(DimensionError):  # 2 * b_12 = 1/2
+        FiniteForm((2, 4), [[0, Fraction(1, 4)], [Fraction(1, 4), 0]])
+    # q(1) = 1/3 on Z/3 would give q(3) = 3 = 1 mod 2, not q(0) = 0
+    with pytest.raises(DimensionError):
+        FiniteForm((3,), [[Fraction(1, 3)]], [Fraction(1, 3)])
+    # a quadratic value that does not refine the bilinear one
+    with pytest.raises(DimensionError):
+        FiniteForm((2,), [[Fraction(1, 2)]], [Fraction(0)])
+    f = FiniteForm((3,), [[Fraction(1, 3)]], [Fraction(4, 3)])
+    assert f.q((2,)) == Fraction(4, 3) and f.b((1,), (2,)) == Fraction(2, 3)
 
 
 def test_group_structure():
@@ -96,3 +115,101 @@ def test_trivial_form_and_json():
     assert t.group_order() == 1
     f = Dpq(2, 4).discriminant_form()
     assert FiniteForm.from_json(f.to_json()) == f
+
+
+# -- the search against a brute-force oracle --------------------------
+
+# divisibility chains over {2, 3, 4, 6} with at most 3 generators and
+# group order at most 36, small enough for the oracle below
+CHAINS = [
+    (2,), (3,), (4,), (6,), (2, 2), (2, 4), (2, 6), (3, 3), (3, 6), (4, 4),
+    (6, 6), (2, 2, 2), (2, 2, 4), (2, 2, 6),
+]
+
+
+def _oracle(a, b, use_quadratic):
+    """Every order-respecting tuple of generator images of ``a`` in ``b``
+    whose map is bijective and preserves b (and q) on all elements."""
+    if a.orders != b.orders:
+        return []
+    els = a.elements()
+    pools = [[y for y in els if n % b.element_order(y) == 0] for n in a.orders]
+    ba = {(x, y): a.b(x, y) for x in els for y in els}
+    bb = {(x, y): b.b(x, y) for x in els for y in els}
+    if use_quadratic:
+        qa = {x: a.q(x) for x in els}
+        qb = {x: b.q(x) for x in els}
+    found = []
+    for images in product(*pools):
+        phi = {
+            x: tuple(sum(c * im[j] for c, im in zip(x, images)) % n
+                     for j, n in enumerate(a.orders))
+            for x in els
+        }
+        if len(set(phi.values())) != len(els):
+            continue
+        if any(bb[phi[x], phi[y]] != ba[x, y] for x in els for y in els):
+            continue
+        if use_quadratic and any(qb[phi[x]] != qa[x] for x in els):
+            continue
+        found.append(images)
+    return found
+
+
+@st.composite
+def forms(draw):
+    """A well-defined form, often degenerate, with or without q."""
+    orders = draw(st.sampled_from(CHAINS))
+    k = len(orders)
+    bil = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            # n_i divides n_j, so t / n_i is killed by both orders
+            t = draw(st.integers(0, orders[i] - 1))
+            bil[i][j] = bil[j][i] = Fraction(t, orders[i])
+    if not draw(st.booleans()):
+        return FiniteForm(orders, bil)
+    quad = []
+    for i, n in enumerate(orders):
+        # q_i = b_ii mod 1, and n^2 q_i even forces the lift for odd n
+        lift = draw(st.integers(0, 1)) if n % 2 == 0 else (n * bil[i][i]) % 2
+        quad.append(bil[i][i] + lift)
+    return FiniteForm(orders, bil, quad)
+
+
+@st.composite
+def form_pairs(draw):
+    """A form and its pullback along a random tuple of generator images:
+    an isometric copy when the images give a bijection, else another
+    (often degenerate) form on the same group."""
+    a = draw(forms())
+    images = [
+        draw(st.sampled_from([y for y in a.elements() if n % a.element_order(y) == 0]))
+        for n in a.orders
+    ]
+    bil = [[a.b(y, z) for z in images] for y in images]
+    quad = None if a.quadratic is None else [a.q(y) for y in images]
+    return a, FiniteForm(a.orders, bil, quad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(form_pairs())
+def test_search_against_oracle(pair):
+    a, b = pair
+    for compare in ["bilinear"] + (["quadratic"] if a.quadratic is not None else []):
+        use_quadratic = compare == "quadratic"
+        for f in (a, b):
+            # the search yields in the oracle's lexicographic order
+            assert list(finite_form_automorphisms(f, compare)) == _oracle(f, f, use_quadratic)
+        for x, y in ((a, b), (b, a)):
+            witnesses = _oracle(x, y, use_quadratic)
+            assert finite_form_isometric(x, y, compare) == (
+                witnesses[0] if witnesses else None
+            )
+
+
+def test_zero_form_automorphisms():
+    f = FiniteForm((2, 2), Matrix.zeros(2, 2))
+    autos = list(finite_form_automorphisms(f))
+    assert len(autos) == 6  # GL(2, F2)
+    assert autos == _oracle(f, f, False)

@@ -9,12 +9,12 @@ from latconf.isotropic import (
     ODD_PLANE,
     ODD_TYPE1_VECTOR,
     ODD_TYPE2_VECTOR,
-    _fast_vector_kind,
     boundary_models,
     certificate_matches,
     classify_isotropic_plane,
     classify_isotropic_vector,
     enumerate_isotropic_vectors,
+    fast_vector_kind,
     isotropic_vector_census,
     scan_isotropic_planes,
 )
@@ -29,9 +29,9 @@ def test_reference_example_vector():
 
 
 def test_vector_kinds_by_parity():
-    assert _fast_vector_kind((1, 1, 2, 0, 0, 0)) == EVEN_VECTOR
-    assert _fast_vector_kind((1, 1, 1, 1, 1, 1)) == ODD_TYPE2_VECTOR
-    assert _fast_vector_kind((1, 0, 1, 1, 0, 0)) == ODD_TYPE1_VECTOR
+    assert fast_vector_kind((1, 1, 2, 0, 0, 0)) == EVEN_VECTOR
+    assert fast_vector_kind((1, 1, 1, 1, 1, 1)) == ODD_TYPE2_VECTOR
+    assert fast_vector_kind((1, 0, 1, 1, 0, 0)) == ODD_TYPE1_VECTOR
 
 
 def test_fast_kind_matches_certificates():
@@ -39,7 +39,7 @@ def test_fast_kind_matches_certificates():
     for v in ((1, 1, 2, 0, 0, 0), (1, 1, 1, 1, 1, 1), (1, 0, 1, 1, 0, 0),
               (1, 2, 3, 0, 1, 0), (5, 0, 7, 1, 0, 0)):
         cls = classify_isotropic_vector(l, v)
-        assert cls.kind == _fast_vector_kind(v)
+        assert cls.kind == fast_vector_kind(v)
         assert certificate_matches(cls)
 
 
