@@ -24,14 +24,15 @@ import os
 import random
 import sys
 from fractions import Fraction
+from itertools import permutations
 
 from . import __version__
 from .configs import (
     ConfigMatrix,
     act_gl3f2,
-    act_s4,
     act_wreath,
     canonical_form,
+    canonical_key,
     cremona,
     drop_line,
     gl3f2_elements,
@@ -54,7 +55,6 @@ from .lattices import (
     orthogonal_complement,
     overlattice_from_isotropic,
     parse_lattice_name,
-    transcendental_slice,
 )
 from .isotropic import classify_isotropic_plane, classify_isotropic_vector
 from .matrices import Matrix, frac_to_str
@@ -125,10 +125,6 @@ def _emit(obj) -> int:
     return 0
 
 
-def _frac_rows(m: Matrix):
-    return [[frac_to_str(x) for x in row] for row in m.data]
-
-
 # ---------------------------------------------------------------------------
 # lattice subcommands
 # ---------------------------------------------------------------------------
@@ -170,7 +166,6 @@ def cmd_lattice_glue(args) -> int:
 
 
 def cmd_lattice_classify_isotropic(args) -> int:
-    l = _lattice_from(args) if (args.name or args.gram) else transcendental_slice()
     if (args.vector is None) == (args.plane is None):
         raise UsageError("provide exactly one of --vector or --plane")
     if args.vector is not None:
@@ -178,10 +173,10 @@ def cmd_lattice_classify_isotropic(args) -> int:
             coords = [Fraction(str(x)) for x in _load_json(args.vector)]
         except (ValueError, TypeError) as exc:
             raise UsageError(f"malformed vector entry: {exc}") from exc
-        cls = classify_isotropic_vector(l, coords)
+        cls = classify_isotropic_vector(None, coords)
     else:
         basis = _matrix_from(_load_json(args.plane))
-        cls = classify_isotropic_plane(l, basis)
+        cls = classify_isotropic_plane(None, basis)
     return _emit({
         "kind": cls.kind,
         "certificate_gram": cls.certificate.to_json(),
@@ -287,18 +282,12 @@ def cmd_config_orbit(args) -> int:
         elements = wreath_elements()
         action = act_wreath
     elif args.group == "s4":
-        from itertools import permutations
-
         elements = [s4_to_wreath(s) for s in permutations(range(1, 5))]
         action = act_wreath
     else:  # glf2
         elements = gl3f2_elements()
         action = act_gl3f2
-    keys = {}
-    for el in elements:
-        moved = action(el, c)
-        normal, frame = canonical_form(moved)
-        keys[(moved.labels, frame, normal.matrix)] = moved
+    keys = {canonical_key(action(el, c)) for el in elements}
     return _emit({
         "group": args.group,
         "group_order": len(elements),
@@ -359,7 +348,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_lattice_source(p, required=False):
+def _add_lattice_source(p):
     p.add_argument(
         "--name",
         help="lattice expression, e.g. 'D6', 'Z(2,4)', 'H(1/2)+E10*-1', 'L'",
@@ -402,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_lattice_glue)
 
     p = lat_sub.add_parser("classify-isotropic",
-                           help="classify an isotropic vector or plane")
-    _add_lattice_source(p)
+                           help="classify an isotropic vector or plane "
+                           "of L = diag(2,2,-1,-1,-1,-1)")
     p.add_argument("--vector", help="coordinates (file or inline JSON)")
     p.add_argument("--plane", help="2-row basis (file or inline JSON)")
     p.set_defaults(fn=cmd_lattice_classify_isotropic)

@@ -28,14 +28,10 @@ from .errors import (
     NoFrame,
     VerticesCollinear,
 )
-from .matrices import Matrix, frac_to_str, str_to_frac
+from .matrices import Matrix
 
 PAIR_LABELS = (0, 0, 1, 1, 2, 2)
 CHAR_LABELS = (1, 2, 3, 4, 5, 6, 7)
-
-
-def _as_fraction_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 @dataclass(frozen=True)
@@ -47,7 +43,7 @@ class ConfigMatrix:
 
     def __init__(self, matrix, labels=None):
         if not isinstance(matrix, Matrix):
-            matrix = Matrix(_as_fraction_rows(matrix))
+            matrix = Matrix(matrix)
         if matrix.rows != 3 or matrix.cols not in (6, 7):
             raise DimensionError("configuration must be 3 x 6 or 3 x 7")
         if labels is None:
@@ -295,13 +291,18 @@ def canonical_form(c: ConfigMatrix):
     return c.with_matrix(_scale_columns(g * c.matrix)), frame
 
 
+def canonical_key(c: ConfigMatrix):
+    """``(labels, frame, canonical matrix)``: two configurations are GL3
+    x torus equivalent with fixed labels iff their keys are equal."""
+    normal, frame = canonical_form(c)
+    return c.labels, frame, normal.matrix
+
+
 def equivalent(a: ConfigMatrix, b: ConfigMatrix) -> bool:
     """GL3 x torus equivalence with fixed labels, via canonical forms."""
     if a.labels != b.labels:
         return False
-    ca, fa = canonical_form(a)
-    cb, fb = canonical_form(b)
-    return fa == fb and ca.matrix == cb.matrix
+    return canonical_key(a) == canonical_key(b)
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +377,28 @@ def quadrangle_slice(a, b, c, d) -> ConfigMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _check_shape(q: Matrix):
+    if q.rows != 4 or q.cols != 7:
+        raise DimensionError("quadric system must be 4 x 7")
+
+
+def check_system(q) -> Matrix:
+    """The quadric system ``q`` as a Matrix, checked to be 4 x 7 of rank 4."""
+    if not isinstance(q, Matrix):
+        q = Matrix(q)
+    _check_shape(q)
+    if q.rank() != 4:
+        raise DimensionError("quadric system must have rank 4")
+    return q
+
+
+def check_kappa(kappa: int) -> int:
+    """``kappa``, checked to be one of the nonzero characters 1..7."""
+    if kappa not in range(1, 8):
+        raise LabelError("kappa must be a nonzero character 1..7")
+    return kappa
+
+
 def seven_line_config(q: Matrix) -> ConfigMatrix:
     """Line configuration attached to a rank-4 system of 7 diagonal
     quadrics (rows = quadrics, columns = the 7 squared coordinates).
@@ -383,26 +406,20 @@ def seven_line_config(q: Matrix) -> ConfigMatrix:
     The configuration matrix is the deterministic echelon kernel basis
     of q, one line per character column.
     """
-    if q.rows != 4 or q.cols != 7:
-        raise DimensionError("quadric system must be 4 x 7")
-    if q.rank() != 4:
-        raise DimensionError("quadric system must have rank 4")
-    kern = q.kernel_basis()
+    kern = check_system(q).kernel_basis()
     return ConfigMatrix(kern, CHAR_LABELS)
 
 
 def smoothness(q: Matrix):
     """(True, None) iff every 4-subset of quadric-system columns is
     independent; otherwise (False, first dependent 4-subset)."""
-    if q.rows != 4 or q.cols != 7:
-        raise DimensionError("quadric system must be 4 x 7")
+    _check_shape(q)
     # a nonzero 4-minor already proves rank 4, so the rank is computed
     # only once a dependent 4-subset turns up
     for s in combinations(range(7), 4):
         sub = Matrix.from_columns([list(q.column(j)) for j in s])
         if sub.det() == 0:
-            if q.rank() != 4:
-                raise DimensionError("quadric system must have rank 4")
+            check_system(q)
             return False, s
     return True, None
 
@@ -410,8 +427,7 @@ def smoothness(q: Matrix):
 def drop_pairs(kappa: int):
     """The three pairs {chi, chi + kappa} of surviving characters,
     sorted by smallest member, each pair sorted ascending."""
-    if kappa not in range(1, 8):
-        raise LabelError("kappa must be a nonzero character 1..7")
+    check_kappa(kappa)
     pairs = []
     seen = set()
     for chi in range(1, 8):
@@ -459,8 +475,7 @@ def node_report(c: ConfigMatrix, kappa: int):
     """
     if c.n != 7:
         raise DimensionError("node_report expects a seven-line configuration")
-    if kappa not in range(1, 8):
-        raise LabelError("kappa must be a nonzero character 1..7")
+    check_kappa(kappa)
     entries = []
     counts = {
         "Degenerate": 0,
@@ -625,10 +640,7 @@ def orbit(items, elements, action):
     elements; ``action(element, config)`` the action map.  Returns a
     list of lists of indices into ``items``.
     """
-    keys = []
-    for item in items:
-        norm, frame = canonical_form(item)
-        keys.append((item.labels, frame, norm.matrix))
+    keys = [canonical_key(item) for item in items]
     classes = []
     assigned = {}
     for idx, item in enumerate(items):
@@ -636,11 +648,7 @@ def orbit(items, elements, action):
             continue
         cls = [idx]
         assigned[idx] = len(classes)
-        reach = set()
-        for el in elements:
-            moved = action(el, item)
-            norm, frame = canonical_form(moved)
-            reach.add((moved.labels, frame, norm.matrix))
+        reach = {canonical_key(action(el, item)) for el in elements}
         for jdx in range(idx + 1, len(items)):
             if jdx in assigned:
                 continue

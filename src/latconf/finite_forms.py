@@ -84,10 +84,7 @@ class FiniteForm:
         return len(self.orders)
 
     def group_order(self) -> int:
-        n = 1
-        for o in self.orders:
-            n *= o
-        return n
+        return prod(self.orders)
 
     def reduce(self, x):
         """Reduce a coefficient tuple modulo the generator orders."""
@@ -112,17 +109,20 @@ class FiniteForm:
             o = lcm(o, n // gcd(n, c))
         return o
 
+    def _join(self, span, g):
+        """The subgroup generated by the subgroup ``span`` and ``g``."""
+        out = set(span)
+        for t in range(1, self.element_order(g)):
+            tg = self.smul(t, g)
+            out.update(self.add(s, tg) for s in span)
+        return frozenset(out)
+
     def subgroup(self, gens):
         """The subgroup generated by the given coefficient tuples."""
-        gens = [self.reduce(g) for g in gens]
-        span = {self.zero()}
+        span = frozenset([self.zero()])
         for g in gens:
-            new = set()
-            for t in range(self.element_order(g)):
-                tg = self.smul(t, g)
-                new.update(self.add(s, tg) for s in span)
-            span = new
-        return frozenset(span)
+            span = self._join(span, self.reduce(g))
+        return span
 
     def all_subgroups(self):
         """Every subgroup, as a sorted list of frozensets of elements."""
@@ -137,11 +137,7 @@ class FiniteForm:
                 for g in elements:
                     if g in sub:
                         continue
-                    bigger = set(sub)
-                    for t in range(1, self.element_order(g)):
-                        tg = self.smul(t, g)
-                        bigger.update(self.add(s, tg) for s in sub)
-                    bigger = frozenset(bigger)
+                    bigger = self._join(sub, g)
                     if bigger not in seen:
                         seen.add(bigger)
                         nxt.append(bigger)
@@ -177,17 +173,14 @@ class FiniteForm:
                         total += 2 * xi * x[j] * row[j]
         return _mod2(total)
 
-    def is_isotropic_subgroup(self, gens, use_quadratic=None):
+    def is_isotropic_subgroup(self, gens, use_quadratic):
         """Check isotropy of the subgroup generated by ``gens``.
 
         Bilinear isotropy (b integral on all pairs of generators) is
         always required; quadratic isotropy (q even on generators) is
-        additionally required when ``use_quadratic`` is true, defaulting
-        to whether a quadratic refinement exists.  Returns
+        additionally required when ``use_quadratic`` is true.  Returns
         ``(ok, offending pair or None)``.
         """
-        if use_quadratic is None:
-            use_quadratic = self.quadratic is not None
         gens = [self.reduce(g) for g in gens]
         for i, g in enumerate(gens):
             for h in gens[: i + 1]:

@@ -20,19 +20,17 @@ integer numpy arithmetic for pair filtering, all entries exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import DimensionError, NotIsotropic, NotPrimitive
 from .lattices import (
     Lattice,
     Sublattice,
-    Dpq,
     Zpq,
     hyperbolic,
     is_isometric_small,
+    is_primitive,
     orthogonal_complement,
     saturation,
-    sublattice_index,
     transcendental_slice,
 )
 from .matrices import Matrix, gcd_of, snf, solve_rows
@@ -103,13 +101,22 @@ def _quotient_gram(sub_rows: Matrix, complement: Sublattice) -> Matrix:
     return rest * ambient.gram * rest.transpose()
 
 
+def _slice_only(l: Lattice | None) -> Lattice:
+    """``l``, or L when ``l`` is None: the classification is defined on
+    no other lattice."""
+    if l is None:
+        return transcendental_slice()
+    if l.gram != transcendental_slice().gram:
+        raise DimensionError("classification is defined on L = diag(2,2,-1,-1,-1,-1) only")
+    return l
+
+
 def classify_isotropic_vector(l: Lattice | None, v) -> IsotropicClass:
-    """Classify a primitive isotropic vector of L.
+    """Classify a primitive isotropic vector of L (``l`` is None or L).
 
     Raises NotIsotropic / NotPrimitive / DimensionError on bad input.
     """
-    if l is None:
-        l = transcendental_slice()
+    l = _slice_only(l)
     v = [int(x) for x in v]
     if len(v) != l.n:
         raise DimensionError("vector length mismatch")
@@ -121,11 +128,9 @@ def classify_isotropic_vector(l: Lattice | None, v) -> IsotropicClass:
     norm = (vm * l.gram * vm.transpose()).entry(0, 0)
     if norm != 0:
         raise NotIsotropic(f"vector has norm {norm}")
-    pairings = (vm * l.gram).data[0]
-    pairing_gcd = gcd_of(int(x) for x in pairings)
     complement = orthogonal_complement(Sublattice(l, vm))
     cert = _quotient_gram(vm, complement)
-    if pairing_gcd == 2:
+    if _vector_parity_gcd(l, v) == 2:
         return IsotropicClass(EVEN_VECTOR, cert)
     quotient_even = all(cert.entry(i, i) % 2 == 0 for i in range(cert.rows))
     kind = ODD_TYPE2_VECTOR if quotient_even else ODD_TYPE1_VECTOR
@@ -138,9 +143,9 @@ def _vector_parity_gcd(l: Lattice, v) -> int:
 
 
 def classify_isotropic_plane(l: Lattice | None, basis) -> IsotropicClass:
-    """Classify a primitive rank-2 totally isotropic plane of L."""
-    if l is None:
-        l = transcendental_slice()
+    """Classify a primitive rank-2 totally isotropic plane of L (``l`` is
+    None or L)."""
+    l = _slice_only(l)
     basis = basis if isinstance(basis, Matrix) else Matrix(basis)
     if basis.rows != 2 or basis.cols != l.n:
         raise DimensionError("plane basis must be 2 x n")
@@ -149,7 +154,7 @@ def classify_isotropic_plane(l: Lattice | None, basis) -> IsotropicClass:
     if not (basis * l.gram * basis.transpose()).is_zero():
         raise NotIsotropic("plane is not totally isotropic")
     sub = Sublattice(l, basis)
-    if sublattice_index(sub, saturation(sub)) != 1:
+    if not is_primitive(sub):
         raise NotPrimitive("plane is not primitive")
     complement = orthogonal_complement(sub)
     cert = _quotient_gram(basis, complement)
@@ -300,8 +305,11 @@ def scan_isotropic_planes(vectors=None, height: int = 5) -> PlaneScan:
         even = (pv == 0) | (pw == 0) | (pv == pw)
         index_even = (index & 1) ^ 1
         info = np.column_stack((minors, index_even, even, ii, jj))
-        chunks.append(np.unique(info, axis=0))
-    info = np.unique(np.concatenate(chunks), axis=0)
+        chunks.append(info)
+    # rows are distinct by their (i, j) columns, so one lexicographic
+    # sort (no deduplication) groups the records of each plane key
+    info = np.concatenate(chunks)
+    info = info[np.lexsort(info.T[::-1])]
     # One record per plane key; prefer a pair with odd saturation index
     # (record layout sorts odd-index rows first within a key group).
     keys = info[:, :15]

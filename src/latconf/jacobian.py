@@ -16,29 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .configs import smoothness
-from .errors import DimensionError, LabelError, SmoothnessRequired
+from .configs import check_kappa, check_system, smoothness
+from .errors import SmoothnessRequired
 from .matrices import Matrix
 
 NCHARS = 7
 NY = 4
 AMBIENT = NCHARS * NY  # 28 monomials x_i^2 y_j
-
-
-def _check_system(q: Matrix) -> Matrix:
-    if not isinstance(q, Matrix):
-        q = Matrix([[Fraction(x) for x in row] for row in q])
-    if q.rows != NY or q.cols != NCHARS:
-        raise DimensionError("quadric system must be 4 x 7")
-    if q.rank() != NY:
-        raise DimensionError("quadric system must have rank 4")
-    return q
-
-
-def _check_kappa(kappa: int) -> int:
-    if kappa not in range(1, 8):
-        raise LabelError("kappa must be a nonzero character 1..7")
-    return kappa
 
 
 def monomial_labels():
@@ -113,14 +97,6 @@ class GradedPiece:
                     vec[c] -= coef * self.reduced.entry(r, c)
         return [vec[f] for f in self.free]
 
-    def to_json(self):
-        return {
-            "bidegree": list(self.bidegree),
-            "character": self.character,
-            "dimension": self.dimension,
-            "complement_basis": [list(self.ambient_basis[f]) for f in self.free],
-        }
-
 
 def _make_piece(bidegree, character, ambient, relation_rows) -> GradedPiece:
     rel = Matrix(relation_rows)
@@ -140,7 +116,7 @@ def invariant_deformations(q) -> GradedPiece:
     dependency sum_k Q_k y_k = sum_i (sum_j q_ij x_i^2 y_j), so the
     relation rank is 22 for full-rank systems.
     """
-    return _invariant_piece(_check_system(q))
+    return _invariant_piece(check_system(q))
 
 
 def _invariant_piece(q: Matrix) -> GradedPiece:
@@ -152,7 +128,7 @@ def kappa_sum_bases(kappa: int):
     """All unordered triples of distinct non-kappa characters whose
     XOR-sum is kappa.  There are four for every kappa (they are the
     character-group bases summing to kappa)."""
-    kappa = _check_kappa(kappa)
+    kappa = check_kappa(kappa)
     return [
         t
         for t in combinations(range(1, 8), 3)
@@ -181,7 +157,7 @@ def kappa_target(q, kappa: int, require_smooth: bool = True):
     presuppose 4-column independence of the system, so non-smooth
     input is rejected unless ``require_smooth`` is disabled.
     """
-    return _target_pieces(_check_system(q), _check_kappa(kappa), require_smooth)
+    return _target_pieces(check_system(q), check_kappa(kappa), require_smooth)
 
 
 def _target_pieces(q: Matrix, kappa: int, require_smooth: bool):
@@ -222,7 +198,7 @@ class PeriodMapData:
         }
 
 
-def period_map(q, kappa: int, require_smooth: bool = True) -> PeriodMapData:
+def period_map(q, kappa: int) -> PeriodMapData:
     """Multiplication by x_kappa from R_{1,0} to the first summand of
     R_{5,1}^{(kappa)}: generically rank 4 with kernel of dimension 2.
 
@@ -230,10 +206,10 @@ def period_map(q, kappa: int, require_smooth: bool = True) -> PeriodMapData:
     identity; the matrix expresses each source complement monomial in
     the target complement basis.
     """
-    q = _check_system(q)
-    kappa = _check_kappa(kappa)
+    q = check_system(q)
+    kappa = check_kappa(kappa)
     source = _invariant_piece(q)
-    first, second = _target_pieces(q, kappa, require_smooth)
+    first, second = _target_pieces(q, kappa, require_smooth=True)
     cols = []
     for f in source.free:
         unit = [Fraction(0)] * AMBIENT
@@ -258,15 +234,15 @@ def kernel_family_vectors(q, kappa: int):
     Multiplying such a vector by x_kappa gives one of the relation
     rows of the target, so its period-map image vanishes exactly.
     """
-    q = _check_system(q)
-    kappa = _check_kappa(kappa)
+    q = check_system(q)
+    kappa = check_kappa(kappa)
     return kappa_rows(q, kappa)
 
 
 def deformed_system(q, direction, t) -> Matrix:
     """The system Q + t * direction, with direction a 28-coefficient
     deformation vector in monomial coordinates."""
-    q = _check_system(q)
+    q = check_system(q)
     t = Fraction(t)
     rows = []
     for j in range(NY):

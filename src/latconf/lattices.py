@@ -25,7 +25,6 @@ from .errors import (
     DimensionError,
     InvalidName,
     NonIntegralLattice,
-    NotPrimitive,
     IntegralityViolation,
 )
 from .finite_forms import FiniteForm, finite_form_isometric, trivial_form
@@ -93,9 +92,6 @@ class Lattice:
         if c == 0:
             raise DimensionError("rescale factor must be nonzero")
         return Lattice(self.gram.scale(c))
-
-    def dual_gram(self) -> Matrix:
-        return self.gram.inverse()
 
     # -- discriminant form --------------------------------------------
 
@@ -284,25 +280,6 @@ def transcendental_slice() -> Lattice:
     return Lattice(Matrix.diagonal([2, 2, -1, -1, -1, -1]), "L")
 
 
-def make_named(name: str, params=()) -> Lattice:
-    """Build one of the named lattices by constructor name."""
-    table = {
-        "Zpq": lambda: Zpq(int(params[0]), int(params[1])),
-        "H": hyperbolic,
-        "Hscaled": lambda: hyperbolic(Fraction(params[0])),
-        "E8": E8,
-        "E10": E10,
-        "Dn": lambda: Dn(int(params[0])),
-        "Dpq": lambda: Dpq(int(params[0]), int(params[1])),
-        "L": transcendental_slice,
-        "DirectSum": lambda: params[0].direct_sum(params[1]),
-        "Rescale": lambda: params[0].rescale(Fraction(params[1])),
-    }
-    if name not in table:
-        raise InvalidName(f"unknown lattice name: {name}")
-    return table[name]()
-
-
 def parse_lattice_name(text: str) -> Lattice:
     """Parse a lattice expression like ``"D(2,4)+Z(1,1)*-1"`` or ``"H(1/2)+E10*-1"``.
 
@@ -398,8 +375,8 @@ class Sublattice:
     def gram(self) -> Matrix:
         return self.basis * self.ambient.gram * self.basis.transpose()
 
-    def as_lattice(self, name=None) -> Lattice:
-        return Lattice(self.gram(), name)
+    def as_lattice(self) -> Lattice:
+        return Lattice(self.gram())
 
 
 def saturation(s: Sublattice) -> Sublattice:
@@ -453,10 +430,6 @@ def orthogonal_complement(s: Sublattice) -> Sublattice:
     return saturation(Sublattice(s.ambient, Matrix(int_rows)))
 
 
-def vector_content(vector) -> int:
-    return gcd_of(int(x) for x in vector)
-
-
 def is_primitive(s: Sublattice) -> bool:
     return sublattice_index(s, saturation(s)) == 1
 
@@ -495,8 +468,14 @@ def overlattice_from_isotropic(l: Lattice, subgroup_gens, check_quadratic=False)
         raise IntegralityViolation(
             f"subgroup is not isotropic: offending pair {pair}", pair=pair
         )
-    subgroup = form.subgroup(gens)
-    rows = [[Fraction(x) for x in row] for row in Matrix.identity(l.n).data]
+    return _glue(l, lifts, gens, len(form.subgroup(gens)))
+
+
+def _glue(l: Lattice, lifts: Matrix, gens, order: int) -> GlueResult:
+    """Glue ``l`` along the isotropic subgroup of order ``order`` that the
+    reduced coefficient tuples ``gens`` generate; ``lifts`` are the
+    dual-vector lifts of the canonical discriminant generators."""
+    rows = [list(row) for row in Matrix.identity(l.n).data]
     for g in gens:
         vec = [Fraction(0)] * l.n
         for c, lift_row in zip(g, lifts.data):
@@ -509,7 +488,7 @@ def overlattice_from_isotropic(l: Lattice, subgroup_gens, check_quadratic=False)
     basis = Matrix([list(h.data[i]) for i in range(l.n)]).scale(Fraction(1, denom))
     new_gram = basis * l.gram * basis.transpose()
     index = abs(Fraction(1) / basis.det())
-    if index.denominator != 1 or int(index) != len(subgroup):
+    if index.denominator != 1 or int(index) != order:
         raise IntegralityViolation("glue index does not match subgroup order")
     if not new_gram.is_integral():
         raise IntegralityViolation("glued lattice is not integral")
@@ -534,17 +513,17 @@ def enumerate_integral_overlattices(l: Lattice):
     whose glue is integral (bilinear isotropy), and reports invariants.
     The trivial subgroup (the lattice itself) is always first.
     """
-    form, _ = l.discriminant_data()
+    form, lifts = l.discriminant_data()
     results = []
     for sub in form.all_subgroups():
         gens = sorted(sub)
         ok, _pair = form.is_isotropic_subgroup(gens, use_quadratic=False)
         if not ok:
             continue
-        glue = overlattice_from_isotropic(l, gens, check_quadratic=False)
+        glue = _glue(l, lifts, gens, len(sub))
         results.append(
             OverlatticeInfo(
-                subgroup=tuple(sorted(sub)),
+                subgroup=tuple(gens),
                 index=glue.index,
                 lattice=glue.lattice,
                 parity=glue.lattice.parity(),
@@ -687,11 +666,6 @@ class IsometryDecision:
 
     def __bool__(self):
         return self.kind in ("isometric", "isometric-by-invariants")
-
-
-def invariant_triple(l: Lattice):
-    """(signature, parity, discriminant form) of an integral lattice."""
-    return l.signature(), l.parity(), l.discriminant_form()
 
 
 def same_invariants(a: Lattice, b: Lattice):

@@ -57,7 +57,10 @@ class Matrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data):
-        data = tuple(tuple(Fraction(x) for x in row) for row in data)
+        data = tuple(
+            tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
+            for row in data
+        )
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):
@@ -89,16 +92,15 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, columns):
-        columns = [list(c) for c in columns]
-        return cls(columns).transpose()
+        columns = [tuple(c) for c in columns]
+        if len({len(c) for c in columns}) > 1:
+            raise DimensionError("ragged rows")
+        return cls(zip(*columns))
 
     # -- basic access -------------------------------------------------
 
     def entry(self, i, j) -> Fraction:
         return self.data[i][j]
-
-    def row(self, i):
-        return self.data[i]
 
     def column(self, j):
         return tuple(self.data[i][j] for i in range(self.rows))
@@ -139,9 +141,6 @@ class Matrix:
             ]
         )
 
-    def __neg__(self):
-        return Matrix([[-a for a in row] for row in self.data])
-
     def scale(self, c):
         c = Fraction(c)
         return Matrix([[c * a for a in row] for row in self.data])
@@ -170,11 +169,6 @@ class Matrix:
         if self.rows != other.rows:
             raise DimensionError("hstack: row mismatch")
         return Matrix([list(a) + list(b) for a, b in zip(self.data, other.data)])
-
-    def vstack(self, other):
-        if self.cols != other.cols:
-            raise DimensionError("vstack: column mismatch")
-        return Matrix(list(self.data) + list(other.data))
 
     # -- predicates ---------------------------------------------------
 

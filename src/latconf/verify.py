@@ -24,12 +24,8 @@ from itertools import combinations, product
 from . import __version__
 from . import f2space
 from .configs import (
-    CHAR_LABELS,
     PAIR_LABELS,
     ConfigMatrix,
-    act_torus,
-    act_wreath,
-    canonical_form,
     complete_quadrangle,
     cremona,
     drop_line,
@@ -43,8 +39,6 @@ from .configs import (
     smoothness,
     stability,
     triple_points,
-    wreath_elements,
-    wreath_signature,
 )
 from .errors import LatconfError, VerticesCollinear
 from .finite_forms import (
@@ -79,7 +73,6 @@ from .lattices import (
     E8,
     E10,
     IndexFormulaInput,
-    Lattice,
     Sublattice,
     Zpq,
     definite_isometries,

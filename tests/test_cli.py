@@ -1,10 +1,20 @@
 """Command line interface: output shapes and exit codes."""
 
 import json
+from itertools import permutations
 
 import pytest
 
 from latconf.cli import main
+from latconf.configs import (
+    ConfigMatrix,
+    act_gl3f2,
+    act_wreath,
+    canonical_form,
+    gl3f2_elements,
+    s4_to_wreath,
+    wreath_elements,
+)
 
 
 def run(capsys, *argv):
@@ -80,6 +90,42 @@ def test_usage_error_exit_2(capsys):
     )
     assert code == 2
     assert doc["error"]["kind"] == "UsageError"
+
+
+@pytest.mark.parametrize("rows, group", [
+    ([[1, 0, 0, 1, 2, 3], [0, 1, 0, 1, 5, 7], [0, 0, 1, 1, 11, 13]], "w3"),
+    ([[1, 1, 1, 1, 0, 1], [1, 1, -1, -1, 1, 0], [1, -1, 1, -1, 0, 1]], "w3"),
+    ([[1, 1, 1, 1, 0, 1], [1, 1, -1, -1, 1, 0], [1, -1, 1, -1, 0, 1]], "s4"),
+    ([[1, 0, 0, 1, 1, 0, 2], [0, 1, 0, 1, 0, 1, 3], [0, 0, 1, 0, 1, 1, 5]], "glf2"),
+])
+def test_orbit_size_counts_distinct_canonical_keys(capsys, rows, group):
+    code, doc = run_json(
+        capsys, "config", "orbit", "--config", json.dumps(rows), "--group", group
+    )
+    assert code == 0
+    c = ConfigMatrix(rows)
+    elements, action = {
+        "w3": (wreath_elements(), act_wreath),
+        "s4": ([s4_to_wreath(s) for s in permutations(range(1, 5))], act_wreath),
+        "glf2": (gl3f2_elements(), act_gl3f2),
+    }[group]
+    keys = set()
+    for el in elements:
+        moved = action(el, c)
+        normal, frame = canonical_form(moved)
+        keys.add((moved.labels, frame, normal.matrix))
+    assert doc["group_order"] == len(elements)
+    assert doc["orbit_size"] == len(keys)
+
+
+def test_classify_isotropic_takes_no_lattice(capsys):
+    # the classification is defined on L only; a lattice flag is a usage error
+    code = main([
+        "lattice", "classify-isotropic", "--name", "Z(2,4)",
+        "--plane", "[[1,0,1,0,0,0],[0,1,0,1,0,0]]",
+    ])
+    capsys.readouterr()
+    assert code == 2
 
 
 def test_bad_flag_exit_2(capsys):

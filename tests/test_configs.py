@@ -36,7 +36,7 @@ from latconf.configs import (
     wreath_elements,
     wreath_signature,
 )
-from latconf.errors import DimensionError, LabelError, VerticesCollinear
+from latconf.errors import DimensionError, LabelError, NoFrame, VerticesCollinear
 from latconf.matrices import Matrix
 
 GENERIC = ConfigMatrix([[1, 0, 0, 1, 2, 3], [0, 1, 0, 1, 5, 7],
@@ -133,6 +133,16 @@ def test_canonical_form_idempotent():
     base, _ = canonical_form(GENERIC)
     again, _ = canonical_form(base)
     assert base.matrix == again.matrix
+
+
+def test_equivalent_with_different_labels_needs_no_frame():
+    # six concurrent lines: no four columns form a projective frame
+    concurrent = [[1, 0, 1, 1, 1, 1], [0, 1, 1, 2, 3, 4], [0, 0, 0, 0, 0, 0]]
+    a = ConfigMatrix(concurrent, PAIR_LABELS)
+    b = ConfigMatrix(concurrent, (0, 1, 0, 1, 2, 2))
+    with pytest.raises(NoFrame):
+        canonical_form(a)
+    assert equivalent(a, b) is False
 
 
 def test_cremona_involution_samples():

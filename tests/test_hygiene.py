@@ -1,0 +1,69 @@
+"""Static hygiene of the ``latconf`` package, read with the stdlib ``ast``.
+
+* No module imports another module's private (``_``-prefixed) name.
+* Every name a module imports is used in that module.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "latconf"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _imports(tree):
+    """(node, imported name, bound name) for every import in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node, alias.name, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node, alias.name, alias.asname or alias.name
+
+
+def _used_names(tree):
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # quoted annotations such as -> "Lattice"
+            if node.value.isidentifier():
+                used.add(node.value)
+    return used
+
+
+def _is_internal(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "latconf"
+    return any(alias.name.split(".")[0] == "latconf" for alias in node.names)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_cross_module_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    offending = [
+        f"line {node.lineno}: {name}"
+        for node, name, _bound in _imports(tree)
+        if _is_internal(node) and _is_private(name.split(".")[-1])
+    ]
+    assert not offending, offending
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _used_names(tree)
+    unused = [
+        f"line {node.lineno}: {bound}"
+        for node, _name, bound in _imports(tree)
+        if bound not in used
+    ]
+    assert not unused, unused

@@ -2,7 +2,7 @@
 
 import pytest
 
-from latconf.errors import NotIsotropic, NotPrimitive
+from latconf.errors import DimensionError, NotIsotropic, NotPrimitive
 from latconf.isotropic import (
     EVEN_PLANE,
     EVEN_VECTOR,
@@ -18,7 +18,7 @@ from latconf.isotropic import (
     isotropic_vector_census,
     scan_isotropic_planes,
 )
-from latconf.lattices import is_isometric_small, transcendental_slice
+from latconf.lattices import Zpq, is_isometric_small, transcendental_slice
 from latconf.matrices import Matrix
 
 
@@ -70,6 +70,17 @@ def test_plane_classification():
         l, Matrix([[1, 0, 0, 0, 1, 1], [0, 1, -1, -1, 0, 0]])
     )
     assert odd.kind == ODD_PLANE and certificate_matches(odd)
+
+
+def test_classification_rejects_other_lattices():
+    # Z(2,4) has isotropic planes too, but the classes and certificates
+    # are those of L = diag(2,2,-1,-1,-1,-1) only
+    z24 = Zpq(2, 4)
+    with pytest.raises(DimensionError):
+        classify_isotropic_plane(z24, Matrix([[1, 0, 1, 0, 0, 0], [0, 1, 0, 1, 0, 0]]))
+    with pytest.raises(DimensionError):
+        classify_isotropic_vector(z24, (1, 0, 1, 0, 0, 0))
+    assert classify_isotropic_vector(transcendental_slice(), (1, 1, 2, 0, 0, 0)).kind == EVEN_VECTOR
 
 
 def test_plane_scan_two_classes():

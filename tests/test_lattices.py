@@ -144,6 +144,24 @@ def test_overlattice_enumeration_of_reference_lattice():
     assert unimodular[0].index == 2
 
 
+@pytest.mark.parametrize("name", ["D4", "H(4)", "D4*2"])
+def test_overlattice_enumeration_matches_single_glues(name):
+    # the enumeration glues each isotropic subgroup in one pass; it must
+    # agree with gluing that subgroup alone through the public entry point
+    l = parse_lattice_name(name)
+    form = l.discriminant_form()
+    expected = []
+    for sub in form.all_subgroups():
+        gens = sorted(sub)
+        if form.is_isotropic_subgroup(gens, use_quadratic=False)[0]:
+            glue = overlattice_from_isotropic(l, gens, check_quadratic=False)
+            expected.append((glue.index, tuple(gens), glue.lattice))
+    expected.sort(key=lambda e: e[:2])
+    infos = enumerate_integral_overlattices(l)
+    assert [(i.index, i.subgroup, i.lattice) for i in infos] == expected
+    assert len(expected) > 1
+
+
 def test_gauss_reduce_idempotent_and_canonical():
     g = gauss_reduce_binary(Matrix([[4, 2], [2, 4]]).scale(-1))
     assert gauss_reduce_binary(g) == g
