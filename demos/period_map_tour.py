@@ -8,16 +8,14 @@ is spanned by an explicit family.
 
 import random
 
-from latconf.configs import smoothness
 from latconf.jacobian import (
-    invariant_deformations,
     kappa_sum_bases,
-    kappa_target,
     kernel_family_vectors,
-    period_map,
+    period_maps,
     squarefree_triples,
 )
 from latconf.matrices import Matrix
+from latconf.verify import random_system
 
 
 def show(title):
@@ -25,29 +23,19 @@ def show(title):
     print(f"== {title} ==")
 
 
-def random_smooth_system(rng):
-    while True:
-        q = Matrix([[rng.randint(-9, 9) for _ in range(7)]
-                    for _ in range(4)])
-        if q.rank() == 4 and smoothness(q)[0]:
-            return q
-
-
 def main():
     rng = random.Random(0)
-    q = random_smooth_system(rng)
+    q = random_system(rng)
     show("A random smooth 4x7 system")
     for row in q.data:
         print("  " + " ".join(f"{int(x):3d}" for x in row))
 
     show("Graded dimensions")
-    inv = invariant_deformations(q)
-    print(f"invariant deformation space: dimension {inv.dimension}")
-    for kappa in range(1, 8):
-        first, second = kappa_target(q, kappa)
-        pm = period_map(q, kappa)
-        print(f"  kappa={kappa}: target ({first.dimension}, "
-              f"{second.dimension}), rank {pm.rank}, "
+    maps = period_maps(q)
+    print(f"invariant deformation space: dimension {maps[1].source.dimension}")
+    for kappa, pm in maps.items():
+        print(f"  kappa={kappa}: target ({pm.target.dimension}, "
+              f"{pm.second_dim}), rank {pm.rank}, "
               f"kernel {pm.kernel.rows}")
 
     show("Character triples behind the second summand")
@@ -57,12 +45,11 @@ def main():
 
     show("The explicit kernel family (kappa = 3)")
     kappa = 3
-    pm = period_map(q, kappa)
-    first, _ = kappa_target(q, kappa)
+    pm = maps[kappa]
     fam = kernel_family_vectors(q, kappa)
     print(f"family vectors: {len(fam)}")
     images_zero = all(
-        all(x == 0 for x in first.reduce_vector(v)) for v in fam
+        all(x == 0 for x in pm.target.reduce_vector(v)) for v in fam
     )
     coords = Matrix([pm.source.reduce_vector(v) for v in fam])
     print(f"all images vanish: {images_zero}")

@@ -45,7 +45,7 @@ from .configs import (
     wreath_elements,
 )
 from .errors import LatconfError
-from .jacobian import invariant_deformations, kappa_target, period_map
+from .jacobian import period_map, period_maps
 from .lattices import (
     IndexFormulaInput,
     Lattice,
@@ -85,14 +85,31 @@ def _load_json(spec: str):
         ) from exc
 
 
+SERIALIZED_FORMS = (
+    'a matrix is {"rows", "cols", "entries"}, a Gram {"gram": matrix}, '
+    'a configuration {"matrix": matrix, "labels"}'
+)
+
+
+def _deserialize(from_json, obj):
+    """``from_json(obj)``; a missing key or malformed value is a usage error."""
+    try:
+        return from_json(obj)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise UsageError(
+            f"malformed serialized input ({type(exc).__name__}: {exc}); "
+            + SERIALIZED_FORMS
+        ) from exc
+
+
 def _matrix_from(obj) -> Matrix:
     """Matrix from serialized form or a plain nested list."""
     try:
         if isinstance(obj, dict) and "entries" in obj:
-            return Matrix.from_json(obj)
+            return _deserialize(Matrix.from_json, obj)
         if isinstance(obj, list):
             return Matrix([[Fraction(str(x)) for x in row] for row in obj])
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise UsageError(f"malformed matrix entry: {exc}") from exc
     raise UsageError("expected a matrix: nested list or serialized form")
 
@@ -103,7 +120,7 @@ def _lattice_from(args) -> Lattice:
     if getattr(args, "gram", None):
         obj = _load_json(args.gram)
         if isinstance(obj, dict) and "gram" in obj:
-            return Lattice.from_json(obj)
+            return _deserialize(Lattice.from_json, obj)
         return Lattice(_matrix_from(obj))
     raise UsageError("provide --name or --gram")
 
@@ -111,7 +128,7 @@ def _lattice_from(args) -> Lattice:
 def _config_from(spec: str) -> ConfigMatrix:
     obj = _load_json(spec)
     if isinstance(obj, dict) and "matrix" in obj:
-        return ConfigMatrix.from_json(obj)
+        return _deserialize(ConfigMatrix.from_json, obj)
     return ConfigMatrix(_matrix_from(obj))
 
 
@@ -302,19 +319,21 @@ def cmd_config_orbit(args) -> int:
 
 def cmd_jacobian_dims(args) -> int:
     q = _system_from(args.system)
-    src = invariant_deformations(q)
-    out = {"dim_R10": src.dimension}
     if args.kappa is not None:
-        first, second = kappa_target(q, args.kappa)
-        out["kappa"] = args.kappa
-        out["dim_target"] = [first.dimension, second.dimension]
-    else:
-        targets = {}
-        for kappa in range(1, 8):
-            first, second = kappa_target(q, kappa)
-            targets[str(kappa)] = [first.dimension, second.dimension]
-        out["dim_target_by_kappa"] = targets
-    return _emit(out)
+        pm = period_map(q, args.kappa)
+        return _emit({
+            "dim_R10": pm.source.dimension,
+            "kappa": args.kappa,
+            "dim_target": [pm.target.dimension, pm.second_dim],
+        })
+    maps = period_maps(q)
+    return _emit({
+        "dim_R10": maps[1].source.dimension,
+        "dim_target_by_kappa": {
+            str(kappa): [pm.target.dimension, pm.second_dim]
+            for kappa, pm in maps.items()
+        },
+    })
 
 
 def cmd_jacobian_period_rank(args) -> int:

@@ -579,10 +579,6 @@ def s4_to_wreath(sigma):
     return (tuple(bits), tuple(perm))
 
 
-def act_s4(sigma, c: ConfigMatrix) -> ConfigMatrix:
-    return act_wreath(s4_to_wreath(sigma), c)
-
-
 def _char_matrix_apply(g, chi: int) -> int:
     """Apply a 3x3 F2 matrix (rows of bit tuples) to a character."""
     bits = ((chi >> 2) & 1, (chi >> 1) & 1, chi & 1)

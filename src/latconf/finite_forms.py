@@ -88,6 +88,8 @@ class FiniteForm:
 
     def reduce(self, x):
         """Reduce a coefficient tuple modulo the generator orders."""
+        if len(x) != self.ngens:
+            raise DimensionError("element length does not match the generator count")
         return tuple(int(c) % n for c, n in zip(x, self.orders))
 
     def zero(self):

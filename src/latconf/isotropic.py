@@ -117,7 +117,10 @@ def classify_isotropic_vector(l: Lattice | None, v) -> IsotropicClass:
     Raises NotIsotropic / NotPrimitive / DimensionError on bad input.
     """
     l = _slice_only(l)
-    v = [int(x) for x in v]
+    coords = list(v)
+    v = [int(x) for x in coords]
+    if v != coords:
+        raise DimensionError("vector coordinates must be integers")
     if len(v) != l.n:
         raise DimensionError("vector length mismatch")
     if all(x == 0 for x in v):
@@ -268,7 +271,10 @@ def scan_isotropic_planes(vectors=None, height: int = 5) -> PlaneScan:
     runs on exact integer numpy arrays.  When the spanning pair sits
     in its saturation with odd index, the parity test can be read off
     the pair directly; planes only reachable through even-index pairs
-    fall back to an exact saturation.
+    fall back to an exact saturation.  With the full height-h
+    enumeration the fallback never runs: a plane reached by an
+    even-index pair v, w also contains (v+w)/2, which has no larger
+    height.
     """
     import numpy as np
 

@@ -75,9 +75,6 @@ def kappa_rows(q: Matrix, kappa: int):
 class GradedPiece:
     """A graded/eigenspace piece as monomials modulo explicit relations."""
 
-    bidegree: tuple
-    character: object  # "invariant" or a character 1..7
-    ambient_basis: tuple
     relation_matrix: Matrix
     reduced: Matrix
     pivots: tuple
@@ -98,14 +95,12 @@ class GradedPiece:
         return [vec[f] for f in self.free]
 
 
-def _make_piece(bidegree, character, ambient, relation_rows) -> GradedPiece:
+def _make_piece(relation_rows) -> GradedPiece:
     rel = Matrix(relation_rows)
     red, pivots = rel.rref()
     red = Matrix([list(red.data[r]) for r in range(len(pivots))])
-    free = tuple(c for c in range(len(ambient)) if c not in pivots)
-    return GradedPiece(
-        tuple(bidegree), character, tuple(ambient), rel, red, tuple(pivots), free
-    )
+    free = tuple(c for c in range(rel.cols) if c not in pivots)
+    return GradedPiece(rel, red, tuple(pivots), free)
 
 
 def invariant_deformations(q) -> GradedPiece:
@@ -120,8 +115,7 @@ def invariant_deformations(q) -> GradedPiece:
 
 
 def _invariant_piece(q: Matrix) -> GradedPiece:
-    rows = quadric_rows(q) + jacobian_rows(q)
-    return _make_piece((1, 0), "invariant", monomial_labels(), rows)
+    return _make_piece(quadric_rows(q) + jacobian_rows(q))
 
 
 def kappa_sum_bases(kappa: int):
@@ -157,27 +151,30 @@ def kappa_target(q, kappa: int, require_smooth: bool = True):
     presuppose 4-column independence of the system, so non-smooth
     input is rejected unless ``require_smooth`` is disabled.
     """
-    return _target_pieces(check_system(q), check_kappa(kappa), require_smooth)
+    q, kappa = check_system(q), check_kappa(kappa)
+    if require_smooth:
+        _require_smooth(q)
+    return _target_pieces(q, kappa)
 
 
-def _target_pieces(q: Matrix, kappa: int, require_smooth: bool):
-    if require_smooth and not smoothness(q)[0]:
+def _require_smooth(q: Matrix) -> None:
+    if not smoothness(q)[0]:
         raise SmoothnessRequired(
             "kappa_target dimensions presuppose a smooth system"
         )
-    first_rows = quadric_rows(q) + jacobian_rows(q) + kappa_rows(q, kappa)
-    first = _make_piece((5, 1), kappa, monomial_labels(), first_rows)
+
+
+def _target_pieces(q: Matrix, kappa: int):
+    first = _make_piece(quadric_rows(q) + jacobian_rows(q) + kappa_rows(q, kappa))
     triples = squarefree_triples(kappa)
-    ambient2 = [(t, j) for t in triples for j in range(1, 5)]
     rows2 = []
     for ti, t in enumerate(triples):
         for p in t:
-            row = [Fraction(0)] * len(ambient2)
+            row = [Fraction(0)] * (len(triples) * NY)
             for j in range(NY):
                 row[ti * NY + j] = q.entry(j, p - 1)
             rows2.append(row)
-    second = _make_piece((5, 1), kappa, ambient2, rows2)
-    return first, second
+    return first, _make_piece(rows2)
 
 
 @dataclass(frozen=True)
@@ -206,10 +203,26 @@ def period_map(q, kappa: int) -> PeriodMapData:
     identity; the matrix expresses each source complement monomial in
     the target complement basis.
     """
+    q, kappa = check_system(q), check_kappa(kappa)
+    _require_smooth(q)
+    return _period_map(q, _invariant_piece(q), kappa)
+
+
+def period_maps(q) -> dict:
+    """The period maps of all seven characters, ``{kappa: PeriodMapData}``.
+
+    The system check, the smoothness test and the source piece R_{1,0}
+    do not depend on kappa, so they are done once for all seven maps;
+    each value equals ``period_map(q, kappa)``.
+    """
     q = check_system(q)
-    kappa = check_kappa(kappa)
+    _require_smooth(q)
     source = _invariant_piece(q)
-    first, second = _target_pieces(q, kappa, require_smooth=True)
+    return {kappa: _period_map(q, source, kappa) for kappa in range(1, NCHARS + 1)}
+
+
+def _period_map(q: Matrix, source: GradedPiece, kappa: int) -> PeriodMapData:
+    first, second = _target_pieces(q, kappa)
     cols = []
     for f in source.free:
         unit = [Fraction(0)] * AMBIENT
@@ -221,7 +234,7 @@ def period_map(q, kappa: int) -> PeriodMapData:
         source=source,
         target=first,
         matrix=mat,
-        rank=mat.rank(),
+        rank=source.dimension - kern.rows,
         kernel=kern,
         second_dim=second.dimension,
     )

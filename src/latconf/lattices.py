@@ -318,7 +318,7 @@ def _parse_term(text: str) -> Lattice:
     pieces = _split_top(text, "*")
     lat = _parse_atom(pieces[0])
     for factor in pieces[1:]:
-        lat = lat.rescale(Fraction(factor))
+        lat = lat.rescale(_name_number(factor, Fraction))
     return lat
 
 
@@ -332,16 +332,29 @@ def _parse_atom(text: str) -> Lattice:
     if text == "E10":
         return E10()
     if text.startswith("H(") and text.endswith(")"):
-        return hyperbolic(Fraction(text[2:-1]))
+        return hyperbolic(_name_number(text[2:-1], Fraction))
     if text.startswith("D(") and text.endswith(")"):
-        p, q = text[2:-1].split(",")
-        return Dpq(int(p), int(q))
+        return Dpq(*_name_pair(text[2:-1]))
     if text.startswith("Z(") and text.endswith(")"):
-        p, q = text[2:-1].split(",")
-        return Zpq(int(p), int(q))
+        return Zpq(*_name_pair(text[2:-1]))
     if text.startswith("D") and text[1:].isdigit():
         return Dn(int(text[1:]))
     raise InvalidName(f"cannot parse lattice atom: {text}")
+
+
+def _name_number(text: str, kind):
+    """``kind(text)`` for a number in a lattice name, else InvalidName."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidName(f"not a number in lattice name: {text!r}") from None
+
+
+def _name_pair(text: str):
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise InvalidName(f"expected two integers in lattice name: {text!r}")
+    return _name_number(parts[0], int), _name_number(parts[1], int)
 
 
 # ---------------------------------------------------------------------------

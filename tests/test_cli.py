@@ -92,6 +92,27 @@ def test_usage_error_exit_2(capsys):
     assert doc["error"]["kind"] == "UsageError"
 
 
+@pytest.mark.parametrize("argv, code, kind", [
+    # malformed lattice names
+    (["lattice", "disc-form", "--name", "H(abc)"], 1, "InvalidName"),
+    (["lattice", "disc-form", "--name", "D(2,x)"], 1, "InvalidName"),
+    (["lattice", "disc-form", "--name", "D(2)"], 1, "InvalidName"),
+    (["lattice", "disc-form", "--name", "E8*1/0"], 1, "InvalidName"),
+    # serialized inputs with missing keys or wrong value types
+    (["lattice", "disc-form", "--gram", '{"entries":[[1]]}'], 2, "UsageError"),
+    (["lattice", "disc-form", "--gram", '{"gram":[[1]]}'], 2, "UsageError"),
+    (["config", "stability", "--config", '{"matrix":[[1]]}'], 2, "UsageError"),
+    (["config", "stability", "--config", '[["1/0"]]'], 2, "UsageError"),
+    # inputs that used to be truncated into a wrong answer
+    (["lattice", "glue", "--name", "D6", "--gens", "[[1]]"], 1, "DimensionError"),
+    (["lattice", "glue", "--name", "D6", "--gens", "[[1,0,5]]"], 1, "DimensionError"),
+    (["lattice", "classify-isotropic", "--vector", "[1.5,0,1,1,0,0]"], 1, "DimensionError"),
+])
+def test_bad_input_one_error_document(capsys, argv, code, kind):
+    got, doc = run_json(capsys, *argv)
+    assert (got, doc["error"]["kind"]) == (code, kind)
+
+
 @pytest.mark.parametrize("rows, group", [
     ([[1, 0, 0, 1, 2, 3], [0, 1, 0, 1, 5, 7], [0, 0, 1, 1, 11, 13]], "w3"),
     ([[1, 1, 1, 1, 0, 1], [1, 1, -1, -1, 1, 0], [1, -1, 1, -1, 0, 1]], "w3"),

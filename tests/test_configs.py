@@ -13,7 +13,6 @@ from latconf.configs import (
     PAIR_LABELS,
     ConfigMatrix,
     act_gl3f2,
-    act_s4,
     act_torus,
     act_wreath,
     canonical_form,
@@ -38,6 +37,7 @@ from latconf.configs import (
 )
 from latconf.errors import DimensionError, LabelError, NoFrame, VerticesCollinear
 from latconf.matrices import Matrix
+from latconf.verify import random_system
 
 GENERIC = ConfigMatrix([[1, 0, 0, 1, 2, 3], [0, 1, 0, 1, 5, 7],
                         [0, 0, 1, 1, 11, 13]])
@@ -198,17 +198,9 @@ def test_family_minors_symbolic_pattern():
         assert m[(1, 2, 5)] == -4 * Fraction(c)
 
 
-def _smooth_system(rng):
-    while True:
-        q = Matrix([[rng.randint(-9, 9) for _ in range(7)]
-                    for _ in range(4)])
-        if q.rank() == 4 and smoothness(q)[0]:
-            return q
-
-
 def test_seven_line_config_and_drop():
     rng = random.Random(8)
-    q = _smooth_system(rng)
+    q = random_system(rng)
     config = seven_line_config(q)
     assert config.labels == CHAR_LABELS
     assert (q * config.matrix.transpose()).is_zero()
@@ -266,7 +258,7 @@ def test_gl3f2_action():
     els = gl3f2_elements()
     assert len(els) == 168
     rng = random.Random(9)
-    q = _smooth_system(rng)
+    q = random_system(rng)
     config = seven_line_config(q)
     g = els[17]
     moved = act_gl3f2(g, config)
@@ -275,7 +267,7 @@ def test_gl3f2_action():
 
 def test_smoothness_witness():
     rng = random.Random(10)
-    q = _smooth_system(rng)
+    q = random_system(rng)
     assert smoothness(q) == (True, None)
     cols = [list(q.column(j)) for j in range(7)]
     cols[3] = [cols[0][i] + cols[1][i] + cols[2][i] for i in range(4)]

@@ -51,6 +51,10 @@ def test_group_structure():
     assert f.element_order((1, 1)) == 2
     assert len(f.subgroup([(1, 0)])) == 2
     assert len(f.all_subgroups()) == 5  # trivial, three Z/2, full
+    assert f.reduce((3, -1)) == (1, 1)
+    for x in ((1,), (1, 0, 5)):  # never truncated or padded
+        with pytest.raises(DimensionError):
+            f.reduce(x)
 
 
 def test_polarization_identity():

@@ -2,6 +2,8 @@
 
 * No module imports another module's private (``_``-prefixed) name.
 * Every name a module imports is used in that module.
+* Every public module-level name of the package is used somewhere in
+  the repository's code: ``src``, ``tests``, ``demos`` or ``perfbench``.
 """
 
 import ast
@@ -9,8 +11,12 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "latconf"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "latconf"
 MODULES = sorted(PACKAGE.glob("*.py"))
+CODE = sorted(
+    p for d in ("src", "tests", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")
+)
 
 
 def _is_private(name: str) -> bool:
@@ -65,5 +71,46 @@ def test_every_import_is_used(path):
         f"line {node.lineno}: {bound}"
         for node, _name, bound in _imports(tree)
         if bound not in used
+    ]
+    assert not unused, unused
+
+
+def _loaded_names(tree):
+    """Names a module reads: loaded names and attributes, and string
+    constants (the benchmark's tracer names the functions it wraps by
+    string).  Imports are not reads."""
+    loaded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            loaded.add(node.value)
+    return loaded
+
+
+def _public_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (name for name in names if not name.startswith("_"))
+
+
+def test_every_public_name_is_used():
+    loaded = set()
+    for path in CODE:
+        loaded |= _loaded_names(ast.parse(path.read_text(encoding="utf-8")))
+    unused = [
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name in _public_definitions(ast.parse(path.read_text(encoding="utf-8")))
+        if name not in loaded
     ]
     assert not unused, unused

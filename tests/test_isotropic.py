@@ -1,5 +1,7 @@
 """Isotropic vector and plane classification in the reference lattice."""
 
+from fractions import Fraction
+
 import pytest
 
 from latconf.errors import DimensionError, NotIsotropic, NotPrimitive
@@ -50,6 +52,10 @@ def test_rejects_bad_vectors():
         classify_isotropic_vector(None, (2, 2, 4, 0, 0, 0))
     with pytest.raises(NotIsotropic):
         classify_isotropic_vector(None, (0, 0, 0, 0, 0, 0))
+    # non-integral coordinates are rejected, not truncated
+    for v in ((1.5, 0, 1, 1, 0, 0), (Fraction(3, 2), 0, 1, 1, 0, 0)):
+        with pytest.raises(DimensionError):
+            classify_isotropic_vector(None, v)
 
 
 def test_vector_census_three_classes():
@@ -92,6 +98,18 @@ def test_plane_scan_two_classes():
     for kind, rep in scan.representatives.items():
         cls = classify_isotropic_plane(l, rep)
         assert cls.kind == kind
+
+
+@pytest.mark.parametrize("v, w, kind", [
+    ((1, 1, 0, -2, 0, 0), (1, -1, 2, 0, 0, 0), EVEN_PLANE),
+    ((1, 1, -1, -1, 1, 1), (1, -1, 1, 1, 1, 1), ODD_PLANE),
+])
+def test_plane_scan_even_index_fallback(v, w, kind):
+    # v, w = r + s, r - s span their plane with index 2, so the scan
+    # must saturate; on the odd pair the pair-parity rule says even
+    scan = scan_isotropic_planes(vectors=[v, w])
+    assert scan.census == {kind: 1}
+    assert classify_isotropic_plane(None, scan.representatives[kind]).kind == kind
 
 
 def test_boundary_models_pairwise_distinct():

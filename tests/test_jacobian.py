@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from latconf.configs import smoothness
-from latconf.errors import DimensionError, SmoothnessRequired
+from latconf.errors import DimensionError, LabelError, SmoothnessRequired
 from latconf.jacobian import (
     AMBIENT,
     _slot,
@@ -18,17 +18,11 @@ from latconf.jacobian import (
     kernel_family_vectors,
     monomial_labels,
     period_map,
+    period_maps,
     squarefree_triples,
 )
 from latconf.matrices import Matrix
-
-
-def _smooth_system(rng):
-    while True:
-        q = Matrix([[rng.randint(-9, 9) for _ in range(7)]
-                    for _ in range(4)])
-        if q.rank() == 4 and smoothness(q)[0]:
-            return q
+from latconf.verify import random_system
 
 
 def test_monomial_labels_and_slots():
@@ -47,7 +41,7 @@ def test_system_validation():
 def test_dimensions_on_smooth_systems():
     rng = random.Random(17)
     for _ in range(3):
-        q = _smooth_system(rng)
+        q = random_system(rng)
         inv = invariant_deformations(q)
         assert inv.dimension == 6
         for kappa in range(1, 8):
@@ -64,9 +58,53 @@ def test_dimensions_on_smooth_systems():
             }
 
 
+def test_period_maps_equal_period_map():
+    rng = random.Random(37)
+    for _ in range(3):
+        q = random_system(rng)
+        maps = period_maps(q)
+        assert list(maps) == list(range(1, 8))
+        for kappa, pm in maps.items():
+            one = period_map(q, kappa)
+            assert pm.matrix == one.matrix
+            assert pm.kernel == one.kernel
+            assert pm.source.free == one.source.free
+            assert pm.target.free == one.target.free
+            assert pm.to_json() == one.to_json()
+            # rank-nullity against an independent elimination
+            assert pm.rank == pm.matrix.rank()
+
+
+def _degenerate(rng, kappa):
+    """A rank-4 system whose kappa column repeats column 1: not smooth."""
+    while True:
+        q = random_system(rng)
+        cols = [list(q.column(j)) for j in range(7)]
+        cols[kappa - 1] = cols[0]
+        bad = Matrix.from_columns(cols)
+        if bad.rank() == 4 and not smoothness(bad)[0]:
+            return bad
+
+
+def test_period_map_error_order():
+    bad = _degenerate(random.Random(23), 3)
+    # system errors, then kappa errors, then smoothness
+    for fn in (period_map, kappa_target):
+        with pytest.raises(DimensionError):
+            fn(Matrix([[1, 2], [3, 4]]), 0)
+        with pytest.raises(LabelError):
+            fn(bad, 0)
+        with pytest.raises(SmoothnessRequired):
+            fn(bad, 3)
+    with pytest.raises(DimensionError):
+        period_maps(Matrix([[1, 2], [3, 4]]))
+    with pytest.raises(SmoothnessRequired):
+        period_maps(bad)
+
+
 def test_relation_counts():
     rng = random.Random(18)
-    q = _smooth_system(rng)
+    q = random_system(rng)
     inv = invariant_deformations(q)
     # 16 quadric rows + 7 jacobian rows with a single overlap
     assert inv.relation_matrix.rows == 16 + 7
@@ -89,7 +127,7 @@ def test_kappa_sum_bases_and_squarefree_triples():
 
 def test_kernel_family_maps_to_zero():
     rng = random.Random(19)
-    q = _smooth_system(rng)
+    q = random_system(rng)
     for kappa in (2, 5):
         first, _ = kappa_target(q, kappa)
         data = period_map(q, kappa)
@@ -101,15 +139,8 @@ def test_kernel_family_maps_to_zero():
 
 
 def test_degenerate_system_requires_flag():
-    rng = random.Random(23)
     kappa = 3
-    while True:
-        q = _smooth_system(rng)
-        cols = [list(q.column(j)) for j in range(7)]
-        cols[kappa - 1] = cols[0]
-        bad = Matrix.from_columns(cols)
-        if bad.rank() == 4 and not smoothness(bad)[0]:
-            break
+    bad = _degenerate(random.Random(23), kappa)
     with pytest.raises(SmoothnessRequired):
         kappa_target(bad, kappa)
     first, _ = kappa_target(bad, kappa, require_smooth=False)
@@ -118,7 +149,7 @@ def test_degenerate_system_requires_flag():
 
 def test_deformed_system_identity_and_linearity():
     rng = random.Random(29)
-    q = _smooth_system(rng)
+    q = random_system(rng)
     direction = [Fraction(rng.randint(-5, 5)) for _ in range(AMBIENT)]
     assert deformed_system(q, direction, 0) == q
     d1 = deformed_system(q, direction, 1)
@@ -132,7 +163,7 @@ def test_deformed_system_identity_and_linearity():
 
 def test_kappa_rows_shape():
     rng = random.Random(31)
-    q = _smooth_system(rng)
+    q = random_system(rng)
     rows = kappa_rows(q, 4)
     assert len(rows) == 6
     assert all(len(r) == AMBIENT for r in rows)
