@@ -169,7 +169,9 @@ def cmd_lattice_complement(args) -> int:
 
 def cmd_lattice_glue(args) -> int:
     l = _lattice_from(args)
-    gens = [tuple(int(x) for x in g) for g in _load_json(args.gens)]
+    gens = _load_json(args.gens)
+    if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
+        raise UsageError("--gens must be a list of coefficient lists")
     result = overlattice_from_isotropic(
         l, gens, check_quadratic=args.quadratic
     )

@@ -28,7 +28,7 @@ from .errors import (
     NoFrame,
     VerticesCollinear,
 )
-from .matrices import Matrix
+from .matrices import Matrix, integer_rows
 
 PAIR_LABELS = (0, 0, 1, 1, 2, 2)
 CHAR_LABELS = (1, 2, 3, 4, 5, 6, 7)
@@ -97,7 +97,11 @@ class ConfigMatrix:
 
 
 def _minor(m: Matrix, i: int, j: int, k: int) -> Fraction:
-    a, b, c = m.column(i), m.column(j), m.column(k)
+    return _det3(m.column(i), m.column(j), m.column(k))
+
+
+def _det3(a, b, c):
+    """The 3 x 3 determinant with columns a, b, c."""
     return (
         a[0] * (b[1] * c[2] - b[2] * c[1])
         - a[1] * (b[0] * c[2] - b[2] * c[0])
@@ -377,16 +381,12 @@ def quadrangle_slice(a, b, c, d) -> ConfigMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _check_shape(q: Matrix):
-    if q.rows != 4 or q.cols != 7:
-        raise DimensionError("quadric system must be 4 x 7")
-
-
 def check_system(q) -> Matrix:
     """The quadric system ``q`` as a Matrix, checked to be 4 x 7 of rank 4."""
     if not isinstance(q, Matrix):
         q = Matrix(q)
-    _check_shape(q)
+    if q.rows != 4 or q.cols != 7:
+        raise DimensionError("quadric system must be 4 x 7")
     if q.rank() != 4:
         raise DimensionError("quadric system must have rank 4")
     return q
@@ -412,15 +412,18 @@ def seven_line_config(q: Matrix) -> ConfigMatrix:
 
 def smoothness(q: Matrix):
     """(True, None) iff every 4-subset of quadric-system columns is
-    independent; otherwise (False, first dependent 4-subset)."""
-    _check_shape(q)
-    # a nonzero 4-minor already proves rank 4, so the rank is computed
-    # only once a dependent 4-subset turns up
-    for s in combinations(range(7), 4):
-        sub = Matrix.from_columns([list(q.column(j)) for j in s])
-        if sub.det() == 0:
-            check_system(q)
-            return False, s
+    independent; otherwise (False, first dependent 4-subset).
+
+    Gale duality: four columns of a rank-4 system are dependent iff the
+    other three columns of its Gale dual G (the kernel basis) are, so
+    the test is on G's 3-minors, with its rows scaled to integers.  The
+    complement of the last zero 3-subset is the first dependent
+    4-subset: complements reverse the lex order of subsets of range(7).
+    """
+    g = list(zip(*integer_rows(check_system(q).kernel_basis().data)[0]))
+    for t in reversed(list(combinations(range(7), 3))):
+        if _det3(*(g[j] for j in t)) == 0:
+            return False, tuple(j for j in range(7) if j not in t)
     return True, None
 
 

@@ -24,6 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
+from numbers import Rational
+from operator import index
 
 from .errors import DimensionError, GroupTooLarge
 from .matrices import Matrix, frac_to_str, str_to_frac
@@ -38,6 +40,15 @@ def _mod1(x: Fraction) -> Fraction:
 def _mod2(x: Fraction) -> Fraction:
     f = Fraction(x, 2)
     return 2 * (f - (f.numerator // f.denominator))
+
+
+def _integer(c) -> int:
+    """``c`` as an int; only integral numbers pass, nothing is truncated."""
+    if isinstance(c, Rational) and c.denominator == 1:
+        return int(c)
+    if isinstance(c, float) and c.is_integer():
+        return int(c)
+    raise DimensionError(f"coefficient {c!r} is not an integer")
 
 
 class FiniteForm:
@@ -87,10 +98,13 @@ class FiniteForm:
         return prod(self.orders)
 
     def reduce(self, x):
-        """Reduce a coefficient tuple modulo the generator orders."""
+        """Reduce a tuple of integer coefficients modulo the generator orders."""
         if len(x) != self.ngens:
             raise DimensionError("element length does not match the generator count")
-        return tuple(int(c) % n for c, n in zip(x, self.orders))
+        try:
+            return tuple(index(c) % n for c, n in zip(x, self.orders))
+        except TypeError:  # not all ints: integral Fractions and floats pass
+            return tuple(_integer(c) % n for c, n in zip(x, self.orders))
 
     def zero(self):
         return (0,) * self.ngens

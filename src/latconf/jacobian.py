@@ -1,13 +1,15 @@
 """Exact linear algebra on the Jacobian ring of f = sum_j y_j Q_j for
 a system of four diagonal quadrics in seven squared coordinates.
 
-All graded pieces are realized as explicit monomial coordinate spaces:
-the 28-dimensional space of sums a_ij x_i^2 y_j is flattened with the
-monomial order (character i ascending 1..7, then y index j ascending),
-so coordinate (i-1)*4 + j holds the coefficient of x_i^2 y_j.
-Dimensions are ambient size minus the rank of an explicit relation
-matrix, and complement bases are the non-pivot monomials of the
-relation row echelon form — fully deterministic.
+The ambient monomials x_i^2 y_j form Q^7 (x) Q^4, flattened so that
+coordinate (i-1)*4 + j holds the coefficient of x_i^2 y_j.  Every graded
+piece contains the quadric rows Q_k y_j, which span rowspace(q) (x) Q^4;
+modulo them e_i (x) c is g_i (x) c, g_i column i of the Gale dual G of q
+(the seven-line configuration).  So each piece is the RREF of its other
+relation rows on the 12 coordinates F x {y_j}, F the free columns of
+q's RREF.  An RREF is unique, so these are the rows of the full
+28-column RREF with pivots in F x {y_j}, and its non-pivot monomials
+are the full complement basis — fully deterministic.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import combinations
 
 from .configs import check_kappa, check_system, smoothness
 from .errors import SmoothnessRequired
-from .matrices import Matrix
+from .matrices import Matrix, integer_rows, null_space
 
 NCHARS = 7
 NY = 4
@@ -73,9 +75,14 @@ def kappa_rows(q: Matrix, kappa: int):
 
 @dataclass(frozen=True)
 class GradedPiece:
-    """A graded/eigenspace piece as monomials modulo explicit relations."""
+    """Ambient monomials modulo relation rows, stored on a quotient:
+    ``basis`` (m x n, column chars[a] = e_a) maps ambient coordinate
+    i*NY + j to quotient coordinates a*NY + j; ``reduced`` and ``pivots``
+    are the relations' RREF there, ``free`` the ambient slots of the
+    non-pivot coordinates."""
 
-    relation_matrix: Matrix
+    basis: Matrix
+    chars: tuple
     reduced: Matrix
     pivots: tuple
     free: tuple
@@ -85,22 +92,38 @@ class GradedPiece:
         return len(self.free)
 
     def reduce_vector(self, vec):
-        """Coordinates of a vector's class on the free monomials."""
-        vec = [Fraction(x) for x in vec]
-        for r, p in enumerate(self.pivots):
-            coef = vec[p]
+        """Coordinates of a vector's class on the free monomials: its
+        projection through ``basis``, reduced by the relation RREF."""
+        quot = [Fraction(0)] * (self.basis.rows * NY)
+        for k, x in enumerate(vec):
+            if x != 0:
+                x, (i, j) = Fraction(x), divmod(k, NY)
+                for a, g in enumerate(self.basis.data):
+                    if g[i] != 0:
+                        quot[a * NY + j] += g[i] * x
+        for row, p in zip(self.reduced.data, self.pivots):
+            coef = quot[p]
             if coef != 0:
-                for c in range(len(vec)):
-                    vec[c] -= coef * self.reduced.entry(r, c)
-        return [vec[f] for f in self.free]
+                quot = [x - coef * y for x, y in zip(quot, row)]
+        return [x for c, x in enumerate(quot) if c not in self.pivots]
 
 
-def _make_piece(relation_rows) -> GradedPiece:
-    rel = Matrix(relation_rows)
-    red, pivots = rel.rref()
-    red = Matrix([list(red.data[r]) for r in range(len(pivots))])
-    free = tuple(c for c in range(rel.cols) if c not in pivots)
-    return GradedPiece(rel, red, tuple(pivots), free)
+def _make_piece(basis: Matrix, chars, relation_rows) -> GradedPiece:
+    red, pivots = Matrix(relation_rows).rref()
+    free = tuple(
+        chars[c // NY] * NY + c % NY
+        for c in range(basis.rows * NY)
+        if c not in pivots
+    )
+    red = Matrix(red.data[: len(pivots)])
+    return GradedPiece(basis, tuple(chars), red, tuple(pivots), free)
+
+
+def _tensor(g: Matrix, i: int, c):
+    """The quotient row of e_i (x) c, column i of g tensored with c,
+    scaled to integers (only a relation row's span counts)."""
+    (gi, ci), _ = integer_rows([g.column(i), c])
+    return [a * x for a in gi for x in ci]
 
 
 def invariant_deformations(q) -> GradedPiece:
@@ -109,13 +132,19 @@ def invariant_deformations(q) -> GradedPiece:
     Ambient: the 28 monomials x_i^2 y_j.  Relations: the 16 products
     Q_k y_j and the 7 Jacobian rows; these overlap in the single
     dependency sum_k Q_k y_k = sum_i (sum_j q_ij x_i^2 y_j), so the
-    relation rank is 22 for full-rank systems.
+    relation rank is 22 for full-rank systems.  On the 12 quotient
+    coordinates the Jacobian rows are g_i (x) q_i, of rank 6.
     """
     return _invariant_piece(check_system(q))
 
 
 def _invariant_piece(q: Matrix) -> GradedPiece:
-    return _make_piece(quadric_rows(q) + jacobian_rows(q))
+    # the Gale dual G = configs.seven_line_config(q), with e_a at F[a]
+    g, chars = null_space(q)
+    g = Matrix(g)
+    return _make_piece(
+        g, chars, [_tensor(g, i, q.column(i)) for i in range(NCHARS)]
+    )
 
 
 def kappa_sum_bases(kappa: int):
@@ -154,7 +183,7 @@ def kappa_target(q, kappa: int, require_smooth: bool = True):
     q, kappa = check_system(q), check_kappa(kappa)
     if require_smooth:
         _require_smooth(q)
-    return _target_pieces(q, kappa)
+    return _target_pieces(q, kappa, _invariant_piece(q))
 
 
 def _require_smooth(q: Matrix) -> None:
@@ -164,17 +193,19 @@ def _require_smooth(q: Matrix) -> None:
         )
 
 
-def _target_pieces(q: Matrix, kappa: int):
-    first = _make_piece(quadric_rows(q) + jacobian_rows(q) + kappa_rows(q, kappa))
-    triples = squarefree_triples(kappa)
-    rows2 = []
-    for ti, t in enumerate(triples):
-        for p in t:
-            row = [Fraction(0)] * (len(triples) * NY)
-            for j in range(NY):
-                row[ti * NY + j] = q.entry(j, p - 1)
-            rows2.append(row)
-    return first, _make_piece(rows2)
+def _target_pieces(q: Matrix, kappa: int, source: GradedPiece):
+    """The target summands: the first is R_{1,0} modulo g_s (x) q_kappa."""
+    g, qk = source.basis, q.column(kappa - 1)
+    first = _make_piece(g, source.chars, list(source.reduced.data) + [
+        _tensor(g, s, qk) for s in range(NCHARS) if s != kappa - 1
+    ])
+    ident = Matrix.identity(2)
+    second = _make_piece(ident, (0, 1), [
+        _tensor(ident, ti, q.column(p - 1))
+        for ti, t in enumerate(squarefree_triples(kappa))
+        for p in t
+    ])
+    return first, second
 
 
 @dataclass(frozen=True)
@@ -222,7 +253,7 @@ def period_maps(q) -> dict:
 
 
 def _period_map(q: Matrix, source: GradedPiece, kappa: int) -> PeriodMapData:
-    first, second = _target_pieces(q, kappa)
+    first, second = _target_pieces(q, kappa, source)
     cols = []
     for f in source.free:
         unit = [Fraction(0)] * AMBIENT

@@ -28,7 +28,7 @@ from .errors import (
     IntegralityViolation,
 )
 from .finite_forms import FiniteForm, finite_form_isometric, trivial_form
-from .matrices import Matrix, gcd_of, hnf, snf, solve_rows
+from .matrices import Matrix, gcd_of, hnf, integer_rows, snf, solve_rows
 
 
 class Lattice:
@@ -280,20 +280,36 @@ def transcendental_slice() -> Lattice:
     return Lattice(Matrix.diagonal([2, 2, -1, -1, -1, -1]), "L")
 
 
+MAX_NAME_RANK = 64
+
+
 def parse_lattice_name(text: str) -> Lattice:
     """Parse a lattice expression like ``"D(2,4)+Z(1,1)*-1"`` or ``"H(1/2)+E10*-1"``.
 
     Grammar: sums of terms; a term is an atom optionally rescaled with
     ``*c`` (rational ``c``); atoms are ``L``, ``H``, ``H(c)``, ``E8``,
-    ``E10``, ``D<n>``, ``D(p,q)``, ``Z(p,q)``.
+    ``E10``, ``D<n>``, ``D(p,q)``, ``Z(p,q)``.  The ranks of the atoms
+    may add up to at most ``MAX_NAME_RANK`` (64); the bound is checked
+    before any Gram matrix is built, so ``D100000`` is an InvalidName.
     """
     text = text.replace(" ", "")
     if not text:
         raise InvalidName("empty lattice name")
-    parts = _split_top(text, "+")
+    terms = []
+    for part in _split_top(text, "+"):
+        atom, *factors = _split_top(part, "*")
+        rank, build = _parse_atom(atom)
+        terms.append((rank, build, [_name_number(f, Fraction) for f in factors]))
+    total = sum(rank for rank, _, _ in terms)
+    if total > MAX_NAME_RANK:
+        raise InvalidName(
+            f"lattice name has rank {total}, above the bound {MAX_NAME_RANK}"
+        )
     lat = None
-    for part in parts:
-        term = _parse_term(part)
+    for _, build, factors in terms:
+        term = build()
+        for factor in factors:
+            term = term.rescale(factor)
         lat = term if lat is None else lat.direct_sum(term)
     return Lattice(lat.gram, text)
 
@@ -314,31 +330,22 @@ def _split_top(text, sep):
     return parts
 
 
-def _parse_term(text: str) -> Lattice:
-    pieces = _split_top(text, "*")
-    lat = _parse_atom(pieces[0])
-    for factor in pieces[1:]:
-        lat = lat.rescale(_name_number(factor, Fraction))
-    return lat
-
-
-def _parse_atom(text: str) -> Lattice:
-    if text == "L":
-        return transcendental_slice()
-    if text == "H":
-        return hyperbolic()
-    if text == "E8":
-        return E8()
-    if text == "E10":
-        return E10()
+def _parse_atom(text: str):
+    """(rank, build) for one atom: its rank and a function building it."""
+    fixed = {"L": (6, transcendental_slice), "H": (2, hyperbolic),
+             "E8": (8, E8), "E10": (10, E10)}
+    if text in fixed:
+        return fixed[text]
     if text.startswith("H(") and text.endswith(")"):
-        return hyperbolic(_name_number(text[2:-1], Fraction))
-    if text.startswith("D(") and text.endswith(")"):
-        return Dpq(*_name_pair(text[2:-1]))
-    if text.startswith("Z(") and text.endswith(")"):
-        return Zpq(*_name_pair(text[2:-1]))
+        scale = _name_number(text[2:-1], Fraction)
+        return 2, lambda: hyperbolic(scale)
+    for prefix, make in (("D(", Dpq), ("Z(", Zpq)):
+        if text.startswith(prefix) and text.endswith(")"):
+            p, q = _name_pair(text[2:-1])
+            return p + q, lambda: make(p, q)
     if text.startswith("D") and text[1:].isdigit():
-        return Dn(int(text[1:]))
+        n = int(text[1:])
+        return n, lambda: Dn(n)
     raise InvalidName(f"cannot parse lattice atom: {text}")
 
 
@@ -354,7 +361,10 @@ def _name_pair(text: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise InvalidName(f"expected two integers in lattice name: {text!r}")
-    return _name_number(parts[0], int), _name_number(parts[1], int)
+    p, q = _name_number(parts[0], int), _name_number(parts[1], int)
+    if p < 0 or q < 0:
+        raise InvalidName(f"negative count in lattice name: {text!r}")
+    return p, q
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +445,9 @@ def orthogonal_complement(s: Sublattice) -> Sublattice:
     if kernel.rows == 0:
         return Sublattice(s.ambient, Matrix.zeros(0, s.ambient.n))
     int_rows = []
-    for row in kernel.data:
-        mult = lcm(*(x.denominator for x in row))
-        ints = [int(x * mult) for x in row]
-        g = gcd_of(ints)
-        int_rows.append([x // g for x in ints] if g > 1 else ints)
+    for row in integer_rows(kernel.data)[0]:
+        g = gcd_of(row)
+        int_rows.append([x // g for x in row])
     return saturation(Sublattice(s.ambient, Matrix(int_rows)))
 
 

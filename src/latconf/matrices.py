@@ -5,6 +5,7 @@ Provides an immutable :class:`Matrix` of arbitrary-precision rationals
 the rest of the package:
 
 * ``rref`` / ``kernel_basis`` / ``rank`` / ``det`` / ``inverse`` over Q,
+  and ``null_space``, the kernel basis with its free columns,
 * ``solve_rows``: the coefficients of rows in the row span of a basis,
 * row-style Hermite normal form ``hnf`` with unimodular transform,
 * Smith normal form ``snf`` with both unimodular transforms.
@@ -201,7 +202,7 @@ class Matrix:
             (R, pivots): R the RREF as a Matrix, pivots the list of
             pivot column indices (leftmost-pivot convention).
         """
-        m, _ = _integer_rows(self.data)
+        m, _ = integer_rows(self.data)
         pivots, _, _ = _bareiss(m, reduce=True)
         red = [
             [Fraction(x, m[r][p]) for x in m[r]] for r, p in enumerate(pivots)
@@ -210,7 +211,7 @@ class Matrix:
 
     def rank(self) -> int:
         """Rank over Q: the pivot count of the fraction-free elimination."""
-        return len(_bareiss(_integer_rows(self.data)[0])[0])
+        return len(_bareiss(integer_rows(self.data)[0])[0])
 
     def kernel_basis(self):
         """Echelon basis of the right null space, rows spanning it.
@@ -219,22 +220,13 @@ class Matrix:
         column; deterministic by construction.  Row count equals
         ``cols - rank``.
         """
-        red, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for f in free:
-            vec = [Fraction(0)] * self.cols
-            vec[f] = Fraction(1)
-            for r, p in enumerate(pivots):
-                vec[p] = -red.data[r][f]
-            basis.append(vec)
-        out = Matrix(basis)
-        return out if basis else Matrix.zeros(0, self.cols)
+        basis, _ = null_space(self)
+        return Matrix(basis) if basis else Matrix.zeros(0, self.cols)
 
     def det(self) -> Fraction:
         if not self.is_square():
             raise DimensionError("det requires a square matrix")
-        m, scale = _integer_rows(self.data)
+        m, scale = integer_rows(self.data)
         pivots, swaps, det = _bareiss(m)
         if len(pivots) < self.rows:
             return Fraction(0)
@@ -266,7 +258,7 @@ class Matrix:
         return m
 
 
-def _integer_rows(data):
+def integer_rows(data):
     """Scale each row by the lcm of its denominators.
 
     Returns:
@@ -280,6 +272,20 @@ def _integer_rows(data):
         out.append([x.numerator * (mult // x.denominator) for x in row])
         scale *= mult
     return out, scale
+
+
+def null_space(m: Matrix):
+    """(basis, free): the rows of ``m.kernel_basis()`` as lists, and the
+    free columns of the RREF; basis row a is 1 at free[a], 0 at the
+    other free columns and minus the RREF entries of column free[a] at
+    the pivots."""
+    red, pivots = m.rref()
+    free = [c for c in range(m.cols) if c not in pivots]
+    basis = [[Fraction(c == f) for c in range(m.cols)] for f in free]
+    for row, p in zip(red.data, pivots):
+        for vec, f in zip(basis, free):
+            vec[p] = -row[f]
+    return basis, free
 
 
 def _bareiss(m, reduce=False):

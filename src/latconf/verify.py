@@ -189,10 +189,15 @@ def _degenerate_system(rng) -> Matrix:
         q2 = Matrix.from_columns(cols)
         if q2.rank() != 4:
             continue
-        bad = [s for s in combinations(range(7), 4)
-               if Matrix.from_columns([cols[j] for j in s]).det() == 0]
-        if bad == [tuple(subset)]:
+        if _dependent_subsets(q2) == [tuple(subset)]:
             return q2
+
+
+def _dependent_subsets(q: Matrix):
+    """The 4-subsets of system columns with a zero 4 x 4 ``det``: an
+    oracle for ``smoothness`` that does not go through the Gale dual."""
+    return [s for s in combinations(range(7), 4)
+            if q.submatrix(range(4), s).det() == 0]
 
 
 def _rand_config(rng) -> ConfigMatrix:
@@ -748,18 +753,14 @@ def check_smoothness_paths(rng):
             q = random_system(rng, smooth=False)
         samples.append(q)
     for q in samples:
-        path1 = smoothness(q)[0]  # 35 nonzero 4x4 minors of the system
+        path1 = smoothness(q)[0]  # 35 nonzero integer 3-minors of the Gale dual
         config = seven_line_config(q)
         # path 2: no concurrent triple among the seven lines
         try:
             path2 = len(triple_points(config)) == 0
         except LatconfError:
             path2 = False  # coincident lines certainly violate smoothness
-        # path 3: all 35 3x3 column minors of the kernel configuration
-        path3 = all(
-            config.matrix.submatrix(range(3), s).det() != 0
-            for s in combinations(range(7), 3)
-        )
+        path3 = not _dependent_subsets(q)  # path 3: the system's 4x4 minors
         if not (path1 == path2 == path3):
             mismatches += 1
     return mismatches == 0, {

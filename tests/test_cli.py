@@ -107,6 +107,15 @@ def test_usage_error_exit_2(capsys):
     (["lattice", "glue", "--name", "D6", "--gens", "[[1]]"], 1, "DimensionError"),
     (["lattice", "glue", "--name", "D6", "--gens", "[[1,0,5]]"], 1, "DimensionError"),
     (["lattice", "classify-isotropic", "--vector", "[1.5,0,1,1,0,0]"], 1, "DimensionError"),
+    # glue coefficients are never truncated; --gens must be a list of lists
+    (["lattice", "glue", "--name", "D6", "--gens", "[[1.5,0]]"], 1, "DimensionError"),
+    (["lattice", "glue", "--name", "D6", "--gens", '[["a",0]]'], 1, "DimensionError"),
+    (["lattice", "glue", "--name", "D6", "--gens", "5"], 2, "UsageError"),
+    (["lattice", "glue", "--name", "D6", "--gens", "[5]"], 2, "UsageError"),
+    # names above the rank bound are refused before any matrix is built
+    (["lattice", "disc-form", "--name", "D100000"], 1, "InvalidName"),
+    (["lattice", "disc-form", "--name", "E10+D(30,25)"], 1, "InvalidName"),
+    (["lattice", "disc-form", "--name", "D100+D(-60,0)"], 1, "InvalidName"),
 ])
 def test_bad_input_one_error_document(capsys, argv, code, kind):
     got, doc = run_json(capsys, *argv)

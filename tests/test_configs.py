@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -276,3 +276,63 @@ def test_smoothness_witness():
         smooth, witness = smoothness(q2)
         assert not smooth
         assert witness == (0, 1, 2, 3)
+
+
+def _dependent_subsets(q):
+    """Oracle: the 4-subsets of columns with a zero 4x4 ``det``, in order."""
+    return [
+        s for s in combinations(range(7), 4)
+        if q.submatrix(range(4), s).det() == 0
+    ]
+
+
+def test_complements_reverse_lex_order():
+    # why smoothness can return the complement of the last zero 3-minor
+    threes = list(combinations(range(7), 3))
+    complements = [tuple(c for c in range(7) if c not in t) for t in threes]
+    assert complements == list(combinations(range(7), 4))[::-1]
+
+
+def test_smoothness_against_minor_scan():
+    rng = random.Random(44)
+    systems = [random_system(rng, smooth=False) for _ in range(20)]
+    for trial in range(40):
+        cols = [list(random_system(rng).column(j)) for j in range(7)]
+        a, b = rng.sample(range(7), 2)
+        if trial % 4 == 0:  # one engineered dependent 4-subset
+            rest = sorted(set(range(7)) - {a})[:3]
+            cols[a] = [sum(rng.randint(1, 3) * cols[k][i] for k in rest)
+                       for i in range(4)]
+        else:  # duplicated or proportional columns
+            scale = rng.choice([1, -2, Fraction(3, 5)])
+            cols[a] = [scale * x for x in cols[b]]
+        if trial % 3 == 0:
+            c, d = rng.sample(range(7), 2)
+            cols[c] = [-x for x in cols[d]]
+        systems.append(Matrix.from_columns(cols))
+    # rank 4 with a single independent 4-subset
+    systems.append(Matrix([[1 if j == i else 0 for j in range(7)]
+                           for i in range(4)]))
+    counts = set()
+    for q in systems:
+        if q.rank() < 4:
+            with pytest.raises(DimensionError, match="rank 4"):
+                smoothness(q)
+            continue
+        dependent = _dependent_subsets(q)
+        counts.add(len(dependent) if len(dependent) in (0, 1, 34) else "several")
+        expect = (False, dependent[0]) if dependent else (True, None)
+        assert smoothness(q) == expect
+    assert counts == {0, 1, "several", 34}
+
+
+def test_smoothness_rejects_bad_input():
+    # every 4-minor is zero: rank 3 is a domain error, not a witness
+    rows = [[1, 2, 3, 4, 5, 6, 7], [0, 1, 1, 2, 3, 5, 8],
+            [2, 3, 5, 7, 11, 13, 17]]
+    rank3 = Matrix(rows + [[a + b for a, b in zip(rows[0], rows[1])]])
+    assert rank3.rank() == 3
+    with pytest.raises(DimensionError, match="rank 4"):
+        smoothness(rank3)
+    with pytest.raises(DimensionError, match="4 x 7"):
+        smoothness(Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))

@@ -55,6 +55,11 @@ def test_group_structure():
     for x in ((1,), (1, 0, 5)):  # never truncated or padded
         with pytest.raises(DimensionError):
             f.reduce(x)
+    # integral values of any numeric type pass; nothing else is truncated
+    assert f.reduce((Fraction(3), 2.0)) == (1, 0)
+    for x in ((1.5, 0), (Fraction(1, 2), 0), ("a", 0), (None, 0)):
+        with pytest.raises(DimensionError):
+            f.reduce(x)
 
 
 def test_polarization_identity():

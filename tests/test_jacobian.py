@@ -12,6 +12,7 @@ from latconf.jacobian import (
     _slot,
     deformed_system,
     invariant_deformations,
+    jacobian_rows,
     kappa_rows,
     kappa_sum_bases,
     kappa_target,
@@ -19,6 +20,7 @@ from latconf.jacobian import (
     monomial_labels,
     period_map,
     period_maps,
+    quadric_rows,
     squarefree_triples,
 )
 from latconf.matrices import Matrix
@@ -105,13 +107,89 @@ def test_period_map_error_order():
 def test_relation_counts():
     rng = random.Random(18)
     q = random_system(rng)
-    inv = invariant_deformations(q)
     # 16 quadric rows + 7 jacobian rows with a single overlap
-    assert inv.relation_matrix.rows == 16 + 7
-    assert inv.relation_matrix.rank() == 22
+    rows = quadric_rows(q) + jacobian_rows(q)
+    assert len(rows) == 16 + 7
+    assert Matrix(rows).rank() == 22
+    assert invariant_deformations(q).dimension == AMBIENT - 22
+    rows += kappa_rows(q, 1)
+    assert len(rows) == 16 + 7 + 6
+    assert Matrix(rows).rank() == 24
     first, _ = kappa_target(q, 1)
-    assert first.relation_matrix.rows == 16 + 7 + 6
-    assert first.relation_matrix.rank() == 24
+    assert first.dimension == AMBIENT - 24
+
+
+class FullWidthPiece:
+    """Oracle: a graded piece as the 28 ambient monomials modulo the
+    full relation matrix, read off one ``Matrix.rref``."""
+
+    def __init__(self, rows):
+        red, pivots = Matrix(rows).rref()
+        self.rows = [list(red.data[r]) for r in range(len(pivots))]
+        self.pivots = pivots
+        self.free = tuple(c for c in range(AMBIENT) if c not in pivots)
+
+    def reduce_vector(self, vec):
+        vec = [Fraction(x) for x in vec]
+        for row, p in zip(self.rows, self.pivots):
+            coef = vec[p]
+            if coef != 0:
+                vec = [x - coef * y for x, y in zip(vec, row)]
+        return [vec[f] for f in self.free]
+
+
+def _oracle_source(q):
+    return FullWidthPiece(quadric_rows(q) + jacobian_rows(q))
+
+
+def _oracle_target(q, kappa):
+    return FullWidthPiece(
+        quadric_rows(q) + jacobian_rows(q) + kappa_rows(q, kappa)
+    )
+
+
+def test_quotient_pieces_match_full_width_oracle():
+    rng = random.Random(41)
+    for _ in range(20):
+        q = random_system(rng)
+        maps = period_maps(q)
+        source = _oracle_source(q)
+        randoms = [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+             for _ in range(AMBIENT)]
+            for _ in range(2)
+        ]
+        for vec in randoms:
+            assert maps[1].source.reduce_vector(vec) == source.reduce_vector(vec)
+        for kappa, pm in maps.items():
+            target = _oracle_target(q, kappa)
+            assert pm.source.free == source.free
+            assert pm.target.free == target.free
+            family = kernel_family_vectors(q, kappa)
+            for vec in family[:2]:
+                assert pm.source.reduce_vector(vec) == source.reduce_vector(vec)
+            for vec in family[:3] + randoms:
+                assert pm.target.reduce_vector(vec) == target.reduce_vector(vec)
+            cols = []
+            for f in source.free:
+                unit = [0] * AMBIENT
+                unit[f] = 1
+                cols.append(target.reduce_vector(unit))
+            matrix = Matrix.from_columns(cols)
+            assert pm.matrix == matrix
+            assert pm.kernel == matrix.kernel_basis()
+
+
+def test_degenerate_target_matches_full_width_oracle():
+    rng = random.Random(43)
+    for kappa in range(2, 8):  # _degenerate copies column 1 onto kappa
+        bad = _degenerate(rng, kappa)
+        first, _ = kappa_target(bad, kappa, require_smooth=False)
+        oracle = _oracle_target(bad, kappa)
+        assert first.free == oracle.free
+        assert first.dimension != 4
+        vec = [rng.randint(-9, 9) for _ in range(AMBIENT)]
+        assert first.reduce_vector(vec) == oracle.reduce_vector(vec)
 
 
 def test_kappa_sum_bases_and_squarefree_triples():

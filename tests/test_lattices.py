@@ -9,9 +9,11 @@ from latconf.errors import (
     DegenerateGram,
     DimensionError,
     IntegralityViolation,
+    InvalidName,
     NonIntegralLattice,
 )
 from latconf.lattices import (
+    MAX_NAME_RANK,
     Dn,
     Dpq,
     E8,
@@ -62,6 +64,14 @@ def test_parse_lattice_name():
     combo = parse_lattice_name("Z(1,1)+D(2,0)*-2")
     assert combo.n == 4
     assert parse_lattice_name("L").gram == transcendental_slice().gram
+
+
+def test_parse_lattice_name_rank_bound():
+    # the bound is on the summed rank of the atoms, rescaling included
+    assert parse_lattice_name("E10*2+D(30,24)").n == MAX_NAME_RANK == 64
+    for name in ("D65", "E10*2+D(30,25)", "D(-1,3)", "Z(2,-1)"):
+        with pytest.raises(InvalidName):
+            parse_lattice_name(name)
 
 
 def test_parity_requires_integral():
