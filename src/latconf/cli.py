@@ -12,8 +12,8 @@ Subcommands mirror the library modules:
 All structured inputs are files or inline JSON; every output is a JSON
 document on standard output with rational values rendered as exact
 ``"p/q"`` strings.  Exit status: 0 on success, 1 on domain errors
-(with a machine-readable ``{"error": {...}}`` document), 2 on usage
-errors.
+(with a machine-readable ``{"error": {...}}`` document) or when the
+reader closes standard output, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -28,19 +28,20 @@ from itertools import permutations
 
 from . import __version__
 from .configs import (
+    CHAR_LABELS,
     ConfigMatrix,
     act_gl3f2,
     act_wreath,
     canonical_form,
     canonical_key,
     cremona,
+    dependent_columns,
     drop_line,
+    gale_dual,
     gl3f2_elements,
     node_report,
     plucker,
     s4_to_wreath,
-    seven_line_config,
-    smoothness,
     stability,
     wreath_elements,
 )
@@ -280,12 +281,11 @@ def cmd_config_nodes(args) -> int:
 
 
 def cmd_config_from_quadrics(args) -> int:
-    q = _system_from(args.system)
-    config = seven_line_config(q)
-    smooth, witness = smoothness(q)
+    g = gale_dual(_system_from(args.system))[1]
+    witness = dependent_columns(g)
     return _emit({
-        "config": config.to_json(),
-        "smooth": smooth,
+        "config": ConfigMatrix(g, CHAR_LABELS).to_json(),
+        "smooth": witness is None,
         "dependent_columns": None if witness is None else list(witness),
     })
 
@@ -492,6 +492,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # The reader closed stdout: point it at devnull so that the
+        # interpreter's exit flush is silent too (Python signal docs).
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):  # stdout has no file descriptor
+            pass
+        return 1
+    return code
+
+
+def _main(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -9,11 +9,12 @@ come in three ordered pairs occupying pair slots 0, 1, 2 (labels
 Provided operations: Plücker coordinates, the GIT stability
 stratification for six lines, triple points, a canonical form that is
 a complete invariant for the GL3 x torus action with fixed labels,
-the Cremona involution based at the three pair vertices, the 7-line
-configuration attached to a system of four diagonal quadrics, line
-dropping with pair regrouping, node classification, and the finite
-group actions (wreath product on pair slots, S4 on quadrangle
-vertices, GL3(F2) on characters, torus scalings).
+the Cremona involution based at the three pair vertices, the Gale
+dual of a system of four diagonal quadrics (its 7-line configuration
+and smoothness test), line dropping with pair regrouping, node
+classification, and the finite group actions (wreath product on pair
+slots, S4 on quadrangle vertices, GL3(F2) on characters, torus
+scalings).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     NoFrame,
     VerticesCollinear,
 )
-from .matrices import Matrix, integer_rows
+from .matrices import Matrix, integer_rows, null_space
 
 PAIR_LABELS = (0, 0, 1, 1, 2, 2)
 CHAR_LABELS = (1, 2, 3, 4, 5, 6, 7)
@@ -381,15 +382,19 @@ def quadrangle_slice(a, b, c, d) -> ConfigMatrix:
 # ---------------------------------------------------------------------------
 
 
-def check_system(q) -> Matrix:
-    """The quadric system ``q`` as a Matrix, checked to be 4 x 7 of rank 4."""
+def gale_dual(q):
+    """(q, G, F): the quadric system ``q`` as a Matrix, checked to be
+    4 x 7 of rank 4 (exactly three kernel rows); its Gale dual G, the
+    3 x 7 echelon kernel basis; F the free columns of q's RREF, so
+    column F[a] of G is e_a.  One elimination of q."""
     if not isinstance(q, Matrix):
         q = Matrix(q)
     if q.rows != 4 or q.cols != 7:
         raise DimensionError("quadric system must be 4 x 7")
-    if q.rank() != 4:
+    g, chars = null_space(q)
+    if len(g) != 3:
         raise DimensionError("quadric system must have rank 4")
-    return q
+    return q, Matrix(g), tuple(chars)
 
 
 def check_kappa(kappa: int) -> int:
@@ -401,30 +406,33 @@ def check_kappa(kappa: int) -> int:
 
 def seven_line_config(q: Matrix) -> ConfigMatrix:
     """Line configuration attached to a rank-4 system of 7 diagonal
-    quadrics (rows = quadrics, columns = the 7 squared coordinates).
+    quadrics (rows = quadrics, columns = the 7 squared coordinates):
+    its Gale dual, one line per character column."""
+    return ConfigMatrix(gale_dual(q)[1], CHAR_LABELS)
 
-    The configuration matrix is the deterministic echelon kernel basis
-    of q, one line per character column.
+
+def dependent_columns(g: Matrix):
+    """The first dependent 4-subset of the columns of a rank-4 system
+    whose Gale dual is ``g``, or None if every 4-subset is independent.
+
+    Four columns of the system are dependent iff the other three columns
+    of G are, so the test is on G's 3-minors, with its rows scaled to
+    integers.  The complement of the last zero 3-subset is the first
+    dependent 4-subset: complements reverse the lex order of subsets of
+    range(7).
     """
-    kern = check_system(q).kernel_basis()
-    return ConfigMatrix(kern, CHAR_LABELS)
+    cols = list(zip(*integer_rows(g.data)[0]))
+    for t in reversed(list(combinations(range(7), 3))):
+        if _det3(*(cols[j] for j in t)) == 0:
+            return tuple(j for j in range(7) if j not in t)
+    return None
 
 
 def smoothness(q: Matrix):
     """(True, None) iff every 4-subset of quadric-system columns is
-    independent; otherwise (False, first dependent 4-subset).
-
-    Gale duality: four columns of a rank-4 system are dependent iff the
-    other three columns of its Gale dual G (the kernel basis) are, so
-    the test is on G's 3-minors, with its rows scaled to integers.  The
-    complement of the last zero 3-subset is the first dependent
-    4-subset: complements reverse the lex order of subsets of range(7).
-    """
-    g = list(zip(*integer_rows(check_system(q).kernel_basis().data)[0]))
-    for t in reversed(list(combinations(range(7), 3))):
-        if _det3(*(g[j] for j in t)) == 0:
-            return False, tuple(j for j in range(7) if j not in t)
-    return True, None
+    independent; otherwise (False, first dependent 4-subset)."""
+    witness = dependent_columns(gale_dual(q)[1])
+    return witness is None, witness
 
 
 def drop_pairs(kappa: int):

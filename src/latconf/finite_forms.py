@@ -360,8 +360,8 @@ def finite_form_automorphisms(f: FiniteForm, compare="bilinear"):
 
 
 def apply_images(f: FiniteForm, images, x):
-    """Apply the homomorphism defined by generator ``images`` to ``x``."""
-    out = f.zero()
-    for c, img in zip(f.reduce(x), images):
-        out = f.add(out, f.smul(c, img))
-    return out
+    """Apply the homomorphism defined by generator ``images`` to ``x``:
+    one linear combination of the images, reduced once per coordinate."""
+    coeffs = f.reduce(x)
+    return tuple(sum(c * img[j] for c, img in zip(coeffs, images)) % n
+                 for j, n in enumerate(f.orders))

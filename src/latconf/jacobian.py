@@ -5,11 +5,11 @@ The ambient monomials x_i^2 y_j form Q^7 (x) Q^4, flattened so that
 coordinate (i-1)*4 + j holds the coefficient of x_i^2 y_j.  Every graded
 piece contains the quadric rows Q_k y_j, which span rowspace(q) (x) Q^4;
 modulo them e_i (x) c is g_i (x) c, g_i column i of the Gale dual G of q
-(the seven-line configuration).  So each piece is the RREF of its other
-relation rows on the 12 coordinates F x {y_j}, F the free columns of
-q's RREF.  An RREF is unique, so these are the rows of the full
-28-column RREF with pivots in F x {y_j}, and its non-pivot monomials
-are the full complement basis — fully deterministic.
+(``configs.gale_dual``, taken once per entry point).  So each piece is
+the RREF of its other relation rows on the 12 coordinates F x {y_j}, F
+the free columns of q's RREF.  An RREF is unique, so these are the rows
+of the full 28-column RREF with pivots in F x {y_j}, and its non-pivot
+monomials are the full complement basis — fully deterministic.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .configs import check_kappa, check_system, smoothness
+from .configs import check_kappa, dependent_columns, gale_dual
 from .errors import SmoothnessRequired
-from .matrices import Matrix, integer_rows, null_space
+from .matrices import Matrix, integer_rows
 
 NCHARS = 7
 NY = 4
@@ -37,6 +37,13 @@ def _slot(i: int, j: int) -> int:
     return (i - 1) * NY + j
 
 
+def _ambient(i: int, c):
+    """The ambient row of e_i (x) c: c at the slots x_{i+1}^2 y_j."""
+    row = [Fraction(0)] * AMBIENT
+    row[i * NY:(i + 1) * NY] = c
+    return row
+
+
 def quadric_rows(q: Matrix):
     """The 16 relation rows Q_k y_j: coefficient q_{k,i} at x_i^2 y_j."""
     rows = []
@@ -51,26 +58,13 @@ def quadric_rows(q: Matrix):
 
 def jacobian_rows(q: Matrix):
     """The 7 relation rows sum_j q_{ij} x_i^2 y_j (one per character)."""
-    rows = []
-    for i in range(1, 8):
-        row = [Fraction(0)] * AMBIENT
-        for j in range(NY):
-            row[_slot(i, j)] = q.entry(j, i - 1)
-        rows.append(row)
-    return rows
+    return [_ambient(i, q.column(i)) for i in range(NCHARS)]
 
 
 def kappa_rows(q: Matrix, kappa: int):
     """The 6 rows sum_j q_{kappa j} x_s^2 y_j for s != kappa."""
-    rows = []
-    for s in range(1, 8):
-        if s == kappa:
-            continue
-        row = [Fraction(0)] * AMBIENT
-        for j in range(NY):
-            row[_slot(s, j)] = q.entry(j, kappa - 1)
-        rows.append(row)
-    return rows
+    qk = q.column(kappa - 1)
+    return [_ambient(s, qk) for s in range(NCHARS) if s != kappa - 1]
 
 
 @dataclass(frozen=True)
@@ -135,13 +129,10 @@ def invariant_deformations(q) -> GradedPiece:
     relation rank is 22 for full-rank systems.  On the 12 quotient
     coordinates the Jacobian rows are g_i (x) q_i, of rank 6.
     """
-    return _invariant_piece(check_system(q))
+    return _invariant_piece(*gale_dual(q))
 
 
-def _invariant_piece(q: Matrix) -> GradedPiece:
-    # the Gale dual G = configs.seven_line_config(q), with e_a at F[a]
-    g, chars = null_space(q)
-    g = Matrix(g)
+def _invariant_piece(q: Matrix, g: Matrix, chars) -> GradedPiece:
     return _make_piece(
         g, chars, [_tensor(g, i, q.column(i)) for i in range(NCHARS)]
     )
@@ -180,14 +171,15 @@ def kappa_target(q, kappa: int, require_smooth: bool = True):
     presuppose 4-column independence of the system, so non-smooth
     input is rejected unless ``require_smooth`` is disabled.
     """
-    q, kappa = check_system(q), check_kappa(kappa)
+    q, g, chars = gale_dual(q)
+    kappa = check_kappa(kappa)
     if require_smooth:
-        _require_smooth(q)
-    return _target_pieces(q, kappa, _invariant_piece(q))
+        _require_smooth(g)
+    return _target_pieces(q, kappa, _invariant_piece(q, g, chars))
 
 
-def _require_smooth(q: Matrix) -> None:
-    if not smoothness(q)[0]:
+def _require_smooth(g: Matrix) -> None:
+    if dependent_columns(g) is not None:
         raise SmoothnessRequired(
             "kappa_target dimensions presuppose a smooth system"
         )
@@ -234,21 +226,22 @@ def period_map(q, kappa: int) -> PeriodMapData:
     identity; the matrix expresses each source complement monomial in
     the target complement basis.
     """
-    q, kappa = check_system(q), check_kappa(kappa)
-    _require_smooth(q)
-    return _period_map(q, _invariant_piece(q), kappa)
+    q, g, chars = gale_dual(q)
+    kappa = check_kappa(kappa)
+    _require_smooth(g)
+    return _period_map(q, _invariant_piece(q, g, chars), kappa)
 
 
 def period_maps(q) -> dict:
     """The period maps of all seven characters, ``{kappa: PeriodMapData}``.
 
-    The system check, the smoothness test and the source piece R_{1,0}
-    do not depend on kappa, so they are done once for all seven maps;
-    each value equals ``period_map(q, kappa)``.
+    The Gale dual, the smoothness test and the source piece R_{1,0} do
+    not depend on kappa, so they are done once for all seven maps; each
+    value equals ``period_map(q, kappa)``.
     """
-    q = check_system(q)
-    _require_smooth(q)
-    source = _invariant_piece(q)
+    q, g, chars = gale_dual(q)
+    _require_smooth(g)
+    source = _invariant_piece(q, g, chars)
     return {kappa: _period_map(q, source, kappa) for kappa in range(1, NCHARS + 1)}
 
 
@@ -278,15 +271,14 @@ def kernel_family_vectors(q, kappa: int):
     Multiplying such a vector by x_kappa gives one of the relation
     rows of the target, so its period-map image vanishes exactly.
     """
-    q = check_system(q)
-    kappa = check_kappa(kappa)
-    return kappa_rows(q, kappa)
+    q = gale_dual(q)[0]
+    return kappa_rows(q, check_kappa(kappa))
 
 
 def deformed_system(q, direction, t) -> Matrix:
     """The system Q + t * direction, with direction a 28-coefficient
     deformation vector in monomial coordinates."""
-    q = check_system(q)
+    q = gale_dual(q)[0]
     t = Fraction(t)
     rows = []
     for j in range(NY):

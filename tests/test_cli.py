@@ -1,6 +1,8 @@
 """Command line interface: output shapes and exit codes."""
 
+import io
 import json
+import sys
 from itertools import permutations
 
 import pytest
@@ -90,6 +92,33 @@ def test_usage_error_exit_2(capsys):
     )
     assert code == 2
     assert doc["error"]["kind"] == "UsageError"
+
+
+class _ClosedOnWrite(io.StringIO):
+    """A stdout whose reader has gone before the first write."""
+
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class _ClosedOnFlush(io.StringIO):
+    """A stdout that buffers the output and fails when it is flushed."""
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("stub", [_ClosedOnWrite, _ClosedOnFlush])
+@pytest.mark.parametrize("argv", [
+    ["lattice", "glue", "--name", "D6", "--gens", "[[1,0]]"],
+    ["lattice", "classify-isotropic", "--vector", "[1,0,0,0,0,0]"],
+])
+def test_closed_stdout_exits_1_without_traceback(capsys, monkeypatch, stub,
+                                                 argv):
+    # both a result and an error document meet the closed pipe
+    monkeypatch.setattr(sys, "stdout", stub())
+    assert main(argv) == 1
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv, code, kind", [

@@ -1,7 +1,7 @@
 """Finite bilinear/quadratic forms and isometry search."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +110,25 @@ def test_witness_preserves_form():
         for y in a.elements():
             assert a.b(apply_images(a, images, x),
                        apply_images(a, images, y)) == a.b(x, y)
+
+
+def test_apply_images_matches_generator_fold():
+    """One linear combination per call equals the add/smul fold over the
+    generators, on every element and on unreduced coefficients."""
+    forms = [
+        Dn(5).discriminant_form(),
+        Dn(6).discriminant_form(),
+        Zpq(2, 4).rescale(2).discriminant_form(),
+        Dpq(2, 4).rescale(2).discriminant_form(),
+    ]
+    for f in forms:
+        for images in islice(finite_form_automorphisms(f), 6):
+            for x in f.elements():
+                for y in (x, tuple(c - 3 * n for c, n in zip(x, f.orders))):
+                    fold = f.zero()
+                    for c, img in zip(f.reduce(y), images):
+                        fold = f.add(fold, f.smul(c, img))
+                    assert apply_images(f, images, y) == fold
 
 
 def test_automorphism_count_small():

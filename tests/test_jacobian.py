@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from latconf.configs import smoothness
+from latconf.configs import seven_line_config, smoothness
 from latconf.errors import DimensionError, LabelError, SmoothnessRequired
 from latconf.jacobian import (
     AMBIENT,
@@ -90,10 +90,13 @@ def _degenerate(rng, kappa):
 
 def test_period_map_error_order():
     bad = _degenerate(random.Random(23), 3)
+    rank3 = Matrix(list(bad.data[:3]) + [bad.data[0]])
     # system errors, then kappa errors, then smoothness
     for fn in (period_map, kappa_target):
         with pytest.raises(DimensionError):
             fn(Matrix([[1, 2], [3, 4]]), 0)
+        with pytest.raises(DimensionError, match="rank 4"):
+            fn(rank3, 0)
         with pytest.raises(LabelError):
             fn(bad, 0)
         with pytest.raises(SmoothnessRequired):
@@ -102,6 +105,32 @@ def test_period_map_error_order():
         period_maps(Matrix([[1, 2], [3, 4]]))
     with pytest.raises(SmoothnessRequired):
         period_maps(bad)
+
+
+def test_one_elimination_of_the_system(monkeypatch):
+    """Each entry point eliminates the 4 x 7 system once, for its Gale
+    dual; every other elimination is of a relation or period matrix."""
+    q = random_system(random.Random(41))
+    shapes = []
+    for name in ("rref", "rank"):
+        def counted(self, _original=getattr(Matrix, name)):
+            shapes.append((self.rows, self.cols))
+            return _original(self)
+        monkeypatch.setattr(Matrix, name, counted)
+    calls = {
+        "period_map": lambda: period_map(q, 3),
+        "period_maps": lambda: period_maps(q),
+        "kappa_target": lambda: kappa_target(q, 5),
+        "invariant_deformations": lambda: invariant_deformations(q),
+        "kernel_family_vectors": lambda: kernel_family_vectors(q, 2),
+        "deformed_system": lambda: deformed_system(q, [0] * AMBIENT, 1),
+        "smoothness": lambda: smoothness(q),
+        "seven_line_config": lambda: seven_line_config(q),
+    }
+    for name, call in calls.items():
+        shapes.clear()
+        call()
+        assert shapes.count((4, 7)) == 1, name
 
 
 def test_relation_counts():

@@ -1,11 +1,13 @@
 """Exact linear algebra: normal forms, rank, kernels."""
 
+import random
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import smith_normal_form
 
 from latconf.errors import DimensionError, SingularMatrixError
 from latconf.matrices import (
@@ -101,6 +103,30 @@ def test_snf_postconditions(m):
     for a, b in zip(diag, diag[1:]):
         if b != 0:
             assert a != 0 and b % a == 0
+
+
+def test_snf_against_sympy():
+    """snf's diagonal equals sympy's Smith normal form up to sign, on
+    seeded square, non-square, rank-deficient and zero matrices."""
+    rng = random.Random(11)
+    cases = [Matrix.zeros(3, 3), Matrix.zeros(2, 4), Matrix.zeros(4, 1)]
+    for trial in range(60):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[k * rng.randint(-5, 5) for _ in range(c)]
+                for k in (rng.choice((1, 2, 6)) for _ in range(r))]
+        if trial % 3 == 0 and r > 2:  # last row in the span of two others
+            rows[-1] = [2 * a - 3 * b for a, b in zip(rows[0], rows[1])]
+        cases.append(Matrix(rows))
+    ranks = set()
+    for m in cases:
+        d, _, _ = snf(m)
+        want = smith_normal_form(to_sympy(m), domain=sympy.ZZ)
+        n = min(m.rows, m.cols)
+        assert [abs(d.entry(i, i)) for i in range(n)] == [
+            abs(want[i, i]) for i in range(n)
+        ]
+        ranks.add("full" if m.rank() == n else "deficient")
+    assert ranks == {"full", "deficient"}
 
 
 @settings(max_examples=40, deadline=None)
