@@ -64,7 +64,7 @@ def boundary_models():
 def certificate_matches(cls: IsotropicClass) -> bool:
     """Check the certificate against the boundary-table row of its kind."""
     model = boundary_models()[cls.kind]
-    return bool(is_isometric_small(Lattice(cls.certificate), model))
+    return is_isometric_small(Lattice(cls.certificate), model)
 
 
 def _complete_to_basis(coords: Matrix) -> Matrix:

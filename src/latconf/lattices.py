@@ -10,8 +10,13 @@ The module implements signatures (exact congruence diagonalization),
 discriminant forms via Smith normal form, saturation and indices,
 orthogonal complements, overlattice gluing along isotropic subgroups of
 the discriminant group, enumeration of integral overlattices, Gauss
-reduction of binary forms, small-rank definite isometry testing, and
-the two-adic index-exponent formula.
+reduction of binary forms, and the two-adic index-exponent formula.
+
+Isometry of small lattices is a bool decision, True only when shown:
+rank, signature and |det| first, then a lazy search for an isometry
+(definite pairs) or the invariant triple (indefinite integral pairs).
+The search yields only unimodular maps, because it yields nothing for
+lattices of different |det|.
 """
 
 from __future__ import annotations
@@ -631,15 +636,19 @@ def short_vectors(gram: Matrix, norm: Fraction):
     return out
 
 
-def definite_isometries(a: Lattice, b: Lattice, first_only=False):
-    """Integer matrices g with gᵀ·gram(b)·g = gram(a) (definite lattices).
+def definite_isometries(a: Lattice, b: Lattice):
+    """Yield the isometries from ``a`` onto ``b`` of two definite lattices.
 
-    Columns of g are the images in ``b`` of the basis vectors of ``a``.
-    Both lattices must be definite of the same sign; negative definite
-    pairs are handled by global sign flip.
+    Each is the integer matrix g with gᵀ·gram(b)·g = gram(a) whose
+    column k is the image in ``b`` of a's k-th basis vector, searched
+    among b's vectors of norm gram(a)[k][k].  Since det a = det(g)²·det b,
+    such a g is unimodular exactly when |det a| = |det b|; otherwise it is
+    only an embedding and nothing is yielded.  Both lattices must be
+    definite of the same sign; negative definite pairs are handled by a
+    global sign flip.
     """
-    if a.n != b.n:
-        return []
+    if a.n != b.n or abs(a.det()) != abs(b.det()):
+        return
     ga, gb = a.gram, b.gram
     if ga.entry(0, 0) < 0 and gb.entry(0, 0) < 0:
         ga, gb = ga.scale(-1), gb.scale(-1)
@@ -651,7 +660,6 @@ def definite_isometries(a: Lattice, b: Lattice, first_only=False):
         return cache[t]
 
     n = a.n
-    results = []
     cols: list = []
 
     def pair(u, v):
@@ -661,32 +669,15 @@ def definite_isometries(a: Lattice, b: Lattice, first_only=False):
 
     def rec(k):
         if k == n:
-            results.append(Matrix.from_columns(cols))
-            return first_only
+            yield Matrix.from_columns(cols)
+            return
         for v in vectors_of_norm(ga.entry(k, k)):
             if all(pair(v, cols[j]) == ga.entry(k, j) for j in range(k)):
                 cols.append(list(v))
-                stop = rec(k + 1)
+                yield from rec(k + 1)
                 cols.pop()
-                if stop:
-                    return True
-        return False
 
-    rec(0)
-    return results
-
-
-@dataclass(frozen=True)
-class IsometryDecision:
-    """Outcome of is_isometric_small."""
-
-    kind: str  # isometric | not-isometric | isometric-by-invariants |
-    #            distinct-invariants | undecidable
-    witness: Matrix | None = None
-    detail: str = ""
-
-    def __bool__(self):
-        return self.kind in ("isometric", "isometric-by-invariants")
+    yield from rec(0)
 
 
 def same_invariants(a: Lattice, b: Lattice):
@@ -703,34 +694,25 @@ def same_invariants(a: Lattice, b: Lattice):
     return True, None
 
 
-def is_isometric_small(a: Lattice, b: Lattice) -> IsometryDecision:
-    """Decide isometry in the small cases the classification needs.
+def is_isometric_small(a: Lattice, b: Lattice) -> bool:
+    """True only when ``a`` and ``b`` are shown isometric.
 
-    Definite lattices of rank <= 6 with |det| <= 64 are decided by
-    exhaustive short-vector basis matching (explicit witness).  For
-    integral indefinite lattices the decision is by the invariant
-    triple (signature, parity, discriminant form); anything else is
-    Undecidable rather than possibly wrong.
+    Rank, signature and |det| are compared first.  Definite lattices of
+    rank <= 6 with |det| <= 64 are decided by looking for an isometry
+    from ``b`` onto ``a``, which enumerates vectors of ``a`` at the norms
+    of ``b``'s basis: pass the reduced reference lattice (a model) as
+    ``b``, since a skewed basis has large norms.  Integral indefinite
+    lattices are decided by the invariant triple (signature, parity,
+    discriminant form).  Anything else is not decided, and gives False
+    rather than a possibly wrong True.
     """
-    if a.n != b.n:
-        return IsometryDecision("distinct-invariants", detail="rank")
-    sa, sb = a.signature(), b.signature()
-    if sa != sb:
-        return IsometryDecision("distinct-invariants", detail="signature")
-    definite = 0 in sa
-    small = a.n <= 6 and abs(a.det()) <= 64 and abs(b.det()) <= 64
-    if definite and small:
-        found = definite_isometries(a, b, first_only=True)
-        if found:
-            return IsometryDecision("isometric", witness=found[0])
-        return IsometryDecision("not-isometric")
-    if a.is_integral() and b.is_integral():
-        equal, stage = same_invariants(a, b)
-        if not equal:
-            return IsometryDecision("distinct-invariants", detail=stage)
-        if not definite:
-            return IsometryDecision("isometric-by-invariants")
-    return IsometryDecision("undecidable")
+    signature = a.signature()
+    if a.n != b.n or signature != b.signature() or abs(a.det()) != abs(b.det()):
+        return False
+    if 0 in signature:
+        small = a.n <= 6 and abs(a.det()) <= 64
+        return small and next(definite_isometries(b, a), None) is not None
+    return a.is_integral() and b.is_integral() and same_invariants(a, b)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,12 @@ from .configs import (
     ConfigMatrix,
     complete_quadrangle,
     cremona,
+    dependent_columns,
     drop_line,
     drop_pairs,
     equivalent,
     etale_slice,
+    gale_dual,
     plucker,
     quadrangle_classes,
     quadrangle_slice,
@@ -40,7 +42,7 @@ from .configs import (
     stability,
     triple_points,
 )
-from .errors import LatconfError, VerticesCollinear
+from .errors import DimensionError, LatconfError, VerticesCollinear
 from .finite_forms import (
     apply_images,
     finite_form_automorphisms,
@@ -165,9 +167,11 @@ def random_system(rng, smooth=True) -> Matrix:
         q = Matrix(
             [[Fraction(rng.randint(-9, 9)) for _ in range(7)] for _ in range(4)]
         )
-        if q.rank() != 4:
+        try:
+            g = gale_dual(q)[1]
+        except DimensionError:  # rank below 4
             continue
-        if not smooth or smoothness(q)[0]:
+        if not smooth or dependent_columns(g) is None:
             return q
 
 
@@ -725,9 +729,9 @@ def check_f2_census(rng):
 def check_stabilizer_768(rng):
     z2_2 = Zpq(2, 0).rescale(2)
     z4 = Zpq(4, 0)
-    o2 = definite_isometries(z2_2, z2_2)
+    o2 = list(definite_isometries(z2_2, z2_2))
     so2 = [g for g in o2 if g.det() == 1]
-    o4 = definite_isometries(z4, z4)
+    o4 = list(definite_isometries(z4, z4))
     order = len(so2) * len(o4) // 2  # quotient by the global -identity
     ok = len(so2) == 4 and len(o4) == 384 and order == 768 == 24 * 32
     return ok, {

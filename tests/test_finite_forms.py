@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 from itertools import islice, product
+from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,31 +159,34 @@ CHAINS = [
 
 def _oracle(a, b, use_quadratic):
     """Every order-respecting tuple of generator images of ``a`` in ``b``
-    whose map is bijective and preserves b (and q) on all elements."""
+    whose map is bijective and preserves b (and q) on all elements.
+
+    All tuples are tested at once: phi of every element is one matmul
+    mod the orders, read as its row index in ``elements()``, and each
+    form value is replaced by an integer label, equal iff the values are.
+    """
     if a.orders != b.orders:
         return []
     els = a.elements()
+    size = len(els)
+    orders = np.array(a.orders)
+    radix = np.array([prod(a.orders[j + 1:]) for j in range(len(a.orders))])
+    labels = {}
+
+    def table(values):
+        return np.array([labels.setdefault(v, len(labels)) for v in values])
+
+    ba = table(a.b(x, y) for x in els for y in els).reshape(size, size)
+    bb = table(b.b(x, y) for x in els for y in els).reshape(size, size)
     pools = [[y for y in els if n % b.element_order(y) == 0] for n in a.orders]
-    ba = {(x, y): a.b(x, y) for x in els for y in els}
-    bb = {(x, y): b.b(x, y) for x in els for y in els}
+    candidates = list(product(*pools))
+    phi = (np.array(els) @ np.array(candidates)) % orders @ radix  # (tuple, element)
+    keep = (np.sort(phi, axis=1) == np.arange(size)).all(axis=1)
+    keep &= (bb[phi[:, :, None], phi[:, None, :]] == ba).all(axis=(1, 2))
     if use_quadratic:
-        qa = {x: a.q(x) for x in els}
-        qb = {x: b.q(x) for x in els}
-    found = []
-    for images in product(*pools):
-        phi = {
-            x: tuple(sum(c * im[j] for c, im in zip(x, images)) % n
-                     for j, n in enumerate(a.orders))
-            for x in els
-        }
-        if len(set(phi.values())) != len(els):
-            continue
-        if any(bb[phi[x], phi[y]] != ba[x, y] for x in els for y in els):
-            continue
-        if use_quadratic and any(qb[phi[x]] != qa[x] for x in els):
-            continue
-        found.append(images)
-    return found
+        qa, qb = table(map(a.q, els)), table(map(b.q, els))
+        keep &= (qb[phi] == qa).all(axis=1)
+    return [images for images, ok in zip(candidates, keep) if ok]
 
 
 @st.composite

@@ -1,6 +1,8 @@
 """Isotropic vector and plane classification in the reference lattice."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -11,6 +13,7 @@ from latconf.isotropic import (
     ODD_PLANE,
     ODD_TYPE1_VECTOR,
     ODD_TYPE2_VECTOR,
+    IsotropicClass,
     boundary_models,
     certificate_matches,
     classify_isotropic_plane,
@@ -20,7 +23,13 @@ from latconf.isotropic import (
     isotropic_vector_census,
     scan_isotropic_planes,
 )
-from latconf.lattices import Zpq, is_isometric_small, transcendental_slice
+from latconf.lattices import (
+    Lattice,
+    Zpq,
+    gauss_reduce_binary,
+    is_isometric_small,
+    transcendental_slice,
+)
 from latconf.matrices import Matrix
 
 
@@ -120,3 +129,45 @@ def test_boundary_models_pairwise_distinct():
             if models[a].n != models[b].n:
                 continue
             assert not bool(is_isometric_small(models[a], models[b])), (a, b)
+            assert not bool(is_isometric_small(models[b], models[a])), (b, a)
+
+
+def test_certificate_matches_rejects_wrong_kind():
+    odd = classify_isotropic_plane(
+        None, Matrix([[1, 0, 0, 0, 1, 1], [0, 1, -1, -1, 0, 0]])
+    )
+    assert odd.kind == ODD_PLANE
+    assert not certificate_matches(IsotropicClass(EVEN_PLANE, odd.certificate))
+
+
+def _random_unimodular(rng, bound):
+    """A 2 x 2 integer matrix of det 1 with entries up to ``bound``."""
+    while True:
+        a, b = rng.randint(1, bound), rng.randint(1, bound)
+        if gcd(a, b) == 1:
+            break
+    # extended Euclid: a*x + b*y = 1, with |x| <= b and |y| <= a
+    old_r, r, x, next_x, y, next_y = a, b, 1, 0, 0, 1
+    while r:
+        k = old_r // r
+        old_r, r = r, old_r - k * r
+        x, next_x = next_x, x - k * next_x
+        y, next_y = next_y, y - k * next_y
+    return Matrix([[a, -y], [b, x]])
+
+
+def test_skewed_plane_certificates_match_their_model_only():
+    """Certificates U^T M U with entries in the thousands, as the plane
+    scan produces, against both plane models; Gauss reduction is the
+    independent oracle."""
+    rng = random.Random(8)
+    models = {kind: boundary_models()[kind] for kind in (EVEN_PLANE, ODD_PLANE)}
+    for kind, model in models.items():
+        for _ in range(10):
+            u = _random_unimodular(rng, 50)
+            cert = u.transpose() * model.gram * u
+            assert certificate_matches(IsotropicClass(kind, cert))
+            for other, reference in models.items():
+                same = gauss_reduce_binary(cert) == gauss_reduce_binary(reference.gram)
+                assert same == (other == kind)
+                assert bool(is_isometric_small(Lattice(cert), reference)) == same

@@ -109,7 +109,8 @@ def test_period_map_error_order():
 
 def test_one_elimination_of_the_system(monkeypatch):
     """Each entry point eliminates the 4 x 7 system once, for its Gale
-    dual; every other elimination is of a relation or period matrix."""
+    dual, and ``random_system`` each draw once; every other elimination
+    is of a relation or period matrix."""
     q = random_system(random.Random(41))
     shapes = []
     for name in ("rref", "rank"):
@@ -131,6 +132,23 @@ def test_one_elimination_of_the_system(monkeypatch):
         shapes.clear()
         call()
         assert shapes.count((4, 7)) == 1, name
+
+    class Draws(random.Random):
+        """Counts the entries drawn, 28 per system."""
+        entries = 0
+
+        def randint(self, a, b):
+            self.entries += 1
+            return super().randint(a, b)
+
+    for smooth in (True, False):
+        rng = Draws(0)
+        shapes.clear()
+        for _ in range(20):
+            random_system(rng, smooth)
+        draws = rng.entries // 28
+        assert shapes.count((4, 7)) == draws, smooth
+        assert draws > 20 or not smooth  # a non-smooth draw was rejected
 
 
 def test_relation_counts():

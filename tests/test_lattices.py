@@ -188,14 +188,25 @@ def test_is_isometric_small_cases():
     assert not bool(is_isometric_small(odd, even))
     dec = is_isometric_small(Dn(6), Dn(6))
     assert bool(dec)
+    # Z^2(-2) and D4 embed with index 2 in Z^2(-1) and Z^4, in both orders
+    assert not is_isometric_small(z2m2, z2m1)
+    assert not is_isometric_small(Dn(4), Zpq(4, 0))
+    assert not is_isometric_small(Zpq(4, 0), Dn(4))
 
 
 def test_definite_isometries_z2():
     z2 = Zpq(2, 0)
-    autos = definite_isometries(z2, z2)
+    autos = list(definite_isometries(z2, z2))
     assert len(autos) == 8  # the symmetries of the square
     for g in autos:
         assert is_isometry(z2, g)
+
+
+def test_definite_isometries_skip_embeddings():
+    """Maps between lattices of different |det| are embeddings, not
+    isometries: Z^2(2) and D4 embed in Z^2 and Z^4 with index 2."""
+    for a, b in ((Zpq(2, 0).rescale(2), Zpq(2, 0)), (Dn(4), Zpq(4, 0))):
+        assert not list(definite_isometries(a, b))
 
 
 def test_signature_with_zero_pivots():
