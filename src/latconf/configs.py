@@ -291,8 +291,10 @@ def canonical_form(c: ConfigMatrix):
     if frame is None:
         raise NoFrame("no four columns form a projective frame")
     a = Matrix.from_columns([list(c.column(j)) for j in frame[:3]])
-    w = a.inverse() * Matrix([[x] for x in c.column(frame[3])])
-    g = (a * Matrix.diagonal([w.entry(i, 0) for i in range(3)])).inverse()
+    ainv = a.inverse()
+    w = ainv * Matrix([[x] for x in c.column(frame[3])])
+    # (a*diag(w))^-1 = diag(1/w)*a^-1
+    g = Matrix.diagonal([1 / w.entry(i, 0) for i in range(3)]) * ainv
     return c.with_matrix(_scale_columns(g * c.matrix)), frame
 
 

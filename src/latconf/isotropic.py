@@ -13,8 +13,10 @@ vector; certificate Z^2(-1)) or ``OddPlane`` (certificate Z^2(-2)).
 
 The exhaustive enumerations used by the acceptance suite (all primitive
 isotropic vectors of bounded coordinate height, and all isotropic
-planes spanned by pairs of them) are also provided; the plane scan uses
-integer numpy arithmetic for pair filtering, all entries exact.
+planes spanned by pairs of them) are also provided.  They read each
+kind off parities: a vector's from its b-part, a plane's from the six
+b-column minors of its coprime Plücker vector.  The plane scan runs on
+exact integer numpy arrays.
 """
 
 from __future__ import annotations
@@ -181,8 +183,11 @@ def classify_isotropic_plane(l: Lattice | None, basis) -> IsotropicClass:
 # even; the quotient l^perp/l is even (OddType2Vector) iff the vector
 # (0,0,1,1,1,1) carrying the diagonal parities of G lies in the span
 # of v*G mod 2, i.e. all bi odd; anything else is OddType1Vector.
-# For a plane with basis rows r, s of its saturation, an even vector
-# exists iff the two rows r*G, s*G mod 2 are linearly dependent.
+# A primitive plane P contains an even vector iff some v in P \ 2P has
+# an even b-part (the a-part of v*G is even anyway).  P/2P -> F_2^6 is
+# injective, so that holds iff the 2x4 b-part block of any basis of P
+# has rank < 2 over F_2, i.e. iff the six b-column 2x2 minors
+# (coordinates 2..5) of its coprime Plücker vector are all even.
 
 
 def fast_vector_kind(v) -> str:
@@ -248,91 +253,59 @@ class PlaneScan:
     representatives: dict
 
 
-def _saturated_basis(vectors, i, j) -> Matrix:
-    l = transcendental_slice()
-    span = Matrix([list(vectors[i]), list(vectors[j])])
-    return saturation(Sublattice(l, span)).basis
-
-
-def _plane_kind_saturated(basis: Matrix) -> str:
-    l = transcendental_slice()
-    rows = (basis * l.gram).data
-    p = [sum((int(x) & 1) << k for k, x in enumerate(row)) for row in rows]
-    even = p[0] == 0 or p[1] == 0 or p[0] == p[1]
-    return EVEN_PLANE if even else ODD_PLANE
-
-
 def scan_isotropic_planes(vectors=None, height: int = 5) -> PlaneScan:
     """Exhaustively classify planes spanned by pairs of listed vectors.
 
     Every rank-2 totally isotropic span of two listed vectors is
-    collected (deduplicated by normalized 2x2 minors of the spanning
-    pair) and its saturation classified as even or odd.  The pair scan
-    runs on exact integer numpy arrays.  When the spanning pair sits
-    in its saturation with odd index, the parity test can be read off
-    the pair directly; planes only reachable through even-index pairs
-    fall back to an exact saturation.  With the full height-h
-    enumeration the fallback never runs: a plane reached by an
-    even-index pair v, w also contains (v+w)/2, which has no larger
-    height.
+    collected once, keyed by its coprime Plücker vector: the 2x2 minors
+    of the spanning pair divided by their gcd, first nonzero entry
+    positive.  That key is the Plücker vector of the saturation, so a
+    plane is even iff its six b-column minors are all even, whatever
+    the index of the pair that reached it.  The scan runs on exact
+    integer numpy arrays; only the two representatives (the
+    lexicographically first key of each kind) are saturated.
+
+    Raises NotIsotropic when a listed vector has nonzero norm.
     """
     import numpy as np
 
     if vectors is None:
         vectors = enumerate_isotropic_vectors(height)
-    V = np.array(vectors, dtype=np.int64)
-    diag = np.array([2, 2, -1, -1, -1, -1], dtype=np.int64)
-    W = V * diag
-    m = len(vectors)
-    col_pairs = [(a, b) for a in range(6) for b in range(a + 1, 6)]
-    bit_weights = np.array([1, 2, 4, 8], dtype=np.int64)
-    packed = (V[:, 2:] & 1) @ bit_weights  # b-part of v*G mod 2
-    chunks = []
+    V = np.array(vectors, dtype=np.int64).reshape(len(vectors), 6)
+    W = V * np.array([2, 2, -1, -1, -1, -1], dtype=np.int64)
+    if (V * W).sum(axis=1).any():
+        raise NotIsotropic("listed vectors must be isotropic")
+    # column pairs (a, b), a < b, in lexicographic order: the last six
+    # are the pairs of b-columns 2..5
+    a, b = np.triu_indices(6, 1)
+    keys, pairs = [np.empty((0, 15), np.int64)], [np.empty((0, 2), np.int64)]
     block = 512
-    for start in range(0, m, block):
-        P = V[start : start + block] @ W.T
-        ii, jj = np.nonzero(P == 0)
-        ii += start
+    for start in range(0, len(V), block):
+        ii, jj = np.nonzero(V[start : start + block] @ W[start:].T == 0)
+        ii, jj = ii + start, jj + start
         keep = ii < jj
         ii, jj = ii[keep], jj[keep]
-        if ii.size == 0:
-            continue
-        minors = np.empty((ii.size, 15), dtype=np.int64)
-        for c, (acol, bcol) in enumerate(col_pairs):
-            minors[:, c] = V[ii, acol] * V[jj, bcol] - V[ii, bcol] * V[jj, acol]
-        nonzero = minors.any(axis=1)
-        ii, jj, minors = ii[nonzero], jj[nonzero], minors[nonzero]
-        index = np.gcd.reduce(np.abs(minors), axis=1)
-        minors //= index[:, None]
-        first = np.argmax(minors != 0, axis=1)
-        sign = np.sign(minors[np.arange(minors.shape[0]), first])
-        minors *= sign[:, None]
-        pv, pw = packed[ii], packed[jj]
-        even = (pv == 0) | (pw == 0) | (pv == pw)
-        index_even = (index & 1) ^ 1
-        info = np.column_stack((minors, index_even, even, ii, jj))
-        chunks.append(info)
-    # rows are distinct by their (i, j) columns, so one lexicographic
-    # sort (no deduplication) groups the records of each plane key
-    info = np.concatenate(chunks)
-    info = info[np.lexsort(info.T[::-1])]
-    # One record per plane key; prefer a pair with odd saturation index
-    # (record layout sorts odd-index rows first within a key group).
-    keys = info[:, :15]
-    new_plane = np.empty(info.shape[0], dtype=bool)
-    new_plane[0] = True
+        v, w = V[ii], V[jj]
+        minors = v[:, a] * w[:, b] - v[:, b] * w[:, a]
+        spans = minors.any(axis=1)
+        minors, ii, jj = minors[spans], ii[spans], jj[spans]
+        minors //= np.gcd.reduce(np.abs(minors), axis=1)[:, None]
+        first = np.argmax(minors != 0, axis=1)[:, None]
+        minors *= np.sign(np.take_along_axis(minors, first, axis=1))
+        keys.append(minors)
+        pairs.append(np.column_stack((ii, jj)))
+    keys = np.concatenate(keys)
+    order = np.lexsort(keys.T[::-1])
+    keys, pairs = keys[order], np.concatenate(pairs)[order]
+    new_plane = np.ones(len(keys), dtype=bool)
     new_plane[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    records = info[new_plane]
-    census: dict[str, int] = {EVEN_PLANE: 0, ODD_PLANE: 0}
+    planes, pairs = keys[new_plane], pairs[new_plane]
+    even = ~(planes[:, 9:] & 1).any(axis=1)
+    census: dict[str, int] = {}
     representatives: dict[str, Matrix] = {}
-    for rec in records:
-        index_even, even_bit, i, j = (int(x) for x in rec[15:])
-        if index_even:
-            kind = _plane_kind_saturated(_saturated_basis(vectors, i, j))
-        else:
-            kind = EVEN_PLANE if even_bit else ODD_PLANE
-        census[kind] += 1
-        if kind not in representatives:
-            representatives[kind] = _saturated_basis(vectors, i, j)
-    census = {k: n for k, n in census.items() if n}
-    return PlaneScan(len(records), census, representatives)
+    for kind, mask in ((EVEN_PLANE, even), (ODD_PLANE, ~even)):
+        if mask.any():
+            census[kind] = int(mask.sum())
+            span = [list(vectors[k]) for k in pairs[np.argmax(mask)]]
+            representatives[kind] = saturation(Sublattice(transcendental_slice(), span)).basis
+    return PlaneScan(len(planes), census, representatives)

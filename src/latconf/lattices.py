@@ -457,7 +457,10 @@ def orthogonal_complement(s: Sublattice) -> Sublattice:
 
 
 def is_primitive(s: Sublattice) -> bool:
-    return sublattice_index(s, saturation(s)) == 1
+    """True iff every elementary divisor of the basis is 1: their product
+    is the index of ``s`` in its saturation."""
+    d, _, _ = snf(s.basis)
+    return all(d.entry(i, i) == 1 for i in range(s.rank))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from latconf.isotropic import (
     ODD_TYPE1_VECTOR,
     ODD_TYPE2_VECTOR,
     IsotropicClass,
+    PlaneScan,
     boundary_models,
     certificate_matches,
     classify_isotropic_plane,
@@ -114,11 +115,65 @@ def test_plane_scan_two_classes():
     ((1, 1, -1, -1, 1, 1), (1, -1, 1, 1, 1, 1), ODD_PLANE),
 ])
 def test_plane_scan_even_index_fallback(v, w, kind):
-    # v, w = r + s, r - s span their plane with index 2, so the scan
-    # must saturate; on the odd pair the pair-parity rule says even
+    # v, w = r + s, r - s span their plane with index 2; the parities of
+    # v*G, w*G would call the odd pair even, but the coprime Plücker
+    # minors are those of the saturation
     scan = scan_isotropic_planes(vectors=[v, w])
     assert scan.census == {kind: 1}
     assert classify_isotropic_plane(None, scan.representatives[kind]).kind == kind
+
+
+def test_plane_scan_height_3():
+    vectors = enumerate_isotropic_vectors(height=3)
+    scan = scan_isotropic_planes(vectors=vectors, height=3)
+    assert len(vectors) == 1824
+    assert scan.count == 19440
+    assert scan.census == {EVEN_PLANE: 5136, ODD_PLANE: 14304}
+
+
+def test_plane_scan_kind_matches_classifier():
+    """The Plücker-minor rule against the full classifier on seeded
+    orthogonal pairs of height <= 3 and on their index-2 pairs r +- s."""
+    rng = random.Random(9)
+    vectors = enumerate_isotropic_vectors(height=3)
+    gram = (2, 2, -1, -1, -1, -1)
+    kinds = {}
+    for _ in range(40):
+        r = rng.choice(vectors)
+        partners = [
+            s for s in vectors
+            if sum(g * x * y for g, x, y in zip(gram, r, s)) == 0
+            and Matrix([r, s]).rank() == 2
+        ]
+        s = rng.choice(partners)
+        plus = tuple(x + y for x, y in zip(r, s))
+        minus = tuple(x - y for x, y in zip(r, s))
+        for v, w in ((r, s), (plus, minus)):
+            scan = scan_isotropic_planes(vectors=[v, w])
+            (kind, rep), = scan.representatives.items()
+            assert scan.count == 1 and scan.census == {kind: 1}
+            assert Matrix([list(rep.data[0]), list(rep.data[1]), v, w]).rank() == 2
+            assert classify_isotropic_plane(None, rep).kind == kind, (v, w)
+            # the index of the pair in its saturation is the gcd of its minors
+            index = gcd(*(v[a] * w[b] - v[b] * w[a] for a in range(6) for b in range(a)))
+            kinds.setdefault(index, set()).add(kind)
+    assert kinds[1] == kinds[2] == {EVEN_PLANE, ODD_PLANE}
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"vectors": [(1, 1, 2, 0, 0, 0)]},
+    {"vectors": []},
+    {"vectors": [(1, 1, 2, 0, 0, 0), (1, 1, 2, 0, 0, 0)]},
+    {"vectors": [(0, 0, 0, 0, 0, 0), (1, 1, 2, 0, 0, 0)]},
+    {"height": 0},
+])
+def test_plane_scan_without_planes(kwargs):
+    assert scan_isotropic_planes(**kwargs) == PlaneScan(0, {}, {})
+
+
+def test_plane_scan_rejects_non_isotropic():
+    with pytest.raises(NotIsotropic):
+        scan_isotropic_planes(vectors=[(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)])
 
 
 def test_boundary_models_pairwise_distinct():

@@ -109,6 +109,24 @@ def test_saturation_and_index():
     assert is_primitive(sat)
 
 
+def test_is_primitive_against_saturation_index():
+    """The elementary-divisor test agrees with the index of each seeded
+    basis in its saturation, rows scaled by 2 and by 3 included."""
+    rng = random.Random(12)
+    amb = Zpq(6, 0)
+    seen = set()
+    for _ in range(200):
+        rows = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(rng.randint(1, 3))]
+        rows[0] = [rng.choice((1, 2, 3)) * x for x in rows[0]]
+        if not any(rows[0]) or Matrix(rows).rank() != len(rows):
+            continue
+        sub = Sublattice(amb, rows)
+        primitive = sublattice_index(sub, saturation(sub)) == 1
+        assert is_primitive(sub) == primitive, rows
+        seen.add(primitive)
+    assert seen == {True, False}
+
+
 def test_orthogonal_complement_pairing_vanishes():
     amb = Zpq(2, 2).direct_sum(E8().rescale(-1))
     basis = Matrix([[1 if j == 4 + i else 0 for j in range(12)]
