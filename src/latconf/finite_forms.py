@@ -17,15 +17,29 @@ kernel pairs trivially with everything, so it lies in the radical of
 the source form.  One test per complete assignment (no nonzero radical
 element maps to zero) therefore decides bijectivity, for degenerate
 and nondegenerate forms alike.
+
+Each form also carries element tables, built with numpy on first use
+and cached on the instance: its elements in ``elements()`` order (mixed
+radix, so index order is the lexicographic tuple order), a dict from
+element to index, ``add[i][j]``, the index of x_i + x_j, and
+``smul[t][i]``, the index of t*x_i for t below the largest generator
+order.  The table rows are ``array('H')`` rows, so a form of 2**10
+elements keeps them in a few MB.  Subgroup generation and
+enumeration, ``apply_images`` and the isometry search run on element
+indices through these tables; the public API speaks in coefficient
+tuples.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import gcd, lcm, prod
 from numbers import Rational
 from operator import index
+from typing import NamedTuple
 
 from .errors import DimensionError, GroupTooLarge
 from .matrices import Matrix, frac_to_str, str_to_frac
@@ -51,10 +65,55 @@ def _integer(c) -> int:
     raise DimensionError(f"coefficient {c!r} is not an integer")
 
 
+class _ElementTables(NamedTuple):
+    """Element tables of one form, see the module docstring."""
+
+    elements: list  # coefficient tuples in index order
+    index: dict  # coefficient tuple -> index
+    coeff: object  # (N, k) int64 array of the coefficient rows
+    add: list  # add[i][j] = index of x_i + x_j, array('H') rows
+    smul: list  # smul[t][i] = index of t * x_i, array('H') rows
+
+
+def _element_tables(orders) -> _ElementTables:
+    """Build the tables with numpy, one mixed-radix digit at a time."""
+    import numpy as np
+
+    elements = list(product(*(range(n) for n in orders)))
+    size = len(elements)
+    coeff = np.array(elements, dtype=np.int64).reshape(size, len(orders))
+    add = np.zeros((size, size), dtype=np.int32)
+    scalars = np.arange(max(orders, default=1), dtype=np.int32)[:, None]
+    smul = np.zeros((len(scalars), size), dtype=np.int32)
+    for j, n in enumerate(orders):
+        radix = prod(orders[j + 1:])
+        digit = coeff[:, j].astype(np.int32)
+        add += (digit[:, None] + digit) % n * radix
+        smul += scalars * digit % n * radix
+
+    def rows(table):
+        return [array("H", row.tobytes()) for row in table.astype(np.uint16)]
+
+    return _ElementTables(elements, {x: i for i, x in enumerate(elements)},
+                          coeff, rows(add), rows(smul))
+
+
+def _join(span, g, translate):
+    """The subgroup generated by the subgroup ``span`` and ``g``, as a
+    union of cosets of ``span``; ``translate(x)`` maps s to x + s."""
+    out = set(span)
+    x = g
+    while x not in span:
+        shift = translate(x)
+        out.update(map(shift, span))
+        x = shift(g)
+    return frozenset(out)
+
+
 class FiniteForm:
     """Finite bilinear/quadratic form module on canonical generators."""
 
-    __slots__ = ("orders", "bilinear", "quadratic")
+    __slots__ = ("orders", "bilinear", "quadratic", "_cache")
 
     def __init__(self, orders, bilinear, quadratic=None):
         orders = tuple(int(n) for n in orders)
@@ -84,9 +143,27 @@ class FiniteForm:
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "bilinear", bilinear)
         object.__setattr__(self, "quadratic", quadratic)
+        object.__setattr__(self, "_cache", None)
 
     def __setattr__(self, *_):
         raise AttributeError("FiniteForm is immutable")
+
+    def _tables(self) -> _ElementTables:
+        """The element tables, built on first use (group order at most
+        ``SEARCH_BOUND``)."""
+        if self._cache is None:
+            if self.group_order() > SEARCH_BOUND:
+                raise GroupTooLarge("finite form exceeds the element-table bound")
+            object.__setattr__(self, "_cache", _element_tables(self.orders))
+        return self._cache
+
+    def _index(self, x) -> int:
+        """Table index of ``x``; unreduced or non-tuple input is reduced."""
+        index = self._tables().index
+        try:
+            return index[x]
+        except (KeyError, TypeError):
+            return index[self.reduce(x)]
 
     # -- group structure ----------------------------------------------
 
@@ -125,40 +202,41 @@ class FiniteForm:
             o = lcm(o, n // gcd(n, c))
         return o
 
-    def _join(self, span, g):
-        """The subgroup generated by the subgroup ``span`` and ``g``."""
-        out = set(span)
-        for t in range(1, self.element_order(g)):
-            tg = self.smul(t, g)
-            out.update(self.add(s, tg) for s in span)
-        return frozenset(out)
-
     def subgroup(self, gens):
         """The subgroup generated by the given coefficient tuples."""
-        span = frozenset([self.zero()])
+        if self.group_order() > SEARCH_BOUND:  # too large for tables
+            span = frozenset([self.zero()])
+            for g in gens:
+                span = _join(span, self.reduce(g), lambda x: partial(self.add, x))
+            return span
+        t = self._tables()
+        span = frozenset([0])
         for g in gens:
-            span = self._join(span, self.reduce(g))
-        return span
+            span = _join(span, self._index(g), lambda x: t.add[x].__getitem__)
+        return frozenset(map(t.elements.__getitem__, span))
 
     def all_subgroups(self):
         """Every subgroup, as a sorted list of frozensets of elements."""
         if self.group_order() > SEARCH_BOUND:
             raise GroupTooLarge("discriminant group exceeds the search bound")
-        elements = self.elements()
-        seen = {frozenset([self.zero()])}
+        t = self._tables()
+        shifts = [row.__getitem__ for row in t.add]
+        seen = {frozenset([0])}
         frontier = list(seen)
         while frontier:
             nxt = []
             for sub in frontier:
-                for g in elements:
+                for g in range(len(shifts)):
                     if g in sub:
                         continue
-                    bigger = self._join(sub, g)
+                    bigger = _join(sub, g, shifts.__getitem__)
                     if bigger not in seen:
                         seen.add(bigger)
                         nxt.append(bigger)
             frontier = nxt
-        return sorted(seen, key=lambda s: (len(s), sorted(s)))
+        # index order is the lexicographic element order
+        ordered = sorted(seen, key=lambda s: (len(s), sorted(s)))
+        return [frozenset(map(t.elements.__getitem__, s)) for s in ordered]
 
     # -- form values --------------------------------------------------
 
@@ -254,18 +332,18 @@ def trivial_form(quadratic: bool):
 def _scaled_tables(f: FiniteForm, scale: int):
     """Integer tables of ``f`` on all elements, in ``elements()`` order.
 
-    Returns ``(elements, coeff, pair, quad)``: the elements, their
-    coefficient rows as an array, ``pair[i, j] = scale*b(x_i, x_j) mod
-    scale`` and ``quad[i] = scale*q(x_i) mod 2*scale`` (``None`` without
-    a quadratic refinement).  ``f`` must have a generator, and ``scale``
-    must be a multiple of every generator order, which makes every
-    scaled value an integer.
+    Returns ``(elements, coeff, pair, quad)``: the elements and their
+    coefficient rows as an array (both from the element tables),
+    ``pair[i, j] = scale*b(x_i, x_j) mod scale`` and ``quad[i] =
+    scale*q(x_i) mod 2*scale`` (``None`` without a quadratic
+    refinement).  ``f`` must have a generator, and ``scale`` must be a
+    multiple of every generator order, which makes every scaled value an
+    integer.
     """
     import numpy as np
 
     bs = np.array([[int(x * scale) for x in row] for row in f.bilinear.data], dtype=np.int64)
-    elements = f.elements()
-    coeff = np.array(elements, dtype=np.int64)
+    elements, _, coeff, _, _ = f._tables()
     raw = coeff @ bs @ coeff.T
     pair = raw % scale
     quad = None
@@ -322,7 +400,7 @@ def _search(a: FiniteForm, b: FiniteForm, use_quadratic: bool):
     def rec(i, pools_i, chosen):
         if i == k:
             if not radical.size or ((radical @ coeff_b[chosen]) % orders).any(axis=1).all():
-                yield tuple(elements_b[j] for j in chosen)
+                yield tuple(map(elements_b.__getitem__, chosen))
             return
         for x in pools_i[0]:
             nxt = []
@@ -361,7 +439,21 @@ def finite_form_automorphisms(f: FiniteForm, compare="bilinear"):
 
 def apply_images(f: FiniteForm, images, x):
     """Apply the homomorphism defined by generator ``images`` to ``x``:
-    one linear combination of the images, reduced once per coordinate."""
-    coeffs = f.reduce(x)
-    return tuple(sum(c * img[j] for c, img in zip(coeffs, images)) % n
-                 for j, n in enumerate(f.orders))
+    the sum of c_i * images[i] over the nonzero coefficients c_i of
+    ``x``, by table lookups."""
+    if len(images) != len(f.orders):
+        raise DimensionError("need one image per generator")
+    if f.group_order() > SEARCH_BOUND:  # too large for tables
+        images = [f.reduce(img) for img in images]
+        return tuple(sum(c * img[j] for c, img in zip(f.reduce(x), images)) % n
+                     for j, n in enumerate(f.orders))
+    elements, index, _, add, smul = f._tables()
+    try:
+        coeffs, ids = elements[index[x]], [index[img] for img in images]
+    except (KeyError, TypeError):  # unreduced, malformed or unhashable
+        coeffs, ids = f.reduce(x), [f._index(img) for img in images]
+    total = 0
+    for c, img in zip(coeffs, ids):
+        if c:
+            total = add[total][smul[c][img]]
+    return elements[total]

@@ -278,8 +278,18 @@ def scan_isotropic_planes(vectors=None, height: int = 5) -> PlaneScan:
     # column pairs (a, b), a < b, in lexicographic order: the last six
     # are the pairs of b-columns 2..5
     a, b = np.triu_indices(6, 1)
-    keys, pairs = [np.empty((0, 15), np.int64)], [np.empty((0, 2), np.int64)]
-    block = 512
+    # Each key is packed, most significant minor first, into words of
+    # base-(2*bound + 1) digits, where bound = 2*height^2 bounds every
+    # minor; the words sort as the 15 minors do.
+    bound = 2 * int(np.abs(V).max(initial=0)) ** 2
+    base = max(2, 2 * bound + 1)
+    digits = 1
+    while digits < 8 and base ** (digits + 1) < 2**63:
+        digits += 1
+    words = [range(c, min(c + digits, 15)) for c in range(0, 15, digits)]
+    keys = [[np.empty(0, np.int64)] for _ in words]
+    evens, pairs = [np.empty(0, bool)], [np.empty((0, 2), np.int64)]
+    block = 128  # a height-5 block product is 128 x 10,112 int64, 10 MB
     for start in range(0, len(V), block):
         ii, jj = np.nonzero(V[start : start + block] @ W[start:].T == 0)
         ii, jj = ii + start, jj + start
@@ -292,15 +302,23 @@ def scan_isotropic_planes(vectors=None, height: int = 5) -> PlaneScan:
         minors //= np.gcd.reduce(np.abs(minors), axis=1)[:, None]
         first = np.argmax(minors != 0, axis=1)[:, None]
         minors *= np.sign(np.take_along_axis(minors, first, axis=1))
-        keys.append(minors)
+        for parts, cols in zip(keys, words):
+            word = np.zeros(len(minors), np.int64)
+            for c in cols:
+                word = word * base + (minors[:, c] + bound)
+            parts.append(word)
+        evens.append(~(minors[:, 9:] & 1).any(axis=1))
         pairs.append(np.column_stack((ii, jj)))
-    keys = np.concatenate(keys)
-    order = np.lexsort(keys.T[::-1])
-    keys, pairs = keys[order], np.concatenate(pairs)[order]
-    new_plane = np.ones(len(keys), dtype=bool)
-    new_plane[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    planes, pairs = keys[new_plane], pairs[new_plane]
-    even = ~(planes[:, 9:] & 1).any(axis=1)
+    keys = [np.concatenate(parts) for parts in keys]
+    order = np.lexsort(keys[::-1])
+    new_plane = np.zeros(len(order), dtype=bool)
+    new_plane[:1] = True
+    for word in keys:
+        word = word[order]
+        new_plane[1:] |= word[1:] != word[:-1]
+    planes = order[new_plane]  # the first record of each plane
+    even = np.concatenate(evens)[planes]
+    pairs = np.concatenate(pairs)[planes]
     census: dict[str, int] = {}
     representatives: dict[str, Matrix] = {}
     for kind, mask in ((EVEN_PLANE, even), (ODD_PLANE, ~even)):

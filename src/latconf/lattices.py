@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .errors import (
     DegenerateGram,
@@ -503,20 +503,31 @@ def overlattice_from_isotropic(l: Lattice, subgroup_gens, check_quadratic=False)
 def _glue(l: Lattice, lifts: Matrix, gens, order: int) -> GlueResult:
     """Glue ``l`` along the isotropic subgroup of order ``order`` that the
     reduced coefficient tuples ``gens`` generate; ``lifts`` are the
-    dual-vector lifts of the canonical discriminant generators."""
-    rows = [list(row) for row in Matrix.identity(l.n).data]
-    for g in gens:
-        vec = [Fraction(0)] * l.n
-        for c, lift_row in zip(g, lifts.data):
-            for j in range(l.n):
-                vec[j] += c * lift_row[j]
-        rows.append(vec)
-    denom = lcm(*(x.denominator for row in rows for x in row))
-    scaled = Matrix([[int(x * denom) for x in row] for row in rows])
-    h, _ = hnf(scaled)
-    basis = Matrix([list(h.data[i]) for i in range(l.n)]).scale(Fraction(1, denom))
-    new_gram = basis * l.gram * basis.transpose()
-    index = abs(Fraction(1) / basis.det())
+    dual-vector lifts of the canonical discriminant generators.
+
+    Runs in integers: the glued Gram H*G*H^T is formed from the integer
+    HNF rows H of the cleared glue rows and the denominator-cleared Gram
+    G, then divided once."""
+    n = l.n
+    den = lcm(*(x.denominator for row in lifts.data for x in row))
+    lift_rows = [[x.numerator * (den // x.denominator) for x in row] for row in lifts.data]
+    vecs = [[sum(c * row[j] for c, row in zip(g, lift_rows)) for j in range(n)] for g in gens]
+    # the rows [I; vecs / den] have the common denominator den / shrink
+    shrink = gcd_of([den] + [x for vec in vecs for x in vec])
+    denom = den // shrink
+    scaled = [[denom if i == j else 0 for j in range(n)] for i in range(n)]
+    scaled += [[x // shrink for x in vec] for vec in vecs]
+    h, _ = hnf(Matrix(scaled))
+    top = [[int(x) for x in h.data[i]] for i in range(n)]
+    gram_den = lcm(*(x.denominator for row in l.gram.data for x in row))
+    gram = [[int(x * gram_den) for x in row] for row in l.gram.data]
+    hg = [[sum(a * b for a, b in zip(row, col)) for col in zip(*gram)] for row in top]
+    scale = denom * denom * gram_den
+    new_gram = Matrix([[Fraction(sum(a * b for a, b in zip(row, other)), scale) for other in top]
+                       for row in hg])
+    basis = Matrix(top).scale(Fraction(1, denom))
+    # H is upper triangular with positive pivots: it has full rank n
+    index = Fraction(denom**n, prod(top[i][i] for i in range(n)))
     if index.denominator != 1 or int(index) != order:
         raise IntegralityViolation("glue index does not match subgroup order")
     if not new_gram.is_integral():

@@ -1,7 +1,9 @@
 """Finite bilinear/quadratic forms and isometry search."""
 
+import random
+import tracemalloc
 from fractions import Fraction
-from itertools import islice, product
+from itertools import combinations_with_replacement, islice, product
 from math import prod
 
 import numpy as np
@@ -9,15 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latconf.errors import DimensionError
+from latconf.errors import DimensionError, GroupTooLarge
 from latconf.finite_forms import (
+    SEARCH_BOUND,
     FiniteForm,
     apply_images,
     finite_form_automorphisms,
     finite_form_isometric,
     trivial_form,
 )
-from latconf.lattices import Dn, Dpq, Zpq
+from latconf.lattices import Dn, Dpq, Zpq, transcendental_slice
 from latconf.matrices import Matrix
 
 
@@ -133,6 +136,23 @@ def test_apply_images_matches_generator_fold():
                     assert apply_images(f, images, y) == fold
 
 
+def test_apply_images_rejects_malformed_images():
+    f = FiniteForm((2, 2), Matrix.zeros(2, 2))
+    # one image too few: the second coefficient would be dropped
+    with pytest.raises(DimensionError):
+        apply_images(f, [(1, 0)], (1, 1))
+    with pytest.raises(DimensionError):
+        apply_images(f, [(1, 0), (0, 1), (1, 1)], (1, 1))
+    # an image of the wrong length would be truncated
+    with pytest.raises(DimensionError):
+        apply_images(f, [(1, 0), (1, 0, 5)], (1, 1))
+    with pytest.raises(DimensionError):
+        apply_images(f, [(1, 0), (1,)], (0, 0))
+    # integral but unreduced images and elements still work
+    assert apply_images(f, [(3, 0), [0, -1]], (1, 1)) == (1, 1)
+    assert apply_images(f, [(1, 1), (Fraction(2), 1.0)], [3, -1]) == (1, 0)
+
+
 def test_automorphism_count_small():
     f = Dn(6).discriminant_form()
     autos = list(finite_form_automorphisms(f, compare="quadratic"))
@@ -246,3 +266,96 @@ def test_zero_form_automorphisms():
     autos = list(finite_form_automorphisms(f))
     assert len(autos) == 6  # GL(2, F2)
     assert autos == _oracle(f, f, False)
+
+
+# -- the element tables against tuple arithmetic -----------------------
+
+
+def _closure(f, gens):
+    """The subgroup generated by ``gens``: close {0} under adding a
+    generator, in coefficient tuples (-g is a multiple of g)."""
+    gens = [tuple(c % n for c, n in zip(g, f.orders)) for g in gens]
+    span = {f.zero()}
+    frontier = list(span)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = tuple((a + b) % n for a, b, n in zip(x, g, f.orders))
+            if y not in span:
+                span.add(y)
+                frontier.append(y)
+    return frozenset(span)
+
+
+def _all_subgroups(f):
+    """Every subgroup, as the closures of all multisets of at most
+    ``ngens`` elements: a subgroup of a group with k invariant factors
+    is generated by k elements."""
+    subs = {_closure(f, gens) for gens in combinations_with_replacement(f.elements(), f.ngens)}
+    return sorted(subs, key=lambda s: (len(s), sorted(s)))
+
+
+def _combination(f, images, x):
+    """sum_i x_i * images[i], reduced per coordinate."""
+    return tuple(sum(c * img[j] for c, img in zip(x, images)) % n for j, n in enumerate(f.orders))
+
+
+@settings(max_examples=40, deadline=None)
+@given(forms(), st.data())
+def test_tables_against_tuple_arithmetic(f, data):
+    els = f.elements()
+    gens = data.draw(st.lists(st.sampled_from(els), max_size=3))
+    assert f.subgroup(gens) == _closure(f, gens)
+    assert f.all_subgroups() == _all_subgroups(f)
+    # any images, not only homomorphisms, and unreduced coefficients
+    images = data.draw(st.lists(st.sampled_from(els), min_size=f.ngens, max_size=f.ngens))
+    for x in els:
+        y = tuple(c + 2 * n for c, n in zip(x, f.orders))
+        assert apply_images(f, images, x) == apply_images(f, images, y) == _combination(f, images, x)
+
+
+def test_tables_on_the_l2_form():
+    lam = transcendental_slice().rescale(2).discriminant_form()
+    assert lam.orders == (2, 2, 2, 2, 4, 4)
+    rng = random.Random(5)
+    els = lam.elements()
+    for _ in range(20):
+        gens = rng.sample(els, rng.randint(1, 3))
+        assert lam.subgroup(gens) == _closure(lam, gens)
+    for images in islice(finite_form_automorphisms(lam), 0, 4000, 500):
+        assert [apply_images(lam, images, x) for x in els] == [_combination(lam, images, x) for x in els]
+
+
+@pytest.mark.parametrize("orders", [(2,) * 10, (2, 2, 4, 4, 4, 4), (1024,)])
+def test_tables_on_forms_at_the_bound(orders):
+    f = FiniteForm(orders, Matrix.zeros(len(orders), len(orders)))
+    assert f.group_order() == SEARCH_BOUND
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        f._tables()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 10 * 2**20
+    rng = random.Random(len(orders))
+    els = f.elements()
+    for k in (1, 2, 3):
+        gens = rng.sample(els, k)
+        assert f.subgroup(gens) == _closure(f, gens)
+    images = rng.sample(els, f.ngens)
+    for x in rng.sample(els, 200):
+        assert apply_images(f, images, x) == _combination(f, images, x)
+
+
+def test_forms_above_the_bound_work_without_tables():
+    f = FiniteForm((2, 1024), Matrix.zeros(2, 2))
+    gens = [(1, 512), (0, 256)]
+    assert f.subgroup(gens) == _closure(f, gens) and len(f.subgroup(gens)) == 8
+    images = [(1, 3), (0, 5)]
+    for x in ((1, 1), (3, -2), (0, 1023)):
+        assert apply_images(f, images, x) == _combination(f, images, f.reduce(x))
+    with pytest.raises(DimensionError):
+        apply_images(f, [(1, 0)], (1, 1))
+    with pytest.raises(GroupTooLarge):
+        f.all_subgroups()

@@ -26,9 +26,11 @@ from latconf.isotropic import (
 )
 from latconf.lattices import (
     Lattice,
+    Sublattice,
     Zpq,
     gauss_reduce_binary,
     is_isometric_small,
+    saturation,
     transcendental_slice,
 )
 from latconf.matrices import Matrix
@@ -129,6 +131,51 @@ def test_plane_scan_height_3():
     assert len(vectors) == 1824
     assert scan.count == 19440
     assert scan.census == {EVEN_PLANE: 5136, ODD_PLANE: 14304}
+
+
+def _pair_scan(vectors):
+    """The scan in plain Python: the coprime Plücker key of every
+    spanning isotropic pair (i, j), i < j, the first pair of each key,
+    and per kind the smallest key's first pair, saturated."""
+    gram = (2, 2, -1, -1, -1, -1)
+    first = {}
+    for i, v in enumerate(vectors):
+        for j in range(i + 1, len(vectors)):
+            w = vectors[j]
+            if sum(g * x * y for g, x, y in zip(gram, v, w)):
+                continue
+            minors = [v[a] * w[b] - v[b] * w[a] for a in range(6) for b in range(a + 1, 6)]
+            g = gcd(*minors)
+            if g:
+                g *= 1 if next(m for m in minors if m) > 0 else -1
+                first.setdefault(tuple(m // g for m in minors), (v, w))
+    census, representatives = {}, {}
+    for key in sorted(first):
+        kind = EVEN_PLANE if all(m % 2 == 0 for m in key[9:]) else ODD_PLANE
+        if kind not in census:
+            span = Sublattice(transcendental_slice(), [list(x) for x in first[key]])
+            representatives[kind] = saturation(span).basis
+        census[kind] = census.get(kind, 0) + 1
+    return PlaneScan(len(first), census, representatives)
+
+
+def test_plane_scan_against_pair_oracle():
+    # at height 2 some coprime keys reach the packing bound 2*h^2 = 8
+    vectors = enumerate_isotropic_vectors(height=2)
+    assert scan_isotropic_planes(vectors=vectors) == _pair_scan(vectors)
+    rng = random.Random(3)
+    sample = rng.sample(enumerate_isotropic_vectors(height=4), 150)
+    assert scan_isotropic_planes(vectors=sample) == _pair_scan(sample)
+
+
+@pytest.mark.parametrize("k", [7, 1000])
+def test_plane_scan_of_scaled_vectors(k):
+    # k*v span the same planes in the same record order, so the scan is
+    # unchanged; the larger height packs each key into three (k = 7) or
+    # eight (k = 1000) words instead of two
+    vectors = enumerate_isotropic_vectors(height=2)
+    scaled = [tuple(k * x for x in v) for v in vectors]
+    assert scan_isotropic_planes(vectors=scaled) == scan_isotropic_planes(vectors=vectors)
 
 
 def test_plane_scan_kind_matches_classifier():

@@ -190,6 +190,27 @@ def test_overlattice_enumeration_matches_single_glues(name):
     assert len(expected) > 1
 
 
+@pytest.mark.parametrize("name", ["D4*2", "H(2)+D4*-1", "H(4)", "L*2"])
+def test_glue_gram_against_fraction_product(name):
+    # the glued Gram is formed in integers; the Fraction product
+    # B*G*B^T of the returned basis B is the oracle, and the index is
+    # 1/|det B|
+    l = parse_lattice_name(name)
+    form = l.discriminant_form()
+    rng = random.Random(name)
+    els = form.elements()
+    tried = 0
+    for _ in range(200):
+        gens = rng.sample(els, rng.randint(1, 3))
+        if not form.is_isotropic_subgroup(gens, use_quadratic=False)[0]:
+            continue
+        glue = overlattice_from_isotropic(l, gens, check_quadratic=False)
+        assert glue.lattice.gram == glue.basis * l.gram * glue.basis.transpose()
+        assert glue.index == abs(1 / glue.basis.det()) == len(form.subgroup(gens))
+        tried += 1
+    assert tried > 3
+
+
 def test_gauss_reduce_idempotent_and_canonical():
     g = gauss_reduce_binary(Matrix([[4, 2], [2, 4]]).scale(-1))
     assert gauss_reduce_binary(g) == g
