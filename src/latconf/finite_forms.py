@@ -24,10 +24,11 @@ radix, so index order is the lexicographic tuple order), a dict from
 element to index, ``add[i][j]``, the index of x_i + x_j, and
 ``smul[t][i]``, the index of t*x_i for t below the largest generator
 order.  The table rows are ``array('H')`` rows, so a form of 2**10
-elements keeps them in a few MB.  Subgroup generation and
-enumeration, ``apply_images`` and the isometry search run on element
-indices through these tables; the public API speaks in coefficient
-tuples.
+elements keeps them in a few MB.  Subgroup enumeration,
+``apply_images`` and the isometry search run on element indices
+through these tables; the public API speaks in coefficient tuples.
+``subgroup`` stays in tuple arithmetic, so it needs no tables and
+works on forms of any size.
 """
 
 from __future__ import annotations
@@ -157,14 +158,6 @@ class FiniteForm:
             object.__setattr__(self, "_cache", _element_tables(self.orders))
         return self._cache
 
-    def _index(self, x) -> int:
-        """Table index of ``x``; unreduced or non-tuple input is reduced."""
-        index = self._tables().index
-        try:
-            return index[x]
-        except (KeyError, TypeError):
-            return index[self.reduce(x)]
-
     # -- group structure ----------------------------------------------
 
     @property
@@ -204,16 +197,10 @@ class FiniteForm:
 
     def subgroup(self, gens):
         """The subgroup generated by the given coefficient tuples."""
-        if self.group_order() > SEARCH_BOUND:  # too large for tables
-            span = frozenset([self.zero()])
-            for g in gens:
-                span = _join(span, self.reduce(g), lambda x: partial(self.add, x))
-            return span
-        t = self._tables()
-        span = frozenset([0])
+        span = frozenset([self.zero()])
         for g in gens:
-            span = _join(span, self._index(g), lambda x: t.add[x].__getitem__)
-        return frozenset(map(t.elements.__getitem__, span))
+            span = _join(span, self.reduce(g), lambda x: partial(self.add, x))
+        return span
 
     def all_subgroups(self):
         """Every subgroup, as a sorted list of frozensets of elements."""
@@ -451,7 +438,7 @@ def apply_images(f: FiniteForm, images, x):
     try:
         coeffs, ids = elements[index[x]], [index[img] for img in images]
     except (KeyError, TypeError):  # unreduced, malformed or unhashable
-        coeffs, ids = f.reduce(x), [f._index(img) for img in images]
+        coeffs, ids = f.reduce(x), [index[f.reduce(img)] for img in images]
     total = 0
     for c, img in zip(coeffs, ids):
         if c:

@@ -279,8 +279,8 @@ def scan_isotropic_planes(vectors=None, height: int = 5) -> PlaneScan:
     # are the pairs of b-columns 2..5
     a, b = np.triu_indices(6, 1)
     # Each key is packed, most significant minor first, into words of
-    # base-(2*bound + 1) digits, where bound = 2*height^2 bounds every
-    # minor; the words sort as the 15 minors do.
+    # base-(2*bound + 1) digits, where bound = 2*max|x|^2 over the listed
+    # vectors bounds every 2x2 minor; the words sort as the 15 minors do.
     bound = 2 * int(np.abs(V).max(initial=0)) ** 2
     base = max(2, 2 * bound + 1)
     digits = 1
