@@ -1,5 +1,5 @@
 """Classification of isotropic vectors and planes in the signature
-(2,4) lattice with Gram diag(2,2,-1,-1,-1,-1).
+(2,4) lattice L with Gram diag(2,2,-1,-1,-1,-1).
 
 A primitive isotropic vector falls into one of three classes:
 
@@ -11,17 +11,19 @@ A primitive isotropic vector falls into one of three classes:
 A primitive totally isotropic plane is ``EvenPlane`` (contains an even
 vector; certificate Z^2(-1)) or ``OddPlane`` (certificate Z^2(-2)).
 
-The exhaustive enumerations used by the acceptance suite (all primitive
-isotropic vectors of bounded coordinate height, and all isotropic
-planes spanned by pairs of them) are also provided.  They read each
-kind off parities: a vector's from its b-part, a plane's from the six
-b-column minors of its coprime Plücker vector.  The plane scan runs on
-exact integer numpy arrays.
+The acceptance suite's exhaustive census lists the primitive isotropic
+vectors of bounded height and counts the planes spanned by pairs of
+them, reading kinds off parities.  The plane count runs on exact int64
+arrays and multiplies only one vector per orbit of L's 3,072 signed
+permutations against the list, weighting each plane it meets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache
+from itertools import permutations
 
 from .errors import DimensionError, NotIsotropic, NotPrimitive
 from .lattices import (
@@ -176,18 +178,22 @@ def classify_isotropic_plane(l: Lattice | None, basis) -> IsotropicClass:
 # ---------------------------------------------------------------------------
 #
 # The census routines classify tens of thousands of vectors and
-# hundreds of thousands of planes, so they use a shortcut that the
-# full classifier validates on samples: for v = (a1, a2; b1..b4) the
-# pairing row v*G is (2a1, 2a2, -b1..-b4), so modulo 2 everything is
-# decided by the b-part.  All pairings even (EvenVector) means all bi
-# even; the quotient l^perp/l is even (OddType2Vector) iff the vector
-# (0,0,1,1,1,1) carrying the diagonal parities of G lies in the span
-# of v*G mod 2, i.e. all bi odd; anything else is OddType1Vector.
-# A primitive plane P contains an even vector iff some v in P \ 2P has
-# an even b-part (the a-part of v*G is even anyway).  P/2P -> F_2^6 is
-# injective, so that holds iff the 2x4 b-part block of any basis of P
-# has rank < 2 over F_2, i.e. iff the six b-column 2x2 minors
-# (coordinates 2..5) of its coprime Plücker vector are all even.
+# hundreds of thousands of planes by parities, a shortcut that the full
+# classifier validates on samples.  For v = (a1, a2; b1..b4) the pairing
+# row v*G is (2a1, 2a2, -b1..-b4): v is EvenVector iff all bi are even,
+# OddType2Vector iff all are odd (then (0,0,1,1,1,1), the diagonal
+# parities of G, lies in the span of v*G mod 2), else OddType1Vector.
+# A primitive plane P contains an even vector iff its 2x4 b-block has
+# rank < 2 over F_2 (P/2P -> F_2^6 is injective), i.e. iff the six
+# b-column minors of its coprime Plücker vector are all even.
+#
+# W = (+-1)^6 x| (S_2 x S_4), the signed permutations keeping G, moves
+# vectors and planes without changing these kinds.  So with V the
+# listed vectors (one of each +-pair), the plane count is the
+# orbit-weighted sum over representatives v of |W*v|/2 * sum over
+# planes P through v of 1/|P meet V|: each plane adds 1/|P meet V| for
+# every listed vector it holds.  The census by kind is the same sum
+# split by the minor rule.
 
 
 def fast_vector_kind(v) -> str:
@@ -253,77 +259,136 @@ class PlaneScan:
     representatives: dict
 
 
+def _integer_array(vectors):
+    """The listed vectors as int64 rows.  Coordinates below 2^30 keep every
+    pairing (at most 8*max|x|^2) and 2x2 minor exact."""
+    import numpy as np
+
+    rows = [tuple(v) for v in vectors]
+    if any(len(v) != 6 or any(int(x) != x for x in v) for v in rows):
+        raise DimensionError("listed vectors need 6 integer coordinates")
+    if any(abs(x) >= 2**30 for v in rows for x in v):
+        raise DimensionError("vector coordinates must lie below 2^30 in absolute value")
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 6)
+
+
+def _runs(rows):
+    """(first, size) of each run of equal rows in lexicographic order
+    (``np.unique`` would import ``numpy.ma`` on its first call)."""
+    import numpy as np
+
+    order = np.lexsort(rows.T[::-1])
+    new = np.ones(len(rows), bool)
+    new[1:] = (rows[order[1:]] != rows[order[:-1]]).any(axis=1)
+    starts = np.flatnonzero(new)
+    return order[starts], np.diff(np.r_[starts, len(rows)])
+
+
+@cache
+def _signed_permutations():
+    """W = (+-1)^6 x| (S_2 x S_4), L's 3,072 signed permutations, as
+    (perms, signs, index, sign): g = (perms[g // 64], signs[g % 64]) maps
+    x to s * x[p], and a key with m01 > 0 to ``key[index[g]] * sign[g]``,
+    again with m01 > 0.  Element 0 is the identity."""
+    import numpy as np
+
+    perms = np.array([a + b for a in permutations((0, 1)) for b in permutations((2, 3, 4, 5))])
+    signs = 1 - 2 * (np.arange(64)[:, None] >> np.arange(6) & 1)
+    a, b = np.triu_indices(6, 1)
+    pair = np.zeros((6, 6), np.int64)
+    pair[a, b] = pair[b, a] = np.arange(15)
+    pa, pb = perms[:, a], perms[:, b]
+    sign = np.where(pa < pb, 1, -1)[:, None, :] * (signs[:, a] * signs[:, b])[None]
+    sign *= sign[:, :, :1]
+    index = np.broadcast_to(pair[pa, pb][:, None, :], sign.shape)
+    tables = perms, signs, index.reshape(-1, 15), sign.reshape(-1, 15)
+    for t in tables:
+        t.setflags(write=False)  # cached, so shared by every scan
+    return tables
+
+
+def _classes(V):
+    """(representatives, weights, group) of the nonzero rows V: the
+    W-orbits and their sizes under W if V is W-closed up to sign (each
+    class of equal sorted |a| and |b| parts holds |W*v|/2 vectors, none
+    listed twice up to sign), else each row alone under the identity."""
+    import numpy as np
+
+    parts = np.hstack((np.sort(np.abs(V[:, :2]), axis=1), np.sort(np.abs(V[:, 2:]), axis=1)))
+    reps, sizes = _runs(parts)
+    # |W*v|: the distinct orders of each part, times two signs per nonzero entry
+    orbit = np.array([len(set(permutations(c[:2]))) * len(set(permutations(c[2:])))
+                      << sum(map(bool, c)) for c in parts[reps].tolist()], dtype=np.int64)
+    lead = np.take_along_axis(V, np.argmax(V != 0, axis=1)[:, None], axis=1)
+    if len(_runs(V * np.sign(lead))[0]) == len(V) and (2 * sizes == orbit).all():
+        return reps, sizes, _signed_permutations()
+    return np.arange(len(V)), np.ones(len(V), np.int64), [t[:1] for t in _signed_permutations()]
+
+
+def _least_image(keys, index, sign):
+    """(k, g) with the lexicographically least image key
+    ``keys[k][index[g]] * sign[g]``; only keys of least m01 can win."""
+    import numpy as np
+
+    least = np.flatnonzero(keys[:, 0] == keys[:, 0].min())
+    kk, gg = np.repeat(least, len(index)), np.tile(np.arange(len(index)), len(least))
+    for c in range(1, 15):
+        image = keys[kk, index[gg, c]] * sign[gg, c]
+        kk, gg = kk[image == image.min()], gg[image == image.min()]
+    return kk[0], gg[0]
+
+
 def scan_isotropic_planes(vectors=None, height: int = 5) -> PlaneScan:
     """Exhaustively classify planes spanned by pairs of listed vectors.
 
-    Every rank-2 totally isotropic span of two listed vectors is
-    collected once, keyed by its coprime Plücker vector: the 2x2 minors
-    of the spanning pair divided by their gcd, first nonzero entry
-    positive.  That key is the Plücker vector of the saturation, so a
-    plane is even iff its six b-column minors are all even, whatever
-    the index of the pair that reached it.  The scan runs on exact
-    integer numpy arrays; only the two representatives (the
-    lexicographically first key of each kind) are saturated.
-
-    Raises NotIsotropic when a listed vector has nonzero norm.
+    Each plane is keyed by its coprime Plücker vector (the 2x2 minors of
+    any spanning pair over their gcd, m01 > 0) and counted by the
+    orbit-weighted sum above, one representative row of each class of
+    ``_classes`` against the whole list.  The representative of each
+    kind is the least key over the group images of the planes met,
+    saturated.  Raises DimensionError for non-integral or oversized
+    coordinates, NotIsotropic for a vector of nonzero norm.
     """
     import numpy as np
 
     if vectors is None:
         vectors = enumerate_isotropic_vectors(height)
-    V = np.array(vectors, dtype=np.int64).reshape(len(vectors), 6)
-    W = V * np.array([2, 2, -1, -1, -1, -1], dtype=np.int64)
-    if (V * W).sum(axis=1).any():
+    V = _integer_array(vectors)
+    G = V * np.array([2, 2, -1, -1, -1, -1], dtype=np.int64)
+    if (V * G).sum(axis=1).any():
         raise NotIsotropic("listed vectors must be isotropic")
+    V, G = V[V.any(axis=1)], G[V.any(axis=1)]
+    if not len(V):
+        return PlaneScan(0, {}, {})
+    reps, weights, (perms, signs, index, sign) = _classes(V)
     # column pairs (a, b), a < b, in lexicographic order: the last six
     # are the pairs of b-columns 2..5
     a, b = np.triu_indices(6, 1)
-    # Each key is packed, most significant minor first, into words of
-    # base-(2*bound + 1) digits, where bound = 2*max|x|^2 over the listed
-    # vectors bounds every 2x2 minor; the words sort as the 15 minors do.
-    bound = 2 * int(np.abs(V).max(initial=0)) ** 2
-    base = max(2, 2 * bound + 1)
-    digits = 1
-    while digits < 8 and base ** (digits + 1) < 2**63:
-        digits += 1
-    words = [range(c, min(c + digits, 15)) for c in range(0, 15, digits)]
-    keys = [[np.empty(0, np.int64)] for _ in words]
-    evens, pairs = [np.empty(0, bool)], [np.empty((0, 2), np.int64)]
-    block = 128  # a height-5 block product is 128 x 10,112 int64, 10 MB
-    for start in range(0, len(V), block):
-        ii, jj = np.nonzero(V[start : start + block] @ W[start:].T == 0)
-        ii, jj = ii + start, jj + start
-        keep = ii < jj
-        ii, jj = ii[keep], jj[keep]
-        v, w = V[ii], V[jj]
-        minors = v[:, a] * w[:, b] - v[:, b] * w[:, a]
+    parallel, records = np.zeros(len(reps), np.int64), []
+    # under the trivial group every row is a representative: a block of
+    # 128 against the height-5 list is 128 x 10,112 int64, 10 MB
+    for start in range(0, len(reps), 128):
+        ii, jj = np.nonzero(V[reps[start : start + 128]] @ G.T == 0)
+        ii += start
+        minors = V[reps[ii]][:, a] * V[jj][:, b] - V[reps[ii]][:, b] * V[jj][:, a]
         spans = minors.any(axis=1)
+        parallel += np.bincount(ii[~spans], minlength=len(reps))
         minors, ii, jj = minors[spans], ii[spans], jj[spans]
-        minors //= np.gcd.reduce(np.abs(minors), axis=1)[:, None]
-        first = np.argmax(minors != 0, axis=1)[:, None]
-        minors *= np.sign(np.take_along_axis(minors, first, axis=1))
-        for parts, cols in zip(keys, words):
-            word = np.zeros(len(minors), np.int64)
-            for c in cols:
-                word = word * base + (minors[:, c] + bound)
-            parts.append(word)
-        evens.append(~(minors[:, 9:] & 1).any(axis=1))
-        pairs.append(np.column_stack((ii, jj)))
-    keys = [np.concatenate(parts) for parts in keys]
-    order = np.lexsort(keys[::-1])
-    new_plane = np.zeros(len(order), dtype=bool)
-    new_plane[:1] = True
-    for word in keys:
-        word = word[order]
-        new_plane[1:] |= word[1:] != word[:-1]
-    planes = order[new_plane]  # the first record of each plane
-    even = np.concatenate(evens)[planes]
-    pairs = np.concatenate(pairs)[planes]
+        # m01 != 0, else P holds a nonzero vector with a = 0, of norm -|b|^2
+        minors //= np.gcd.reduce(minors, axis=1)[:, None] * np.sign(minors[:, :1])
+        first, met = _runs(np.column_stack((ii, minors)))  # one record per (v, P) pair
+        records.append((ii[first], jj[first], minors[first], met))
+    ii, jj, keys, met = (np.concatenate(parts) for parts in zip(*records))
+    even = ~(keys[:, 9:] & 1).any(axis=1)
     census: dict[str, int] = {}
     representatives: dict[str, Matrix] = {}
     for kind, mask in ((EVEN_PLANE, even), (ODD_PLANE, ~even)):
         if mask.any():
-            census[kind] = int(mask.sum())
-            span = [list(vectors[k]) for k in pairs[np.argmax(mask)]]
+            # integral weights summed per |P meet V|, exact in float64
+            per_size = np.bincount(met[mask] + parallel[ii[mask]], weights[ii[mask]])
+            census[kind] = int(sum(Fraction(int(w), d) for d, w in enumerate(per_size) if w))
+            k, g = _least_image(keys[mask], index, sign)
+            p, s = perms[g // len(signs)], signs[g % len(signs)]
+            span = [(s * V[x][p]).tolist() for x in (reps[ii[mask][k]], jj[mask][k])]
             representatives[kind] = saturation(Sublattice(transcendental_slice(), span)).basis
-    return PlaneScan(len(planes), census, representatives)
+    return PlaneScan(sum(census.values()), census, representatives)

@@ -417,9 +417,7 @@ def saturation(s: Sublattice) -> Sublattice:
     k = s.rank
     _, _, v = snf(s.basis)
     vinv = v.inverse()
-    rows = Matrix([list(vinv.data[i]) for i in range(k)])
-    h, _ = hnf(rows)
-    return Sublattice(s.ambient, Matrix([list(h.data[i]) for i in range(k)]))
+    return Sublattice(s.ambient, hnf(Matrix([list(vinv.data[i]) for i in range(k)])))
 
 
 def sublattice_index(sub: Sublattice, sup: Sublattice) -> int:
@@ -517,7 +515,7 @@ def _glue(l: Lattice, lifts: Matrix, gens, order: int) -> GlueResult:
     denom = den // shrink
     scaled = [[denom if i == j else 0 for j in range(n)] for i in range(n)]
     scaled += [[x // shrink for x in vec] for vec in vecs]
-    h, _ = hnf(Matrix(scaled))
+    h = hnf(Matrix(scaled))
     top = [[int(x) for x in h.data[i]] for i in range(n)]
     gram_den = lcm(*(x.denominator for row in l.gram.data for x in row))
     gram = [[int(x * gram_den) for x in row] for row in l.gram.data]

@@ -7,7 +7,7 @@ the rest of the package:
 * ``rref`` / ``kernel_basis`` / ``rank`` / ``det`` / ``inverse`` over Q,
   and ``null_space``, the kernel basis with its free columns,
 * ``solve_rows``: the coefficients of rows in the row span of a basis,
-* row-style Hermite normal form ``hnf`` with unimodular transform,
+* row-style Hermite normal form ``hnf`` of the row lattice,
 * Smith normal form ``snf`` with both unimodular transforms.
 
 All elimination over Q runs through one fraction-free kernel,
@@ -20,8 +20,8 @@ and ``solve_rows`` are read off one ``rref``.
 
 Conventions (fixed once, used everywhere):
 
-* HNF is row-style: ``h = u*m``, pivots positive, entries above pivots
-  reduced into ``[0, pivot)``.
+* HNF is row-style: ``h = u*m`` for some unimodular ``u`` (not built),
+  pivots positive, entries above pivots reduced into ``[0, pivot)``.
 * SNF: ``d = u*m*v`` diagonal, nonnegative, each entry dividing the next.
 * ``kernel_basis`` returns the echelon basis derived from the RREF free
   columns, so identical inputs yield bit-identical outputs.
@@ -349,7 +349,7 @@ def solve_rows(basis: Matrix, rows: Matrix):
 
 
 # ---------------------------------------------------------------------------
-# Hermite and Smith normal forms (integer matrices, with transforms)
+# Hermite and Smith normal forms (integer matrices)
 # ---------------------------------------------------------------------------
 
 
@@ -358,54 +358,32 @@ def _require_integral(m: Matrix, what: str):
         raise DimensionError(f"{what} requires an integer matrix")
 
 
-def hnf(m: Matrix):
-    """Row-style Hermite normal form.
-
-    Returns:
-        (h, u) with ``h = u*m``, ``u`` unimodular, ``h`` in echelon form
-        with positive pivots and entries above each pivot reduced into
-        ``[0, pivot)``.
-    """
+def hnf(m: Matrix) -> Matrix:
+    """Row-style Hermite normal form of the row lattice of ``m``: echelon
+    form with positive pivots, entries above each pivot reduced into
+    ``[0, pivot)``, zero rows last."""
     _require_integral(m, "hnf")
     a = [[int(x) for x in row] for row in m.data]
-    nrows, ncols = m.rows, m.cols
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
     prow = 0
-    for col in range(ncols):
-        # gcd-reduce the column below prow
-        while True:
-            nz = [r for r in range(prow, nrows) if a[r][col] != 0]
-            if not nz:
-                break
+    for col in range(m.cols):
+        # Euclid down the column: its least nonzero entry reduces the rest
+        while nz := [r for r in range(prow, m.rows) if a[r][col]]:
             sel = min(nz, key=lambda r: abs(a[r][col]))
-            if sel != prow:
-                a[prow], a[sel] = a[sel], a[prow]
-                u[prow], u[sel] = u[sel], u[prow]
-            pivot = a[prow][col]
-            done = True
-            for r in range(prow + 1, nrows):
-                if a[r][col] != 0:
-                    q = a[r][col] // pivot
-                    a[r] = [x - q * y for x, y in zip(a[r], a[prow])]
-                    u[r] = [x - q * y for x, y in zip(u[r], u[prow])]
-                    if a[r][col] != 0:
-                        done = False
-            if done:
+            a[prow], a[sel] = a[sel], a[prow]
+            if len(nz) == 1:
                 break
-        if prow < nrows and a[prow][col] != 0:
+            for r in range(prow + 1, m.rows):
+                if a[r][col]:
+                    q = a[r][col] // a[prow][col]
+                    a[r] = [x - q * y for x, y in zip(a[r], a[prow])]
+        if prow < m.rows and a[prow][col]:
             if a[prow][col] < 0:
                 a[prow] = [-x for x in a[prow]]
-                u[prow] = [-x for x in u[prow]]
-            pivot = a[prow][col]
             for r in range(prow):
-                q = a[r][col] // pivot
-                if q:
-                    a[r] = [x - q * y for x, y in zip(a[r], a[prow])]
-                    u[r] = [x - q * y for x, y in zip(u[r], u[prow])]
+                q = a[r][col] // a[prow][col]
+                a[r] = [x - q * y for x, y in zip(a[r], a[prow])]
             prow += 1
-            if prow == nrows:
-                break
-    return Matrix(a), Matrix(u)
+    return Matrix(a)
 
 
 def snf(m: Matrix):

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latconf.errors import DimensionError, NotIsotropic, NotPrimitive
 from latconf.isotropic import (
@@ -15,6 +18,8 @@ from latconf.isotropic import (
     ODD_TYPE2_VECTOR,
     IsotropicClass,
     PlaneScan,
+    _classes,
+    _integer_array,
     boundary_models,
     certificate_matches,
     classify_isotropic_plane,
@@ -160,7 +165,8 @@ def _pair_scan(vectors):
 
 
 def test_plane_scan_against_pair_oracle():
-    # at height 2 some coprime keys reach the packing bound 2*h^2 = 8
+    # the height-2 list is W-closed (orbit representatives); the sample
+    # of 150 is not (every vector its own class)
     vectors = enumerate_isotropic_vectors(height=2)
     assert scan_isotropic_planes(vectors=vectors) == _pair_scan(vectors)
     rng = random.Random(3)
@@ -170,12 +176,140 @@ def test_plane_scan_against_pair_oracle():
 
 @pytest.mark.parametrize("k", [7, 1000])
 def test_plane_scan_of_scaled_vectors(k):
-    # k*v span the same planes in the same record order, so the scan is
-    # unchanged; the larger height packs each key into three (k = 7) or
-    # eight (k = 1000) words instead of two
+    # k*v span the same planes and fall into orbits of the same sizes,
+    # so the scan is unchanged
     vectors = enumerate_isotropic_vectors(height=2)
     scaled = [tuple(k * x for x in v) for v in vectors]
     assert scan_isotropic_planes(vectors=scaled) == scan_isotropic_planes(vectors=vectors)
+
+
+def _numpy_pair_scan(vectors):
+    """The full pair scan in exact int64 numpy: the coprime Plücker key
+    of every spanning isotropic pair (i, j), i < j, sorted, and per kind
+    the first pair of the smallest key, saturated."""
+    V = np.array(vectors, dtype=np.int64).reshape(len(vectors), 6)
+    W = V * np.array([2, 2, -1, -1, -1, -1], dtype=np.int64)
+    a, b = np.triu_indices(6, 1)
+    keys, pairs = [np.empty((0, 15), np.int64)], [np.empty((0, 2), np.int64)]
+    for start in range(0, len(V), 128):
+        ii, jj = np.nonzero(V[start : start + 128] @ W[start:].T == 0)
+        ii, jj = ii + start, jj + start
+        ii, jj = ii[ii < jj], jj[ii < jj]
+        minors = V[ii][:, a] * V[jj][:, b] - V[ii][:, b] * V[jj][:, a]
+        spans = minors.any(axis=1)
+        minors, ii, jj = minors[spans], ii[spans], jj[spans]
+        minors //= np.gcd.reduce(np.abs(minors), axis=1)[:, None]
+        first = np.argmax(minors != 0, axis=1)[:, None]
+        minors *= np.sign(np.take_along_axis(minors, first, axis=1))
+        keys.append(minors)
+        pairs.append(np.column_stack((ii, jj)))
+    keys, pairs = np.concatenate(keys), np.concatenate(pairs)
+    order = np.lexsort(keys.T[::-1])
+    new = np.ones(len(order), bool)
+    new[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+    planes = order[new]
+    even = ~(keys[planes, 9:] & 1).any(axis=1)
+    census, representatives = {}, {}
+    for kind, mask in ((EVEN_PLANE, even), (ODD_PLANE, ~even)):
+        if mask.any():
+            census[kind] = int(mask.sum())
+            span = [list(vectors[k]) for k in pairs[planes[np.argmax(mask)]]]
+            representatives[kind] = saturation(Sublattice(transcendental_slice(), span)).basis
+    return PlaneScan(len(planes), census, representatives)
+
+
+@pytest.mark.parametrize("height", [1, 2, 3, 4])
+def test_plane_scan_against_numpy_pair_oracle(height):
+    vectors = enumerate_isotropic_vectors(height)
+    assert scan_isotropic_planes(vectors=vectors) == _numpy_pair_scan(vectors)
+
+
+def test_plane_scan_height_5():
+    scan = scan_isotropic_planes(height=5)
+    assert scan.count == 226608
+    assert scan.census == {EVEN_PLANE: 73296, ODD_PLANE: 153312}
+    assert scan.representatives == {
+        EVEN_PLANE: Matrix([[1, 0, 1, -1, 0, 0], [0, 1, -1, -1, 0, 0]]),
+        ODD_PLANE: Matrix([[1, 0, 0, 0, 1, 1], [0, 1, -1, -1, 0, 0]]),
+    }
+
+
+HEIGHT_2 = enumerate_isotropic_vectors(2)
+
+
+def _orbits(vectors):
+    """The W-orbits of a W-closed list, as lists of vectors."""
+    orbits = {}
+    for v in vectors:
+        key = tuple(sorted(map(abs, v[:2]))) + tuple(sorted(map(abs, v[2:])))
+        orbits.setdefault(key, []).append(v)
+    return list(orbits.values())
+
+
+FIRST_ORBIT = _orbits(HEIGHT_2)[0]
+SMALL_ORBITS = [o for o in _orbits(enumerate_isotropic_vectors(3)) if len(o) <= 192]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.sampled_from(range(len(HEIGHT_2))), max_size=80))
+def test_plane_scan_of_random_sublists(picks):
+    vectors = [HEIGHT_2[i] for i in picks]
+    assert scan_isotropic_planes(vectors=vectors) == _pair_scan(vectors)
+
+
+@pytest.mark.parametrize("vectors", [
+    HEIGHT_2[:100] + HEIGHT_2[101:],
+    HEIGHT_2 + [tuple(-x for x in v) for v in HEIGHT_2[::7]],
+    HEIGHT_2 + HEIGHT_2[5:40],
+    HEIGHT_2 + [tuple(3 * x for x in v) for v in HEIGHT_2[::5]],
+    [(0,) * 6] + HEIGHT_2,
+    # an orbit keeps its count with one vector listed twice, or twice up
+    # to sign, in place of another
+    [v for v in HEIGHT_2 if v != FIRST_ORBIT[0]] + [FIRST_ORBIT[1]],
+    [v for v in HEIGHT_2 if v != FIRST_ORBIT[0]] + [tuple(-x for x in FIRST_ORBIT[1])],
+], ids=["one-missing", "plus-negatives", "repeated", "scaled-multiples", "zero",
+        "duplicate-for-missing", "negative-for-missing"])
+def test_plane_scan_of_lists_that_are_not_w_closed(vectors):
+    V = _integer_array(vectors)
+    # the zero vector spans nothing and is dropped before the classes
+    closed = _classes(V[V.any(axis=1)])[2][2].shape == (3072, 15)
+    assert closed == (vectors[0] == (0,) * 6)
+    assert scan_isotropic_planes(vectors=vectors) == _pair_scan(vectors)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sets(st.sampled_from(range(len(SMALL_ORBITS))), min_size=1, max_size=3),
+       st.sampled_from([1, 2]))
+def test_plane_scan_of_unions_of_orbits(picks, k):
+    # whole orbits of the height-3 list, every other one scaled by k,
+    # form a W-closed list whose planes hold varying numbers of its vectors
+    vectors = [tuple(k ** (i % 2) * x for x in v) for i in sorted(picks) for v in SMALL_ORBITS[i]]
+    assert _classes(_integer_array(vectors))[2][2].shape == (3072, 15)
+    assert scan_isotropic_planes(vectors=vectors) == _pair_scan(vectors)
+
+
+@pytest.mark.parametrize("vectors", [
+    [(1, 1, 2, 0, 0, 0), (1, -1, 0, 2, 0, 0), (1.9, -1, 0, 0, 2, 0)],
+    [(1, 1, 2, 0, 0, 0), (1, -1, 0, 2, 0, 0), (Fraction(3, 2), -1, 0, 0, 2, 0)],
+    [(1, 1, 2, 0, 0, 0), (1, -1, 0, 2, 0)],
+    [(1, 1, 2, 0, 0, 0), ("1", -1, 0, 2, 0, 0)],
+    [tuple(10**9 * x for x in v) for v in HEIGHT_2],
+    [tuple(2**30 * x for x in v) for v in enumerate_isotropic_vectors(1)],
+], ids=["float", "fraction", "short", "string", "1e9-height-2", "2^30"])
+def test_plane_scan_rejects_inexact_input(vectors):
+    # non-integral coordinates are rejected, not truncated, and so are
+    # coordinates whose pairings (up to 8*max|x|^2) could leave int64
+    with pytest.raises(DimensionError):
+        scan_isotropic_planes(vectors=vectors)
+
+
+def test_plane_scan_at_the_coordinate_bound():
+    vectors = enumerate_isotropic_vectors(1)
+    for k in (10**9, 2**30 - 1):
+        scaled = [tuple(k * x for x in v) for v in vectors]
+        assert scan_isotropic_planes(vectors=scaled) == scan_isotropic_planes(vectors=vectors)
+    exact = [tuple(Fraction(x) for x in v) for v in vectors]
+    assert scan_isotropic_planes(vectors=exact) == scan_isotropic_planes(vectors=vectors)
 
 
 def test_plane_scan_kind_matches_classifier():
