@@ -14,7 +14,9 @@ dual of a system of four diagonal quadrics (its 7-line configuration
 and smoothness test), line dropping with pair regrouping, node
 classification, and the finite group actions (wreath product on pair
 slots, S4 on quadrangle vertices, GL3(F2) on characters, torus
-scalings).
+scalings).  Stability and triple points read one table of the C(n,3)
+minors, ``plucker``; the canonical form searches lazily for its first
+frame, as it usually stops at the first 4-subset of columns.
 """
 
 from __future__ import annotations
@@ -97,10 +99,6 @@ class ConfigMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _minor(m: Matrix, i: int, j: int, k: int) -> Fraction:
-    return _det3(m.column(i), m.column(j), m.column(k))
-
-
 def _det3(a, b, c):
     """The 3 x 3 determinant with columns a, b, c."""
     return (
@@ -110,11 +108,19 @@ def _det3(a, b, c):
     )
 
 
+def _cross(u, v):
+    return [
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    ]
+
+
 def plucker(c: ConfigMatrix) -> dict:
     """All C(n,3) maximal minors m_{ijk}, keyed by column triples."""
+    cols = list(zip(*c.matrix.data))
     return {
-        (i, j, k): _minor(c.matrix, i, j, k)
-        for i, j, k in combinations(range(c.n), 3)
+        t: _det3(*(cols[j] for j in t)) for t in combinations(range(c.n), 3)
     }
 
 
@@ -159,21 +165,6 @@ def _coincidence_groups(c: ConfigMatrix):
     return groups
 
 
-def _max_rank2_count(c: ConfigMatrix) -> int:
-    """Largest number of columns (with multiplicity) in a 2-dim subspace."""
-    best = 2
-    for i, j in combinations(range(c.n), 2):
-        if _proportional(c.column(i), c.column(j)):
-            continue
-        count = sum(
-            1
-            for k in range(c.n)
-            if _minor(c.matrix, *sorted((i, j, k))) == 0 or k in (i, j)
-        )
-        best = max(best, count)
-    return best
-
-
 def stability(c: ConfigMatrix) -> StabilityReport:
     """Classify a six-line configuration per the GIT stratification.
 
@@ -186,6 +177,12 @@ def stability(c: ConfigMatrix) -> StabilityReport:
     if c.n != 6:
         raise DimensionError("stability is defined for six lines")
     groups = _coincidence_groups(c)
+    group_of = {j: g for g, members in enumerate(groups) for j in members}
+    zero = {t for t, m in plucker(c).items() if m == 0}
+
+    def concurrent(*lines):
+        return tuple(sorted(lines)) in zero
+
     mult = max(len(g) for g in groups)
     pairs = tuple(
         (g[a], g[b])
@@ -194,16 +191,16 @@ def stability(c: ConfigMatrix) -> StabilityReport:
         for b in range(a + 1, len(g))
     )
     triples = tuple(
-        (i, j, k)
-        for i, j, k in combinations(range(6), 3)
-        if _minor(c.matrix, i, j, k) == 0
-        and not _proportional(c.column(i), c.column(j))
-        and not _proportional(c.column(i), c.column(k))
-        and not _proportional(c.column(j), c.column(k))
+        t for t in sorted(zero) if len({group_of[j] for j in t}) == 3
     )
-    conc = _max_rank2_count(c)
     if mult >= 3:
         return StabilityReport("Unstable", "213", pairs, triples)
+    # the most lines, with multiplicity, through the point where two meet
+    conc = max(
+        2 + sum(concurrent(i, j, k) for k in range(6) if k not in (i, j))
+        for i, j in combinations(range(6), 2)
+        if group_of[i] != group_of[j]
+    )
     if conc >= 5:
         return StabilityReport("Unstable", "141", pairs, triples)
     if mult == 1 and conc <= 3:
@@ -214,17 +211,11 @@ def stability(c: ConfigMatrix) -> StabilityReport:
     if len(doubled) == 3:
         return StabilityReport("Polystable", "222", pairs, triples)
     if len(doubled) == 1 and len(groups) == 5:
-        rest = [g[0] for g in groups if len(g) == 1]
-        i, j = rest[0], rest[1]
-        if not _proportional(c.column(i), c.column(j)):
-            rest_concurrent = all(
-                _minor(c.matrix, *sorted((i, j, k))) == 0 for k in rest[2:]
-            )
-            double_outside = _minor(
-                c.matrix, *sorted((i, j, doubled[0][0]))
-            ) != 0
-            if rest_concurrent and double_outside:
-                return StabilityReport("Polystable", "231", pairs, triples)
+        i, j, *rest = (g[0] for g in groups if len(g) == 1)
+        if all(concurrent(i, j, k) for k in rest) and not concurrent(
+            i, j, doubled[0][0]
+        ):
+            return StabilityReport("Polystable", "231", pairs, triples)
     if mult >= 2 and conc >= 4:
         return StabilityReport("StrictlySemistable", "222", pairs, triples)
     if mult >= 2:
@@ -247,14 +238,11 @@ def triple_points(c: ConfigMatrix):
         if _proportional(c.column(i), c.column(j)):
             raise DimensionError(f"columns {i} and {j} are the same line")
     out = []
-    for t in combinations(range(c.n), 3):
-        if _minor(c.matrix, *t) != 0:
-            continue
-        rows = Matrix([list(c.column(k)) for k in t])
-        kern = rows.kernel_basis()
-        point = list(kern.data[0])
-        lead = next(x for x in point if x != 0)
-        out.append((t, tuple(x / lead for x in point)))
+    for t, m in plucker(c).items():
+        if m == 0:
+            point = _cross(c.column(t[0]), c.column(t[1]))
+            lead = next(x for x in point if x != 0)
+            out.append((t, tuple(x / lead for x in point)))
     return out
 
 
@@ -283,16 +271,16 @@ def canonical_form(c: ConfigMatrix):
 
     Returns (normalized ConfigMatrix, frame column subset).
     """
-    frame = None
-    for s in combinations(range(c.n), 4):
-        if all(_minor(c.matrix, *t) != 0 for t in combinations(s, 3)):
-            frame = s
+    cols = list(zip(*c.matrix.data))
+    for frame in combinations(range(c.n), 4):
+        minors = (_det3(*(cols[j] for j in t)) for t in combinations(frame, 3))
+        if all(m != 0 for m in minors):
             break
-    if frame is None:
+    else:
         raise NoFrame("no four columns form a projective frame")
-    a = Matrix.from_columns([list(c.column(j)) for j in frame[:3]])
+    a = Matrix.from_columns([cols[j] for j in frame[:3]])
     ainv = a.inverse()
-    w = ainv * Matrix([[x] for x in c.column(frame[3])])
+    w = ainv * Matrix([[x] for x in cols[frame[3]]])
     # (a*diag(w))^-1 = diag(1/w)*a^-1
     g = Matrix.diagonal([1 / w.entry(i, 0) for i in range(3)]) * ainv
     return c.with_matrix(_scale_columns(g * c.matrix)), frame
@@ -315,14 +303,6 @@ def equivalent(a: ConfigMatrix, b: ConfigMatrix) -> bool:
 # ---------------------------------------------------------------------------
 # Cremona involution
 # ---------------------------------------------------------------------------
-
-
-def _cross(u, v):
-    return [
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    ]
 
 
 def cremona(c: ConfigMatrix) -> ConfigMatrix:

@@ -46,6 +46,8 @@ from .errors import DimensionError, GroupTooLarge
 from .matrices import Matrix, frac_to_str, str_to_frac
 
 SEARCH_BOUND = 2**10
+# all_subgroups stops past this many subgroups; (Z/2)^8 has 417,199
+SUBGROUP_BOUND = 2**14
 
 
 def _mod1(x: Fraction) -> Fraction:
@@ -220,6 +222,8 @@ class FiniteForm:
                     if bigger not in seen:
                         seen.add(bigger)
                         nxt.append(bigger)
+                        if len(seen) > SUBGROUP_BOUND:
+                            raise GroupTooLarge(f"over {SUBGROUP_BOUND} subgroups")
             frontier = nxt
         # index order is the lexicographic element order
         ordered = sorted(seen, key=lambda s: (len(s), sorted(s)))

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
+from itertools import permutations, product
+from math import gcd
 
 from .errors import DimensionError, NotIsotropic, NotPrimitive
 from .lattices import (
@@ -211,27 +212,18 @@ def enumerate_isotropic_vectors(height: int = 5):
 
     One representative per +-pair (first nonzero coordinate positive).
     """
-    by_square_sum: dict[int, list[tuple[int, ...]]] = {}
     rng = range(-height, height + 1)
-    for b1 in rng:
-        for b2 in rng:
-            for b3 in rng:
-                for b4 in rng:
-                    s = b1 * b1 + b2 * b2 + b3 * b3 + b4 * b4
-                    by_square_sum.setdefault(s, []).append((b1, b2, b3, b4))
-    out = []
-    for a1 in rng:
-        for a2 in rng:
-            s = 2 * (a1 * a1 + a2 * a2)
-            for bs in by_square_sum.get(s, ()):
-                v = (a1, a2) + bs
-                nz = next((x for x in v if x != 0), None)
-                if nz is None or nz < 0:
-                    continue
-                if gcd_of(v) != 1:
-                    continue
-                out.append(v)
-    return out
+    by_square_sum: dict[int, list[tuple[int, ...]]] = {}
+    for bs in product(rng, repeat=4):
+        by_square_sum.setdefault(sum(b * b for b in bs), []).append(bs)
+    candidates = (
+        (a1, a2) + bs
+        for a1, a2 in product(rng, repeat=2)
+        for bs in by_square_sum.get(2 * (a1 * a1 + a2 * a2), ())
+    )
+    # v > 0 lexicographically iff its first nonzero coordinate is positive
+    zero = (0,) * 6
+    return [v for v in candidates if v > zero and gcd(*v) == 1]
 
 
 def isotropic_vector_census(height: int = 5, vectors=None):

@@ -257,22 +257,18 @@ def Dpq(p: int, q: int) -> Lattice:
     """Even-coordinate-sum sublattice of Z^{p,q} in its standard basis.
 
     Basis: e1+e2, then e_i - e_{i+1} for i = 1..n-1 (n = p+q >= 2).
+    The Gram is summed in integers over sparse {coordinate: coeff} rows.
     """
     n = p + q
     if n < 2 or p < 0 or q < 0:
         raise InvalidName("Dpq requires p+q >= 2")
-    rows = []
-    v = [0] * n
-    v[0] = v[1] = 1
-    rows.append(list(v))
-    for i in range(n - 1):
-        v = [0] * n
-        v[i] = 1
-        v[i + 1] = -1
-        rows.append(v)
-    basis = Matrix(rows)
-    diag = Matrix.diagonal([1] * p + [-1] * q)
-    return Lattice(basis * diag * basis.transpose(), f"D({p},{q})")
+    sign = [1] * p + [-1] * q
+    rows = [{0: 1, 1: 1}] + [{i: 1, i + 1: -1} for i in range(n - 1)]
+    gram = [
+        [sum(x * v.get(k, 0) * sign[k] for k, x in u.items()) for v in rows]
+        for u in rows
+    ]
+    return Lattice(gram, f"D({p},{q})")
 
 
 def Dn(n: int) -> Lattice:

@@ -3,9 +3,13 @@
 import io
 import json
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latconf.cli import main
 from latconf.configs import (
@@ -151,6 +155,14 @@ def test_bad_input_one_error_document(capsys, argv, code, kind):
     assert (got, doc["error"]["kind"]) == (code, kind)
 
 
+def test_overlattices_past_the_subgroup_bound_exit_1(capsys):
+    # (Z/2)^8 has 417,199 subgroups; the walk stops at the subgroup bound
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "lattice", "overlattices", "--name", "E8*2")
+    assert time.perf_counter() - start < 2
+    assert (code, doc["error"]["kind"]) == (1, "GroupTooLarge")
+
+
 @pytest.mark.parametrize("rows, group", [
     ([[1, 0, 0, 1, 2, 3], [0, 1, 0, 1, 5, 7], [0, 0, 1, 1, 11, 13]], "w3"),
     ([[1, 1, 1, 1, 0, 1], [1, 1, -1, -1, 1, 0], [1, -1, 1, -1, 0, 1]], "w3"),
@@ -175,6 +187,44 @@ def test_orbit_size_counts_distinct_canonical_keys(capsys, rows, group):
         keys.add((moved.labels, frame, normal.matrix))
     assert doc["group_order"] == len(elements)
     assert doc["orbit_size"] == len(keys)
+
+
+_entry = st.integers(min_value=-2, max_value=2)
+_line = st.tuples(_entry, _entry, _entry).filter(any)
+
+
+@st.composite
+def _config_rows(draw):
+    """A 3 x 6 or 3 x 7 integer matrix, zero and repeated columns included."""
+    n = draw(st.sampled_from((6, 7)))
+    cols = draw(st.lists(_line, min_size=n, max_size=n))
+    index = st.integers(0, n - 1)
+    for a, b in draw(st.lists(st.tuples(index, index), max_size=2)):
+        cols[b] = cols[a]
+    zero = draw(st.none() | index)
+    if zero is not None:
+        cols[zero] = (0, 0, 0)
+    return [list(row) for row in zip(*cols)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=_config_rows(),
+    command=st.sampled_from(
+        ["plucker", "stability", "canonical", "nodes", "cremona", "drop"]
+    ),
+    kappa=st.integers(min_value=-1, max_value=8),
+)
+def test_config_commands_answer_with_one_json_document(rows, command, kappa):
+    argv = ["config", command, "--config", json.dumps(rows)]
+    if command in ("nodes", "drop"):
+        argv += ["--kappa", str(kappa)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    json.loads(out.getvalue())  # a second document would be "Extra data"
+    assert err.getvalue() == ""
 
 
 def test_classify_isotropic_takes_no_lattice(capsys):

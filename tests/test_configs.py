@@ -103,6 +103,101 @@ def test_stable_configs_have_at_most_four_triple_points():
         assert len(triple_points(c)) <= 4
 
 
+def _seeded_configs(rng, n):
+    """A configuration of n lines with entries in -2..2, some columns
+    forced proportional to others and some forced through the meeting
+    point of two others."""
+    while True:
+        cols = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(n)]
+        for _ in range(rng.choice((0, 0, 1, 2, 3))):
+            a, b = rng.sample(range(n), 2)
+            cols[b] = [rng.choice((1, -1, 2)) * x for x in cols[a]]
+        for _ in range(rng.choice((0, 1, 2, 3))):
+            a, b, d = rng.sample(range(n), 3)
+            s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+            cols[d] = [s * x + t * y for x, y in zip(cols[a], cols[b])]
+        try:
+            return ConfigMatrix(Matrix.from_columns(cols))
+        except DimensionError:  # a zero column
+            continue
+
+
+def _column_ranks(c):
+    """``Matrix.rank`` of every subset of 2 to 5 columns (2 or 3 of 7)."""
+    sizes = range(2, 6) if c.n == 6 else (2, 3)
+    return {
+        s: c.matrix.submatrix(range(3), s).rank()
+        for k in sizes
+        for s in combinations(range(c.n), k)
+    }
+
+
+def _stability_oracle(rank):
+    """(status, stratum, coincident pairs, concurrent triples) of six
+    lines from the ranks of their column subsets: lines coincide when
+    their columns have rank 1, and pass through one point when their
+    columns have rank 2.  A set of six lines through one point has five
+    through it too, so subsets of at most five columns decide."""
+    mult = max((len(s) for s, r in rank.items() if r == 1), default=1)
+    conc = max(len(s) for s, r in rank.items() if r <= 2)
+    pairs = [s for s in combinations(range(6), 2) if rank[s] == 1]
+    triples = tuple(
+        t for t in combinations(range(6), 3)
+        if rank[t] == 2 and all(rank[p] == 2 for p in combinations(t, 2))
+    )
+    if mult >= 3:
+        kind = "Unstable", "213"
+    elif conc >= 5:
+        kind = "Unstable", "141"
+    elif mult == 1 and conc <= 3:
+        kind = "Stable", "321" if triples else "411"
+    elif len(pairs) == 3:
+        kind = "Polystable", "222"
+    elif len(pairs) == 1 and (
+        rank[tuple(j for j in range(6) if j not in pairs[0])] == 2
+        and rank[tuple(j for j in range(6) if j != pairs[0][1])] == 3
+    ):
+        # the other four lines meet in a point off the double line
+        kind = "Polystable", "231"
+    elif mult == 2:
+        kind = "StrictlySemistable", "222" if conc >= 4 else "312"
+    else:
+        kind = "StrictlySemistable", "231"
+    return kind + (pairs, triples)
+
+
+def test_stability_and_triple_points_against_rank_oracle():
+    rng = random.Random(17)
+    # random draws rarely reach this stratum
+    polystable_231 = ConfigMatrix([[1, 0, 1, 1, 0, 0], [0, 1, 1, 2, 0, 0],
+                                   [0, 0, 0, 0, 1, 1]])
+    configs = [polystable_231] + [_seeded_configs(rng, 6) for _ in range(400)]
+    configs += [_seeded_configs(rng, 7) for _ in range(100)]
+    seen = set()
+    for c in configs:
+        rank = _column_ranks(c)
+        if c.n == 6:
+            report = stability(c)
+            status, stratum, pairs, triples = _stability_oracle(rank)
+            assert (report.status, report.stratum) == (status, stratum)
+            assert sorted(report.coincident_pairs) == pairs
+            assert report.concurrent_triples == triples
+            seen.add((status, stratum))
+        if any(rank[p] == 1 for p in combinations(range(c.n), 2)):
+            with pytest.raises(DimensionError):
+                triple_points(c)
+            continue
+        found = triple_points(c)
+        assert [t for t, _ in found] == [
+            t for t in combinations(range(c.n), 3) if rank[t] == 2
+        ]
+        for t, point in found:
+            assert next(x for x in point if x != 0) == 1
+            for j in t:
+                assert sum(a * b for a, b in zip(c.column(j), point)) == 0
+    assert len(seen) == 9
+
+
 def test_quadrangle():
     quad = complete_quadrangle()
     assert stability(quad).status == "Stable"

@@ -4,9 +4,11 @@
 * Every name a module imports is used in that module.
 * Every public module-level name of the package is used somewhere in
   the repository's code: ``src``, ``tests``, ``demos`` or ``perfbench``.
+* Every function the benchmark's tracer wraps by name still exists.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -114,3 +116,21 @@ def test_every_public_name_is_used():
         if name not in loaded
     ]
     assert not unused, unused
+
+
+def test_traced_functions_exist():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{owner}.{attr}"
+        for _layer, _name, owner, attr in tracing.TRACED
+        if not (
+            hasattr(importlib.import_module(owner), attr)
+            if isinstance(owner, str)
+            else attr in vars(owner)
+        )
+    ]
+    assert not missing, missing

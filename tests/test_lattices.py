@@ -1,6 +1,7 @@
 """Quadratic lattices: invariants, complements, gluing, isometries."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from latconf.errors import (
     DegenerateGram,
     DimensionError,
+    GroupTooLarge,
     IntegralityViolation,
     InvalidName,
     NonIntegralLattice,
@@ -68,10 +70,29 @@ def test_parse_lattice_name():
 
 def test_parse_lattice_name_rank_bound():
     # the bound is on the summed rank of the atoms, rescaling included
+    start = time.perf_counter()
     assert parse_lattice_name("E10*2+D(30,24)").n == MAX_NAME_RANK == 64
+    assert time.perf_counter() - start < 0.1
     for name in ("D65", "E10*2+D(30,25)", "D(-1,3)", "Z(2,-1)"):
         with pytest.raises(InvalidName):
             parse_lattice_name(name)
+
+
+def test_dpq_gram_matches_basis_product():
+    for n in range(2, 13):
+        rows = [[1, 1] + [0] * (n - 2)]
+        rows += [[0] * i + [1, -1] + [0] * (n - 2 - i) for i in range(n - 1)]
+        basis = Matrix(rows)
+        for p in range(n + 1):
+            diag = Matrix.diagonal([1] * p + [-1] * (n - p))
+            assert Dpq(p, n - p).gram == basis * diag * basis.transpose()
+
+
+def test_overlattices_past_the_subgroup_bound_raise():
+    start = time.perf_counter()
+    with pytest.raises(GroupTooLarge):
+        enumerate_integral_overlattices(parse_lattice_name("E8*2"))
+    assert time.perf_counter() - start < 2
 
 
 def test_parity_requires_integral():
