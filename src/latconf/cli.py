@@ -13,7 +13,9 @@ All structured inputs are files or inline JSON; every output is a JSON
 document on standard output with rational values rendered as exact
 ``"p/q"`` strings.  Exit status: 0 on success, 1 on domain errors
 (with a machine-readable ``{"error": {...}}`` document) or when the
-reader closes standard output, 2 on usage errors.
+reader closes standard output, 2 on usage errors (with an error
+document of kind ``UsageError``, argparse's errors included); only
+``--help`` and ``--version`` print text.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import json
 import os
 import random
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import permutations
 
@@ -66,23 +69,32 @@ class UsageError(Exception):
     """Malformed command line input (exit status 2)."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors, in subcommands too, raise
+    UsageError: one JSON error document instead of usage text."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 # ---------------------------------------------------------------------------
 # Input parsing helpers
 # ---------------------------------------------------------------------------
 
 
 def _load_json(spec: str):
-    """Load a JSON document from a file path or an inline string."""
-    if spec == "-":
-        return json.load(sys.stdin)
-    if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+    """Load a JSON document from a file path, standard input (``-``) or
+    an inline string."""
     try:
+        if spec == "-":
+            return json.load(sys.stdin)
+        if os.path.exists(spec):
+            with open(spec, "r", encoding="utf-8") as fh:
+                return json.load(fh)
         return json.loads(spec)
-    except json.JSONDecodeError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: JSON or UTF-8 errors
         raise UsageError(
-            f"not a file and not valid inline JSON: {spec!r} ({exc})"
+            f"not a readable JSON file, '-' or valid inline JSON: {spec!r} ({exc})"
         ) from exc
 
 
@@ -355,13 +367,27 @@ def cmd_jacobian_period_rank(args) -> int:
 def cmd_verify(args) -> int:
     if args.filter and not any(cid.startswith(args.filter) for cid in registry_ids()):
         raise UsageError(f"--filter {args.filter!r} matches no check id")
-    report = run_verify(seed=args.seed, id_filter=args.filter)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, indent=2)
+    try:  # before any check runs, so a bad path costs nothing
+        out = open(args.json, "w", encoding="utf-8") if args.json else nullcontext()
+    except OSError as exc:
+        raise UsageError(f"cannot write --json: {exc}") from exc
+    with out as fh:
+        report = run_verify(seed=args.seed, id_filter=args.filter)
+        if fh is not None:
+            json.dump(_timed_json(report), fh, indent=2)
             fh.write("\n")
     print(report.render_text())
     return 0 if report.ok else 1
+
+
+def _timed_json(report) -> dict:
+    """``report.to_json()`` plus the elapsed seconds of the report and of
+    each check, which vary between runs and so stay out of ``to_json``."""
+    doc = report.to_json()
+    doc["elapsed_seconds"] = report.elapsed_seconds
+    for entry, check in zip(doc["checks"], report.checks):
+        entry["elapsed_seconds"] = check.elapsed_seconds
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +408,7 @@ def _add_lattice_source(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latconf",
         description="Exact arithmetic for quadratic lattices, line "
         "configurations, and Jacobian-ring period ranks.",
@@ -507,13 +533,11 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as exc:  # --help and --version print their text
+        return int(exc.code or 0)
     except UsageError as exc:
         json.dump({"error": {"kind": "UsageError", "message": str(exc)}},
                   sys.stdout)

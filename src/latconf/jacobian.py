@@ -5,11 +5,17 @@ The ambient monomials x_i^2 y_j form Q^7 (x) Q^4, flattened so that
 coordinate (i-1)*4 + j holds the coefficient of x_i^2 y_j.  Every graded
 piece contains the quadric rows Q_k y_j, which span rowspace(q) (x) Q^4;
 modulo them e_i (x) c is g_i (x) c, g_i column i of the Gale dual G of q
-(``configs.gale_dual``, taken once per entry point).  So each piece is
-the RREF of its other relation rows on the 12 coordinates F x {y_j}, F
-the free columns of q's RREF.  An RREF is unique, so these are the rows
-of the full 28-column RREF with pivots in F x {y_j}, and its non-pivot
-monomials are the full complement basis — fully deterministic.
+(``configs.gale_dual``, taken once per entry point).  So the source
+R_{1,0} is the RREF of its Jacobian rows on the 12 coordinates
+F x {y_j}, F the free columns of q's RREF.  The first target summand of
+R_{5,1}^{(kappa)} is a quotient of the source: its 6 rows g_s (x) q_kappa,
+reduced modulo the source's RREF, live on the source's 6 free
+coordinates, where one 6 x 6 elimination (rank 2) finishes it.  An RREF
+is unique, so these are the rows of the full 28-column RREF with pivots
+in F x {y_j}, and its non-pivot monomials are the full complement
+basis — fully deterministic.  Every elimination is one
+``matrices.bareiss`` call on integer rows; Fractions are built only for
+the public outputs (``matrix``, ``kernel``, ``reduce_vector``).
 """
 
 from __future__ import annotations
@@ -17,10 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .configs import check_kappa, dependent_columns, gale_dual
 from .errors import SmoothnessRequired
-from .matrices import Matrix, integer_rows
+from .matrices import Matrix, bareiss, integer_rows
 
 NCHARS = 7
 NY = 4
@@ -69,16 +76,22 @@ def kappa_rows(q: Matrix, kappa: int):
 
 @dataclass(frozen=True)
 class GradedPiece:
-    """Ambient monomials modulo relation rows, stored on a quotient:
-    ``basis`` (m x n, column chars[a] = e_a) maps ambient coordinate
-    i*NY + j to quotient coordinates a*NY + j; ``reduced`` and ``pivots``
-    are the relations' RREF there, ``free`` the ambient slots of the
-    non-pivot coordinates."""
+    """Ambient monomials modulo relation rows, stored on a quotient.
 
-    basis: Matrix
-    chars: tuple
-    reduced: Matrix
-    pivots: tuple
+    ``basis`` holds the integer rows of an m x n matrix B = basis / den
+    (column chars[a] = e_a), which maps ambient coordinate i*NY + j to
+    the quotient coordinates a*NY + j with weights B[a][i].  Each of
+    ``steps`` reduces a vector on the coordinates the step before kept
+    (the first step: all m*NY quotient coordinates) modulo an RREF and
+    keeps its non-pivot coordinates.  A step is (pivots, kept, rows,
+    scale): ``rows`` are the RREF's rows on the kept coordinates times
+    the one pivot value ``scale`` that ``bareiss`` returns (at the pivots
+    they are ``scale`` times unit vectors).  ``free`` holds the ambient
+    slots of the coordinates the last step keeps."""
+
+    basis: tuple
+    den: int
+    steps: tuple
     free: tuple
 
     @property
@@ -87,37 +100,76 @@ class GradedPiece:
 
     def reduce_vector(self, vec):
         """Coordinates of a vector's class on the free monomials: its
-        projection through ``basis``, reduced by the relation RREF."""
-        quot = [Fraction(0)] * (self.basis.rows * NY)
+        projection through B, reduced by each step in turn."""
+        (vec,), den = integer_rows([[Fraction(x) for x in vec]])
+        quot = [0] * (len(self.basis) * NY)
         for k, x in enumerate(vec):
-            if x != 0:
-                x, (i, j) = Fraction(x), divmod(k, NY)
-                for a, g in enumerate(self.basis.data):
-                    if g[i] != 0:
-                        quot[a * NY + j] += g[i] * x
-        for row, p in zip(self.reduced.data, self.pivots):
-            coef = quot[p]
-            if coef != 0:
-                quot = [x - coef * y for x, y in zip(quot, row)]
-        return [x for c, x in enumerate(quot) if c not in self.pivots]
+            if x:
+                i, j = divmod(k, NY)
+                for a, b in enumerate(self.basis):
+                    if b[i]:
+                        quot[a * NY + j] += b[i] * x
+        den *= self.den
+        for step in self.steps:
+            quot = _reduce(quot, step)
+            den *= step[3]
+        return [Fraction(x, den) for x in quot]
 
 
-def _make_piece(basis: Matrix, chars, relation_rows) -> GradedPiece:
-    red, pivots = Matrix(relation_rows).rref()
-    free = tuple(
-        chars[c // NY] * NY + c % NY
-        for c in range(basis.rows * NY)
-        if c not in pivots
-    )
-    red = Matrix(red.data[: len(pivots)])
-    return GradedPiece(basis, tuple(chars), red, tuple(pivots), free)
+def _reduce(x, step):
+    """``scale`` times the integer vector x modulo a step's RREF, on the
+    coordinates the step keeps."""
+    pivots, kept, rows, scale = step
+    out = [scale * x[k] for k in kept]
+    for p, row in zip(pivots, rows):
+        c = x[p]
+        if c:
+            out = [a - c * b for a, b in zip(out, row)]
+    return out
 
 
-def _tensor(g: Matrix, i: int, c):
-    """The quotient row of e_i (x) c, column i of g tensored with c,
-    scaled to integers (only a relation row's span counts)."""
-    (gi, ci), _ = integer_rows([g.column(i), c])
-    return [a * x for a in gi for x in ci]
+def _step(rows, width: int):
+    """The reduction step of integer relation ``rows`` on ``width``
+    coordinates, from one ``bareiss`` elimination."""
+    pivots, _, scale = bareiss(rows, reduce=True)
+    kept = tuple(c for c in range(width) if c not in pivots)
+    rows = tuple(tuple(row[c] for c in kept) for row in rows[: len(pivots)])
+    return tuple(pivots), kept, rows, scale
+
+
+def _base_piece(basis, den: int, chars, relation_rows) -> GradedPiece:
+    step = _step(relation_rows, len(basis) * NY)
+    free = tuple(chars[c // NY] * NY + c % NY for c in step[1])
+    return GradedPiece(basis, den, (step,), free)
+
+
+def _quotient(piece: GradedPiece, relation_rows) -> GradedPiece:
+    """``piece`` modulo further relation rows on its quotient coordinates.
+
+    Reducing the rows modulo each step of ``piece`` spans the same space
+    together with the piece's relations, and leaves them on the free
+    coordinates of ``piece``; the RREF of all relations consists of the
+    new rows' RREF there (zero at the old pivots) and the old rows
+    reduced by it.  So its pivots are the old pivots plus the new rows'
+    pivots, and an RREF is unique: the free slots and every reduced
+    vector are those of one elimination of all the relation rows.
+    """
+    for step in piece.steps:
+        relation_rows = [_reduce(row, step) for row in relation_rows]
+    step = _step(relation_rows, piece.dimension)
+    free = tuple(piece.free[k] for k in step[1])
+    return GradedPiece(piece.basis, piece.den, piece.steps + (step,), free)
+
+
+def _tensor(basis, i: int, c):
+    """The quotient row of e_i (x) c: column i of the basis tensored with
+    the integer vector c (only a relation row's span counts)."""
+    return [b[i] * x for b in basis for x in c]
+
+
+def _columns(q: Matrix):
+    """The columns of q, each scaled to integers."""
+    return integer_rows([q.column(i) for i in range(NCHARS)])[0]
 
 
 def invariant_deformations(q) -> GradedPiece:
@@ -133,8 +185,13 @@ def invariant_deformations(q) -> GradedPiece:
 
 
 def _invariant_piece(q: Matrix, g: Matrix, chars) -> GradedPiece:
-    return _make_piece(
-        g, chars, [_tensor(g, i, q.column(i)) for i in range(NCHARS)]
+    den = lcm(*(x.denominator for row in g.data for x in row))
+    basis = tuple(
+        tuple(x.numerator * (den // x.denominator) for x in row) for row in g.data
+    )
+    qcols = _columns(q)
+    return _base_piece(
+        basis, den, chars, [_tensor(basis, i, qcols[i]) for i in range(NCHARS)]
     )
 
 
@@ -186,14 +243,16 @@ def _require_smooth(g: Matrix) -> None:
 
 
 def _target_pieces(q: Matrix, kappa: int, source: GradedPiece):
-    """The target summands: the first is R_{1,0} modulo g_s (x) q_kappa."""
-    g, qk = source.basis, q.column(kappa - 1)
-    first = _make_piece(g, source.chars, list(source.reduced.data) + [
-        _tensor(g, s, qk) for s in range(NCHARS) if s != kappa - 1
+    """The target summands: the first is R_{1,0} modulo g_s (x) q_kappa,
+    a quotient of ``source``."""
+    qcols = _columns(q)
+    first = _quotient(source, [
+        _tensor(source.basis, s, qcols[kappa - 1])
+        for s in range(NCHARS) if s != kappa - 1
     ])
-    ident = Matrix.identity(2)
-    second = _make_piece(ident, (0, 1), [
-        _tensor(ident, ti, q.column(p - 1))
+    ident = ((1, 0), (0, 1))
+    second = _base_piece(ident, 1, (0, 1), [
+        _tensor(ident, ti, qcols[p - 1])
         for ti, t in enumerate(squarefree_triples(kappa))
         for p in t
     ])
@@ -246,18 +305,23 @@ def period_maps(q) -> dict:
 
 
 def _period_map(q: Matrix, source: GradedPiece, kappa: int) -> PeriodMapData:
+    """The matrix, read off the target's last step: source slot k maps to
+    the unit vector of k among the kept slots, or, for the pivot k of a
+    new relation row, to minus that row.  Both are taken times the step's
+    pivot value, which leaves the kernel unchanged."""
     first, second = _target_pieces(q, kappa, source)
-    cols = []
-    for f in source.free:
-        unit = [Fraction(0)] * AMBIENT
-        unit[f] = Fraction(1)
-        cols.append(first.reduce_vector(unit))
-    mat = Matrix.from_columns(cols)
-    kern = mat.kernel_basis()
+    pivots, kept, rows, scale = first.steps[-1]
+    new = dict(zip(pivots, rows))
+    scaled = [
+        [-new[k][t] if k in new else scale * (k == c)
+         for k in range(source.dimension)]
+        for t, c in enumerate(kept)
+    ]
+    kern = Matrix(scaled).kernel_basis()
     return PeriodMapData(
         source=source,
         target=first,
-        matrix=mat,
+        matrix=Matrix([[Fraction(x, scale) for x in row] for row in scaled]),
         rank=source.dimension - kern.rows,
         kernel=kern,
         second_dim=second.dimension,

@@ -10,13 +10,15 @@ the rest of the package:
 * row-style Hermite normal form ``hnf`` of the row lattice,
 * Smith normal form ``snf`` with both unimodular transforms.
 
-All elimination over Q runs through one fraction-free kernel,
-``_bareiss``: each row is scaled to integers by the lcm of its
-denominators, Bareiss steps keep every entry an integer minor of the
-input, and rationals are built only at the end (``rref`` divides each
-pivot row by its pivot once; ``det`` divides the signed last pivot by
-the product of the row multipliers).  ``inverse``, ``kernel_basis``
-and ``solve_rows`` are read off one ``rref``.
+All elimination over Q runs through one fraction-free kernel on
+integer rows, ``bareiss``: each row is scaled to integers by the lcm
+of its denominators, Bareiss steps keep every entry an integer minor
+of the input, and rationals are built only at the end (``rref``
+divides the pivot rows by the last pivot once; ``det`` divides the
+signed last pivot by the product of the row multipliers).  Callers
+that keep integer rows (``jacobian``) call ``bareiss`` directly.
+``inverse``, ``kernel_basis`` and ``solve_rows`` are read off one
+``rref``.
 
 Conventions (fixed once, used everywhere):
 
@@ -203,15 +205,13 @@ class Matrix:
             pivot column indices (leftmost-pivot convention).
         """
         m, _ = integer_rows(self.data)
-        pivots, _, _ = _bareiss(m, reduce=True)
-        red = [
-            [Fraction(x, m[r][p]) for x in m[r]] for r, p in enumerate(pivots)
-        ]
+        pivots, _, last = bareiss(m, reduce=True)
+        red = [[Fraction(x, last) for x in row] for row in m[: len(pivots)]]
         return Matrix(red + m[len(pivots):]), pivots
 
     def rank(self) -> int:
         """Rank over Q: the pivot count of the fraction-free elimination."""
-        return len(_bareiss(integer_rows(self.data)[0])[0])
+        return len(bareiss(integer_rows(self.data)[0])[0])
 
     def kernel_basis(self):
         """Echelon basis of the right null space, rows spanning it.
@@ -227,7 +227,7 @@ class Matrix:
         if not self.is_square():
             raise DimensionError("det requires a square matrix")
         m, scale = integer_rows(self.data)
-        pivots, swaps, det = _bareiss(m)
+        pivots, swaps, det = bareiss(m)
         if len(pivots) < self.rows:
             return Fraction(0)
         return Fraction(-det if swaps % 2 else det, scale)
@@ -288,13 +288,15 @@ def null_space(m: Matrix):
     return basis, free
 
 
-def _bareiss(m, reduce=False):
+def bareiss(m, reduce=False):
     """Fraction-free (Bareiss) elimination of integer rows ``m``, in place.
 
     Each step sets every row below the pivot row (every other row, with
     ``reduce``) to ``(pivot*row - row[col]*pivot_row) // prev``; the
     divisions are exact because the entries stay minors of the input.
-    With ``reduce``, ``m`` ends as the last pivot times the RREF.
+    With ``reduce``, ``m`` ends as the last pivot times the RREF: every
+    earlier pivot row's pivot entry is rescaled to the current pivot at
+    each step, so all pivot entries end equal to the last one.
 
     Returns:
         (pivots, swaps, det): the pivot columns, the number of row

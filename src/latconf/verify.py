@@ -105,6 +105,7 @@ class Check:
     description: str
     status: str  # Pass | Fail | Skipped
     details: dict
+    elapsed_seconds: float = field(default=0.0, compare=False)
 
     def to_json(self):
         return {
@@ -917,6 +918,7 @@ def run_check(check_id: str, seed: int = 0) -> Check:
 
 
 def _execute(cid, description, fn, seed) -> Check:
+    start = time.monotonic()
     rng = random.Random(f"{seed}:{cid}")
     try:
         ok, details = fn(rng)
@@ -928,7 +930,7 @@ def _execute(cid, description, fn, seed) -> Check:
             "message": str(exc),
             "traceback": traceback.format_exc(limit=3),
         }
-    return Check(cid, description, status, details)
+    return Check(cid, description, status, details, time.monotonic() - start)
 
 
 def run_verify(seed: int = 0, id_filter: str | None = None) -> Report:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -21,6 +22,7 @@ from latconf.configs import (
     s4_to_wreath,
     wreath_elements,
 )
+from latconf.verify import random_system
 
 
 def run(capsys, *argv):
@@ -149,6 +151,11 @@ def test_closed_stdout_exits_1_without_traceback(capsys, monkeypatch, stub,
     (["lattice", "disc-form", "--name", "D100000"], 1, "InvalidName"),
     (["lattice", "disc-form", "--name", "E10+D(30,25)"], 1, "InvalidName"),
     (["lattice", "disc-form", "--name", "D100+D(-60,0)"], 1, "InvalidName"),
+    # argparse's own errors, subcommands included
+    (["config", "nodes", "--config", "[[1]]"], 2, "UsageError"),
+    (["config", "drop", "--config", "[[1]]", "--kappa", "x"], 2, "UsageError"),
+    (["lattice", "no-such"], 2, "UsageError"),
+    (["verify", "--seed", "x"], 2, "UsageError"),
 ])
 def test_bad_input_one_error_document(capsys, argv, code, kind):
     got, doc = run_json(capsys, *argv)
@@ -219,12 +226,111 @@ def test_config_commands_answer_with_one_json_document(rows, command, kappa):
     argv = ["config", command, "--config", json.dumps(rows)]
     if command in ("nodes", "drop"):
         argv += ["--kappa", str(kappa)]
+    _answers_with_one_json_document(argv)
+
+
+def _answers_with_one_json_document(argv):
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+    stdin, sys.stdin = sys.stdin, io.StringIO("[1, 2")  # for a '-' value
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
     assert code in (0, 1, 2)
     json.loads(out.getvalue())  # a second document would be "Extra data"
     assert err.getvalue() == ""
+
+
+_small = st.integers(min_value=-3, max_value=3)
+
+
+def _json_matrix(rows=st.integers(1, 3), cols=st.integers(1, 3)):
+    """A small integer matrix, as inline JSON."""
+    return st.tuples(rows, cols).flatmap(
+        lambda rc: st.lists(
+            st.lists(_small, min_size=rc[1], max_size=rc[1]),
+            min_size=rc[0], max_size=rc[0],
+        )
+    ).map(json.dumps)
+
+
+# values of the wrong type or shape for any flag
+_junk = st.sampled_from([
+    "", "x", "1.5", "-", "[", "{}", "null", "5", '"abc"', "[5]", "[[1,2],[3]]",
+    '[["x"]]', '[["1/0"]]', '{"entries":[[1]]}', '{"gram":[[1]]}',
+    '{"rows":1,"cols":2,"entries":[[1]]}',
+])
+_int_text = st.integers(min_value=-2, max_value=9).map(str)
+_values = {
+    "--name": st.sampled_from([
+        "D6", "D4", "D4*2", "E8", "H", "L", "Z(2,4)", "Z(4,4)", "H(1/2)+E8*-1",
+        "A2", "Z(2)", "H(abc)", "D(2,x)", "E8*1/0", "D100000",
+    ]),
+    "--gram": _json_matrix(),
+    "--basis": _json_matrix(),
+    "--gens": st.lists(st.lists(_small, min_size=1, max_size=3), max_size=2)
+    .map(json.dumps),
+    "--vector": st.lists(_small, min_size=5, max_size=7).map(json.dumps),
+    "--plane": _json_matrix(st.integers(1, 3), st.integers(5, 7)),
+    "--ell2-base": _int_text,
+    "--ell2-cover": _int_text,
+    "--rho": _int_text,
+    "--system": _json_matrix(st.integers(3, 5), st.integers(6, 8))
+    | _json_matrix(st.just(4), st.just(7))
+    | st.integers(0, 999).map(
+        lambda seed: json.dumps([
+            [str(x) for x in row]
+            for row in random_system(random.Random(seed)).data
+        ])
+    ),
+    "--kappa": _int_text,
+    "--seed": _int_text,
+}
+_switches = ("--quadratic", "--kappa-trivial")
+_commands = {
+    ("lattice", "disc-form"): ("--name", "--gram"),
+    ("lattice", "complement"): ("--name", "--gram", "--basis"),
+    ("lattice", "glue"): ("--name", "--gram", "--gens", "--quadratic"),
+    ("lattice", "classify-isotropic"): ("--vector", "--plane"),
+    ("lattice", "overlattices"): ("--name", "--gram"),
+    ("lattice", "index-formula"):
+        ("--ell2-base", "--ell2-cover", "--rho", "--kappa-trivial"),
+    ("jacobian", "dims"): ("--system", "--kappa"),
+    ("jacobian", "period-rank"): ("--kappa", "--system", "--seed"),
+}
+
+
+@st.composite
+def _argv(draw, group):
+    """A ``group`` subcommand with most of its flags, maybe one missing
+    or repeated, some with junk values, and maybe an unknown flag."""
+    command = draw(st.sampled_from([c for c in _commands if c[0] == group]))
+    flags = _commands[command]
+    chosen = [flag for flag in flags if draw(st.integers(0, 4))]
+    if draw(st.integers(0, 3)) == 0:
+        chosen.append(draw(st.sampled_from(flags)))
+    argv = list(command)
+    for flag in chosen:
+        argv.append(flag)
+        if flag not in _switches:
+            argv.append(draw(_junk if draw(st.integers(0, 3)) == 0 else _values[flag]))
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(1, len(argv)))
+        argv[at:at] = draw(st.sampled_from([["--bogus"], ["--bogus", "1"], ["-k"]]))
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_argv("lattice"))
+def test_lattice_commands_answer_with_one_json_document(argv):
+    _answers_with_one_json_document(argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_argv("jacobian"))
+def test_jacobian_commands_answer_with_one_json_document(argv):
+    _answers_with_one_json_document(argv)
 
 
 def test_classify_isotropic_takes_no_lattice(capsys):
@@ -266,6 +372,38 @@ def test_verify_filter_deterministic(capsys, tmp_path):
     assert all(
         s == "Skipped" for i, s in statuses.items() if i != "f2-census"
     )
+
+
+def test_verify_json_records_elapsed_seconds(capsys, tmp_path):
+    out_file = tmp_path / "report.json"
+    code, _ = run(
+        capsys, "verify", "--filter", "disc-form-d6", "--json", str(out_file)
+    )
+    doc = json.loads(out_file.read_text())
+    assert code == 0
+    assert doc["elapsed_seconds"] >= 0
+    assert doc["checks"] and all(c["elapsed_seconds"] >= 0 for c in doc["checks"])
+
+
+def test_verify_unwritable_json_exit_2_before_any_check(capsys, tmp_path,
+                                                        monkeypatch):
+    def no_checks(**_kwargs):
+        raise AssertionError("checks ran before the --json path was opened")
+
+    monkeypatch.setattr("latconf.cli.run_verify", no_checks)
+    path = tmp_path / "missing" / "report.json"
+    code = main(["verify", "--filter", "disc-form-d6", "--json", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"]["kind"] == "UsageError"
+    assert captured.err == ""
+
+
+def test_help_and_version_print_text_exit_0(capsys):
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out.strip()
+    assert main(["config", "drop", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: latconf config drop")
 
 
 def test_verify_filter_matching_nothing_exit_2(capsys):

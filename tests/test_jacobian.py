@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import latconf.jacobian
+import latconf.matrices
 from latconf.configs import seven_line_config, smoothness
 from latconf.errors import DimensionError, LabelError, SmoothnessRequired
 from latconf.jacobian import (
@@ -149,6 +151,25 @@ def test_one_elimination_of_the_system(monkeypatch):
         draws = rng.entries // 28
         assert shapes.count((4, 7)) == draws, smooth
         assert draws > 20 or not smooth  # a non-smooth draw was rejected
+
+
+def test_period_map_eliminations(monkeypatch):
+    """One ``period_map`` runs five eliminations, all through the public
+    kernel ``bareiss``: the system for its Gale dual, the source's
+    Jacobian rows, the target's new rows on the source's free
+    coordinates (not the stacked 12 x 12 system), the second summand and
+    the period matrix for its kernel."""
+    q = random_system(random.Random(47))
+    shapes = []
+
+    def counted(m, reduce=False, _original=latconf.matrices.bareiss):
+        shapes.append((len(m), len(m[0]) if m else 0))
+        return _original(m, reduce)
+
+    for module in (latconf.matrices, latconf.jacobian):
+        monkeypatch.setattr(module, "bareiss", counted)
+    period_map(q, 6)
+    assert shapes == [(4, 7), (7, 12), (6, 6), (6, 8), (4, 6)]
 
 
 def test_relation_counts():
