@@ -373,10 +373,10 @@ def gale_dual(q):
         q = Matrix(q)
     if q.rows != 4 or q.cols != 7:
         raise DimensionError("quadric system must be 4 x 7")
-    g, chars = null_space(q)
-    if len(g) != 3:
+    g, chars = null_space(integer_rows(q.data)[0], 7)
+    if g.rows != 3:
         raise DimensionError("quadric system must have rank 4")
-    return q, Matrix(g), tuple(chars)
+    return q, g, chars
 
 
 def check_kappa(kappa: int) -> int:

@@ -50,15 +50,6 @@ SEARCH_BOUND = 2**10
 SUBGROUP_BOUND = 2**14
 
 
-def _mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
-
-
-def _mod2(x: Fraction) -> Fraction:
-    f = Fraction(x, 2)
-    return 2 * (f - (f.numerator // f.denominator))
-
-
 def _integer(c) -> int:
     """``c`` as an int; only integral numbers pass, nothing is truncated."""
     if isinstance(c, Rational) and c.denominator == 1:
@@ -116,7 +107,7 @@ def _join(span, g, translate):
 class FiniteForm:
     """Finite bilinear/quadratic form module on canonical generators."""
 
-    __slots__ = ("orders", "bilinear", "quadratic", "_cache")
+    __slots__ = ("orders", "bilinear", "quadratic", "_scale", "_gram", "_qvec", "_cache")
 
     def __init__(self, orders, bilinear, quadratic=None):
         orders = tuple(int(n) for n in orders)
@@ -128,13 +119,13 @@ class FiniteForm:
         bilinear = Matrix(bilinear.data if isinstance(bilinear, Matrix) else bilinear)
         if bilinear.rows != len(orders) or bilinear.cols != len(orders):
             raise DimensionError("bilinear matrix size mismatch")
-        bilinear = Matrix([[_mod1(x) for x in row] for row in bilinear.data])
+        bilinear = Matrix([[x % 1 for x in row] for row in bilinear.data])
         if not bilinear.is_symmetric():
             raise DimensionError("bilinear matrix must be symmetric")
         if any((n * x).denominator != 1 for n, row in zip(orders, bilinear.data) for x in row):
             raise DimensionError("bilinear values not well defined: need n_i * b_ij integral")
         if quadratic is not None:
-            quadratic = tuple(_mod2(Fraction(x)) for x in quadratic)
+            quadratic = tuple(Fraction(x) % 2 for x in quadratic)
             if len(quadratic) != len(orders):
                 raise DimensionError("quadratic vector size mismatch")
             if any((x - bilinear.data[i][i]).denominator != 1 or n * n * x % 2
@@ -146,6 +137,11 @@ class FiniteForm:
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "bilinear", bilinear)
         object.__setattr__(self, "quadratic", quadratic)
+        scale = orders[-1] if orders else 1  # makes every form value an integer
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_gram", [[int(x * scale) for x in row] for row in bilinear.data])
+        qvec = None if quadratic is None else [int(x * scale) for x in quadratic]
+        object.__setattr__(self, "_qvec", qvec)
         object.__setattr__(self, "_cache", None)
 
     def __setattr__(self, *_):
@@ -231,32 +227,24 @@ class FiniteForm:
 
     # -- form values --------------------------------------------------
 
+    def _pair(self, x, y) -> int:
+        """``scale * b(x, y)`` before reduction, for reduced x and y."""
+        return sum(a * b * g for a, row in zip(x, self._gram) for b, g in zip(y, row))
+
     def b(self, x, y) -> Fraction:
         """Bilinear value in Q/Z, represented in [0, 1)."""
-        x, y = self.reduce(x), self.reduce(y)
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.bilinear.data[i]
-                for j, yj in enumerate(y):
-                    if yj:
-                        total += xi * yj * row[j]
-        return _mod1(total)
+        return Fraction(self._pair(self.reduce(x), self.reduce(y)) % self._scale,
+                        self._scale)
 
     def q(self, x) -> Fraction:
         """Quadratic value in Q/2Z, represented in [0, 2)."""
         if self.quadratic is None:
             raise DimensionError("no quadratic refinement on this form")
         x = self.reduce(x)
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi:
-                total += xi * xi * self.quadratic[i]
-                row = self.bilinear.data[i]
-                for j in range(i + 1, self.ngens):
-                    if x[j]:
-                        total += 2 * xi * x[j] * row[j]
-        return _mod2(total)
+        total = self._pair(x, x) + sum(
+            a * a * (qa - row[i])
+            for i, (a, qa, row) in enumerate(zip(x, self._qvec, self._gram)))
+        return Fraction(total % (2 * self._scale), self._scale)
 
     def is_isotropic_subgroup(self, gens, use_quadratic):
         """Check isotropy of the subgroup generated by ``gens``.
@@ -320,26 +308,26 @@ def trivial_form(quadratic: bool):
 # ---------------------------------------------------------------------------
 
 
-def _scaled_tables(f: FiniteForm, scale: int):
+def _scaled_tables(f: FiniteForm):
     """Integer tables of ``f`` on all elements, in ``elements()`` order.
 
     Returns ``(elements, coeff, pair, quad)``: the elements and their
     coefficient rows as an array (both from the element tables),
     ``pair[i, j] = scale*b(x_i, x_j) mod scale`` and ``quad[i] =
     scale*q(x_i) mod 2*scale`` (``None`` without a quadratic
-    refinement).  ``f`` must have a generator, and ``scale`` must be a
-    multiple of every generator order, which makes every scaled value an
-    integer.
+    refinement), ``scale`` the largest generator order; ``f`` must have
+    a generator.  These are the values ``b`` and ``q`` compute.
     """
     import numpy as np
 
-    bs = np.array([[int(x * scale) for x in row] for row in f.bilinear.data], dtype=np.int64)
+    scale = f._scale
+    bs = np.array(f._gram, dtype=np.int64)
     elements, _, coeff, _, _ = f._tables()
     raw = coeff @ bs @ coeff.T
     pair = raw % scale
     quad = None
     if f.quadratic is not None:
-        qs = np.array([int(x * scale) for x in f.quadratic], dtype=np.int64)
+        qs = np.array(f._qvec, dtype=np.int64)
         quad = (np.diagonal(raw) + (coeff * coeff) @ (qs - np.diagonal(bs))) % (2 * scale)
     return elements, coeff, pair, quad
 
@@ -367,10 +355,9 @@ def _search(a: FiniteForm, b: FiniteForm, use_quadratic: bool):
     import numpy as np
 
     orders = np.array(a.orders, dtype=np.int64)
-    scale = lcm(*a.orders)
-    ta = _scaled_tables(a, scale)
+    ta = _scaled_tables(a)
     _, coeff_a, pair_a, quad_a = ta
-    elements_b, coeff_b, pair_b, quad_b = ta if b is a else _scaled_tables(b, scale)
+    elements_b, coeff_b, pair_b, quad_b = ta if b is a else _scaled_tables(b)
     # generator e_i sits at the mixed-radix index prod(orders[i+1:])
     gidx = [prod(a.orders[i + 1:]) for i in range(k)]
     cross = pair_a[np.ix_(gidx, gidx)]

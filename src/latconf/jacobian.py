@@ -13,9 +13,10 @@ reduced modulo the source's RREF, live on the source's 6 free
 coordinates, where one 6 x 6 elimination (rank 2) finishes it.  An RREF
 is unique, so these are the rows of the full 28-column RREF with pivots
 in F x {y_j}, and its non-pivot monomials are the full complement
-basis — fully deterministic.  Every elimination is one
-``matrices.bareiss`` call on integer rows; Fractions are built only for
-the public outputs (``matrix``, ``kernel``, ``reduce_vector``).
+basis — fully deterministic.  Every reduction step, and the period
+matrix's kernel, is read off one ``matrices.echelon`` of integer rows;
+Fractions are built only for the public outputs (``matrix``,
+``kernel``, ``reduce_vector``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from math import lcm
 
 from .configs import check_kappa, dependent_columns, gale_dual
 from .errors import SmoothnessRequired
-from .matrices import Matrix, bareiss, integer_rows
+from .matrices import Matrix, echelon, integer_rows, null_space
 
 NCHARS = 7
 NY = 4
@@ -83,11 +84,10 @@ class GradedPiece:
     the quotient coordinates a*NY + j with weights B[a][i].  Each of
     ``steps`` reduces a vector on the coordinates the step before kept
     (the first step: all m*NY quotient coordinates) modulo an RREF and
-    keeps its non-pivot coordinates.  A step is (pivots, kept, rows,
-    scale): ``rows`` are the RREF's rows on the kept coordinates times
-    the one pivot value ``scale`` that ``bareiss`` returns (at the pivots
-    they are ``scale`` times unit vectors).  ``free`` holds the ambient
-    slots of the coordinates the last step keeps."""
+    keeps its non-pivot coordinates.  A step is the ``matrices.echelon``
+    of the step's relation rows: (pivots, kept, rows, scale), ``rows``
+    the RREF's rows on the kept coordinates times ``scale``.  ``free``
+    holds the ambient slots of the coordinates the last step keeps."""
 
     basis: tuple
     den: int
@@ -128,17 +128,8 @@ def _reduce(x, step):
     return out
 
 
-def _step(rows, width: int):
-    """The reduction step of integer relation ``rows`` on ``width``
-    coordinates, from one ``bareiss`` elimination."""
-    pivots, _, scale = bareiss(rows, reduce=True)
-    kept = tuple(c for c in range(width) if c not in pivots)
-    rows = tuple(tuple(row[c] for c in kept) for row in rows[: len(pivots)])
-    return tuple(pivots), kept, rows, scale
-
-
 def _base_piece(basis, den: int, chars, relation_rows) -> GradedPiece:
-    step = _step(relation_rows, len(basis) * NY)
+    step = echelon(relation_rows, len(basis) * NY)
     free = tuple(chars[c // NY] * NY + c % NY for c in step[1])
     return GradedPiece(basis, den, (step,), free)
 
@@ -156,7 +147,7 @@ def _quotient(piece: GradedPiece, relation_rows) -> GradedPiece:
     """
     for step in piece.steps:
         relation_rows = [_reduce(row, step) for row in relation_rows]
-    step = _step(relation_rows, piece.dimension)
+    step = echelon(relation_rows, piece.dimension)
     free = tuple(piece.free[k] for k in step[1])
     return GradedPiece(piece.basis, piece.den, piece.steps + (step,), free)
 
@@ -167,9 +158,11 @@ def _tensor(basis, i: int, c):
     return [b[i] * x for b in basis for x in c]
 
 
-def _columns(q: Matrix):
-    """The columns of q, each scaled to integers."""
-    return integer_rows([q.column(i) for i in range(NCHARS)])[0]
+def _system(q):
+    """(columns, G, F): the columns of the system ``q``, each scaled to
+    integers, and ``configs.gale_dual``'s G and F; one elimination."""
+    q, g, chars = gale_dual(q)
+    return integer_rows([q.column(i) for i in range(NCHARS)])[0], g, chars
 
 
 def invariant_deformations(q) -> GradedPiece:
@@ -181,15 +174,14 @@ def invariant_deformations(q) -> GradedPiece:
     relation rank is 22 for full-rank systems.  On the 12 quotient
     coordinates the Jacobian rows are g_i (x) q_i, of rank 6.
     """
-    return _invariant_piece(*gale_dual(q))
+    return _invariant_piece(*_system(q))
 
 
-def _invariant_piece(q: Matrix, g: Matrix, chars) -> GradedPiece:
+def _invariant_piece(qcols, g: Matrix, chars) -> GradedPiece:
     den = lcm(*(x.denominator for row in g.data for x in row))
     basis = tuple(
         tuple(x.numerator * (den // x.denominator) for x in row) for row in g.data
     )
-    qcols = _columns(q)
     return _base_piece(
         basis, den, chars, [_tensor(basis, i, qcols[i]) for i in range(NCHARS)]
     )
@@ -228,11 +220,11 @@ def kappa_target(q, kappa: int, require_smooth: bool = True):
     presuppose 4-column independence of the system, so non-smooth
     input is rejected unless ``require_smooth`` is disabled.
     """
-    q, g, chars = gale_dual(q)
+    qcols, g, chars = _system(q)
     kappa = check_kappa(kappa)
     if require_smooth:
         _require_smooth(g)
-    return _target_pieces(q, kappa, _invariant_piece(q, g, chars))
+    return _target_pieces(qcols, kappa, _invariant_piece(qcols, g, chars))
 
 
 def _require_smooth(g: Matrix) -> None:
@@ -242,10 +234,9 @@ def _require_smooth(g: Matrix) -> None:
         )
 
 
-def _target_pieces(q: Matrix, kappa: int, source: GradedPiece):
+def _target_pieces(qcols, kappa: int, source: GradedPiece):
     """The target summands: the first is R_{1,0} modulo g_s (x) q_kappa,
-    a quotient of ``source``."""
-    qcols = _columns(q)
+    a quotient of ``source``; ``qcols`` are the system's integer columns."""
     first = _quotient(source, [
         _tensor(source.basis, s, qcols[kappa - 1])
         for s in range(NCHARS) if s != kappa - 1
@@ -285,10 +276,10 @@ def period_map(q, kappa: int) -> PeriodMapData:
     identity; the matrix expresses each source complement monomial in
     the target complement basis.
     """
-    q, g, chars = gale_dual(q)
+    qcols, g, chars = _system(q)
     kappa = check_kappa(kappa)
     _require_smooth(g)
-    return _period_map(q, _invariant_piece(q, g, chars), kappa)
+    return _period_map(qcols, _invariant_piece(qcols, g, chars), kappa)
 
 
 def period_maps(q) -> dict:
@@ -298,18 +289,18 @@ def period_maps(q) -> dict:
     not depend on kappa, so they are done once for all seven maps; each
     value equals ``period_map(q, kappa)``.
     """
-    q, g, chars = gale_dual(q)
+    qcols, g, chars = _system(q)
     _require_smooth(g)
-    source = _invariant_piece(q, g, chars)
-    return {kappa: _period_map(q, source, kappa) for kappa in range(1, NCHARS + 1)}
+    source = _invariant_piece(qcols, g, chars)
+    return {kappa: _period_map(qcols, source, kappa) for kappa in range(1, NCHARS + 1)}
 
 
-def _period_map(q: Matrix, source: GradedPiece, kappa: int) -> PeriodMapData:
+def _period_map(qcols, source: GradedPiece, kappa: int) -> PeriodMapData:
     """The matrix, read off the target's last step: source slot k maps to
     the unit vector of k among the kept slots, or, for the pivot k of a
     new relation row, to minus that row.  Both are taken times the step's
     pivot value, which leaves the kernel unchanged."""
-    first, second = _target_pieces(q, kappa, source)
+    first, second = _target_pieces(qcols, kappa, source)
     pivots, kept, rows, scale = first.steps[-1]
     new = dict(zip(pivots, rows))
     scaled = [
@@ -317,11 +308,12 @@ def _period_map(q: Matrix, source: GradedPiece, kappa: int) -> PeriodMapData:
          for k in range(source.dimension)]
         for t, c in enumerate(kept)
     ]
-    kern = Matrix(scaled).kernel_basis()
+    matrix = Matrix([[Fraction(x, scale) for x in row] for row in scaled])
+    kern = null_space(scaled, source.dimension)[0]
     return PeriodMapData(
         source=source,
         target=first,
-        matrix=Matrix([[Fraction(x, scale) for x in row] for row in scaled]),
+        matrix=matrix,
         rank=source.dimension - kern.rows,
         kernel=kern,
         second_dim=second.dimension,

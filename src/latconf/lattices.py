@@ -33,7 +33,7 @@ from .errors import (
     IntegralityViolation,
 )
 from .finite_forms import FiniteForm, finite_form_isometric, trivial_form
-from .matrices import Matrix, gcd_of, hnf, integer_rows, snf, solve_rows
+from .matrices import Matrix, echelon, gcd_of, hnf, integer_rows, snf, solve_rows
 
 
 class Lattice:
@@ -410,10 +410,9 @@ def saturation(s: Sublattice) -> Sublattice:
     meets Z^n exactly in the span of the first k rows of v^{-1}.  The
     result basis is put in Hermite normal form for determinism.
     """
-    k = s.rank
     _, _, v = snf(s.basis)
-    vinv = v.inverse()
-    return Sublattice(s.ambient, hnf(Matrix([list(vinv.data[i]) for i in range(k)])))
+    rows = v.inverse().data[: s.rank]
+    return Sublattice(s.ambient, hnf(Matrix(rows)) if rows else s.basis)
 
 
 def sublattice_index(sub: Sublattice, sup: Sublattice) -> int:
@@ -439,15 +438,18 @@ def orthogonal_complement(s: Sublattice) -> Sublattice:
     """Saturated sublattice of all ambient vectors orthogonal to s."""
     if not s.ambient.is_integral():
         raise NonIntegralLattice("orthogonal complement requires integral ambient")
-    pairing = s.basis * s.ambient.gram
-    kernel = pairing.kernel_basis()
-    if kernel.rows == 0:
-        return Sublattice(s.ambient, Matrix.zeros(0, s.ambient.n))
-    int_rows = []
-    for row in integer_rows(kernel.data)[0]:
-        g = gcd_of(row)
-        int_rows.append([x // g for x in row])
-    return saturation(Sublattice(s.ambient, Matrix(int_rows)))
+    n = s.ambient.n
+    pivots, free, reduced, scale = echelon(integer_rows((s.basis * s.ambient.gram).data)[0], n)
+    if not free:
+        return Sublattice(s.ambient, Matrix.zeros(0, n))
+    kernel = []  # scale times the echelon kernel basis, each row made primitive
+    for a, f in enumerate(free):
+        row = [scale if c == f else 0 for c in range(n)]
+        for p, r in zip(pivots, reduced):
+            row[p] = -r[a]
+        g = gcd_of(row) if scale > 0 else -gcd_of(row)  # positive at f
+        kernel.append([x // g for x in row])
+    return saturation(Sublattice(s.ambient, Matrix(kernel)))
 
 
 def is_primitive(s: Sublattice) -> bool:

@@ -5,20 +5,19 @@ Provides an immutable :class:`Matrix` of arbitrary-precision rationals
 the rest of the package:
 
 * ``rref`` / ``kernel_basis`` / ``rank`` / ``det`` / ``inverse`` over Q,
-  and ``null_space``, the kernel basis with its free columns,
+  and ``null_space``, the kernel basis of integer rows and its free columns,
 * ``solve_rows``: the coefficients of rows in the row span of a basis,
 * row-style Hermite normal form ``hnf`` of the row lattice,
 * Smith normal form ``snf`` with both unimodular transforms.
 
 All elimination over Q runs through one fraction-free kernel on
 integer rows, ``bareiss``: each row is scaled to integers by the lcm
-of its denominators, Bareiss steps keep every entry an integer minor
-of the input, and rationals are built only at the end (``rref``
-divides the pivot rows by the last pivot once; ``det`` divides the
-signed last pivot by the product of the row multipliers).  Callers
-that keep integer rows (``jacobian``) call ``bareiss`` directly.
-``inverse``, ``kernel_basis`` and ``solve_rows`` are read off one
-``rref``.
+of its denominators, and Bareiss steps keep every entry an integer
+minor of the input.  ``rank`` and ``det`` read its pivots and last
+pivot; every RREF is read off its one reducing caller, ``echelon``.
+``rref``, ``null_space``, ``kernel_basis``, ``solve_rows`` and
+``inverse`` build rationals from ``echelon`` only at the end; callers
+that keep integer rows (``jacobian``, ``lattices``) use it directly.
 
 Conventions (fixed once, used everywhere):
 
@@ -64,15 +63,12 @@ class Matrix:
             tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
             for row in data
         )
-        if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
-                raise DimensionError("ragged rows")
-        else:
-            width = 0
+        width = len(data[0]) if data else 0
+        if any(len(row) != width for row in data):
+            raise DimensionError("ragged rows")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", width if data else 0)
+        object.__setattr__(self, "cols", width)
 
     def __setattr__(self, *_):
         raise AttributeError("Matrix is immutable")
@@ -81,7 +77,10 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)])
+        """The zero matrix; with no rows it still has ``cols`` columns."""
+        m = cls([[0] * cols for _ in range(rows)])
+        object.__setattr__(m, "cols", cols)
+        return m
 
     @classmethod
     def identity(cls, n):
@@ -115,7 +114,7 @@ class Matrix:
         return Matrix([[self.data[i][j] for j in col_idx] for i in row_idx])
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.data == other.data
+        return isinstance(other, Matrix) and (self.cols, self.data) == (other.cols, other.data)
 
     def __hash__(self):
         return hash(self.data)
@@ -155,6 +154,8 @@ class Matrix:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        if not self.rows:
+            return Matrix.zeros(0, other.cols)
         bt = other.transpose().data
         return Matrix(
             [
@@ -164,14 +165,11 @@ class Matrix:
         )
 
     def transpose(self):
+        if not self.cols:
+            return Matrix.zeros(0, self.rows)
         return Matrix(
             [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
         )
-
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise DimensionError("hstack: row mismatch")
-        return Matrix([list(a) + list(b) for a, b in zip(self.data, other.data)])
 
     # -- predicates ---------------------------------------------------
 
@@ -205,9 +203,9 @@ class Matrix:
             pivot column indices (leftmost-pivot convention).
         """
         m, _ = integer_rows(self.data)
-        pivots, _, last = bareiss(m, reduce=True)
-        red = [[Fraction(x, last) for x in row] for row in m[: len(pivots)]]
-        return Matrix(red + m[len(pivots):]), pivots
+        pivots, _, _, scale = echelon(m, self.cols)
+        red = Matrix([[Fraction(x, scale) for x in row] for row in m]) if m else self
+        return red, list(pivots)
 
     def rank(self) -> int:
         """Rank over Q: the pivot count of the fraction-free elimination."""
@@ -220,8 +218,7 @@ class Matrix:
         column; deterministic by construction.  Row count equals
         ``cols - rank``.
         """
-        basis, _ = null_space(self)
-        return Matrix(basis) if basis else Matrix.zeros(0, self.cols)
+        return null_space(integer_rows(self.data)[0], self.cols)[0]
 
     def det(self) -> Fraction:
         if not self.is_square():
@@ -235,11 +232,10 @@ class Matrix:
     def inverse(self):
         if not self.is_square():
             raise DimensionError("inverse requires a square matrix")
-        aug = self.hstack(Matrix.identity(self.rows))
-        red, pivots = aug.rref()
-        if pivots != list(range(self.rows)):
+        inv = solve_rows(self, Matrix.identity(self.rows))
+        if inv is None:
             raise SingularMatrixError("matrix is singular")
-        return red.submatrix(range(self.rows), range(self.rows, 2 * self.rows))
+        return inv
 
     # -- serialization ------------------------------------------------
 
@@ -253,6 +249,8 @@ class Matrix:
     @classmethod
     def from_json(cls, obj):
         m = cls([[str_to_frac(x) for x in row] for row in obj["entries"]])
+        if not m.rows and type(obj["cols"]) is int and obj["cols"] > 0:
+            m = cls.zeros(0, obj["cols"])
         if m.rows != obj["rows"] or m.cols != obj["cols"]:
             raise DimensionError("JSON matrix shape mismatch")
         return m
@@ -274,18 +272,28 @@ def integer_rows(data):
     return out, scale
 
 
-def null_space(m: Matrix):
-    """(basis, free): the rows of ``m.kernel_basis()`` as lists, and the
-    free columns of the RREF; basis row a is 1 at free[a], 0 at the
-    other free columns and minus the RREF entries of column free[a] at
-    the pivots."""
-    red, pivots = m.rref()
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = [[Fraction(c == f) for c in range(m.cols)] for f in free]
-    for row, p in zip(red.data, pivots):
-        for vec, f in zip(basis, free):
-            vec[p] = -row[f]
-    return basis, free
+def echelon(rows, width: int):
+    """(pivots, free, reduced, scale): the RREF of the integer ``rows`` on
+    ``width`` columns, from one ``bareiss``, which leaves ``rows`` as
+    ``scale`` (the last pivot) times the RREF: its pivot and free
+    columns, and its pivot rows on the free columns times ``scale``."""
+    pivots, _, scale = bareiss(rows, reduce=True)
+    free = tuple(c for c in range(width) if c not in pivots)
+    reduced = tuple(tuple(row[c] for c in free) for row in rows[: len(pivots)])
+    return tuple(pivots), free, reduced, scale
+
+
+def null_space(rows, width: int):
+    """(basis, free): the echelon kernel basis of the integer ``rows`` on
+    ``width`` columns, a Matrix, and the free columns of their RREF;
+    basis row a is 1 at free[a], 0 at the other free columns and minus
+    the RREF entries of column free[a] at the pivots."""
+    pivots, free, reduced, scale = echelon(rows, width)
+    basis = [[Fraction(c == f) for c in range(width)] for f in free]
+    for p, row in zip(pivots, reduced):
+        for vec, x in zip(basis, row):
+            vec[p] = Fraction(-x, scale)
+    return (Matrix(basis) if basis else Matrix.zeros(0, width)), free
 
 
 def bareiss(m, reduce=False):
@@ -334,20 +342,24 @@ def bareiss(m, reduce=False):
 def solve_rows(basis: Matrix, rows: Matrix):
     """Coefficients ``x`` with ``x * basis == rows``, or None.
 
-    One RREF of the stacked system ``[basis^T | rows^T]`` solves for
-    every row at once.  Returns None when some row lies outside the row
-    span of ``basis``; the solution is unique when ``basis`` has full
+    One ``echelon`` of the stacked system ``[basis^T | rows^T]`` solves
+    for every row at once.  Returns None when some row lies outside the
+    row span of ``basis``; the solution is unique when ``basis`` has full
     row rank (otherwise free coefficients are 0).
     """
-    k = basis.rows
-    red, pivots = basis.transpose().hstack(rows.transpose()).rref()
+    if basis.cols != rows.cols:
+        raise DimensionError("solve_rows: width mismatch")
+    k, n = basis.rows, rows.rows
+    stacked = [[r[j] for r in basis.data + rows.data] for j in range(basis.cols)]
+    m, _ = integer_rows(stacked)
+    pivots, _, _, scale = echelon(m, k + n)
     if pivots and pivots[-1] >= k:
         return None
-    x = [[0] * k for _ in range(rows.rows)]
-    for r, p in enumerate(pivots):
-        for i, value in enumerate(red.data[r][k:]):
-            x[i][p] = value
-    return Matrix(x)
+    x = [[0] * k for _ in range(n)]
+    for p, row in zip(pivots, m):
+        for i, value in enumerate(row[k:]):
+            x[i][p] = Fraction(value, scale)
+    return Matrix(x) if x else Matrix.zeros(0, k)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +397,7 @@ def hnf(m: Matrix) -> Matrix:
                 q = a[r][col] // a[prow][col]
                 a[r] = [x - q * y for x, y in zip(a[r], a[prow])]
             prow += 1
-    return Matrix(a)
+    return Matrix(a) if a else m
 
 
 def snf(m: Matrix):
@@ -473,7 +485,7 @@ def snf(m: Matrix):
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
         t += 1
-    return Matrix(a), Matrix(u), Matrix(v)
+    return (Matrix(a) if a else m), Matrix(u), Matrix(v)
 
 
 def gcd_of(values) -> int:

@@ -43,6 +43,17 @@ def test_disc_form_d6(capsys):
     assert doc["bilinear"] == [["0", "1/2"], ["1/2", "1/2"]]
 
 
+def test_complement_of_a_full_rank_sublattice(capsys):
+    code, doc = run_json(
+        capsys, "lattice", "complement", "--name", "Z(1,1)",
+        "--basis", "[[1,0],[0,1]]",
+    )
+    assert code == 0
+    assert doc["basis"] == {"rows": 0, "cols": 2, "entries": []}
+    assert doc["gram"] == {"rows": 0, "cols": 0, "entries": []}
+    assert doc["signature"] == [0, 0] and doc["discriminant"] == "1"
+
+
 def test_index_formula(capsys):
     code, doc = run_json(
         capsys, "lattice", "index-formula", "--ell2-base", "0",

@@ -245,6 +245,25 @@ def form_pairs(draw):
     return a, FiniteForm(a.orders, bil, quad)
 
 
+@settings(max_examples=60, deadline=None)
+@given(forms(), st.data())
+def test_values_against_fraction_sums(f, data):
+    """``b`` and ``q`` equal the Fraction sums that define them, reduced
+    mod 1 and mod 2, also on unreduced coefficients."""
+    k = f.ngens
+    coeffs = st.lists(st.integers(-20, 20), min_size=k, max_size=k)
+    for _ in range(4):
+        x, y = data.draw(coeffs), data.draw(coeffs)
+        pair = sum(x[i] * y[j] * f.bilinear.entry(i, j) for i in range(k) for j in range(k))
+        assert f.b(x, y) == pair % 1
+        if f.quadratic is not None:
+            quad = sum(x[i] ** 2 * f.quadratic[i] for i in range(k)) + sum(
+                2 * x[i] * x[j] * f.bilinear.entry(i, j)
+                for i in range(k) for j in range(i + 1, k)
+            )
+            assert f.q(x) == quad % 2
+
+
 @settings(max_examples=40, deadline=None)
 @given(form_pairs())
 def test_search_against_oracle(pair):

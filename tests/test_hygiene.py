@@ -5,6 +5,8 @@
 * Every public module-level name of the package is used somewhere in
   the repository's code: ``src``, ``tests``, ``demos`` or ``perfbench``.
 * Every function the benchmark's tracer wraps by name still exists.
+* The elimination kernel ``bareiss`` is called only in ``matrices``, and
+  reduces (``reduce=True``) only inside ``echelon``.
 """
 
 import ast
@@ -134,3 +136,33 @@ def test_traced_functions_exist():
         )
     ]
     assert not missing, missing
+
+
+def _bareiss_calls(tree):
+    """(enclosing function name or None, reduces) for each call of
+    ``bareiss``; a call reduces if it passes ``reduce`` at all."""
+    parent = {
+        child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if getattr(func, "id", getattr(func, "attr", None)) != "bareiss":
+            continue
+        scope = parent.get(node)
+        while scope is not None and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = parent.get(scope)
+        reduces = len(node.args) > 1 or any(kw.arg == "reduce" for kw in node.keywords)
+        yield getattr(scope, "name", None), reduces
+
+
+def test_one_reducing_elimination():
+    calls = {
+        path.name: list(_bareiss_calls(ast.parse(path.read_text(encoding="utf-8"))))
+        for path in MODULES
+    }
+    outside = [name for name, found in calls.items() if found and name != "matrices.py"]
+    assert not outside, outside
+    reducing = [scope for scope, reduces in calls["matrices.py"] if reduces]
+    assert reducing == ["echelon"], reducing

@@ -41,7 +41,7 @@ from latconf.lattices import (
     sublattice_index,
     transcendental_slice,
 )
-from latconf.matrices import Matrix
+from latconf.matrices import Matrix, gcd_of, integer_rows
 
 
 def test_named_lattices():
@@ -157,6 +157,45 @@ def test_orthogonal_complement_pairing_vanishes():
     assert (sub.basis * amb.gram * comp.basis.transpose()).is_zero()
     assert comp.rank == 6
     assert is_primitive(comp)
+
+
+def _fraction_complement(s):
+    """Oracle: the complement through the Fraction kernel of the pairing,
+    its rows scaled to primitive integer rows and then saturated."""
+    kernel = (s.basis * s.ambient.gram).kernel_basis()
+    if not kernel.rows:
+        return Matrix.zeros(0, s.ambient.n)
+    rows = [[x // gcd_of(row) for x in row] for row in integer_rows(kernel.data)[0]]
+    return saturation(Sublattice(s.ambient, rows)).basis
+
+
+def test_orthogonal_complement_against_fraction_route():
+    rng = random.Random(23)
+    # (2, 1, 1) pairs to an echelon kernel of index 2 in its saturation
+    cases = [Sublattice(Zpq(3, 0), [[2, 1, 1]])]
+    while len(cases) < 160:
+        n = rng.randint(2, 5)
+        half = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        amb = Lattice(half + half.transpose())
+        rows = [[rng.choice((1, 2, 3)) * rng.randint(-3, 3) for _ in range(n)]
+                for _ in range(rng.randint(1, n))]
+        if amb.det() != 0 and Matrix(rows).rank() == len(rows):
+            cases.append(Sublattice(amb, rows))
+    for sub in cases:
+        comp = orthogonal_complement(sub)
+        assert comp.basis == _fraction_complement(sub)
+        assert comp.rank == sub.ambient.n - sub.rank
+    assert orthogonal_complement(cases[0]).basis == Matrix([[1, 0, -2], [0, 1, -1]])
+
+
+def test_complements_of_full_and_zero_rank_sublattices():
+    amb = Zpq(1, 1)
+    comp = orthogonal_complement(Sublattice(amb, [[1, 0], [0, 1]]))
+    assert (comp.rank, comp.basis.cols) == (0, 2)
+    assert comp.as_lattice().n == 0
+    zero = Sublattice(amb, Matrix.zeros(0, 2))
+    assert saturation(zero).basis == zero.basis
+    assert orthogonal_complement(zero).basis == Matrix.identity(2)
 
 
 def test_glue_discriminant_drops_by_index_squared():

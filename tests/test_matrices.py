@@ -12,8 +12,11 @@ from sympy.matrices.normalforms import smith_normal_form
 from latconf.errors import DimensionError, SingularMatrixError
 from latconf.matrices import (
     Matrix,
+    echelon,
     frac_to_str,
     hnf,
+    integer_rows,
+    null_space,
     snf,
     solve_rows,
     str_to_frac,
@@ -67,6 +70,23 @@ def test_fraction_strings_round_trip():
 def test_json_round_trip():
     m = Matrix([[Fraction(1, 2), 3], [-4, Fraction(5, 7)]])
     assert Matrix.from_json(m.to_json()) == m
+
+
+def test_no_rows_keep_their_width():
+    empty = Matrix.zeros(0, 3)
+    assert (empty.rows, empty.cols) == (0, 3)
+    assert empty != Matrix.zeros(0, 2)
+    kernel = Matrix.identity(3).kernel_basis()
+    assert (kernel.rows, kernel.cols) == (0, 3)
+    assert kernel == empty
+    assert empty * Matrix.identity(3) == empty
+    assert Matrix.zeros(2, 0) * empty == Matrix.zeros(2, 3)
+    assert (empty.transpose().rows, empty.transpose().cols) == (3, 0)
+    assert Matrix.zeros(3, 0).transpose() == empty
+    assert Matrix.from_json(empty.to_json()) == empty
+    assert hnf(empty) == empty and snf(empty)[0] == empty
+    with pytest.raises(DimensionError):
+        Matrix.from_json({"rows": 0, "cols": -1, "entries": []})
 
 
 def assert_same_row_lattice(h, m):
@@ -247,6 +267,38 @@ def test_rref_rank_kernel_against_oracles(m):
 
 
 @settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    rational_matrices(),
+    st.tuples(st.integers(0, 5), st.integers(1, 6)).flatmap(lambda s: int_matrix(*s)),
+))
+@example(Matrix([]))
+@example(Matrix.zeros(3, 4))
+@example(Matrix([[1, 2], [3, 4], [5, 6]]))
+@example(Matrix([[2, 1, 1], [0, 0, 0]]))
+def test_echelon_null_space_against_oracle(m):
+    """``echelon``, ``null_space`` and ``kernel_basis`` read the Fraction
+    Gauss-Jordan RREF: pivots, free columns, the pivot rows on the free
+    columns (times ``scale``) and the echelon kernel basis."""
+    ref, ref_pivots, _ = gauss_jordan(m.data)
+    free = [c for c in range(m.cols) if c not in ref_pivots]
+    oracle = [[Fraction(c == f) for c in range(m.cols)] for f in free]
+    for p, row in zip(ref_pivots, ref):
+        for vec, f in zip(oracle, free):
+            vec[p] = -row[f]
+    rows, _ = integer_rows(m.data)
+    pivots, kept, reduced, scale = echelon([list(r) for r in rows], m.cols)
+    assert list(pivots) == ref_pivots and list(kept) == free
+    assert scale != 0 and len(reduced) == len(pivots)
+    for row, ref_row in zip(reduced, ref):
+        assert [Fraction(x, scale) for x in row] == [ref_row[c] for c in free]
+    basis, kept = null_space([list(r) for r in rows], m.cols)
+    assert basis.row_list() == oracle and list(kept) == free
+    kernel = m.kernel_basis()
+    assert (kernel.rows, kernel.cols) == (len(free), m.cols)
+    assert kernel.row_list() == oracle
+
+
+@settings(max_examples=150, deadline=None)
 @given(rational_matrices(square=True))
 @example(Matrix([]))
 @example(Matrix([[Fraction(-3, 4)]]))
@@ -263,7 +315,7 @@ def test_det_inverse_against_oracles(m):
             m.inverse()
         return
     inv = m.inverse()
-    ref, _, _ = gauss_jordan(m.hstack(Matrix.identity(m.rows)).data)
+    ref, _, _ = gauss_jordan([r + e for r, e in zip(m.data, Matrix.identity(m.rows).data)])
     assert inv == Matrix([row[m.rows:] for row in ref])
     assert inv.row_list() == from_sympy(to_sympy(m).inv().tolist())
 
