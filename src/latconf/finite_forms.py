@@ -8,15 +8,16 @@ exactly when the source lattice is even).  The constructor rejects
 values that are not well defined on the group.
 
 Isometry testing and automorphism enumeration share one exhaustive
-backtracking search over generator images, bounded at group order
-2**10.  It runs on integer tables of the scaled form values on all
-elements: a candidate image must have an order dividing its
-generator's and the right form values against the images chosen so
-far.  Such an assignment is a form-preserving homomorphism, and its
-kernel pairs trivially with everything, so it lies in the radical of
-the source form.  One test per complete assignment (no nonzero radical
-element maps to zero) therefore decides bijectivity, for degenerate
-and nondegenerate forms alike.
+depth-first search over generator images, bounded at group order
+2**10.  A candidate image must have an order dividing its generator's
+and the right form values against the images chosen so far; each
+generator's candidates are a bitset over the elements (an int), so
+choosing an image narrows every later pool with one AND against a mask
+built once per search from the integer pair table.  Such an assignment
+is a form-preserving homomorphism, and its kernel pairs trivially with
+everything, so it lies in the radical of the source form.  One table
+fold per complete assignment (no nonzero radical element maps to zero)
+therefore decides bijectivity, for degenerate and nondegenerate forms.
 
 Each form also carries element tables, built with numpy on first use
 and cached on the instance: its elements in ``elements()`` order (mixed
@@ -332,17 +333,23 @@ def _scaled_tables(f: FiniteForm):
     return elements, coeff, pair, quad
 
 
-def _search(a: FiniteForm, b: FiniteForm, use_quadratic: bool):
-    """Backtrack over generator images; yield witness image tuples.
+def _search(a: FiniteForm, b: FiniteForm, compare: str):
+    """Depth-first search over generator images; yield witness image tuples.
 
     A witness is a tuple of elements of ``b`` (one per generator of
     ``a``) defining a group isomorphism ``a -> b`` preserving the
     bilinear form (and quadratic form when requested) on generators —
-    hence, by (bi)linearity, everywhere.  Witnesses come in
+    hence, by (bi)linearity, everywhere.  Pools are bitsets over the
+    elements of ``b``, narrowed with one AND per later generator by
+    ``masks[v][x]``, the elements y with ``scale*b(y, x) = v``.  An
+    explicit stack takes the bits lowest first, so witnesses come in
     lexicographic order of their element indices.
     """
     if a.group_order() > SEARCH_BOUND or b.group_order() > SEARCH_BOUND:
         raise GroupTooLarge("finite form exceeds the backtracking bound")
+    if compare not in ("bilinear", "quadratic"):
+        raise DimensionError(f"compare must be 'bilinear' or 'quadratic', not {compare!r}")
+    use_quadratic = compare == "quadratic"
     if use_quadratic and (a.quadratic is None or b.quadratic is None):
         raise DimensionError("quadratic comparison requires quadratic refinements")
     if a.orders != b.orders:
@@ -354,46 +361,56 @@ def _search(a: FiniteForm, b: FiniteForm, use_quadratic: bool):
 
     import numpy as np
 
-    orders = np.array(a.orders, dtype=np.int64)
+    def bits(rows):  # row r of a boolean array as an int, bit j for rows[r, j]
+        return [int.from_bytes(r.tobytes(), "little")
+                for r in np.packbits(rows, axis=1, bitorder="little")]
+
     ta = _scaled_tables(a)
-    _, coeff_a, pair_a, quad_a = ta
+    elements_a, _, pair_a, quad_a = ta
     elements_b, coeff_b, pair_b, quad_b = ta if b is a else _scaled_tables(b)
     # generator e_i sits at the mixed-radix index prod(orders[i+1:])
     gidx = [prod(a.orders[i + 1:]) for i in range(k)]
-    cross = pair_a[np.ix_(gidx, gidx)]
-    order_b = np.lcm.reduce(orders // np.gcd(coeff_b, orders), axis=1)
-    diag_b = np.diagonal(pair_b)
-    pools = []
-    for i, n in enumerate(a.orders):
-        mask = (n % order_b == 0) & (diag_b == cross[i, i])
-        if use_quadratic:
-            mask &= quad_b == quad_a[gidx[i]]
-        pools.append(np.nonzero(mask)[0])
+    cross = pair_a[np.ix_(gidx, gidx)].tolist()
+    # candidates for e_i: n_i * y = 0 and the values of e_i
+    orders = np.array(a.orders)
+    keep = (orders[:, None, None] * coeff_b % orders == 0).all(axis=2)
+    keep &= np.diagonal(pair_b) == np.diagonal(pair_a)[gidx][:, None]
+    if use_quadratic:
+        keep &= quad_b == quad_a[gidx][:, None]
+    pools = bits(keep)
+    masks = {v: bits(pair_b.T == v) for v in {cross[o][i] for o in range(k) for i in range(o)}}
+    tails = [[masks[cross[o][i]] for o in range(i + 1, k)] for i in range(k)]
     # The kernel of a b-preserving homomorphism pairs trivially with
     # everything, so it lies in the radical of a: the map is injective
     # (hence bijective, the orders being equal) iff it sends no nonzero
     # radical element to zero.
-    radical = coeff_a[1:][~pair_a[1:].any(axis=1)]
-
-    def rec(i, pools_i, chosen):
-        if i == k:
-            if not radical.size or ((radical @ coeff_b[chosen]) % orders).any(axis=1).all():
-                yield tuple(map(elements_b.__getitem__, chosen))
-            return
-        for x in pools_i[0]:
-            nxt = []
-            for off in range(i + 1, k):
-                pool = pools_i[off - i]
-                pool = pool[pair_b[pool, x] == cross[off, i]]
-                if not pool.size:
-                    break
-                nxt.append(pool)
-            else:
-                chosen.append(int(x))
-                yield from rec(i + 1, nxt, chosen)
-                chosen.pop()
-
-    yield from rec(0, pools, [])
+    radical = [elements_a[r] for r in np.flatnonzero(~pair_a[1:].any(axis=1)) + 1]
+    _, _, _, add, smul = b._tables()
+    # stack[i]: the untried images of e_i, then the pools of e_{i+1}, ...
+    chosen, stack = [0] * k, [pools]
+    while stack:
+        i, pool = len(stack) - 1, stack[-1]
+        rest = pool[0]
+        if not rest:
+            stack.pop()
+            continue
+        low = rest & -rest
+        pool[0] = rest ^ low
+        x = chosen[i] = low.bit_length() - 1
+        if i < k - 1:
+            nxt = [p & m[x] for p, m in zip(pool[1:], tails[i])]
+            if all(nxt):
+                stack.append(nxt)
+            continue
+        for coeffs in radical:
+            total = 0
+            for c, y in zip(coeffs, chosen):
+                if c:
+                    total = add[total][smul[c][y]]
+            if not total:
+                break
+        else:
+            yield tuple(map(elements_b.__getitem__, chosen))
 
 
 def finite_form_isometric(a: FiniteForm, b: FiniteForm, compare="quadratic"):
@@ -401,18 +418,20 @@ def finite_form_isometric(a: FiniteForm, b: FiniteForm, compare="quadratic"):
 
     Args:
         compare: ``"quadratic"`` to require matching quadratic values,
-            ``"bilinear"`` for the bilinear form only.
+            ``"bilinear"`` for the bilinear form only; any other value
+            raises ``DimensionError``.
 
     Returns:
         A witness tuple of generator images (an explicit isomorphism
         ``a -> b``) if the forms are isometric, else ``None``.
     """
-    return next(_search(a, b, compare == "quadratic"), None)
+    return next(_search(a, b, compare), None)
 
 
 def finite_form_automorphisms(f: FiniteForm, compare="bilinear"):
-    """Iterate over all form automorphisms of ``f`` as image tuples."""
-    return _search(f, f, compare == "quadratic")
+    """Iterate over all form automorphisms of ``f`` as image tuples
+    (``compare`` as in :func:`finite_form_isometric`)."""
+    return _search(f, f, compare)
 
 
 def apply_images(f: FiniteForm, images, x):

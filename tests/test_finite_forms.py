@@ -287,6 +287,45 @@ def test_zero_form_automorphisms():
     assert autos == _oracle(f, f, False)
 
 
+def test_unknown_compare_is_rejected():
+    f = Dn(6).discriminant_form()
+    for compare in ("quadratc", "Bilinear", None):
+        with pytest.raises(DimensionError):
+            finite_form_isometric(f, f, compare)
+        with pytest.raises(DimensionError):
+            next(finite_form_automorphisms(f, compare))
+    # also where the group orders differ, so no search would run
+    with pytest.raises(DimensionError):
+        finite_form_isometric(f, Dn(4).discriminant_form(), "quadratc")
+
+
+@pytest.mark.parametrize("orders, count", [((2, 2, 2), 168), ((4, 4), 96)])
+def test_zero_forms_beyond_the_oracle(orders, count):
+    """Every nonzero element is in the radical, so only the injectivity
+    test cuts the search: |GL(3, F2)| = 168, |GL(2, Z/4)| = 96."""
+    f = FiniteForm(orders, Matrix.zeros(len(orders), len(orders)))
+    autos = list(finite_form_automorphisms(f))
+    assert len(autos) == count and autos == sorted(set(autos))
+    els = f.elements()
+    for images in autos[::7]:
+        assert sorted(apply_images(f, images, x) for x in els) == els
+
+
+def test_isometry_at_the_bound():
+    """Five hyperbolic planes over F2: 1024 elements, 1024-bit pools."""
+    half = Fraction(1, 2)
+    bil = [[half if i // 2 == j // 2 and i != j else 0 for j in range(10)] for i in range(10)]
+    f = FiniteForm((2,) * 10, bil)
+    assert f.group_order() == SEARCH_BOUND
+    images = finite_form_isometric(f, f, "bilinear")
+    gens = [tuple(int(i == j) for j in range(10)) for i in range(10)]
+    for i, x in enumerate(images):
+        for j, y in enumerate(images):
+            assert f.b(x, y) == f.b(gens[i], gens[j])
+    kernel = [x for x in f.elements() if apply_images(f, images, x) == f.zero()]
+    assert kernel == [f.zero()]
+
+
 # -- the element tables against tuple arithmetic -----------------------
 
 
@@ -343,6 +382,17 @@ def test_tables_on_the_l2_form():
         assert lam.subgroup(gens) == _closure(lam, gens)
     for images in islice(finite_form_automorphisms(lam), 0, 4000, 500):
         assert [apply_images(lam, images, x) for x in els] == [_combination(lam, images, x) for x in els]
+
+
+def test_l2_automorphisms():
+    """The paper's L(2) form: every automorphism once, in increasing order."""
+    lam = transcendental_slice().rescale(2).discriminant_form()
+    autos = list(finite_form_automorphisms(lam, compare="bilinear"))
+    assert len(autos) == 49152 and autos == sorted(set(autos))
+    assert autos[0] == ((0, 0, 0, 1, 0, 0), (0, 0, 1, 0, 0, 0), (0, 1, 0, 0, 0, 0),
+                        (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 1, 0))
+    assert autos[-1] == ((1, 1, 1, 0, 2, 2), (1, 1, 0, 1, 2, 2), (1, 0, 1, 1, 2, 2),
+                         (0, 1, 1, 1, 2, 2), (1, 1, 1, 1, 3, 2), (1, 1, 1, 1, 2, 3))
 
 
 @pytest.mark.parametrize("orders", [(2,) * 10, (2, 2, 4, 4, 4, 4), (1024,)])
