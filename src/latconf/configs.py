@@ -14,9 +14,13 @@ dual of a system of four diagonal quadrics (its 7-line configuration
 and smoothness test), line dropping with pair regrouping, node
 classification, and the finite group actions (wreath product on pair
 slots, S4 on quadrangle vertices, GL3(F2) on characters, torus
-scalings).  Stability and triple points read one table of the C(n,3)
-minors, ``plucker``; the canonical form searches lazily for its first
-frame, as it usually stops at the first 4-subset of columns.
+scalings).  Everything runs on the integer columns of ``matrix.num``
+(the lines scaled by the common denominator, which changes no line):
+stability and triple points read one table of their C(n,3) 3-minors,
+whose quotients by den^3 are ``plucker``; the canonical form searches
+lazily for its first frame and reads each entry off 3-minors by
+Cramer's rule; the Cremona involution and the group actions multiply
+and permute those columns.  Fractions are built only for outputs.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import lcm
 
 from .errors import (
     DimensionError,
@@ -31,13 +36,13 @@ from .errors import (
     NoFrame,
     VerticesCollinear,
 )
-from .matrices import Matrix, integer_rows, null_space
+from .matrices import Matrix, null_space
 
 PAIR_LABELS = (0, 0, 1, 1, 2, 2)
 CHAR_LABELS = (1, 2, 3, 4, 5, 6, 7)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfigMatrix:
     """A labeled 3 x n line configuration."""
 
@@ -58,8 +63,8 @@ class ConfigMatrix:
             raise LabelError("six-line labels must be pair slots 0,0,1,1,2,2")
         if matrix.cols == 7 and sorted(labels) != list(range(1, 8)):
             raise LabelError("seven-line labels must be the characters 1..7")
-        for j in range(matrix.cols):
-            if all(matrix.entry(i, j) == 0 for i in range(3)):
+        for j, col in enumerate(zip(*matrix.num)):
+            if not any(col):
                 raise DimensionError(f"column {j} is zero: not a line")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "labels", labels)
@@ -76,10 +81,7 @@ class ConfigMatrix:
 
     def permute_columns(self, perm) -> "ConfigMatrix":
         """Column j of the result is column perm[j] of self."""
-        cols = [list(self.matrix.column(p)) for p in perm]
-        return ConfigMatrix(
-            Matrix.from_columns(cols), tuple(self.labels[p] for p in perm)
-        )
+        return ConfigMatrix(_pick(self, perm), tuple(self.labels[p] for p in perm))
 
     def to_json(self):
         return {
@@ -94,9 +96,21 @@ class ConfigMatrix:
         )
 
 
+def _pick(c: ConfigMatrix, source) -> Matrix:
+    """The matrix whose column j is column source[j] of ``c``."""
+    m = c.matrix
+    return Matrix.from_integers([[row[s] for s in source] for row in m.num], m.den)
+
+
 # ---------------------------------------------------------------------------
 # Plücker coordinates
 # ---------------------------------------------------------------------------
+
+
+def _columns(c: ConfigMatrix):
+    """The integer columns ``den`` times the lines: every invariant below
+    is unchanged by scaling a line, so each reads these."""
+    return list(zip(*c.matrix.num))
 
 
 def _det3(a, b, c):
@@ -116,12 +130,20 @@ def _cross(u, v):
     ]
 
 
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _minors(cols) -> dict:
+    """The integer 3-minors of integer columns, keyed by column triples."""
+    return {t: _det3(*(cols[j] for j in t)) for t in combinations(range(len(cols)), 3)}
+
+
 def plucker(c: ConfigMatrix) -> dict:
-    """All C(n,3) maximal minors m_{ijk}, keyed by column triples."""
-    cols = list(zip(*c.matrix.data))
-    return {
-        t: _det3(*(cols[j] for j in t)) for t in combinations(range(c.n), 3)
-    }
+    """All C(n,3) maximal minors m_{ijk}, keyed by column triples: the
+    integer minors of ``_columns`` over the cube of the denominator."""
+    den3 = c.matrix.den ** 3
+    return {t: Fraction(m, den3) for t, m in _minors(_columns(c)).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +173,12 @@ class StabilityReport:
         }
 
 
-def _coincidence_groups(c: ConfigMatrix):
+def _coincidence_groups(cols):
     """Partition of columns into groups of mutually proportional lines."""
     groups = []
-    for j in range(c.n):
-        col = c.column(j)
+    for j, col in enumerate(cols):
         for g in groups:
-            if _proportional(col, c.column(g[0])):
+            if _proportional(col, cols[g[0]]):
                 g.append(j)
                 break
         else:
@@ -176,9 +197,10 @@ def stability(c: ConfigMatrix) -> StabilityReport:
     """
     if c.n != 6:
         raise DimensionError("stability is defined for six lines")
-    groups = _coincidence_groups(c)
+    cols = _columns(c)
+    groups = _coincidence_groups(cols)
     group_of = {j: g for g, members in enumerate(groups) for j in members}
-    zero = {t for t, m in plucker(c).items() if m == 0}
+    zero = {t for t, m in _minors(cols).items() if m == 0}
 
     def concurrent(*lines):
         return tuple(sorted(lines)) in zero
@@ -234,30 +256,22 @@ def triple_points(c: ConfigMatrix):
     Each entry is (triple of column indices, common point) where the
     point is scaled so its first nonzero coordinate is 1.
     """
+    cols = _columns(c)
     for i, j in combinations(range(c.n), 2):
-        if _proportional(c.column(i), c.column(j)):
+        if _proportional(cols[i], cols[j]):
             raise DimensionError(f"columns {i} and {j} are the same line")
     out = []
-    for t, m in plucker(c).items():
+    for t, m in _minors(cols).items():
         if m == 0:
-            point = _cross(c.column(t[0]), c.column(t[1]))
+            point = _cross(cols[t[0]], cols[t[1]])
             lead = next(x for x in point if x != 0)
-            out.append((t, tuple(x / lead for x in point)))
+            out.append((t, tuple(Fraction(x, lead) for x in point)))
     return out
 
 
 # ---------------------------------------------------------------------------
 # Canonical form
 # ---------------------------------------------------------------------------
-
-
-def _scale_columns(m: Matrix) -> Matrix:
-    cols = []
-    for j in range(m.cols):
-        col = list(m.column(j))
-        lead = next(x for x in col if x != 0)
-        cols.append([x / lead for x in col])
-    return Matrix.from_columns(cols)
 
 
 def canonical_form(c: ConfigMatrix):
@@ -269,21 +283,30 @@ def canonical_form(c: ConfigMatrix):
     nonzero entry is 1.  Two configurations with the same labels are
     GL3 x torus equivalent iff their canonical forms are equal.
 
+    By Cramer's rule, with frame (a, b, e, d), entry i of column x is
+    M_i(x)/M_i(d), where M_0(x) = det[x, b, e], M_1(x) = det[a, x, e]
+    and M_2(x) = det[a, b, x]: the dot products of x with the rows
+    b^e, e^a, a^b of the adjugate of [a b e].  Scaling a line scales
+    its column, so the minors are taken on the integer ``_columns``.
+
     Returns (normalized ConfigMatrix, frame column subset).
     """
-    cols = list(zip(*c.matrix.data))
+    cols = _columns(c)
     for frame in combinations(range(c.n), 4):
-        minors = (_det3(*(cols[j] for j in t)) for t in combinations(frame, 3))
-        if all(m != 0 for m in minors):
+        if all(_det3(*(cols[j] for j in t)) for t in combinations(frame, 3)):
             break
     else:
         raise NoFrame("no four columns form a projective frame")
-    a = Matrix.from_columns([cols[j] for j in frame[:3]])
-    ainv = a.inverse()
-    w = ainv * Matrix([[x] for x in cols[frame[3]]])
-    # (a*diag(w))^-1 = diag(1/w)*a^-1
-    g = Matrix.diagonal([1 / w.entry(i, 0) for i in range(3)]) * ainv
-    return c.with_matrix(_scale_columns(g * c.matrix)), frame
+    a, b, e, d = (cols[j] for j in frame)
+    adj = (_cross(b, e), _cross(e, a), _cross(a, b))
+    m0, m1, m2 = (_dot(r, d) for r in adj)
+    # v = m0*m1*m2 times the image of x, then each column over its lead
+    weighted = tuple(zip((m1 * m2, m0 * m2, m0 * m1), adj))
+    images = [[w * _dot(r, x) for w, r in weighted] for x in cols]
+    leads = [next(t for t in v if t) for v in images]
+    den = lcm(*leads)
+    normal = [[t * (den // lead) for t in v] for v, lead in zip(images, leads)]
+    return c.with_matrix(Matrix.from_integers(zip(*normal), den)), frame
 
 
 def canonical_key(c: ConfigMatrix):
@@ -315,23 +338,19 @@ def cremona(c: ConfigMatrix) -> ConfigMatrix:
     """
     if c.n != 6:
         raise DimensionError("the Cremona involution acts on six lines")
-    n = Matrix(
-        [
-            _cross(c.column(0), c.column(1)),
-            _cross(c.column(2), c.column(3)),
-            _cross(c.column(4), c.column(5)),
-        ]
-    )
-    if n.det() == 0:
+    cols = _columns(c)
+    # N's rows on the integer columns are den^2 times N's, so N*M is
+    # these rows times the integer columns over den^3
+    n = [_cross(cols[k], cols[k + 1]) for k in (0, 2, 4)]
+    if _det3(*n) == 0:
         raise VerticesCollinear("the three pair vertices are collinear")
-    p = n * c.matrix
-    cols = []
-    for j in range(6):
-        col = list(p.column(j))
-        others = [i for i in range(3) if i != j // 2]
-        col[others[0]], col[others[1]] = col[others[1]], col[others[0]]
-        cols.append(col)
-    return c.with_matrix(Matrix.from_columns(cols))
+    out = []
+    for j, x in enumerate(cols):
+        col = [_dot(r, x) for r in n]
+        i, k = (i for i in range(3) if i != j // 2)
+        col[i], col[k] = col[k], col[i]
+        out.append(col)
+    return c.with_matrix(Matrix.from_integers(zip(*out), c.matrix.den ** 3))
 
 
 def etale_slice(t, a, b, c, d) -> ConfigMatrix:
@@ -373,7 +392,7 @@ def gale_dual(q):
         q = Matrix(q)
     if q.rows != 4 or q.cols != 7:
         raise DimensionError("quadric system must be 4 x 7")
-    g, chars = null_space(integer_rows(q.data)[0], 7)
+    g, chars = null_space(list(q.num), 7)
     if g.rows != 3:
         raise DimensionError("quadric system must have rank 4")
     return q, g, chars
@@ -398,12 +417,12 @@ def dependent_columns(g: Matrix):
     whose Gale dual is ``g``, or None if every 4-subset is independent.
 
     Four columns of the system are dependent iff the other three columns
-    of G are, so the test is on G's 3-minors, with its rows scaled to
-    integers.  The complement of the last zero 3-subset is the first
+    of G are, so the test is on G's 3-minors, taken on its integer rows
+    ``num``.  The complement of the last zero 3-subset is the first
     dependent 4-subset: complements reverse the lex order of subsets of
     range(7).
     """
-    cols = list(zip(*integer_rows(g.data)[0]))
+    cols = list(zip(*g.num))
     for t in reversed(list(combinations(range(7), 3))):
         if _det3(*(cols[j] for j in t)) == 0:
             return tuple(j for j in range(7) if j not in t)
@@ -421,16 +440,7 @@ def drop_pairs(kappa: int):
     """The three pairs {chi, chi + kappa} of surviving characters,
     sorted by smallest member, each pair sorted ascending."""
     check_kappa(kappa)
-    pairs = []
-    seen = set()
-    for chi in range(1, 8):
-        if chi == kappa or chi in seen:
-            continue
-        other = chi ^ kappa
-        seen.update((chi, other))
-        pairs.append((chi, other) if chi < other else (other, chi))
-    pairs.sort()
-    return pairs
+    return sorted({tuple(sorted((chi, chi ^ kappa))) for chi in range(1, 8) if chi != kappa})
 
 
 def drop_line(c: ConfigMatrix, kappa: int) -> ConfigMatrix:
@@ -444,11 +454,8 @@ def drop_line(c: ConfigMatrix, kappa: int) -> ConfigMatrix:
     if kappa not in c.labels:
         raise LabelError(f"no column labeled {kappa}")
     position = {lab: j for j, lab in enumerate(c.labels)}
-    cols = []
-    for chi, other in drop_pairs(kappa):
-        cols.append(list(c.column(position[chi])))
-        cols.append(list(c.column(position[other])))
-    return ConfigMatrix(Matrix.from_columns(cols), PAIR_LABELS)
+    source = [position[chi] for pair in drop_pairs(kappa) for chi in pair]
+    return ConfigMatrix(_pick(c, source), PAIR_LABELS)
 
 
 # ---------------------------------------------------------------------------
@@ -533,20 +540,12 @@ def act_wreath(element, c: ConfigMatrix) -> ConfigMatrix:
             lo, hi = hi, lo
         source[2 * perm[i]] = lo
         source[2 * perm[i] + 1] = hi
-    cols = [list(c.column(source[j])) for j in range(6)]
-    return ConfigMatrix(Matrix.from_columns(cols), PAIR_LABELS)
+    return ConfigMatrix(_pick(c, source), PAIR_LABELS)
 
 
 #: The six sides of the quadrangle on vertices 1..4, as vertex pairs,
 #: opposite sides sharing a pair slot.
-QUADRANGLE_SIDES = (
-    frozenset((1, 2)),
-    frozenset((3, 4)),
-    frozenset((1, 3)),
-    frozenset((2, 4)),
-    frozenset((1, 4)),
-    frozenset((2, 3)),
-)
+QUADRANGLE_SIDES = tuple(map(frozenset, ((1, 2), (3, 4), (1, 3), (2, 4), (1, 4), (2, 3))))
 
 
 def s4_to_wreath(sigma):
@@ -585,15 +584,10 @@ def _char_matrix_apply(g, chi: int) -> int:
 def gl3f2_elements():
     """All 168 invertible 3x3 matrices over F2 (rows of bit tuples)."""
     vecs = [v for v in product((0, 1), repeat=3) if any(v)]
-    out = []
-    for r0 in vecs:
-        for r1 in vecs:
-            for r2 in vecs:
-                g = (r0, r1, r2)
-                imgs = {_char_matrix_apply(g, chi) for chi in range(1, 8)}
-                if len(imgs) == 7:
-                    out.append(g)
-    return out
+    return [
+        g for g in product(vecs, repeat=3)
+        if len({_char_matrix_apply(g, chi) for chi in range(1, 8)}) == 7
+    ]
 
 
 def act_gl3f2(g, c: ConfigMatrix) -> ConfigMatrix:
@@ -605,8 +599,7 @@ def act_gl3f2(g, c: ConfigMatrix) -> ConfigMatrix:
     if len(image) != 7:
         raise LabelError("matrix is not invertible over F2")
     position = {lab: j for j, lab in enumerate(c.labels)}
-    cols = [list(c.column(position[image[chi]])) for chi in range(1, 8)]
-    return ConfigMatrix(Matrix.from_columns(cols), CHAR_LABELS)
+    return ConfigMatrix(_pick(c, [position[image[chi]] for chi in range(1, 8)]), CHAR_LABELS)
 
 
 def act_torus(scalars, c: ConfigMatrix) -> ConfigMatrix:
@@ -653,22 +646,14 @@ def orbit(items, elements, action):
 # ---------------------------------------------------------------------------
 
 
-def quadrangle_vertices():
-    return (
-        (Fraction(1), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(1)),
-        (Fraction(1), Fraction(1), Fraction(1)),
-    )
-
-
 def complete_quadrangle(assignment=None) -> ConfigMatrix:
-    """The six sides of the standard complete quadrangle.
+    """The six sides of the standard complete quadrangle on the vertices
+    e1, e2, e3 and (1,1,1).
 
     ``assignment`` optionally reorders the columns by a wreath element
     applied to the standard side order (opposite sides paired).
     """
-    verts = quadrangle_vertices()
+    verts = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
     cols = []
     for side in QUADRANGLE_SIDES:
         i, j = sorted(side)
@@ -687,10 +672,7 @@ def quadrangle_classes():
     """
     variants = [complete_quadrangle(el) for el in wreath_elements()]
     trivial = orbit(variants, [((0, 0, 0), (0, 1, 2))], act_wreath)
-    even = orbit(
-        variants,
-        [el for el in wreath_elements() if wreath_signature(el) == 0],
-        act_wreath,
-    )
+    even_elements = [el for el in wreath_elements() if wreath_signature(el) == 0]
+    even = orbit(variants, even_elements, act_wreath)
     full = orbit(variants, wreath_elements(), act_wreath)
     return trivial, even, full

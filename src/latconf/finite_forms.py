@@ -15,9 +15,11 @@ generator's candidates are a bitset over the elements (an int), so
 choosing an image narrows every later pool with one AND against a mask
 built once per search from the integer pair table.  Such an assignment
 is a form-preserving homomorphism, and its kernel pairs trivially with
-everything, so it lies in the radical of the source form.  One table
-fold per complete assignment (no nonzero radical element maps to zero)
-therefore decides bijectivity, for degenerate and nondegenerate forms.
+everything, so it lies in the radical of the source form.  Table folds
+of the nonzero radical elements (none may map to zero) decide
+bijectivity, for degenerate and nondegenerate forms; each is tested at
+the first node whose choices fix its image, so no search walks the
+subtree of a non-injective prefix.
 
 Each form also carries element tables, built with numpy on first use
 and cached on the instance: its elements in ``elements()`` order (mixed
@@ -117,19 +119,20 @@ class FiniteForm:
         for a, b in zip(orders, orders[1:]):
             if b % a != 0:
                 raise DimensionError("orders must form a divisibility chain")
-        bilinear = Matrix(bilinear.data if isinstance(bilinear, Matrix) else bilinear)
+        bilinear = bilinear if isinstance(bilinear, Matrix) else Matrix(bilinear)
         if bilinear.rows != len(orders) or bilinear.cols != len(orders):
             raise DimensionError("bilinear matrix size mismatch")
-        bilinear = Matrix([[x % 1 for x in row] for row in bilinear.data])
+        data = [[x % 1 for x in row] for row in bilinear.data]
+        bilinear = Matrix(data)
         if not bilinear.is_symmetric():
             raise DimensionError("bilinear matrix must be symmetric")
-        if any((n * x).denominator != 1 for n, row in zip(orders, bilinear.data) for x in row):
+        if any((n * x).denominator != 1 for n, row in zip(orders, data) for x in row):
             raise DimensionError("bilinear values not well defined: need n_i * b_ij integral")
         if quadratic is not None:
             quadratic = tuple(Fraction(x) % 2 for x in quadratic)
             if len(quadratic) != len(orders):
                 raise DimensionError("quadratic vector size mismatch")
-            if any((x - bilinear.data[i][i]).denominator != 1 or n * n * x % 2
+            if any((x - data[i][i]).denominator != 1 or n * n * x % 2
                    for i, (n, x) in enumerate(zip(orders, quadratic))):
                 raise DimensionError(
                     "quadratic values not well defined: need q_i = b_ii mod 1 "
@@ -140,7 +143,7 @@ class FiniteForm:
         object.__setattr__(self, "quadratic", quadratic)
         scale = orders[-1] if orders else 1  # makes every form value an integer
         object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_gram", [[int(x * scale) for x in row] for row in bilinear.data])
+        object.__setattr__(self, "_gram", [[int(x * scale) for x in row] for row in data])
         qvec = None if quadratic is None else [int(x * scale) for x in quadratic]
         object.__setattr__(self, "_qvec", qvec)
         object.__setattr__(self, "_cache", None)
@@ -381,10 +384,14 @@ def _search(a: FiniteForm, b: FiniteForm, compare: str):
     masks = {v: bits(pair_b.T == v) for v in {cross[o][i] for o in range(k) for i in range(o)}}
     tails = [[masks[cross[o][i]] for o in range(i + 1, k)] for i in range(k)]
     # The kernel of a b-preserving homomorphism pairs trivially with
-    # everything, so it lies in the radical of a: the map is injective
-    # (hence bijective, the orders being equal) iff it sends no nonzero
-    # radical element to zero.
-    radical = [elements_a[r] for r in np.flatnonzero(~pair_a[1:].any(axis=1)) + 1]
+    # everything, so the map is bijective iff no nonzero element of the
+    # radical of a maps to zero.  radical[i]: those whose last nonzero
+    # coefficient is at e_i, whose images the choices for e_0..e_i fix.
+    radical = [[] for _ in range(k)]
+    for r in np.flatnonzero(~pair_a[1:].any(axis=1)) + 1:
+        coeffs = elements_a[r]
+        last = max(j for j, c in enumerate(coeffs) if c)
+        radical[last].append(coeffs[: last + 1])
     _, _, _, add, smul = b._tables()
     # stack[i]: the untried images of e_i, then the pools of e_{i+1}, ...
     chosen, stack = [0] * k, [pools]
@@ -397,12 +404,7 @@ def _search(a: FiniteForm, b: FiniteForm, compare: str):
         low = rest & -rest
         pool[0] = rest ^ low
         x = chosen[i] = low.bit_length() - 1
-        if i < k - 1:
-            nxt = [p & m[x] for p, m in zip(pool[1:], tails[i])]
-            if all(nxt):
-                stack.append(nxt)
-            continue
-        for coeffs in radical:
+        for coeffs in radical[i]:
             total = 0
             for c, y in zip(coeffs, chosen):
                 if c:
@@ -410,7 +412,12 @@ def _search(a: FiniteForm, b: FiniteForm, compare: str):
             if not total:
                 break
         else:
-            yield tuple(map(elements_b.__getitem__, chosen))
+            if i == k - 1:
+                yield tuple(map(elements_b.__getitem__, chosen))
+                continue
+            nxt = [p & m[x] for p, m in zip(pool[1:], tails[i])]
+            if all(nxt):
+                stack.append(nxt)
 
 
 def finite_form_isometric(a: FiniteForm, b: FiniteForm, compare="quadratic"):

@@ -102,7 +102,7 @@ def _quotient_gram(sub_rows: Matrix, complement: Sublattice) -> Matrix:
     completion = _complete_to_basis(coords)
     new_basis = completion * complement.basis
     k = sub_rows.rows
-    rest = Matrix([list(new_basis.data[i]) for i in range(k, new_basis.rows)])
+    rest = Matrix.from_integers(new_basis.num[k:], new_basis.den, new_basis.cols)
     return rest * ambient.gram * rest.transpose()
 
 

@@ -14,9 +14,9 @@ coordinates, where one 6 x 6 elimination (rank 2) finishes it.  An RREF
 is unique, so these are the rows of the full 28-column RREF with pivots
 in F x {y_j}, and its non-pivot monomials are the full complement
 basis — fully deterministic.  Every reduction step, and the period
-matrix's kernel, is read off one ``matrices.echelon`` of integer rows;
-Fractions are built only for the public outputs (``matrix``,
-``kernel``, ``reduce_vector``).
+matrix's kernel, is read off one ``matrices.echelon`` of integer rows,
+and ``matrix`` and ``kernel`` keep them as integer-backed Matrices;
+Fractions are built only for ``reduce_vector``.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .configs import check_kappa, dependent_columns, gale_dual
 from .errors import SmoothnessRequired
-from .matrices import Matrix, echelon, integer_rows, null_space
+from .matrices import Matrix, echelon, null_space
 
 NCHARS = 7
 NY = 4
@@ -101,7 +100,8 @@ class GradedPiece:
     def reduce_vector(self, vec):
         """Coordinates of a vector's class on the free monomials: its
         projection through B, reduced by each step in turn."""
-        (vec,), den = integer_rows([[Fraction(x) for x in vec]])
+        vec = Matrix([vec])
+        (vec,), den = vec.num, vec.den
         quot = [0] * (len(self.basis) * NY)
         for k, x in enumerate(vec):
             if x:
@@ -162,7 +162,7 @@ def _system(q):
     """(columns, G, F): the columns of the system ``q``, each scaled to
     integers, and ``configs.gale_dual``'s G and F; one elimination."""
     q, g, chars = gale_dual(q)
-    return integer_rows([q.column(i) for i in range(NCHARS)])[0], g, chars
+    return q.transpose().num, g, chars
 
 
 def invariant_deformations(q) -> GradedPiece:
@@ -178,10 +178,7 @@ def invariant_deformations(q) -> GradedPiece:
 
 
 def _invariant_piece(qcols, g: Matrix, chars) -> GradedPiece:
-    den = lcm(*(x.denominator for row in g.data for x in row))
-    basis = tuple(
-        tuple(x.numerator * (den // x.denominator) for x in row) for row in g.data
-    )
+    basis, den = g.num, g.den
     return _base_piece(
         basis, den, chars, [_tensor(basis, i, qcols[i]) for i in range(NCHARS)]
     )
@@ -308,7 +305,7 @@ def _period_map(qcols, source: GradedPiece, kappa: int) -> PeriodMapData:
          for k in range(source.dimension)]
         for t, c in enumerate(kept)
     ]
-    matrix = Matrix([[Fraction(x, scale) for x in row] for row in scaled])
+    matrix = Matrix.from_integers(scaled, scale, source.dimension)
     kern = null_space(scaled, source.dimension)[0]
     return PeriodMapData(
         source=source,

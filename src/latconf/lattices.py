@@ -33,7 +33,7 @@ from .errors import (
     IntegralityViolation,
 )
 from .finite_forms import FiniteForm, finite_form_isometric, trivial_form
-from .matrices import Matrix, echelon, gcd_of, hnf, integer_rows, snf, solve_rows
+from .matrices import Matrix, echelon, gcd_of, hnf, snf, solve_rows
 
 
 class Lattice:
@@ -85,12 +85,11 @@ class Lattice:
 
     def direct_sum(self, other: "Lattice") -> "Lattice":
         n, m = self.n, other.n
-        rows = []
-        for i in range(n):
-            rows.append(list(self.gram.data[i]) + [Fraction(0)] * m)
-        for i in range(m):
-            rows.append([Fraction(0)] * n + list(other.gram.data[i]))
-        return Lattice(Matrix(rows))
+        a, b = self.gram, other.gram
+        den = lcm(a.den, b.den)
+        rows = [[x * (den // a.den) for x in row] + [0] * m for row in a.num]
+        rows += [[0] * n + [x * (den // b.den) for x in row] for row in b.num]
+        return Lattice(Matrix.from_integers(rows, den, n + m))
 
     def rescale(self, c) -> "Lattice":
         c = Fraction(c)
@@ -120,7 +119,7 @@ class Lattice:
                 raise DegenerateGram("degenerate Gram matrix")
             if di > 1:
                 orders.append(di)
-                lift_rows.append([Fraction(x, di) for x in u.data[i]])
+                lift_rows.append([Fraction(x, di) for x in u.num[i]])
         lifts = Matrix(lift_rows) if lift_rows else Matrix.zeros(0, self.n)
         even = self.parity() == "even"
         if not orders:
@@ -411,8 +410,8 @@ def saturation(s: Sublattice) -> Sublattice:
     result basis is put in Hermite normal form for determinism.
     """
     _, _, v = snf(s.basis)
-    rows = v.inverse().data[: s.rank]
-    return Sublattice(s.ambient, hnf(Matrix(rows)) if rows else s.basis)
+    rows = v.inverse().num[: s.rank]
+    return Sublattice(s.ambient, hnf(Matrix.from_integers(rows)) if rows else s.basis)
 
 
 def sublattice_index(sub: Sublattice, sup: Sublattice) -> int:
@@ -439,7 +438,7 @@ def orthogonal_complement(s: Sublattice) -> Sublattice:
     if not s.ambient.is_integral():
         raise NonIntegralLattice("orthogonal complement requires integral ambient")
     n = s.ambient.n
-    pivots, free, reduced, scale = echelon(integer_rows((s.basis * s.ambient.gram).data)[0], n)
+    pivots, free, reduced, scale = echelon(list((s.basis * s.ambient.gram).num), n)
     if not free:
         return Sublattice(s.ambient, Matrix.zeros(0, n))
     kernel = []  # scale times the echelon kernel basis, each row made primitive
@@ -505,8 +504,7 @@ def _glue(l: Lattice, lifts: Matrix, gens, order: int) -> GlueResult:
     HNF rows H of the cleared glue rows and the denominator-cleared Gram
     G, then divided once."""
     n = l.n
-    den = lcm(*(x.denominator for row in lifts.data for x in row))
-    lift_rows = [[x.numerator * (den // x.denominator) for x in row] for row in lifts.data]
+    den, lift_rows = lifts.den, lifts.num
     vecs = [[sum(c * row[j] for c, row in zip(g, lift_rows)) for j in range(n)] for g in gens]
     # the rows [I; vecs / den] have the common denominator den / shrink
     shrink = gcd_of([den] + [x for vec in vecs for x in vec])
@@ -514,14 +512,14 @@ def _glue(l: Lattice, lifts: Matrix, gens, order: int) -> GlueResult:
     scaled = [[denom if i == j else 0 for j in range(n)] for i in range(n)]
     scaled += [[x // shrink for x in vec] for vec in vecs]
     h = hnf(Matrix(scaled))
-    top = [[int(x) for x in h.data[i]] for i in range(n)]
-    gram_den = lcm(*(x.denominator for row in l.gram.data for x in row))
-    gram = [[int(x * gram_den) for x in row] for row in l.gram.data]
+    top = h.num[:n]
+    gram_den, gram = l.gram.den, l.gram.num
     hg = [[sum(a * b for a, b in zip(row, col)) for col in zip(*gram)] for row in top]
-    scale = denom * denom * gram_den
-    new_gram = Matrix([[Fraction(sum(a * b for a, b in zip(row, other)), scale) for other in top]
-                       for row in hg])
-    basis = Matrix(top).scale(Fraction(1, denom))
+    new_gram = Matrix.from_integers(
+        [[sum(a * b for a, b in zip(row, other)) for other in top] for row in hg],
+        denom * denom * gram_den,
+    )
+    basis = Matrix.from_integers(top, denom)
     # H is upper triangular with positive pivots: it has full rank n
     index = Fraction(denom**n, prod(top[i][i] for i in range(n)))
     if index.denominator != 1 or int(index) != order:

@@ -1,8 +1,7 @@
 """Dense exact rational/integer linear algebra.
 
-Provides an immutable :class:`Matrix` of arbitrary-precision rationals
-(``fractions.Fraction`` entries) together with the normal forms used by
-the rest of the package:
+Provides an immutable :class:`Matrix` of rationals together with the
+normal forms used by the rest of the package:
 
 * ``rref`` / ``kernel_basis`` / ``rank`` / ``det`` / ``inverse`` over Q,
   and ``null_space``, the kernel basis of integer rows and its free columns,
@@ -10,14 +9,17 @@ the rest of the package:
 * row-style Hermite normal form ``hnf`` of the row lattice,
 * Smith normal form ``snf`` with both unimodular transforms.
 
-All elimination over Q runs through one fraction-free kernel on
-integer rows, ``bareiss``: each row is scaled to integers by the lcm
-of its denominators, and Bareiss steps keep every entry an integer
-minor of the input.  ``rank`` and ``det`` read its pivots and last
-pivot; every RREF is read off its one reducing caller, ``echelon``.
-``rref``, ``null_space``, ``kernel_basis``, ``solve_rows`` and
-``inverse`` build rationals from ``echelon`` only at the end; callers
-that keep integer rows (``jacobian``, ``lattices``) use it directly.
+A Matrix stores integer rows ``num`` over one positive denominator
+``den`` with gcd(den, every entry) = 1, so equal values are equal
+objects.  Products, sums, transposes and every elimination run on
+``num``; Fractions are built only by ``entry``, ``column``, ``to_json``
+and the ``data`` view, which is rebuilt on each access.  All elimination
+runs through one fraction-free kernel on integer rows, ``bareiss``,
+whose steps keep every entry an integer minor of the input (scaling
+every row by ``den`` changes no pivot and no RREF).  ``rank`` and
+``det`` read its pivots and last pivot; every RREF is read off its one
+reducing caller, ``echelon``, and callers that keep integer rows
+(``configs``, ``jacobian``, ``lattices``) use ``num`` directly.
 
 Conventions (fixed once, used everywhere):
 
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import DimensionError, SingularMatrixError
 
@@ -54,21 +57,28 @@ def str_to_frac(s) -> Fraction:
 
 
 class Matrix:
-    """Immutable dense matrix with exact rational entries."""
+    """Immutable dense matrix with exact rational entries, stored as
+    integer rows ``num`` over one positive common denominator ``den``
+    with gcd(den, every entry) = 1, so ``==`` and ``hash`` compare values.
+    """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("num", "den", "rows", "cols")
 
     def __init__(self, data):
-        data = tuple(
-            tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
-            for row in data
-        )
+        data = [[x if type(x) is int else Fraction(x) for x in row] for row in data]
         width = len(data[0]) if data else 0
         if any(len(row) != width for row in data):
             raise DimensionError("ragged rows")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", width)
+        den = lcm(*(x.denominator for row in data for x in row if type(x) is not int))
+        if den == 1:  # keep the input's int objects
+            num = tuple(tuple(x if type(x) is int else x.numerator for x in row) for row in data)
+        else:
+            num = tuple(
+                tuple(x * den if type(x) is int else x.numerator * (den // x.denominator)
+                      for x in row)
+                for row in data
+            )
+        _set(self, num, den, width)
 
     def __setattr__(self, *_):
         raise AttributeError("Matrix is immutable")
@@ -76,15 +86,25 @@ class Matrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zeros(cls, rows, cols):
-        """The zero matrix; with no rows it still has ``cols`` columns."""
-        m = cls([[0] * cols for _ in range(rows)])
-        object.__setattr__(m, "cols", cols)
+    def from_integers(cls, num, den=1, cols=None):
+        """The matrix ``num / den`` of integer rows ``num`` and a nonzero
+        integer ``den``; ``cols`` gives the width when there are no rows."""
+        num = tuple(map(tuple, num))
+        width = len(num[0]) if num else cols or 0
+        if any(len(row) != width for row in num):
+            raise DimensionError("ragged rows")
+        m = object.__new__(cls)
+        _set(m, num, den, width)
         return m
 
     @classmethod
+    def zeros(cls, rows, cols):
+        """The zero matrix; with no rows it still has ``cols`` columns."""
+        return cls.from_integers([[0] * cols for _ in range(rows)], 1, cols)
+
+    @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.from_integers([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def diagonal(cls, entries):
@@ -101,23 +121,33 @@ class Matrix:
 
     # -- basic access -------------------------------------------------
 
+    @property
+    def data(self):
+        """The entries as rows of Fractions, built on each access."""
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
+
     def entry(self, i, j) -> Fraction:
-        return self.data[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def column(self, j):
-        return tuple(self.data[i][j] for i in range(self.rows))
+        return tuple(Fraction(row[j], self.den) for row in self.num)
 
     def row_list(self):
         return [list(r) for r in self.data]
 
     def submatrix(self, row_idx, col_idx):
-        return Matrix([[self.data[i][j] for j in col_idx] for i in row_idx])
+        return Matrix.from_integers(
+            [[self.num[i][j] for j in col_idx] for i in row_idx], self.den
+        )
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and (self.cols, self.data) == (other.cols, other.data)
+        return isinstance(other, Matrix) and (self.cols, self.den, self.num) == (
+            other.cols, other.den, other.num
+        )
 
     def __hash__(self):
-        return hash(self.data)
+        return hash((self.den, self.num))
 
     def __repr__(self):
         body = "; ".join(" ".join(frac_to_str(x) for x in row) for row in self.data)
@@ -126,26 +156,22 @@ class Matrix:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        self._same_shape(other)
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionError("shape mismatch")
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        rows = zip(self.num, other.num)
+        return Matrix.from_integers(
+            [[s * a + t * b for a, b in zip(ra, rb)] for ra, rb in rows], den, self.cols
         )
 
     def __sub__(self, other):
-        self._same_shape(other)
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
+        return self + other.scale(-1)
 
     def scale(self, c):
         c = Fraction(c)
-        return Matrix([[c * a for a in row] for row in self.data])
+        num = [[c.numerator * a for a in row] for row in self.num]
+        return Matrix.from_integers(num, c.denominator * self.den, self.cols)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -154,21 +180,13 @@ class Matrix:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        if not self.rows:
-            return Matrix.zeros(0, other.cols)
-        bt = other.transpose().data
-        return Matrix(
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in bt]
-                for row in self.data
-            ]
-        )
+        bt = tuple(zip(*other.num)) if other.rows else ((),) * other.cols
+        num = [[sum(map(mul, row, col)) for col in bt] for row in self.num]
+        return Matrix.from_integers(num, self.den * other.den, other.cols)
 
     def transpose(self):
-        if not self.cols:
-            return Matrix.zeros(0, self.rows)
-        return Matrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
+        return Matrix.from_integers(
+            [[row[j] for row in self.num] for j in range(self.cols)], self.den, self.rows
         )
 
     # -- predicates ---------------------------------------------------
@@ -177,21 +195,13 @@ class Matrix:
         return self.rows == self.cols
 
     def is_integral(self):
-        return all(x.denominator == 1 for row in self.data for x in row)
+        return self.den == 1
 
     def is_symmetric(self):
-        return self.is_square() and all(
-            self.data[i][j] == self.data[j][i]
-            for i in range(self.rows)
-            for j in range(i)
-        )
+        return self.is_square() and self.num == tuple(zip(*self.num))
 
     def is_zero(self):
-        return all(x == 0 for row in self.data for x in row)
-
-    def _same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError("shape mismatch")
+        return not any(map(any, self.num))
 
     # -- normal forms over Q ------------------------------------------
 
@@ -202,14 +212,13 @@ class Matrix:
             (R, pivots): R the RREF as a Matrix, pivots the list of
             pivot column indices (leftmost-pivot convention).
         """
-        m, _ = integer_rows(self.data)
+        m = self._primitive_rows()[0]
         pivots, _, _, scale = echelon(m, self.cols)
-        red = Matrix([[Fraction(x, scale) for x in row] for row in m]) if m else self
-        return red, list(pivots)
+        return Matrix.from_integers(m, scale, self.cols), list(pivots)
 
     def rank(self) -> int:
         """Rank over Q: the pivot count of the fraction-free elimination."""
-        return len(bareiss(integer_rows(self.data)[0])[0])
+        return len(bareiss(self._primitive_rows()[0])[0])
 
     def kernel_basis(self):
         """Echelon basis of the right null space, rows spanning it.
@@ -218,16 +227,29 @@ class Matrix:
         column; deterministic by construction.  Row count equals
         ``cols - rank``.
         """
-        return null_space(integer_rows(self.data)[0], self.cols)[0]
+        return null_space(self._primitive_rows()[0], self.cols)[0]
 
     def det(self) -> Fraction:
         if not self.is_square():
             raise DimensionError("det requires a square matrix")
-        m, scale = integer_rows(self.data)
-        pivots, swaps, det = bareiss(m)
+        rows, content = self._primitive_rows()
+        pivots, swaps, det = bareiss(rows)
         if len(pivots) < self.rows:
             return Fraction(0)
-        return Fraction(-det if swaps % 2 else det, scale)
+        return Fraction(content * (-det if swaps % 2 else det), self.den**self.rows)
+
+    def _primitive_rows(self):
+        """(rows, c): ``num``'s rows, each divided by the gcd of its
+        entries (the same row space on smaller integers for ``bareiss``),
+        and c the product of those gcds."""
+        rows, c = [], 1
+        for row in self.num:
+            g = gcd(*row)
+            if g > 1:
+                row = [x // g for x in row]
+                c *= g
+            rows.append(row)
+        return rows, c
 
     def inverse(self):
         if not self.is_square():
@@ -256,20 +278,22 @@ class Matrix:
         return m
 
 
-def integer_rows(data):
-    """Scale each row by the lcm of its denominators.
-
-    Returns:
-        (rows, scale): the integer row lists and the product of the
-        row multipliers, so ``det(data) = det(rows) / scale``.
-    """
-    out = []
-    scale = 1
-    for row in data:
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([x.numerator * (mult // x.denominator) for x in row])
-        scale *= mult
-    return out, scale
+def _set(m, num, den, cols):
+    """Store ``num / den`` on a new Matrix, dividing out gcd(den, num)
+    and moving the sign of ``den`` into ``num``."""
+    if den != 1:
+        if not den:
+            raise ZeroDivisionError("Matrix with denominator 0")
+        g = gcd(den, *(x for row in num for x in row))
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = tuple(tuple(x // g for x in row) for row in num)
+            den //= g
+    object.__setattr__(m, "num", num)
+    object.__setattr__(m, "den", den)
+    object.__setattr__(m, "rows", len(num))
+    object.__setattr__(m, "cols", cols)
 
 
 def echelon(rows, width: int):
@@ -289,11 +313,11 @@ def null_space(rows, width: int):
     basis row a is 1 at free[a], 0 at the other free columns and minus
     the RREF entries of column free[a] at the pivots."""
     pivots, free, reduced, scale = echelon(rows, width)
-    basis = [[Fraction(c == f) for c in range(width)] for f in free]
+    basis = [[scale if c == f else 0 for c in range(width)] for f in free]
     for p, row in zip(pivots, reduced):
         for vec, x in zip(basis, row):
-            vec[p] = Fraction(-x, scale)
-    return (Matrix(basis) if basis else Matrix.zeros(0, width)), free
+            vec[p] = -x
+    return Matrix.from_integers(basis, scale, width), free
 
 
 def bareiss(m, reduce=False):
@@ -350,16 +374,18 @@ def solve_rows(basis: Matrix, rows: Matrix):
     if basis.cols != rows.cols:
         raise DimensionError("solve_rows: width mismatch")
     k, n = basis.rows, rows.rows
-    stacked = [[r[j] for r in basis.data + rows.data] for j in range(basis.cols)]
-    m, _ = integer_rows(stacked)
+    # x * basis.num / basis.den == rows.num / rows.den
+    b, r = rows.den, basis.den
+    m = [[b * row[j] for row in basis.num] + [r * row[j] for row in rows.num]
+         for j in range(basis.cols)]
     pivots, _, _, scale = echelon(m, k + n)
     if pivots and pivots[-1] >= k:
         return None
     x = [[0] * k for _ in range(n)]
     for p, row in zip(pivots, m):
         for i, value in enumerate(row[k:]):
-            x[i][p] = Fraction(value, scale)
-    return Matrix(x) if x else Matrix.zeros(0, k)
+            x[i][p] = value
+    return Matrix.from_integers(x, scale, k)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +403,7 @@ def hnf(m: Matrix) -> Matrix:
     form with positive pivots, entries above each pivot reduced into
     ``[0, pivot)``, zero rows last."""
     _require_integral(m, "hnf")
-    a = [[int(x) for x in row] for row in m.data]
+    a = [list(row) for row in m.num]
     prow = 0
     for col in range(m.cols):
         # Euclid down the column: its least nonzero entry reduces the rest
@@ -397,7 +423,7 @@ def hnf(m: Matrix) -> Matrix:
                 q = a[r][col] // a[prow][col]
                 a[r] = [x - q * y for x, y in zip(a[r], a[prow])]
             prow += 1
-    return Matrix(a) if a else m
+    return Matrix.from_integers(a, 1, m.cols)
 
 
 def snf(m: Matrix):
@@ -408,7 +434,7 @@ def snf(m: Matrix):
         diagonal with nonnegative entries, each dividing the next.
     """
     _require_integral(m, "snf")
-    a = [[int(x) for x in row] for row in m.data]
+    a = [list(row) for row in m.num]
     nrows, ncols = m.rows, m.cols
     u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
     v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
@@ -485,7 +511,7 @@ def snf(m: Matrix):
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
         t += 1
-    return (Matrix(a) if a else m), Matrix(u), Matrix(v)
+    return tuple(Matrix.from_integers(x, 1, w) for x, w in ((a, ncols), (u, nrows), (v, ncols)))
 
 
 def gcd_of(values) -> int:

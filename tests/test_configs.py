@@ -224,6 +224,71 @@ def test_canonical_form_invariance(entries, scalars):
     assert base.matrix == again.matrix
 
 
+def _canonical_form_oracle(c):
+    """The Fraction route: A^-1 sends the frame's first three columns to
+    e1, e2, e3, diag(1/w) its fourth to (1,1,1), w = A^-1 d; then every
+    column is scaled so its first nonzero entry is 1."""
+    cols = [c.matrix.column(j) for j in range(c.n)]
+    for frame in combinations(range(c.n), 4):
+        if all(Matrix.from_columns([cols[j] for j in t]).det() != 0
+               for t in combinations(frame, 3)):
+            break
+    else:
+        raise NoFrame("no frame")
+    ainv = Matrix.from_columns([cols[j] for j in frame[:3]]).inverse()
+    w = ainv * Matrix([[x] for x in cols[frame[3]]])
+    g = Matrix.diagonal([1 / w.entry(i, 0) for i in range(3)]) * ainv
+    image = g * c.matrix
+    scaled = []
+    for j in range(c.n):
+        col = image.column(j)
+        lead = next(x for x in col if x != 0)
+        scaled.append([x / lead for x in col])
+    return Matrix.from_columns(scaled), frame
+
+
+rational_entry = st.one_of(
+    small_frac.map(Fraction),
+    st.builds(Fraction, small_frac, st.integers(min_value=1, max_value=7)),
+)
+
+
+@st.composite
+def line_configs(draw):
+    """Six or seven lines with rational entries; some columns forced to
+    be combinations of two others, and sometimes five or all lines forced
+    through one point, which leaves no frame."""
+    n = draw(st.sampled_from((6, 7)))
+    cols = [[draw(rational_entry) for _ in range(3)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        a, b, d = draw(st.permutations(range(n)))[:3]
+        s, t = draw(rational_entry), draw(rational_entry)
+        cols[d] = [s * x + t * y for x, y in zip(cols[a], cols[b])]
+    through = draw(st.sampled_from((0, 0, 0, 5, n)))
+    if through:
+        point = [draw(rational_entry) for _ in range(2)] + [Fraction(-1)]
+        for j in draw(st.permutations(range(n)))[:through]:
+            cols[j][2] = cols[j][0] * point[0] + cols[j][1] * point[1]
+    for col in cols:
+        if not any(col):
+            col[draw(st.integers(0, 2))] = draw(rational_entry.filter(bool))
+    return ConfigMatrix(Matrix.from_columns(cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(line_configs())
+def test_canonical_form_against_fraction_oracle(c):
+    try:
+        want = _canonical_form_oracle(c)
+    except NoFrame:
+        with pytest.raises(NoFrame):
+            canonical_form(c)
+        return
+    normal, frame = canonical_form(c)
+    assert (normal.matrix, frame) == want
+    assert normal.matrix.data == want[0].data and normal.labels == c.labels
+
+
 def test_canonical_form_idempotent():
     base, _ = canonical_form(GENERIC)
     again, _ = canonical_form(base)

@@ -1,6 +1,7 @@
 """Static hygiene of the ``latconf`` package, read with the stdlib ``ast``.
 
-* No module imports another module's private (``_``-prefixed) name.
+* No module imports another module's private (``_``-prefixed) name,
+  nor reads a private attribute that only another module defines.
 * Every name a module imports is used in that module.
 * Every public module-level name of the package is used somewhere in
   the repository's code: ``src``, ``tests``, ``demos`` or ``perfbench``.
@@ -64,6 +65,49 @@ def test_no_private_cross_module_imports(path):
         for node, name, _bound in _imports(tree)
         if _is_internal(node) and _is_private(name.split(".")[-1])
     ]
+    assert not offending, offending
+
+
+def _private_definitions(tree):
+    """Private names a module defines: functions, classes and methods,
+    assigned names and attributes, ``__slots__`` entries, and attributes
+    set through ``setattr``/``object.__setattr__``."""
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+            defined.add(getattr(node, "id", getattr(node, "attr", None)))
+        elif isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "__slots__" for t in node.targets
+        ):
+            defined.update(
+                c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)
+            )
+        elif isinstance(node, ast.Call) and getattr(
+            node.func, "attr", getattr(node.func, "id", None)
+        ) in ("setattr", "__setattr__"):
+            defined.update(
+                a.value for a in node.args[1:2] if isinstance(a, ast.Constant)
+            )
+    return {name for name in defined if isinstance(name, str) and _is_private(name)}
+
+
+def test_no_private_attributes_of_other_modules():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    defined = {name: _private_definitions(tree) for name, tree in trees.items()}
+    offending = []
+    for name, tree in trees.items():
+        elsewhere = set().union(*(d for other, d in defined.items() if other != name))
+        offending += [
+            f"{name} line {node.lineno}: .{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and _is_private(node.attr)
+            and node.attr not in defined[name]
+            and node.attr in elsewhere
+        ]
     assert not offending, offending
 
 

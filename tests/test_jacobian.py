@@ -193,7 +193,7 @@ class FullWidthPiece:
 
     def __init__(self, rows):
         red, pivots = Matrix(rows).rref()
-        self.rows = [list(red.data[r]) for r in range(len(pivots))]
+        self.rows = [list(row) for row in red.data[: len(pivots)]]
         self.pivots = pivots
         self.free = tuple(c for c in range(AMBIENT) if c not in pivots)
 

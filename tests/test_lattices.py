@@ -41,7 +41,7 @@ from latconf.lattices import (
     sublattice_index,
     transcendental_slice,
 )
-from latconf.matrices import Matrix, gcd_of, integer_rows
+from latconf.matrices import Matrix, gcd_of
 
 
 def test_named_lattices():
@@ -165,7 +165,7 @@ def _fraction_complement(s):
     kernel = (s.basis * s.ambient.gram).kernel_basis()
     if not kernel.rows:
         return Matrix.zeros(0, s.ambient.n)
-    rows = [[x // gcd_of(row) for x in row] for row in integer_rows(kernel.data)[0]]
+    rows = [[x // gcd_of(row) for x in row] for row in kernel.num]
     return saturation(Sublattice(s.ambient, rows)).basis
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -15,7 +16,6 @@ from latconf.matrices import (
     echelon,
     frac_to_str,
     hnf,
-    integer_rows,
     null_space,
     snf,
     solve_rows,
@@ -285,7 +285,7 @@ def test_echelon_null_space_against_oracle(m):
     for p, row in zip(ref_pivots, ref):
         for vec, f in zip(oracle, free):
             vec[p] = -row[f]
-    rows, _ = integer_rows(m.data)
+    rows = m.num
     pivots, kept, reduced, scale = echelon([list(r) for r in rows], m.cols)
     assert list(pivots) == ref_pivots and list(kept) == free
     assert scale != 0 and len(reduced) == len(pivots)
@@ -344,3 +344,72 @@ def test_solve_rows_outside_span():
     assert solve_rows(basis, Matrix([[3, 4, 0], [0, 0, 1]])) is None
     with pytest.raises(DimensionError):
         solve_rows(basis, Matrix([[1, 0]]))
+
+
+# -- storage: integer rows over one denominator --------------------------
+
+
+def test_one_matrix_from_every_route():
+    """Every route to the same values stores the same minimal ``num`` and
+    ``den``, so ``==`` and ``hash`` agree."""
+    entries = [[Fraction(1, 2), Fraction(-2, 3), 0], [Fraction(5, 6), 1, Fraction(4, 3)]]
+    m = Matrix(entries)
+    routes = [
+        Matrix([[str(x) for x in row] for row in entries]),
+        Matrix.from_integers([[3, -4, 0], [5, 6, 8]], 6),
+        Matrix.from_integers([[-6, 8, 0], [-10, -12, -16]], -12),
+        Matrix.from_columns(zip(*entries)),
+        m.transpose().transpose(),
+        Matrix.identity(2) * m,
+        m * Matrix.identity(3),
+        Matrix.from_json(m.to_json()),
+        m.scale(4).scale(Fraction(1, 4)),
+        m + Matrix.zeros(2, 3),
+        (m + m) - m,
+    ]
+    for other in routes:
+        assert other == m and hash(other) == hash(m)
+        assert (other.num, other.den) == (((3, -4, 0), (5, 6, 8)), 6)
+    assert m.data == tuple(tuple(Fraction(x) for x in row) for row in entries)
+    assert m.to_json()["entries"] == [["1/2", "-2/3", "0"], ["5/6", "1", "4/3"]]
+    assert (Matrix([[2, 4]]).num, Matrix([[2, 4]]).den) == (((2, 4),), 1)
+    assert (m - m).den == 1 and m.scale(0) == Matrix.zeros(2, 3)
+    with pytest.raises(ZeroDivisionError):
+        Matrix.from_integers([[1]], 0)
+    with pytest.raises(AttributeError):
+        m.den = 1
+
+
+def test_zero_row_storage_keeps_its_width():
+    empty = Matrix.from_integers([], 5, 4)
+    assert (empty.rows, empty.cols, empty.num, empty.den) == (0, 4, (), 1)
+    assert empty == Matrix.zeros(0, 4) and hash(empty) == hash(Matrix.zeros(0, 4))
+    assert empty != Matrix.zeros(0, 3)
+    assert empty.to_json() == {"rows": 0, "cols": 4, "entries": []}
+    assert (empty * Matrix.zeros(4, 2)).cols == 2
+    assert (empty + empty).cols == 4 and empty.scale(3).cols == 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices(), st.data())
+def test_storage_and_arithmetic_against_fraction_reference(m, data):
+    ref = [[Fraction(x) for x in row] for row in m.data]
+    den = lcm(*(x.denominator for row in ref for x in row))
+    assert m.den == den and gcd(m.den, *(x for row in m.num for x in row)) == 1
+    assert m.num == tuple(tuple(int(x * den) for x in row) for row in ref)
+    assert Matrix(ref) == m and hash(Matrix(ref)) == hash(m)
+    assert m.to_json()["entries"] == [[frac_to_str(x) for x in row] for row in ref]
+    other = [[data.draw(rational) for _ in range(m.cols)] for _ in range(m.rows)]
+    o = Matrix(other) if other else Matrix.zeros(0, m.cols)
+    assert (m + o).data == tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(ref, other))
+    assert (m - o).data == tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(ref, other))
+    k = data.draw(st.integers(min_value=1, max_value=4))
+    right = [[data.draw(rational) for _ in range(k)] for _ in range(m.cols)]
+    product = [[sum(a * right[t][j] for t, a in enumerate(row)) for j in range(k)] for row in ref]
+    r = Matrix(right) if right else Matrix.zeros(0, k)
+    assert (m * r).data == tuple(map(tuple, product)) and (m * r).cols == k
+    assert m.rank() == len(gauss_jordan(ref)[1])
+    square = [row[: m.rows] for row in ref] if m.rows <= m.cols else ref[: m.cols]
+    size = min(m.rows, m.cols)
+    sq = Matrix(square) if size else Matrix([])
+    assert sq.det() == gauss_jordan(square)[2]
