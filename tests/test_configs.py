@@ -324,6 +324,32 @@ def test_cremona_involution_samples():
         done += 1
 
 
+def _cross_fractions(u, v):
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(line_configs().filter(lambda c: c.n == 6))
+def test_cremona_matrix_against_fraction_formula(c):
+    """The exact matrix, not only its class: N's rows are the pair
+    vertices of the Fraction columns, and column j of N*M has its two
+    entries off row j//2 swapped."""
+    cols = [c.matrix.column(j) for j in range(6)]
+    n = Matrix([_cross_fractions(cols[k], cols[k + 1]) for k in (0, 2, 4)])
+    if n.det() == 0:
+        with pytest.raises(VerticesCollinear):
+            cremona(c)
+        return
+    image = n * c.matrix
+    want = []
+    for j in range(6):
+        col = list(image.column(j))
+        i, k = (i for i in range(3) if i != j // 2)
+        col[i], col[k] = col[k], col[i]
+        want.append(col)
+    assert cremona(c).matrix == Matrix.from_columns(want)
+
+
 def test_cremona_collinear_vertices_raise():
     # the three pair-lines all pass through (0:0:1), so the pair
     # vertices are collinear and the involution is undefined
