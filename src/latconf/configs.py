@@ -14,13 +14,12 @@ dual of a system of four diagonal quadrics (its 7-line configuration
 and smoothness test), line dropping with pair regrouping, node
 classification, and the finite group actions (wreath product on pair
 slots, S4 on quadrangle vertices, GL3(F2) on characters, torus
-scalings).  Everything runs on the integer columns of ``matrix.num``
-(the lines scaled by the common denominator, which changes no line):
-stability and triple points read one table of their C(n,3) 3-minors,
-whose quotients by den^3 are ``plucker``; the canonical form searches
-lazily for its first frame and reads each entry off 3-minors by
-Cramer's rule; the Cremona involution and the group actions multiply
-and permute those columns.  Fractions are built only for outputs.
+scalings).  Stability and triple points read one table of the C(n,3)
+minors, ``plucker``.  The canonical form works on the integer columns
+of ``matrix.num`` (the lines scaled by the common denominator, which
+changes no line): it searches lazily for its first frame, as it
+usually stops at the first 4-subset of columns, and reads each entry
+off 3-minors by Cramer's rule.
 """
 
 from __future__ import annotations
@@ -81,7 +80,10 @@ class ConfigMatrix:
 
     def permute_columns(self, perm) -> "ConfigMatrix":
         """Column j of the result is column perm[j] of self."""
-        return ConfigMatrix(_pick(self, perm), tuple(self.labels[p] for p in perm))
+        cols = [list(self.matrix.column(p)) for p in perm]
+        return ConfigMatrix(
+            Matrix.from_columns(cols), tuple(self.labels[p] for p in perm)
+        )
 
     def to_json(self):
         return {
@@ -96,21 +98,9 @@ class ConfigMatrix:
         )
 
 
-def _pick(c: ConfigMatrix, source) -> Matrix:
-    """The matrix whose column j is column source[j] of ``c``."""
-    m = c.matrix
-    return Matrix.from_integers([[row[s] for s in source] for row in m.num], m.den)
-
-
 # ---------------------------------------------------------------------------
 # Plücker coordinates
 # ---------------------------------------------------------------------------
-
-
-def _columns(c: ConfigMatrix):
-    """The integer columns ``den`` times the lines: every invariant below
-    is unchanged by scaling a line, so each reads these."""
-    return list(zip(*c.matrix.num))
 
 
 def _det3(a, b, c):
@@ -134,16 +124,12 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _minors(cols) -> dict:
-    """The integer 3-minors of integer columns, keyed by column triples."""
-    return {t: _det3(*(cols[j] for j in t)) for t in combinations(range(len(cols)), 3)}
-
-
 def plucker(c: ConfigMatrix) -> dict:
-    """All C(n,3) maximal minors m_{ijk}, keyed by column triples: the
-    integer minors of ``_columns`` over the cube of the denominator."""
-    den3 = c.matrix.den ** 3
-    return {t: Fraction(m, den3) for t, m in _minors(_columns(c)).items()}
+    """All C(n,3) maximal minors m_{ijk}, keyed by column triples."""
+    cols = list(zip(*c.matrix.data))
+    return {
+        t: _det3(*(cols[j] for j in t)) for t in combinations(range(c.n), 3)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +159,13 @@ class StabilityReport:
         }
 
 
-def _coincidence_groups(cols):
+def _coincidence_groups(c: ConfigMatrix):
     """Partition of columns into groups of mutually proportional lines."""
     groups = []
-    for j, col in enumerate(cols):
+    for j in range(c.n):
+        col = c.column(j)
         for g in groups:
-            if _proportional(col, cols[g[0]]):
+            if _proportional(col, c.column(g[0])):
                 g.append(j)
                 break
         else:
@@ -197,10 +184,9 @@ def stability(c: ConfigMatrix) -> StabilityReport:
     """
     if c.n != 6:
         raise DimensionError("stability is defined for six lines")
-    cols = _columns(c)
-    groups = _coincidence_groups(cols)
+    groups = _coincidence_groups(c)
     group_of = {j: g for g, members in enumerate(groups) for j in members}
-    zero = {t for t, m in _minors(cols).items() if m == 0}
+    zero = {t for t, m in plucker(c).items() if m == 0}
 
     def concurrent(*lines):
         return tuple(sorted(lines)) in zero
@@ -256,16 +242,15 @@ def triple_points(c: ConfigMatrix):
     Each entry is (triple of column indices, common point) where the
     point is scaled so its first nonzero coordinate is 1.
     """
-    cols = _columns(c)
     for i, j in combinations(range(c.n), 2):
-        if _proportional(cols[i], cols[j]):
+        if _proportional(c.column(i), c.column(j)):
             raise DimensionError(f"columns {i} and {j} are the same line")
     out = []
-    for t, m in _minors(cols).items():
+    for t, m in plucker(c).items():
         if m == 0:
-            point = _cross(cols[t[0]], cols[t[1]])
+            point = _cross(c.column(t[0]), c.column(t[1]))
             lead = next(x for x in point if x != 0)
-            out.append((t, tuple(Fraction(x, lead) for x in point)))
+            out.append((t, tuple(x / lead for x in point)))
     return out
 
 
@@ -287,11 +272,11 @@ def canonical_form(c: ConfigMatrix):
     M_i(x)/M_i(d), where M_0(x) = det[x, b, e], M_1(x) = det[a, x, e]
     and M_2(x) = det[a, b, x]: the dot products of x with the rows
     b^e, e^a, a^b of the adjugate of [a b e].  Scaling a line scales
-    its column, so the minors are taken on the integer ``_columns``.
+    its column, so the minors are taken on the integer columns.
 
     Returns (normalized ConfigMatrix, frame column subset).
     """
-    cols = _columns(c)
+    cols = list(zip(*c.matrix.num))
     for frame in combinations(range(c.n), 4):
         if all(_det3(*(cols[j] for j in t)) for t in combinations(frame, 3)):
             break
@@ -338,19 +323,23 @@ def cremona(c: ConfigMatrix) -> ConfigMatrix:
     """
     if c.n != 6:
         raise DimensionError("the Cremona involution acts on six lines")
-    cols = _columns(c)
-    # N's rows on the integer columns are den^2 times N's, so N*M is
-    # these rows times the integer columns over den^3
-    n = [_cross(cols[k], cols[k + 1]) for k in (0, 2, 4)]
-    if _det3(*n) == 0:
+    n = Matrix(
+        [
+            _cross(c.column(0), c.column(1)),
+            _cross(c.column(2), c.column(3)),
+            _cross(c.column(4), c.column(5)),
+        ]
+    )
+    if n.det() == 0:
         raise VerticesCollinear("the three pair vertices are collinear")
-    out = []
-    for j, x in enumerate(cols):
-        col = [_dot(r, x) for r in n]
-        i, k = (i for i in range(3) if i != j // 2)
-        col[i], col[k] = col[k], col[i]
-        out.append(col)
-    return c.with_matrix(Matrix.from_integers(zip(*out), c.matrix.den ** 3))
+    p = n * c.matrix
+    cols = []
+    for j in range(6):
+        col = list(p.column(j))
+        others = [i for i in range(3) if i != j // 2]
+        col[others[0]], col[others[1]] = col[others[1]], col[others[0]]
+        cols.append(col)
+    return c.with_matrix(Matrix.from_columns(cols))
 
 
 def etale_slice(t, a, b, c, d) -> ConfigMatrix:
@@ -440,7 +429,16 @@ def drop_pairs(kappa: int):
     """The three pairs {chi, chi + kappa} of surviving characters,
     sorted by smallest member, each pair sorted ascending."""
     check_kappa(kappa)
-    return sorted({tuple(sorted((chi, chi ^ kappa))) for chi in range(1, 8) if chi != kappa})
+    pairs = []
+    seen = set()
+    for chi in range(1, 8):
+        if chi == kappa or chi in seen:
+            continue
+        other = chi ^ kappa
+        seen.update((chi, other))
+        pairs.append((chi, other) if chi < other else (other, chi))
+    pairs.sort()
+    return pairs
 
 
 def drop_line(c: ConfigMatrix, kappa: int) -> ConfigMatrix:
@@ -454,8 +452,11 @@ def drop_line(c: ConfigMatrix, kappa: int) -> ConfigMatrix:
     if kappa not in c.labels:
         raise LabelError(f"no column labeled {kappa}")
     position = {lab: j for j, lab in enumerate(c.labels)}
-    source = [position[chi] for pair in drop_pairs(kappa) for chi in pair]
-    return ConfigMatrix(_pick(c, source), PAIR_LABELS)
+    cols = []
+    for chi, other in drop_pairs(kappa):
+        cols.append(list(c.column(position[chi])))
+        cols.append(list(c.column(position[other])))
+    return ConfigMatrix(Matrix.from_columns(cols), PAIR_LABELS)
 
 
 # ---------------------------------------------------------------------------
@@ -540,12 +541,20 @@ def act_wreath(element, c: ConfigMatrix) -> ConfigMatrix:
             lo, hi = hi, lo
         source[2 * perm[i]] = lo
         source[2 * perm[i] + 1] = hi
-    return ConfigMatrix(_pick(c, source), PAIR_LABELS)
+    cols = [list(c.column(source[j])) for j in range(6)]
+    return ConfigMatrix(Matrix.from_columns(cols), PAIR_LABELS)
 
 
 #: The six sides of the quadrangle on vertices 1..4, as vertex pairs,
 #: opposite sides sharing a pair slot.
-QUADRANGLE_SIDES = tuple(map(frozenset, ((1, 2), (3, 4), (1, 3), (2, 4), (1, 4), (2, 3))))
+QUADRANGLE_SIDES = (
+    frozenset((1, 2)),
+    frozenset((3, 4)),
+    frozenset((1, 3)),
+    frozenset((2, 4)),
+    frozenset((1, 4)),
+    frozenset((2, 3)),
+)
 
 
 def s4_to_wreath(sigma):
@@ -584,10 +593,15 @@ def _char_matrix_apply(g, chi: int) -> int:
 def gl3f2_elements():
     """All 168 invertible 3x3 matrices over F2 (rows of bit tuples)."""
     vecs = [v for v in product((0, 1), repeat=3) if any(v)]
-    return [
-        g for g in product(vecs, repeat=3)
-        if len({_char_matrix_apply(g, chi) for chi in range(1, 8)}) == 7
-    ]
+    out = []
+    for r0 in vecs:
+        for r1 in vecs:
+            for r2 in vecs:
+                g = (r0, r1, r2)
+                imgs = {_char_matrix_apply(g, chi) for chi in range(1, 8)}
+                if len(imgs) == 7:
+                    out.append(g)
+    return out
 
 
 def act_gl3f2(g, c: ConfigMatrix) -> ConfigMatrix:
@@ -599,7 +613,8 @@ def act_gl3f2(g, c: ConfigMatrix) -> ConfigMatrix:
     if len(image) != 7:
         raise LabelError("matrix is not invertible over F2")
     position = {lab: j for j, lab in enumerate(c.labels)}
-    return ConfigMatrix(_pick(c, [position[image[chi]] for chi in range(1, 8)]), CHAR_LABELS)
+    cols = [list(c.column(position[image[chi]])) for chi in range(1, 8)]
+    return ConfigMatrix(Matrix.from_columns(cols), CHAR_LABELS)
 
 
 def act_torus(scalars, c: ConfigMatrix) -> ConfigMatrix:
@@ -646,14 +661,22 @@ def orbit(items, elements, action):
 # ---------------------------------------------------------------------------
 
 
+def quadrangle_vertices():
+    return (
+        (Fraction(1), Fraction(0), Fraction(0)),
+        (Fraction(0), Fraction(1), Fraction(0)),
+        (Fraction(0), Fraction(0), Fraction(1)),
+        (Fraction(1), Fraction(1), Fraction(1)),
+    )
+
+
 def complete_quadrangle(assignment=None) -> ConfigMatrix:
-    """The six sides of the standard complete quadrangle on the vertices
-    e1, e2, e3 and (1,1,1).
+    """The six sides of the standard complete quadrangle.
 
     ``assignment`` optionally reorders the columns by a wreath element
     applied to the standard side order (opposite sides paired).
     """
-    verts = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+    verts = quadrangle_vertices()
     cols = []
     for side in QUADRANGLE_SIDES:
         i, j = sorted(side)
@@ -672,7 +695,10 @@ def quadrangle_classes():
     """
     variants = [complete_quadrangle(el) for el in wreath_elements()]
     trivial = orbit(variants, [((0, 0, 0), (0, 1, 2))], act_wreath)
-    even_elements = [el for el in wreath_elements() if wreath_signature(el) == 0]
-    even = orbit(variants, even_elements, act_wreath)
+    even = orbit(
+        variants,
+        [el for el in wreath_elements() if wreath_signature(el) == 0],
+        act_wreath,
+    )
     full = orbit(variants, wreath_elements(), act_wreath)
     return trivial, even, full

@@ -65,7 +65,7 @@ class Matrix:
     __slots__ = ("num", "den", "rows", "cols")
 
     def __init__(self, data):
-        data = [[x if type(x) is int else Fraction(x) for x in row] for row in data]
+        data = [[x if type(x) in (int, Fraction) else Fraction(x) for x in row] for row in data]
         width = len(data[0]) if data else 0
         if any(len(row) != width for row in data):
             raise DimensionError("ragged rows")
@@ -88,23 +88,21 @@ class Matrix:
     @classmethod
     def from_integers(cls, num, den=1, cols=None):
         """The matrix ``num / den`` of integer rows ``num`` and a nonzero
-        integer ``den``; ``cols`` gives the width when there are no rows."""
+        integer ``den``; ``cols`` gives the width when there are no rows.
+        Raises TypeError unless every entry and ``den`` is an int."""
         num = tuple(map(tuple, num))
-        width = len(num[0]) if num else cols or 0
-        if any(len(row) != width for row in num):
-            raise DimensionError("ragged rows")
-        m = object.__new__(cls)
-        _set(m, num, den, width)
-        return m
+        if type(den) is not int or any(type(x) is not int for row in num for x in row):
+            raise TypeError("from_integers takes int entries over an int denominator")
+        return _of_integers(num, den, cols)
 
     @classmethod
     def zeros(cls, rows, cols):
         """The zero matrix; with no rows it still has ``cols`` columns."""
-        return cls.from_integers([[0] * cols for _ in range(rows)], 1, cols)
+        return _of_integers([[0] * cols for _ in range(rows)], 1, cols)
 
     @classmethod
     def identity(cls, n):
-        return cls.from_integers([[int(i == j) for j in range(n)] for i in range(n)])
+        return _of_integers([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def diagonal(cls, entries):
@@ -124,20 +122,19 @@ class Matrix:
     @property
     def data(self):
         """The entries as rows of Fractions, built on each access."""
-        den = self.den
-        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
+        return tuple(_fractions(row, self.den) for row in self.num)
 
     def entry(self, i, j) -> Fraction:
         return Fraction(self.num[i][j], self.den)
 
     def column(self, j):
-        return tuple(Fraction(row[j], self.den) for row in self.num)
+        return _fractions((row[j] for row in self.num), self.den)
 
     def row_list(self):
         return [list(r) for r in self.data]
 
     def submatrix(self, row_idx, col_idx):
-        return Matrix.from_integers(
+        return _of_integers(
             [[self.num[i][j] for j in col_idx] for i in row_idx], self.den
         )
 
@@ -161,7 +158,7 @@ class Matrix:
         den = lcm(self.den, other.den)
         s, t = den // self.den, den // other.den
         rows = zip(self.num, other.num)
-        return Matrix.from_integers(
+        return _of_integers(
             [[s * a + t * b for a, b in zip(ra, rb)] for ra, rb in rows], den, self.cols
         )
 
@@ -171,7 +168,7 @@ class Matrix:
     def scale(self, c):
         c = Fraction(c)
         num = [[c.numerator * a for a in row] for row in self.num]
-        return Matrix.from_integers(num, c.denominator * self.den, self.cols)
+        return _of_integers(num, c.denominator * self.den, self.cols)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -182,10 +179,10 @@ class Matrix:
             )
         bt = tuple(zip(*other.num)) if other.rows else ((),) * other.cols
         num = [[sum(map(mul, row, col)) for col in bt] for row in self.num]
-        return Matrix.from_integers(num, self.den * other.den, other.cols)
+        return _of_integers(num, self.den * other.den, other.cols)
 
     def transpose(self):
-        return Matrix.from_integers(
+        return _of_integers(
             [[row[j] for row in self.num] for j in range(self.cols)], self.den, self.rows
         )
 
@@ -214,7 +211,7 @@ class Matrix:
         """
         m = self._primitive_rows()[0]
         pivots, _, _, scale = echelon(m, self.cols)
-        return Matrix.from_integers(m, scale, self.cols), list(pivots)
+        return _of_integers(m, scale, self.cols), list(pivots)
 
     def rank(self) -> int:
         """Rank over Q: the pivot count of the fraction-free elimination."""
@@ -265,7 +262,8 @@ class Matrix:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [[frac_to_str(x) for x in row] for row in self.data],
+            "entries": [[frac_to_str(x) for x in row] for row in self.data]
+            if self.den != 1 else [list(map(str, row)) for row in self.num],
         }
 
     @classmethod
@@ -276,6 +274,25 @@ class Matrix:
         if m.rows != obj["rows"] or m.cols != obj["cols"]:
             raise DimensionError("JSON matrix shape mismatch")
         return m
+
+
+def _fractions(values, den):
+    """The ints ``values`` over ``den``, as a tuple of Fractions."""
+    if den == 1:
+        return tuple(map(Fraction, values))
+    return tuple(Fraction(x, den) for x in values)
+
+
+def _of_integers(num, den=1, cols=None):
+    """``Matrix.from_integers`` without its type check, for the int rows
+    this module computes."""
+    num = tuple(map(tuple, num))
+    width = len(num[0]) if num else cols or 0
+    if any(len(row) != width for row in num):
+        raise DimensionError("ragged rows")
+    m = object.__new__(Matrix)
+    _set(m, num, den, width)
+    return m
 
 
 def _set(m, num, den, cols):
@@ -317,7 +334,7 @@ def null_space(rows, width: int):
     for p, row in zip(pivots, reduced):
         for vec, x in zip(basis, row):
             vec[p] = -x
-    return Matrix.from_integers(basis, scale, width), free
+    return _of_integers(basis, scale, width), free
 
 
 def bareiss(m, reduce=False):
@@ -385,7 +402,7 @@ def solve_rows(basis: Matrix, rows: Matrix):
     for p, row in zip(pivots, m):
         for i, value in enumerate(row[k:]):
             x[i][p] = value
-    return Matrix.from_integers(x, scale, k)
+    return _of_integers(x, scale, k)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +440,7 @@ def hnf(m: Matrix) -> Matrix:
                 q = a[r][col] // a[prow][col]
                 a[r] = [x - q * y for x, y in zip(a[r], a[prow])]
             prow += 1
-    return Matrix.from_integers(a, 1, m.cols)
+    return _of_integers(a, 1, m.cols)
 
 
 def snf(m: Matrix):
@@ -511,7 +528,7 @@ def snf(m: Matrix):
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
         t += 1
-    return tuple(Matrix.from_integers(x, 1, w) for x, w in ((a, ncols), (u, nrows), (v, ncols)))
+    return tuple(_of_integers(x, 1, w) for x, w in ((a, ncols), (u, nrows), (v, ncols)))
 
 
 def gcd_of(values) -> int:

@@ -372,12 +372,25 @@ def test_one_matrix_from_every_route():
         assert (other.num, other.den) == (((3, -4, 0), (5, 6, 8)), 6)
     assert m.data == tuple(tuple(Fraction(x) for x in row) for row in entries)
     assert m.to_json()["entries"] == [["1/2", "-2/3", "0"], ["5/6", "1", "4/3"]]
+    assert Matrix([[Fraction(3, 2), 1]]).to_json()["entries"] == [["3/2", "1"]]
+    assert Matrix([[2, Fraction(-6, 2)]]).to_json()["entries"] == [["2", "-3"]]
     assert (Matrix([[2, 4]]).num, Matrix([[2, 4]]).den) == (((2, 4),), 1)
     assert (m - m).den == 1 and m.scale(0) == Matrix.zeros(2, 3)
     with pytest.raises(ZeroDivisionError):
         Matrix.from_integers([[1]], 0)
     with pytest.raises(AttributeError):
         m.den = 1
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [([[Fraction(1, 2)]], 1), ([[0.5, 1]], 1), ([[1, True]], 1), ([["1"]], 1), ([[1]], Fraction(2))],
+)
+def test_from_integers_rejects_non_int_entries(num, den):
+    """Stored entries must be ints: a Fraction or float left in ``num``
+    would make ``is_integral``, ``==`` and ``hash`` wrong."""
+    with pytest.raises(TypeError):
+        Matrix.from_integers(num, den)
 
 
 def test_zero_row_storage_keeps_its_width():
