@@ -289,6 +289,19 @@ def test_canonical_form_against_fraction_oracle(c):
     assert normal.matrix.data == want[0].data and normal.labels == c.labels
 
 
+def test_config_matrix_is_a_slotted_frozen_value():
+    """No per-instance ``__dict__``; assignment raises; ``==`` and
+    ``hash`` compare the matrix values and the labels."""
+    rows = [[1, 0, 0, 1, 2, 3], [0, 1, 0, 1, 5, 7], [0, 0, 1, 1, 11, 13]]
+    a = ConfigMatrix(rows)
+    b = ConfigMatrix([[Fraction(2 * x, 2) for x in row] for row in rows])
+    assert a == b and hash(a) == hash(b)
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(AttributeError):
+        a.labels = PAIR_LABELS
+    assert a != ConfigMatrix(rows, (1, 1, 0, 0, 2, 2))
+
+
 def test_canonical_form_idempotent():
     base, _ = canonical_form(GENERIC)
     again, _ = canonical_form(base)
