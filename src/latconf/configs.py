@@ -401,6 +401,9 @@ def seven_line_config(q: Matrix) -> ConfigMatrix:
     return ConfigMatrix(gale_dual(q)[1], CHAR_LABELS)
 
 
+_TRIPLES_REVERSED = tuple(reversed(list(combinations(range(7), 3))))
+
+
 def dependent_columns(g: Matrix):
     """The first dependent 4-subset of the columns of a rank-4 system
     whose Gale dual is ``g``, or None if every 4-subset is independent.
@@ -412,9 +415,9 @@ def dependent_columns(g: Matrix):
     range(7).
     """
     cols = list(zip(*g.num))
-    for t in reversed(list(combinations(range(7), 3))):
-        if _det3(*(cols[j] for j in t)) == 0:
-            return tuple(j for j in range(7) if j not in t)
+    for i, j, k in _TRIPLES_REVERSED:
+        if _det3(cols[i], cols[j], cols[k]) == 0:
+            return tuple(c for c in range(7) if c not in (i, j, k))
     return None
 
 

@@ -6,17 +6,22 @@ coordinate (i-1)*4 + j holds the coefficient of x_i^2 y_j.  Every graded
 piece contains the quadric rows Q_k y_j, which span rowspace(q) (x) Q^4;
 modulo them e_i (x) c is g_i (x) c, g_i column i of the Gale dual G of q
 (``configs.gale_dual``, taken once per entry point).  So the source
-R_{1,0} is the RREF of its Jacobian rows on the 12 coordinates
-F x {y_j}, F the free columns of q's RREF.  The first target summand of
-R_{5,1}^{(kappa)} is a quotient of the source: its 6 rows g_s (x) q_kappa,
-reduced modulo the source's RREF, live on the source's 6 free
-coordinates, where one 6 x 6 elimination (rank 2) finishes it.  An RREF
+R_{1,0} is the RREF of its Jacobian rows g_i (x) q_i on the 12
+coordinates F x {y_j}, F the free columns of q's RREF; as G q^T = 0 the
+seven rows sum to zero, so the first six span them.  The first target
+summand of R_{5,1}^{(kappa)} is a quotient of the source: its rows
+g_s (x) q_kappa (s != kappa) and the source's g_kappa (x) q_kappa span
+Q^3 (x) q_kappa (G has rank 3), so its 3 rows e_a (x) q_kappa, reduced
+modulo the source's RREF, live on the source's 6 free coordinates,
+where one 3 x 6 elimination (rank 2) finishes it.  An RREF
 is unique, so these are the rows of the full 28-column RREF with pivots
 in F x {y_j}, and its non-pivot monomials are the full complement
 basis — fully deterministic.  Every reduction step, and the period
 matrix's kernel, is read off one ``matrices.echelon`` of integer rows,
 and ``matrix`` and ``kernel`` keep them as integer-backed Matrices;
-Fractions are built only for ``reduce_vector``.
+Fractions are built only for ``reduce_vector``.  The second summand's
+rows e_t (x) q_p (p in the triple t) are block diagonal over its two
+triples t, so its dimension is the sum of 4 - rank{q_p : p in t}.
 """
 
 from __future__ import annotations
@@ -128,12 +133,6 @@ def _reduce(x, step):
     return out
 
 
-def _base_piece(basis, den: int, chars, relation_rows) -> GradedPiece:
-    step = echelon(relation_rows, len(basis) * NY)
-    free = tuple(chars[c // NY] * NY + c % NY for c in step[1])
-    return GradedPiece(basis, den, (step,), free)
-
-
 def _quotient(piece: GradedPiece, relation_rows) -> GradedPiece:
     """``piece`` modulo further relation rows on its quotient coordinates.
 
@@ -150,12 +149,6 @@ def _quotient(piece: GradedPiece, relation_rows) -> GradedPiece:
     step = echelon(relation_rows, piece.dimension)
     free = tuple(piece.free[k] for k in step[1])
     return GradedPiece(piece.basis, piece.den, piece.steps + (step,), free)
-
-
-def _tensor(basis, i: int, c):
-    """The quotient row of e_i (x) c: column i of the basis tensored with
-    the integer vector c (only a relation row's span counts)."""
-    return [b[i] * x for b in basis for x in c]
 
 
 def _system(q):
@@ -178,10 +171,11 @@ def invariant_deformations(q) -> GradedPiece:
 
 
 def _invariant_piece(qcols, g: Matrix, chars) -> GradedPiece:
-    basis, den = g.num, g.den
-    return _base_piece(
-        basis, den, chars, [_tensor(basis, i, qcols[i]) for i in range(NCHARS)]
-    )
+    basis = g.num  # rows g_i (x) q_i; the seventh is minus the first six's sum
+    step = echelon([[b[i] * x for b in basis for x in qcols[i]]
+                    for i in range(NCHARS - 1)], len(basis) * NY)
+    free = tuple(chars[c // NY] * NY + c % NY for c in step[1])
+    return GradedPiece(basis, g.den, (step,), free)
 
 
 def kappa_sum_bases(kappa: int):
@@ -208,7 +202,8 @@ def squarefree_triples(kappa: int):
 
 
 def kappa_target(q, kappa: int, require_smooth: bool = True):
-    """The two summands of R_{5,1}^{(kappa)}: dimensions (4, 2).
+    """(first, second_dim): the first summand of R_{5,1}^{(kappa)}, a
+    GradedPiece, and the dimension of the second; (4, 2) generically.
 
     The first summand lives on the monomials x_i^2 x_kappa y_j (same
     28 coordinates) with the 16 + 7 + 6 relation rows; the second on
@@ -232,19 +227,17 @@ def _require_smooth(g: Matrix) -> None:
 
 
 def _target_pieces(qcols, kappa: int, source: GradedPiece):
-    """The target summands: the first is R_{1,0} modulo g_s (x) q_kappa,
-    a quotient of ``source``; ``qcols`` are the system's integer columns."""
+    """(first, second_dim) on the fewest relation rows (see the module
+    docstring); ``qcols`` are the system's integer columns."""
+    qk, m = qcols[kappa - 1], len(source.basis)
     first = _quotient(source, [
-        _tensor(source.basis, s, qcols[kappa - 1])
-        for s in range(NCHARS) if s != kappa - 1
+        [x if a == b else 0 for b in range(m) for x in qk] for a in range(m)
     ])
-    ident = ((1, 0), (0, 1))
-    second = _base_piece(ident, 1, (0, 1), [
-        _tensor(ident, ti, qcols[p - 1])
-        for ti, t in enumerate(squarefree_triples(kappa))
-        for p in t
-    ])
-    return first, second
+    second_dim = sum(
+        NY - len(echelon([qcols[p - 1] for p in t], NY)[0])
+        for t in squarefree_triples(kappa)
+    )
+    return first, second_dim
 
 
 @dataclass(frozen=True)
@@ -297,7 +290,7 @@ def _period_map(qcols, source: GradedPiece, kappa: int) -> PeriodMapData:
     the unit vector of k among the kept slots, or, for the pivot k of a
     new relation row, to minus that row.  Both are taken times the step's
     pivot value, which leaves the kernel unchanged."""
-    first, second = _target_pieces(qcols, kappa, source)
+    first, second_dim = _target_pieces(qcols, kappa, source)
     pivots, kept, rows, scale = first.steps[-1]
     new = dict(zip(pivots, rows))
     scaled = [
@@ -313,7 +306,7 @@ def _period_map(qcols, source: GradedPiece, kappa: int) -> PeriodMapData:
         matrix=matrix,
         rank=source.dimension - kern.rows,
         kernel=kern,
-        second_dim=second.dimension,
+        second_dim=second_dim,
     )
 
 

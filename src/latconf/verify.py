@@ -535,7 +535,7 @@ def check_jacobian_counts(rng):
         if qbad.rank() == 4:
             break
         q = random_system(rng)
-    first, _second = kappa_target(qbad, kappa, require_smooth=False)
+    first, _ = kappa_target(qbad, kappa, require_smooth=False)
     degenerate_breaks = first.dimension != 4
     ok = count1 and count2 and images_zero and spans and degenerate_breaks
     return ok, {

@@ -7,6 +7,7 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from latconf.configs import (
     s4_to_wreath,
     wreath_elements,
 )
-from latconf.verify import random_system
+from latconf.verify import random_system, registry_ids
 
 
 def run(capsys, *argv):
@@ -249,8 +250,9 @@ def _answers_with_one_json_document(argv):
     finally:
         sys.stdin = stdin
     assert code in (0, 1, 2)
-    json.loads(out.getvalue())  # a second document would be "Extra data"
+    doc = json.loads(out.getvalue())  # a second document would be "Extra data"
     assert err.getvalue() == ""
+    return code, doc
 
 
 _small = st.integers(min_value=-3, max_value=3)
@@ -342,6 +344,59 @@ def test_lattice_commands_answer_with_one_json_document(argv):
 @given(argv=_argv("jacobian"))
 def test_jacobian_commands_answer_with_one_json_document(argv):
     _answers_with_one_json_document(argv)
+
+
+def _matches_no_check(prefix):
+    return not any(cid.startswith(prefix) for cid in registry_ids())
+
+
+@st.composite
+def _verify_argv(draw):
+    """``verify`` argv that runs no check: one or more of a bad --seed, a
+    --filter that matches no check id, an unwritable --json and an
+    unknown flag, the other flags valid or absent."""
+    bad = draw(st.sets(st.sampled_from(["seed", "filter", "json", "flag"]),
+                       min_size=1))
+    argv = ["verify"]
+    if "seed" in bad:
+        argv += ["--seed", draw(st.sampled_from(["", "x", "1.5", "1e3", "[0]"]))]
+    elif draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(-5, 10**6)))]
+    if "filter" in bad:
+        argv += ["--filter",
+                 draw(st.text(min_size=1, max_size=8).filter(_matches_no_check))]
+    elif draw(st.booleans()):
+        argv += ["--filter", draw(st.sampled_from(registry_ids()))]
+    if "json" in bad:  # a directory, or a file in a missing directory
+        argv += ["--json", draw(st.sampled_from([".", "..", "missing/report.json"]))]
+    if "flag" in bad:
+        at = draw(st.integers(1, len(argv)))
+        argv[at:at] = draw(st.sampled_from([["--bogus"], ["--bogus", "1"], ["-k"]]))
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_verify_argv())
+def test_verify_answers_with_one_json_document(argv):
+    with mock.patch("latconf.cli.run_verify",
+                    side_effect=AssertionError("a check ran")):
+        code, doc = _answers_with_one_json_document(argv)
+    assert (code, doc["error"]["kind"]) == (2, "UsageError")
+
+
+def test_jacobian_dims_of_a_non_smooth_system_exit_1(capsys):
+    # column 4 repeats column 1: rank 4, but every 4 columns holding both
+    # are dependent, the first of them in lex order being 0, 1, 2, 4
+    q = random_system(random.Random(5))
+    cols = [[str(x) for x in q.column(j)] for j in range(7)]
+    cols[4] = cols[1]
+    system = json.dumps([list(row) for row in zip(*cols)])
+    code, doc = run_json(capsys, "config", "from-quadrics", "--system", system)
+    assert (code, doc["smooth"], doc["dependent_columns"]) == (
+        0, False, [0, 1, 2, 4])
+    code, doc = _answers_with_one_json_document(
+        ["jacobian", "dims", "--system", system])
+    assert (code, set(doc), doc["error"]["kind"]) == (1, {"error"}, "SmoothnessRequired")
 
 
 def test_classify_isotropic_takes_no_lattice(capsys):

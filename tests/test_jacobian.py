@@ -50,7 +50,7 @@ def test_dimensions_on_smooth_systems():
         assert inv.dimension == 6
         for kappa in range(1, 8):
             first, second = kappa_target(q, kappa)
-            assert (first.dimension, second.dimension) == (4, 2)
+            assert (first.dimension, second) == (4, 2)
             data = period_map(q, kappa)
             assert data.rank == 4
             assert data.kernel.rows == 2
@@ -79,13 +79,18 @@ def test_period_maps_equal_period_map():
             assert pm.rank == pm.matrix.rank()
 
 
+def _with_column(q, j, col):
+    """``q`` with column j (0-based) replaced by ``col``."""
+    cols = [list(q.column(i)) for i in range(7)]
+    cols[j] = col
+    return Matrix.from_columns(cols)
+
+
 def _degenerate(rng, kappa):
     """A rank-4 system whose kappa column repeats column 1: not smooth."""
     while True:
         q = random_system(rng)
-        cols = [list(q.column(j)) for j in range(7)]
-        cols[kappa - 1] = cols[0]
-        bad = Matrix.from_columns(cols)
+        bad = _with_column(q, kappa - 1, list(q.column(0)))
         if bad.rank() == 4 and not smoothness(bad)[0]:
             return bad
 
@@ -155,11 +160,12 @@ def test_one_elimination_of_the_system(monkeypatch):
 
 
 def test_period_map_eliminations(monkeypatch):
-    """One ``period_map`` runs five eliminations, all through the one
-    kernel ``matrices.bareiss``: the system for its Gale dual, the
-    source's Jacobian rows, the target's new rows on the source's free
-    coordinates (not the stacked 12 x 12 system), the second summand and
-    the period matrix for its kernel."""
+    """One ``period_map`` runs six eliminations, all through the one
+    kernel ``matrices.bareiss``: the system for its Gale dual, six of
+    the source's seven Jacobian rows (they sum to zero), the target's
+    three new rows on the source's free coordinates (not the stacked
+    12 x 12 system), the system's columns in each of the second
+    summand's two triples, and the period matrix for its kernel."""
     q = random_system(random.Random(47))
     shapes = []
 
@@ -169,7 +175,7 @@ def test_period_map_eliminations(monkeypatch):
 
     monkeypatch.setattr(latconf.matrices, "bareiss", counted)
     period_map(q, 6)
-    assert shapes == [(4, 7), (7, 12), (6, 6), (6, 8), (4, 6)]
+    assert shapes == [(4, 7), (6, 12), (3, 6), (3, 4), (3, 4), (4, 6)]
 
 
 def test_relation_counts():
@@ -189,21 +195,28 @@ def test_relation_counts():
 
 class FullWidthPiece:
     """Oracle: a graded piece as the 28 ambient monomials modulo the
-    full relation matrix, read off one ``Matrix.rref``."""
+    full relation matrix, read off one ``Matrix.rref``, whose integer
+    rows ``num`` are ``den`` times the RREF."""
 
     def __init__(self, rows):
         red, pivots = Matrix(rows).rref()
-        self.rows = [list(row) for row in red.data[: len(pivots)]]
-        self.pivots = pivots
         self.free = tuple(c for c in range(AMBIENT) if c not in pivots)
+        self.pivots = pivots
+        self.rows = [[row[f] for f in self.free] for row in red.num[: len(pivots)]]
+        self.den = red.den
 
     def reduce_vector(self, vec):
-        vec = [Fraction(x) for x in vec]
+        """Each RREF row is zero at the other pivots, so the class of vec
+        is vec minus vec[p] times the row of p, summed over the pivots p,
+        on the free monomials."""
+        vec = Matrix([vec])
+        (num,), den = vec.num, vec.den
+        out = [self.den * num[f] for f in self.free]
         for row, p in zip(self.rows, self.pivots):
-            coef = vec[p]
-            if coef != 0:
-                vec = [x - coef * y for x, y in zip(vec, row)]
-        return [vec[f] for f in self.free]
+            coef = num[p]
+            if coef:
+                out = [x - coef * y for x, y in zip(out, row)]
+        return [Fraction(x, den * self.den) for x in out]
 
 
 def _oracle_source(q):
@@ -248,16 +261,44 @@ def test_quotient_pieces_match_full_width_oracle():
             assert pm.kernel == matrix.kernel_basis()
 
 
+def _oracle_second_dim(q, kappa):
+    """8 minus the rank of the second summand's six relation rows
+    e_t (x) q_p, p in the retained triple t, on its 8 monomials."""
+    rows = []
+    for t_index, t in enumerate(squarefree_triples(kappa)):
+        for p in t:
+            row = [0] * 8
+            row[4 * t_index:4 * t_index + 4] = q.column(p - 1)
+            rows.append(row)
+    return 8 - Matrix(rows).rank()
+
+
 def test_degenerate_target_matches_full_width_oracle():
     rng = random.Random(43)
-    for kappa in range(2, 8):  # _degenerate copies column 1 onto kappa
-        bad = _degenerate(rng, kappa)
-        first, _ = kappa_target(bad, kappa, require_smooth=False)
+
+    def check(bad, kappa):
+        first, second = kappa_target(bad, kappa, require_smooth=False)
         oracle = _oracle_target(bad, kappa)
         assert first.free == oracle.free
-        assert first.dimension != 4
         vec = [rng.randint(-9, 9) for _ in range(AMBIENT)]
         assert first.reduce_vector(vec) == oracle.reduce_vector(vec)
+        assert second == _oracle_second_dim(bad, kappa)
+        return first, second
+
+    for kappa in range(2, 8):  # _degenerate copies column 1 onto kappa
+        first, _ = check(_degenerate(rng, kappa), kappa)
+        assert first.dimension != 4
+    for kappa in (1, 4, 7):  # a zero kappa column: no target rows at all
+        q = _with_column(random_system(rng), kappa - 1, [0] * 4)
+        assert q.rank() == 4 and not smoothness(q)[0]
+        check(q, kappa)
+    for kappa in range(1, 8):  # a column repeated inside a retained triple
+        t = squarefree_triples(kappa)[kappa % 2]
+        q = random_system(rng)
+        q = _with_column(q, t[2] - 1, list(q.column(t[0] - 1)))
+        assert q.rank() == 4 and not smoothness(q)[0]
+        _, second = check(q, kappa)
+        assert second == 3
 
 
 def test_kappa_sum_bases_and_squarefree_triples():
