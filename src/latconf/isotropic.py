@@ -33,7 +33,6 @@ from .lattices import (
     Zpq,
     hyperbolic,
     is_isometric_small,
-    is_primitive,
     orthogonal_complement,
     saturation,
     transcendental_slice,
@@ -75,25 +74,24 @@ def certificate_matches(cls: IsotropicClass) -> bool:
 def _complete_to_basis(coords: Matrix) -> Matrix:
     """Unimodular matrix whose first rows span the row space of ``coords``.
 
-    ``coords`` must be primitive (all elementary divisors 1).  From the
-    Smith decomposition ``u*coords*v = [I | 0]`` the first rows of
-    ``v^{-1}`` equal ``u*coords``, so ``v^{-1}`` is the required
-    completion.
+    From the Smith decomposition ``u*coords*v = [I | 0]`` the first rows
+    of ``v^{-1}`` equal ``u*coords``, so ``v^{-1}`` is the required
+    completion.  Raises NotPrimitive unless ``coords`` is primitive (all
+    elementary divisors 1).
     """
     d, _, v = snf(coords)
-    for i in range(coords.rows):
-        if d.entry(i, i) != 1:
-            raise NotPrimitive("rows are not a primitive sublattice basis")
+    if any(d.entry(i, i) != 1 for i in range(coords.rows)):
+        raise NotPrimitive("sublattice is not primitive")
     return v.inverse()
 
 
 def _quotient_gram(sub_rows: Matrix, complement: Sublattice) -> Matrix:
     """Gram matrix of complement / (row span of sub_rows).
 
-    ``sub_rows`` are ambient coordinates of an isotropic sublattice
-    sitting primitively inside ``complement`` (its own orthogonal
-    complement), so the induced form descends to the quotient; any
-    basis completion yields the same form up to base change.
+    ``sub_rows`` are ambient coordinates of an isotropic sublattice inside
+    ``complement`` (its own orthogonal complement), so the form descends to
+    the quotient; any basis completion gives the same form up to base
+    change.  Raises NotPrimitive unless it is primitive in ``complement``.
     """
     ambient = complement.ambient
     coords = solve_rows(complement.basis, sub_rows)
@@ -101,8 +99,7 @@ def _quotient_gram(sub_rows: Matrix, complement: Sublattice) -> Matrix:
         raise DimensionError("sublattice not inside its complement")
     completion = _complete_to_basis(coords)
     new_basis = completion * complement.basis
-    k = sub_rows.rows
-    rest = Matrix.from_integers(new_basis.num[k:], new_basis.den, new_basis.cols)
+    rest = new_basis.submatrix(range(sub_rows.rows, new_basis.rows), range(new_basis.cols))
     return rest * ambient.gram * rest.transpose()
 
 
@@ -161,10 +158,8 @@ def classify_isotropic_plane(l: Lattice | None, basis) -> IsotropicClass:
         raise DimensionError("plane basis must have rank 2")
     if not (basis * l.gram * basis.transpose()).is_zero():
         raise NotIsotropic("plane is not totally isotropic")
-    sub = Sublattice(l, basis)
-    if not is_primitive(sub):
-        raise NotPrimitive("plane is not primitive")
-    complement = orthogonal_complement(sub)
+    # P is primitive in L iff in the saturated P⊥, which _quotient_gram tests
+    complement = orthogonal_complement(Sublattice(l, basis))
     cert = _quotient_gram(basis, complement)
     r1, r2 = basis.data
     has_even = any(

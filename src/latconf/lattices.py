@@ -7,10 +7,10 @@ representable).  A :class:`Sublattice` is a full-row-rank integer
 coordinate matrix inside an ambient lattice.
 
 The module implements signatures (exact congruence diagonalization),
-discriminant forms via Smith normal form, saturation and indices,
-orthogonal complements, overlattice gluing along isotropic subgroups of
-the discriminant group, enumeration of integral overlattices, Gauss
-reduction of binary forms, and the two-adic index-exponent formula.
+discriminant forms via Smith normal form, indices, saturations and
+orthogonal complements (HNF integer kernels), overlattice gluing along
+isotropic subgroups of the discriminant group, integral overlattice
+enumeration, binary Gauss reduction and the two-adic index-exponent formula.
 
 Isometry of small lattices is a bool decision, True only when shown:
 rank, signature and |det| first, then a lazy search for an isometry
@@ -33,7 +33,7 @@ from .errors import (
     IntegralityViolation,
 )
 from .finite_forms import FiniteForm, finite_form_isometric, trivial_form
-from .matrices import Matrix, echelon, gcd_of, hnf, snf, solve_rows
+from .matrices import Matrix, hnf, integer_kernel, snf, solve_rows
 
 
 class Lattice:
@@ -403,15 +403,10 @@ class Sublattice:
 
 
 def saturation(s: Sublattice) -> Sublattice:
-    """Primitive closure of a sublattice inside its ambient lattice.
-
-    Uses the Smith decomposition ``u*B*v = d``: the Q-row-span of B
-    meets Z^n exactly in the span of the first k rows of v^{-1}.  The
-    result basis is put in Hermite normal form for determinism.
-    """
-    _, _, v = snf(s.basis)
-    rows = v.inverse().num[: s.rank]
-    return Sublattice(s.ambient, hnf(Matrix.from_integers(rows)) if rows else s.basis)
+    """Primitive closure of a sublattice inside its ambient lattice, in HNF:
+    the integer kernel of the integer kernel of the basis."""
+    n = s.ambient.n
+    return Sublattice(s.ambient, integer_kernel(integer_kernel(s.basis.num, n).num, n))
 
 
 def sublattice_index(sub: Sublattice, sup: Sublattice) -> int:
@@ -434,28 +429,16 @@ def sublattice_index(sub: Sublattice, sup: Sublattice) -> int:
 
 
 def orthogonal_complement(s: Sublattice) -> Sublattice:
-    """Saturated sublattice of all ambient vectors orthogonal to s."""
+    """Saturated sublattice of all ambient vectors orthogonal to s, in HNF."""
     if not s.ambient.is_integral():
         raise NonIntegralLattice("orthogonal complement requires integral ambient")
     n = s.ambient.n
-    pivots, free, reduced, scale = echelon(list((s.basis * s.ambient.gram).num), n)
-    if not free:
-        return Sublattice(s.ambient, Matrix.zeros(0, n))
-    kernel = []  # scale times the echelon kernel basis, each row made primitive
-    for a, f in enumerate(free):
-        row = [scale if c == f else 0 for c in range(n)]
-        for p, r in zip(pivots, reduced):
-            row[p] = -r[a]
-        g = gcd_of(row) if scale > 0 else -gcd_of(row)  # positive at f
-        kernel.append([x // g for x in row])
-    return saturation(Sublattice(s.ambient, Matrix(kernel)))
+    return Sublattice(s.ambient, integer_kernel((s.basis * s.ambient.gram).num, n))
 
 
 def is_primitive(s: Sublattice) -> bool:
-    """True iff every elementary divisor of the basis is 1: their product
-    is the index of ``s`` in its saturation."""
-    d, _, _ = snf(s.basis)
-    return all(d.entry(i, i) == 1 for i in range(s.rank))
+    """True iff ``s`` equals its saturation: their HNF bases agree."""
+    return hnf(s.basis) == saturation(s).basis
 
 
 # ---------------------------------------------------------------------------
@@ -500,28 +483,18 @@ def _glue(l: Lattice, lifts: Matrix, gens, order: int) -> GlueResult:
     reduced coefficient tuples ``gens`` generate; ``lifts`` are the
     dual-vector lifts of the canonical discriminant generators.
 
-    Runs in integers: the glued Gram H*G*H^T is formed from the integer
-    HNF rows H of the cleared glue rows and the denominator-cleared Gram
-    G, then divided once."""
+    The glue rows gens·lifts share one denominator ``den``; with H the
+    integer HNF rows of [den·I ; den·glue rows], the new basis is H / den
+    and the glued Gram is basis·G·basisᵀ."""
     n = l.n
-    den, lift_rows = lifts.den, lifts.num
-    vecs = [[sum(c * row[j] for c, row in zip(g, lift_rows)) for j in range(n)] for g in gens]
-    # the rows [I; vecs / den] have the common denominator den / shrink
-    shrink = gcd_of([den] + [x for vec in vecs for x in vec])
-    denom = den // shrink
-    scaled = [[denom if i == j else 0 for j in range(n)] for i in range(n)]
-    scaled += [[x // shrink for x in vec] for vec in vecs]
-    h = hnf(Matrix(scaled))
-    top = h.num[:n]
-    gram_den, gram = l.gram.den, l.gram.num
-    hg = [[sum(a * b for a, b in zip(row, col)) for col in zip(*gram)] for row in top]
-    new_gram = Matrix.from_integers(
-        [[sum(a * b for a, b in zip(row, other)) for other in top] for row in hg],
-        denom * denom * gram_den,
-    )
-    basis = Matrix.from_integers(top, denom)
+    glue = Matrix.from_integers(gens, 1, lifts.rows) * lifts
+    den = glue.den
+    scaled = [[den if i == j else 0 for j in range(n)] for i in range(n)]
+    top = hnf(Matrix.from_integers(scaled + list(glue.num))).num[:n]
+    basis = Matrix.from_integers(top, den)
+    new_gram = basis * l.gram * basis.transpose()
     # H is upper triangular with positive pivots: it has full rank n
-    index = Fraction(denom**n, prod(top[i][i] for i in range(n)))
+    index = Fraction(den**n, prod(top[i][i] for i in range(n)))
     if index.denominator != 1 or int(index) != order:
         raise IntegralityViolation("glue index does not match subgroup order")
     if not new_gram.is_integral():

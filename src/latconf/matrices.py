@@ -5,6 +5,7 @@ normal forms used by the rest of the package:
 
 * ``rref`` / ``kernel_basis`` / ``rank`` / ``det`` / ``inverse`` over Q,
   and ``null_space``, the kernel basis of integer rows and its free columns,
+* ``integer_kernel``: the HNF basis of the integer kernel of integer rows,
 * ``solve_rows``: the coefficients of rows in the row span of a basis,
 * row-style Hermite normal form ``hnf`` of the row lattice,
 * Smith normal form ``snf`` with both unimodular transforms.
@@ -335,6 +336,17 @@ def null_space(rows, width: int):
         for vec, x in zip(basis, row):
             vec[p] = -x
     return _of_integers(basis, scale, width), free
+
+
+def integer_kernel(rows, width: int) -> Matrix:
+    """The HNF basis of the x in Z^width with row·x = 0 for the integer
+    ``rows``: with A their transpose, the I-block of the rows of
+    ``hnf([A | I])`` whose A-block is zero, which span the kernel since
+    the row operations are unimodular (Cohen, GTM 138, §2.4.3)."""
+    k = len(rows)
+    a = [[row[j] for row in rows] + [int(i == j) for i in range(width)] for j in range(width)]
+    h = hnf(_of_integers(a, 1, k + width)).num
+    return _of_integers([r[k:] for r in h if not any(r[:k])], 1, width)
 
 
 def bareiss(m, reduce=False):

@@ -6,7 +6,7 @@ import random
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import permutations
+from itertools import combinations, permutations
 from unittest import mock
 
 import pytest
@@ -23,6 +23,7 @@ from latconf.configs import (
     s4_to_wreath,
     wreath_elements,
 )
+from latconf.matrices import Matrix, gcd_of
 from latconf.verify import random_system, registry_ids
 
 
@@ -53,6 +54,23 @@ def test_complement_of_a_full_rank_sublattice(capsys):
     assert doc["basis"] == {"rows": 0, "cols": 2, "entries": []}
     assert doc["gram"] == {"rows": 0, "cols": 0, "entries": []}
     assert doc["signature"] == [0, 0] and doc["discriminant"] == "1"
+
+
+def test_complement_with_large_entries_answers_fast(capsys):
+    # its Smith-form saturation ran for over 20 s
+    gram = [[27, -22, -7, -3, 2, 7], [-22, 35, 11, 0, 4, -6], [-7, 11, 22, 24, -6, 4],
+            [-3, 0, 24, 38, -2, 6], [2, 4, -6, -2, 18, -1], [7, -6, 4, 6, -1, 7]]
+    basis = [[-2, 3, 4, -3, -3, -3], [-2, -2, -4, 1, -3, 0], [4, -2, 2, 4, -4, 2]]
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "lattice", "complement", "--gram", json.dumps(gram),
+                         "--basis", json.dumps(basis))
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    comp = Matrix.from_json(doc["basis"])
+    assert comp.rows == 3
+    assert (Matrix(basis) * Matrix(gram) * comp.transpose()).is_zero()
+    minors = (comp.submatrix(range(3), cols).det() for cols in combinations(range(6), 3))
+    assert gcd_of(minors) == 1
 
 
 def test_index_formula(capsys):

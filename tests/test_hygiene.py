@@ -8,6 +8,8 @@
 * Every function the benchmark's tracer wraps by name still exists.
 * The elimination kernel ``bareiss`` is called only in ``matrices``, and
   reduces (``reduce=True``) only inside ``echelon``.
+* ``snf`` is called only where one of its transforms is read: the
+  discriminant generators (u) and the isotropic basis completion (v).
 """
 
 import ast
@@ -182,9 +184,9 @@ def test_traced_functions_exist():
     assert not missing, missing
 
 
-def _bareiss_calls(tree):
-    """(enclosing function name or None, reduces) for each call of
-    ``bareiss``; a call reduces if it passes ``reduce`` at all."""
+def _calls(tree, name):
+    """(scope, call) for each call of ``name``: scope is the dotted path
+    of the classes and functions around the call, or None at module level."""
     parent = {
         child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
     }
@@ -192,21 +194,42 @@ def _bareiss_calls(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        if getattr(func, "id", getattr(func, "attr", None)) != "bareiss":
+        if getattr(func, "id", getattr(func, "attr", None)) != name:
             continue
+        scopes = []
         scope = parent.get(node)
-        while scope is not None and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        while scope is not None:
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scopes.append(scope.name)
             scope = parent.get(scope)
-        reduces = len(node.args) > 1 or any(kw.arg == "reduce" for kw in node.keywords)
-        yield getattr(scope, "name", None), reduces
+        yield ".".join(reversed(scopes)) or None, node
+
+
+def _module_calls(name):
+    return {
+        path.stem: list(_calls(ast.parse(path.read_text(encoding="utf-8")), name))
+        for path in MODULES
+    }
 
 
 def test_one_reducing_elimination():
-    calls = {
-        path.name: list(_bareiss_calls(ast.parse(path.read_text(encoding="utf-8"))))
-        for path in MODULES
-    }
-    outside = [name for name, found in calls.items() if found and name != "matrices.py"]
+    calls = _module_calls("bareiss")
+    outside = [name for name, found in calls.items() if found and name != "matrices"]
     assert not outside, outside
-    reducing = [scope for scope, reduces in calls["matrices.py"] if reduces]
+    # a call reduces if it passes ``reduce`` at all
+    reducing = [
+        scope for scope, node in calls["matrices"]
+        if len(node.args) > 1 or any(kw.arg == "reduce" for kw in node.keywords)
+    ]
     assert reducing == ["echelon"], reducing
+
+
+def test_snf_only_where_a_transform_is_read():
+    callers = sorted(
+        f"{module}.{scope}" for module, found in _module_calls("snf").items() for scope, _ in found
+    )
+    assert callers == [
+        "isotropic._complete_to_basis",
+        "lattices.Lattice.disc_element",
+        "lattices.Lattice.discriminant_data",
+    ], callers

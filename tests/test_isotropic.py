@@ -95,6 +95,15 @@ def test_plane_classification():
     assert odd.kind == ODD_PLANE and certificate_matches(odd)
 
 
+@pytest.mark.parametrize("a, b", [((2, 0), (0, 1)), ((1, 0), (0, 3)), ((1, 1), (1, -1))])
+def test_plane_classification_rejects_non_primitive_planes(a, b):
+    # the rows a and b combine r and s into a sublattice of index 2 or 3
+    r, s = (1, 0, 1, -1, 0, 0), (0, 1, -1, -1, 0, 0)
+    rows = [[x * i + y * j for i, j in zip(r, s)] for x, y in (a, b)]
+    with pytest.raises(NotPrimitive, match="not primitive"):
+        classify_isotropic_plane(None, Matrix(rows))
+
+
 def test_classification_rejects_other_lattices():
     # Z(2,4) has isotropic planes too, but the classes and certificates
     # are those of L = diag(2,2,-1,-1,-1,-1) only

@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -41,7 +42,7 @@ from latconf.lattices import (
     sublattice_index,
     transcendental_slice,
 )
-from latconf.matrices import Matrix, gcd_of
+from latconf.matrices import Matrix, gcd_of, hnf, snf
 
 
 def test_named_lattices():
@@ -130,9 +131,34 @@ def test_saturation_and_index():
     assert is_primitive(sat)
 
 
+def _snf_saturation(s):
+    """Oracle: the saturation through the Smith decomposition u*B*v = d.
+    The Q-row-span of B meets Z^n in the span of the first k rows of
+    v^{-1}, put in Hermite normal form."""
+    _, _, v = snf(s.basis)
+    rows = v.inverse().num[: s.rank]
+    return hnf(Matrix.from_integers(rows)) if rows else s.basis
+
+
+def test_saturation_against_snf_route():
+    rng = random.Random(31)
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        k = rng.randint(0, n)
+        scales = [rng.choice((1, 2, 3)) for _ in range(k)]
+        basis = Matrix.from_integers(
+            [[c * rng.randint(-3, 3) for _ in range(n)] for c in scales], 1, n
+        )
+        if basis.rank() != k:
+            continue
+        sub = Sublattice(Zpq(n, 0), basis)
+        assert saturation(sub).basis == _snf_saturation(sub), basis
+
+
 def test_is_primitive_against_saturation_index():
-    """The elementary-divisor test agrees with the index of each seeded
-    basis in its saturation, rows scaled by 2 and by 3 included."""
+    """The primitivity test agrees with the index of each seeded basis in
+    its saturation and with its elementary divisors, rows scaled by 2 and
+    by 3 included."""
     rng = random.Random(12)
     amb = Zpq(6, 0)
     seen = set()
@@ -143,6 +169,8 @@ def test_is_primitive_against_saturation_index():
             continue
         sub = Sublattice(amb, rows)
         primitive = sublattice_index(sub, saturation(sub)) == 1
+        d = snf(sub.basis)[0]
+        assert primitive == all(d.entry(i, i) == 1 for i in range(sub.rank)), rows
         assert is_primitive(sub) == primitive, rows
         seen.add(primitive)
     assert seen == {True, False}
@@ -166,7 +194,7 @@ def _fraction_complement(s):
     if not kernel.rows:
         return Matrix.zeros(0, s.ambient.n)
     rows = [[x // gcd_of(row) for x in row] for row in kernel.num]
-    return saturation(Sublattice(s.ambient, rows)).basis
+    return _snf_saturation(Sublattice(s.ambient, rows))
 
 
 def test_orthogonal_complement_against_fraction_route():
@@ -186,6 +214,36 @@ def test_orthogonal_complement_against_fraction_route():
         assert comp.basis == _fraction_complement(sub)
         assert comp.rank == sub.ambient.n - sub.rank
     assert orthogonal_complement(cases[0]).basis == Matrix([[1, 0, -2], [0, 1, -1]])
+
+
+def _maximal_minors_gcd(m):
+    return gcd_of(m.submatrix(range(m.rows), cols).det()
+                  for cols in combinations(range(m.cols), m.rows))
+
+
+def test_complements_with_large_entries_are_fast_and_primitive():
+    """Seeded complements in ranks up to 9 with entries up to 30, whose
+    Smith-form saturation ran for seconds to minutes: each is orthogonal
+    to the basis, has rank n - rank(B*G) and is primitive (its maximal
+    minors have gcd 1)."""
+    rng = random.Random(47)
+    cases = []
+    while len(cases) < 30:
+        n = rng.randint(4, 9)
+        half = [[rng.randint(-15, 15) for _ in range(n)] for _ in range(n)]
+        amb = Lattice([[half[i][j] + half[j][i] for j in range(n)] for i in range(n)])
+        basis = Matrix([[rng.randint(-30, 30) for _ in range(n)]
+                        for _ in range(rng.randint(1, n - 1))])
+        if amb.det() != 0 and basis.rank() == basis.rows:
+            cases.append(Sublattice(amb, basis))
+    start = time.perf_counter()
+    comps = [orthogonal_complement(sub) for sub in cases]
+    assert time.perf_counter() - start < 2
+    for sub, comp in zip(cases, comps):
+        gram = sub.ambient.gram
+        assert (sub.basis * gram * comp.basis.transpose()).is_zero()
+        assert comp.rank == sub.ambient.n - (sub.basis * gram).rank()
+        assert _maximal_minors_gcd(comp.basis) == 1
 
 
 def test_complements_of_full_and_zero_rank_sublattices():
