@@ -13,7 +13,6 @@ from latconf.lattices import (
     Dn,
     E8,
     E10,
-    IndexFormulaInput,
     Sublattice,
     Zpq,
     enumerate_integral_overlattices,
@@ -93,7 +92,7 @@ def main():
           f"{abs(glue.lattice.det())}, parity: {glue.lattice.parity()}")
 
     show("The two-adic index chain")
-    exp = index_exponent(IndexFormulaInput(0, 2, 7, kappa_trivial=False))
+    exp = index_exponent(0, 2, 7, kappa_trivial=False)
     print(f"index exponent: {exp}")
     print(f"chain: 4 * 2^{exp} = {4 * 2 ** exp} = 16 * {glue.index}")
 

@@ -51,7 +51,6 @@ from .configs import (
 from .errors import LatconfError
 from .jacobian import period_map, period_maps
 from .lattices import (
-    IndexFormulaInput,
     Lattice,
     Sublattice,
     enumerate_integral_overlattices,
@@ -234,11 +233,8 @@ def cmd_lattice_overlattices(args) -> int:
 
 
 def cmd_lattice_index_formula(args) -> int:
-    inp = IndexFormulaInput(
-        args.ell2_base, args.ell2_cover, args.rho,
-        kappa_trivial=args.kappa_trivial,
-    )
-    return _emit({"exponent": index_exponent(inp)})
+    exponent = index_exponent(args.ell2_base, args.ell2_cover, args.rho, args.kappa_trivial)
+    return _emit({"exponent": exponent})
 
 
 # ---------------------------------------------------------------------------

@@ -261,7 +261,7 @@ class FiniteForm:
         gens = [self.reduce(g) for g in gens]
         for i, g in enumerate(gens):
             for h in gens[: i + 1]:
-                if self.b(g, h) != 0:
+                if self._pair(g, h) % self._scale:
                     return False, (g, h)
             if use_quadratic and self.q(g) != 0:
                 return False, (g, g)

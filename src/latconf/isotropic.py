@@ -37,7 +37,7 @@ from .lattices import (
     saturation,
     transcendental_slice,
 )
-from .matrices import Matrix, gcd_of, snf, solve_rows
+from .matrices import Matrix, snf, solve_rows
 
 EVEN_VECTOR = "EvenVector"
 ODD_TYPE1_VECTOR = "OddType1Vector"
@@ -80,7 +80,7 @@ def _complete_to_basis(coords: Matrix) -> Matrix:
     elementary divisors 1).
     """
     d, _, v = snf(coords)
-    if any(d.entry(i, i) != 1 for i in range(coords.rows)):
+    if any(d.num[i][i] != 1 for i in range(coords.rows)):
         raise NotPrimitive("sublattice is not primitive")
     return v.inverse()
 
@@ -127,7 +127,7 @@ def classify_isotropic_vector(l: Lattice | None, v) -> IsotropicClass:
         raise DimensionError("vector length mismatch")
     if all(x == 0 for x in v):
         raise NotIsotropic("zero vector")
-    if gcd_of(v) != 1:
+    if gcd(*v) != 1:
         raise NotPrimitive("vector content exceeds 1")
     vm = Matrix([v])
     norm = (vm * l.gram * vm.transpose()).entry(0, 0)
@@ -144,7 +144,7 @@ def classify_isotropic_vector(l: Lattice | None, v) -> IsotropicClass:
 
 def _vector_parity_gcd(l: Lattice, v) -> int:
     vm = Matrix([v])
-    return gcd_of(int(x) for x in (vm * l.gram).data[0])
+    return gcd(*(vm * l.gram).num[0])
 
 
 def classify_isotropic_plane(l: Lattice | None, basis) -> IsotropicClass:

@@ -114,7 +114,7 @@ class Lattice:
         orders = []
         lift_rows = []
         for i in range(self.n):
-            di = int(d.entry(i, i))
+            di = d.num[i][i]
             if di == 0:
                 raise DegenerateGram("degenerate Gram matrix")
             if di > 1:
@@ -136,19 +136,16 @@ class Lattice:
 
         ``vector`` is a rational coordinate vector (an element of the
         dual lattice, written in the lattice basis); the result is the
-        coefficient tuple of its class in the discriminant group.
+        coefficient tuple of its class in the discriminant group.  With
+        d = u·G·v, the coefficients x·u⁻¹·d are x·G·v.
         """
-        d, u, _ = snf(self.gram)
-        x = Matrix([list(vector)])
-        y = x * u.inverse() * d
+        d, _, v = snf(self.gram)
+        y = Matrix([list(vector)]) * self.gram * v
         if not y.is_integral():
             raise DimensionError("vector is not in the dual lattice")
-        coeffs = []
-        for i in range(self.n):
-            di = int(d.entry(i, i))
-            if di > 1:
-                coeffs.append(int(y.entry(0, i)) % di)
-        return tuple(coeffs)
+        return tuple(
+            y.num[0][i] % d.num[i][i] for i in range(self.n) if d.num[i][i] > 1
+        )
 
     # -- serialization ------------------------------------------------
 
@@ -418,14 +415,10 @@ def sublattice_index(sub: Sublattice, sup: Sublattice) -> int:
     x = solve_rows(sup.basis, sub.basis)
     if x is None:
         raise DimensionError("sub is not contained in the span of sup")
-    if x * sup.basis != sub.basis:
-        raise DimensionError("sub is not contained in the span of sup")
     if not x.is_integral():
         raise DimensionError("sub is not a subgroup of sup")
-    idx = x.det()
-    if idx == 0:
-        raise DimensionError("sub has lower rank than sup")
-    return abs(int(idx))
+    # equal full ranks make x nonsingular
+    return abs(int(x.det()))
 
 
 def orthogonal_complement(s: Sublattice) -> Sublattice:
@@ -518,7 +511,9 @@ def enumerate_integral_overlattices(l: Lattice):
 
     Enumerates every subgroup of the discriminant group, keeps those
     whose glue is integral (bilinear isotropy), and reports invariants.
-    The trivial subgroup (the lattice itself) is always first.
+    The results come in ``all_subgroups`` order, (index, subgroup): the
+    index is the subgroup's order, so the trivial subgroup (the lattice
+    itself) is always first.
     """
     form, lifts = l.discriminant_data()
     results = []
@@ -537,7 +532,6 @@ def enumerate_integral_overlattices(l: Lattice):
                 unimodular=glue.lattice.is_unimodular(),
             )
         )
-    results.sort(key=lambda info: (info.index, info.subgroup))
     return results
 
 
@@ -724,21 +718,9 @@ def gamma_member(h: Matrix) -> bool:
     return (a - d) % 2 == 0 and (b - c) % 2 == 0
 
 
-@dataclass(frozen=True)
-class IndexFormulaInput:
-    """Inputs of the two-adic index-exponent formula."""
-
-    ell2_base: int
-    ell2_cover: int
-    rho: int
-    kappa_trivial: bool
-
-    def __post_init__(self):
-        if self.ell2_base < 0 or self.ell2_cover < 0 or self.rho < 0:
-            raise DimensionError("index formula counts must be >= 0")
-
-
-def index_exponent(inp: IndexFormulaInput) -> int:
-    """Exponent l2(base) - l2(cover) + rho - epsilon."""
-    eps = 1 if inp.kappa_trivial else 0
-    return inp.ell2_base - inp.ell2_cover + inp.rho - eps
+def index_exponent(ell2_base: int, ell2_cover: int, rho: int, kappa_trivial: bool) -> int:
+    """Exponent l2(base) - l2(cover) + rho - epsilon, epsilon = 1 iff
+    ``kappa_trivial``; the three counts must be >= 0."""
+    if ell2_base < 0 or ell2_cover < 0 or rho < 0:
+        raise DimensionError("index formula counts must be >= 0")
+    return ell2_base - ell2_cover + rho - (1 if kappa_trivial else 0)

@@ -131,12 +131,9 @@ class Matrix:
     def column(self, j):
         return _fractions((row[j] for row in self.num), self.den)
 
-    def row_list(self):
-        return [list(r) for r in self.data]
-
     def submatrix(self, row_idx, col_idx):
         return _of_integers(
-            [[self.num[i][j] for j in col_idx] for i in row_idx], self.den
+            [[self.num[i][j] for j in col_idx] for i in row_idx], self.den, len(col_idx)
         )
 
     def __eq__(self, other):
@@ -210,13 +207,13 @@ class Matrix:
             (R, pivots): R the RREF as a Matrix, pivots the list of
             pivot column indices (leftmost-pivot convention).
         """
-        m = self._primitive_rows()[0]
+        m = list(self.num)
         pivots, _, _, scale = echelon(m, self.cols)
         return _of_integers(m, scale, self.cols), list(pivots)
 
     def rank(self) -> int:
         """Rank over Q: the pivot count of the fraction-free elimination."""
-        return len(bareiss(self._primitive_rows()[0])[0])
+        return len(bareiss(list(self.num))[0])
 
     def kernel_basis(self):
         """Echelon basis of the right null space, rows spanning it.
@@ -225,29 +222,15 @@ class Matrix:
         column; deterministic by construction.  Row count equals
         ``cols - rank``.
         """
-        return null_space(self._primitive_rows()[0], self.cols)[0]
+        return null_space(list(self.num), self.cols)[0]
 
     def det(self) -> Fraction:
         if not self.is_square():
             raise DimensionError("det requires a square matrix")
-        rows, content = self._primitive_rows()
-        pivots, swaps, det = bareiss(rows)
+        pivots, swaps, det = bareiss(list(self.num))
         if len(pivots) < self.rows:
             return Fraction(0)
-        return Fraction(content * (-det if swaps % 2 else det), self.den**self.rows)
-
-    def _primitive_rows(self):
-        """(rows, c): ``num``'s rows, each divided by the gcd of its
-        entries (the same row space on smaller integers for ``bareiss``),
-        and c the product of those gcds."""
-        rows, c = [], 1
-        for row in self.num:
-            g = gcd(*row)
-            if g > 1:
-                row = [x // g for x in row]
-                c *= g
-            rows.append(row)
-        return rows, c
+        return Fraction(-det if swaps % 2 else det, self.den**self.rows)
 
     def inverse(self):
         if not self.is_square():
@@ -541,11 +524,3 @@ def snf(m: Matrix):
             u[t] = [-x for x in u[t]]
         t += 1
     return tuple(_of_integers(x, 1, w) for x, w in ((a, ncols), (u, nrows), (v, ncols)))
-
-
-def gcd_of(values) -> int:
-    """gcd of an iterable of integers (0 for an empty/zero iterable)."""
-    g = 0
-    for x in values:
-        g = gcd(g, int(x))
-    return g

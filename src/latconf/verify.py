@@ -75,7 +75,6 @@ from .lattices import (
     Dpq,
     E8,
     E10,
-    IndexFormulaInput,
     Sublattice,
     Zpq,
     definite_isometries,
@@ -448,7 +447,7 @@ def check_lambda_stable(rng):
 
 
 def check_index_exponent(rng):
-    exp = index_exponent(IndexFormulaInput(0, 2, 7, kappa_trivial=False))
+    exp = index_exponent(0, 2, 7, kappa_trivial=False)
     # chain identity 2^2 * 2^5 = [Z^6(-1):D6(-2)] * [glue : L(2)]
     z6m = Zpq(0, 6)
     d6_basis = Matrix([

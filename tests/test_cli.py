@@ -7,6 +7,7 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations, permutations
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -23,7 +24,7 @@ from latconf.configs import (
     s4_to_wreath,
     wreath_elements,
 )
-from latconf.matrices import Matrix, gcd_of
+from latconf.matrices import Matrix
 from latconf.verify import random_system, registry_ids
 
 
@@ -69,8 +70,8 @@ def test_complement_with_large_entries_answers_fast(capsys):
     comp = Matrix.from_json(doc["basis"])
     assert comp.rows == 3
     assert (Matrix(basis) * Matrix(gram) * comp.transpose()).is_zero()
-    minors = (comp.submatrix(range(3), cols).det() for cols in combinations(range(6), 3))
-    assert gcd_of(minors) == 1
+    minors = (int(comp.submatrix(range(3), cols).det()) for cols in combinations(range(6), 3))
+    assert gcd(*minors) == 1
 
 
 def test_index_formula(capsys):
@@ -186,6 +187,9 @@ def test_closed_stdout_exits_1_without_traceback(capsys, monkeypatch, stub,
     (["config", "drop", "--config", "[[1]]", "--kappa", "x"], 2, "UsageError"),
     (["lattice", "no-such"], 2, "UsageError"),
     (["verify", "--seed", "x"], 2, "UsageError"),
+    # a negative count of the index formula
+    (["lattice", "index-formula", "--ell2-base", "0", "--ell2-cover", "2", "--rho", "-1"],
+     1, "DimensionError"),
 ])
 def test_bad_input_one_error_document(capsys, argv, code, kind):
     got, doc = run_json(capsys, *argv)

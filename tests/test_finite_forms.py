@@ -21,7 +21,7 @@ from latconf.finite_forms import (
     finite_form_isometric,
     trivial_form,
 )
-from latconf.lattices import Dn, Dpq, Zpq, transcendental_slice
+from latconf.lattices import Dn, Dpq, Zpq, parse_lattice_name, transcendental_slice
 from latconf.matrices import Matrix
 
 
@@ -263,6 +263,47 @@ def test_values_against_fraction_sums(f, data):
                 for i in range(k) for j in range(i + 1, k)
             )
             assert f.q(x) == quad % 2
+
+
+def _fraction_isotropy(f, gens, use_quadratic):
+    """Oracle: ``is_isotropic_subgroup`` through the Fraction values ``b``
+    on each pair of generators and ``q`` on each generator."""
+    gens = [f.reduce(g) for g in gens]
+    for i, g in enumerate(gens):
+        for h in gens[: i + 1]:
+            if f.b(g, h) != 0:
+                return False, (g, h)
+        if use_quadratic and f.q(g) != 0:
+            return False, (g, g)
+    return True, None
+
+
+@pytest.mark.parametrize("name", [
+    "D4", "D4+D4", "H(2)+H(2)", "Z(0,4)*2", "D6+D6", "H(2)+E10*-1", "D(2,4)", "H(4)",
+    "H(2)+D4*-1", "D4*2", "L", "L*2",
+])
+def test_isotropic_subgroup_against_fraction_values(name):
+    """Seeded generator lists, unreduced ones included, get the same
+    ``(ok, pair)`` as the Fraction route, for both ``use_quadratic``; on a
+    form without a quadratic refinement both routes raise alike."""
+
+    def outcome(check, *args):
+        try:
+            return check(*args)
+        except DimensionError as error:
+            return str(error)
+
+    rng = random.Random(name)
+    f = parse_lattice_name(name).discriminant_form()
+    seen = set()
+    for _ in range(150):
+        gens = [tuple(rng.randint(-2 * n, 2 * n) for n in f.orders)
+                for _ in range(rng.randint(0, 3))]
+        for use_quadratic in (False, True):
+            found = outcome(f.is_isotropic_subgroup, gens, use_quadratic)
+            assert found == outcome(_fraction_isotropy, f, gens, use_quadratic), gens
+            seen.add(found if isinstance(found, str) else found[0])
+    assert {True, False} <= seen
 
 
 @settings(max_examples=40, deadline=None)

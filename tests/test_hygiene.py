@@ -9,7 +9,9 @@
 * The elimination kernel ``bareiss`` is called only in ``matrices``, and
   reduces (``reduce=True``) only inside ``echelon``.
 * ``snf`` is called only where one of its transforms is read: the
-  discriminant generators (u) and the isotropic basis completion (v).
+  discriminant generators (u), the discriminant coefficients (v) and the
+  isotropic basis completion (v).
+* ``Matrix.inverse`` is called only in the isotropic basis completion.
 """
 
 import ast
@@ -212,6 +214,13 @@ def _module_calls(name):
     }
 
 
+def _callers(name):
+    """The sorted ``module.scope`` of every call of ``name`` in the package."""
+    return sorted(
+        f"{module}.{scope}" for module, found in _module_calls(name).items() for scope, _ in found
+    )
+
+
 def test_one_reducing_elimination():
     calls = _module_calls("bareiss")
     outside = [name for name, found in calls.items() if found and name != "matrices"]
@@ -225,11 +234,20 @@ def test_one_reducing_elimination():
 
 
 def test_snf_only_where_a_transform_is_read():
-    callers = sorted(
-        f"{module}.{scope}" for module, found in _module_calls("snf").items() for scope, _ in found
-    )
+    """Each caller reads one transform of d = u·m·v: ``discriminant_data``
+    reads u (its rows over the elementary divisors lift the generators),
+    ``disc_element`` reads v (a dual vector's coefficients are x·G·v) and
+    ``_complete_to_basis`` reads v (v⁻¹ completes a primitive basis)."""
+    callers = _callers("snf")
     assert callers == [
         "isotropic._complete_to_basis",
         "lattices.Lattice.disc_element",
         "lattices.Lattice.discriminant_data",
     ], callers
+
+
+def test_inverse_only_in_basis_completion():
+    """No caller inverts a matrix except to complete a basis: the
+    discriminant coefficients x·u⁻¹·d are read as x·G·v instead."""
+    callers = _callers("inverse")
+    assert callers == ["isotropic._complete_to_basis"], callers

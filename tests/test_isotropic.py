@@ -65,7 +65,7 @@ def test_fast_kind_matches_certificates():
 def test_rejects_bad_vectors():
     with pytest.raises(NotIsotropic):
         classify_isotropic_vector(None, (1, 0, 0, 0, 0, 0))
-    with pytest.raises(NotPrimitive):
+    with pytest.raises(NotPrimitive, match="content exceeds 1"):
         classify_isotropic_vector(None, (2, 2, 4, 0, 0, 0))
     with pytest.raises(NotIsotropic):
         classify_isotropic_vector(None, (0, 0, 0, 0, 0, 0))

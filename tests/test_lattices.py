@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -21,7 +22,6 @@ from latconf.lattices import (
     Dpq,
     E8,
     E10,
-    IndexFormulaInput,
     Lattice,
     Sublattice,
     Zpq,
@@ -42,7 +42,7 @@ from latconf.lattices import (
     sublattice_index,
     transcendental_slice,
 )
-from latconf.matrices import Matrix, gcd_of, hnf, snf
+from latconf.matrices import Matrix, hnf, snf
 
 
 def test_named_lattices():
@@ -117,6 +117,33 @@ def test_disc_group_order_is_abs_det():
         assert form.group_order() == abs(l.det())
 
 
+def _snf_disc_element(l, vector):
+    """Oracle: the coefficients x·u⁻¹·d through the Smith decomposition
+    d = u·G·v, each reduced modulo its elementary divisor."""
+    d, u, _ = snf(l.gram)
+    y = Matrix([list(vector)]) * u.inverse() * d
+    if not y.is_integral():
+        raise DimensionError("vector is not in the dual lattice")
+    divisors = [int(d.entry(i, i)) for i in range(l.n)]
+    return tuple(int(y.entry(0, i)) % di for i, di in enumerate(divisors) if di > 1)
+
+
+@pytest.mark.parametrize("name", ["L*2", "D4", "H(4)", "D4*2", "H(2)+E10*-1"])
+def test_disc_element_against_snf_inverse_route(name):
+    """Seeded dual vectors y·G⁻¹ get the coefficients of the u⁻¹ route;
+    a vector outside the dual raises DimensionError on both routes."""
+    rng = random.Random(name)
+    l = parse_lattice_name(name)
+    ginv = l.gram.inverse()
+    for _ in range(40):
+        v = (Matrix([[rng.randint(-9, 9) for _ in range(l.n)]]) * ginv).data[0]
+        assert l.disc_element(v) == _snf_disc_element(l, v), v
+    outside = [Fraction(1, 101)] + [0] * (l.n - 1)
+    for route in (l.disc_element, lambda v: _snf_disc_element(l, v)):
+        with pytest.raises(DimensionError, match="not in the dual lattice"):
+            route(outside)
+
+
 def test_saturation_and_index():
     amb = Zpq(6, 0)
     rows = Matrix([
@@ -129,6 +156,21 @@ def test_saturation_and_index():
     assert sublattice_index(sub, sat) == 2
     assert not is_primitive(sub)
     assert is_primitive(sat)
+
+
+@pytest.mark.parametrize("sub, sup, message", [
+    (Sublattice(Zpq(2, 1), [[2, 0, 0]]), Sublattice(Zpq(3, 0), [[1, 0, 0]]),
+     "different ambients"),
+    (Sublattice(Zpq(3, 0), [[2, 0, 0]]), Sublattice(Zpq(3, 0), [[1, 0, 0], [0, 1, 0]]),
+     "equal ranks"),
+    (Sublattice(Zpq(3, 0), [[1, 0, 1]]), Sublattice(Zpq(3, 0), [[1, 0, 0]]),
+     "not contained in the span"),
+    (Sublattice(Zpq(3, 0), [[1, 1, 0]]), Sublattice(Zpq(3, 0), [[2, 2, 0]]),
+     "not a subgroup"),
+])
+def test_sublattice_index_errors(sub, sup, message):
+    with pytest.raises(DimensionError, match=message):
+        sublattice_index(sub, sup)
 
 
 def _snf_saturation(s):
@@ -193,7 +235,7 @@ def _fraction_complement(s):
     kernel = (s.basis * s.ambient.gram).kernel_basis()
     if not kernel.rows:
         return Matrix.zeros(0, s.ambient.n)
-    rows = [[x // gcd_of(row) for x in row] for row in kernel.num]
+    rows = [[x // gcd(*row) for x in row] for row in kernel.num]
     return _snf_saturation(Sublattice(s.ambient, rows))
 
 
@@ -217,8 +259,8 @@ def test_orthogonal_complement_against_fraction_route():
 
 
 def _maximal_minors_gcd(m):
-    return gcd_of(m.submatrix(range(m.rows), cols).det()
-                  for cols in combinations(range(m.cols), m.rows))
+    return gcd(*(int(m.submatrix(range(m.rows), cols).det())
+                 for cols in combinations(range(m.cols), m.rows)))
 
 
 def test_complements_with_large_entries_are_fast_and_primitive():
@@ -478,10 +520,11 @@ def test_plane_stabilizer_block_isometry():
 
 
 def test_index_exponent():
-    assert index_exponent(IndexFormulaInput(0, 2, 7, False)) == 5
-    assert index_exponent(IndexFormulaInput(3, 3, 1, True)) == 0
-    with pytest.raises(DimensionError):
-        IndexFormulaInput(-1, 0, 0, False)
+    assert index_exponent(0, 2, 7, False) == 5
+    assert index_exponent(3, 3, 1, True) == 0
+    for counts in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
+        with pytest.raises(DimensionError, match="index formula counts must be >= 0"):
+            index_exponent(*counts, False)
 
 
 def test_lattice_json_round_trip():

@@ -76,6 +76,7 @@ def test_no_rows_keep_their_width():
     empty = Matrix.zeros(0, 3)
     assert (empty.rows, empty.cols) == (0, 3)
     assert empty != Matrix.zeros(0, 2)
+    assert Matrix.identity(3).submatrix([], range(3)) == empty
     kernel = Matrix.identity(3).kernel_basis()
     assert (kernel.rows, kernel.cols) == (0, 3)
     assert kernel == empty
@@ -252,6 +253,9 @@ def rational_matrices(draw, square=False):
 @example(Matrix([[0, Fraction(2, 3), 0, -1]]))
 @example(Matrix([[0], [Fraction(-1, 2)], [4]]))
 @example(Matrix([[0, 0], [0, 0]]))
+# rows with large common factors
+@example(Matrix([[2**40 * 3, 2**40 * 5, 0], [7**20, 0, 7**20 * 2], [3**25, 3**25 * 5, 0]]))
+@example(Matrix.from_integers([[6 * 10**15, 4 * 10**15, 2 * 10**15], [5**30, 0, -(5**30)]], 7**9))
 def test_rref_rank_kernel_against_oracles(m):
     red, pivots = m.rref()
     ref, ref_pivots, _ = gauss_jordan(m.data)
@@ -263,7 +267,7 @@ def test_rref_rank_kernel_against_oracles(m):
     kernel = m.kernel_basis()
     nullspace = [list(v) for v in to_sympy(m).nullspace()]
     assert kernel.rows == m.cols - len(pivots)
-    assert kernel.row_list() == from_sympy(nullspace)
+    assert [list(r) for r in kernel.data] == from_sympy(nullspace)
 
 
 @settings(max_examples=150, deadline=None)
@@ -292,10 +296,10 @@ def test_echelon_null_space_against_oracle(m):
     for row, ref_row in zip(reduced, ref):
         assert [Fraction(x, scale) for x in row] == [ref_row[c] for c in free]
     basis, kept = null_space([list(r) for r in rows], m.cols)
-    assert basis.row_list() == oracle and list(kept) == free
+    assert [list(r) for r in basis.data] == oracle and list(kept) == free
     kernel = m.kernel_basis()
     assert (kernel.rows, kernel.cols) == (len(free), m.cols)
-    assert kernel.row_list() == oracle
+    assert [list(r) for r in kernel.data] == oracle
 
 
 @settings(max_examples=150, deadline=None)
@@ -303,6 +307,10 @@ def test_echelon_null_space_against_oracle(m):
 @example(Matrix([]))
 @example(Matrix([[Fraction(-3, 4)]]))
 @example(Matrix([[0, 1], [1, 0]]))
+# rows with large common factors
+@example(Matrix([[6 * 10**12, 4 * 10**12], [3**30, 3**31]]))
+@example(Matrix.from_integers([[2**50, 3 * 2**50, 0], [0, 7**20, 7**21], [5**9, 0, 2 * 5**9]], 15))
+@example(Matrix([[2**40, 2**41], [3**20, 2 * 3**20]]))
 def test_det_inverse_against_oracles(m):
     _, _, ref_det = gauss_jordan(m.data)
     det = m.det()
@@ -317,7 +325,7 @@ def test_det_inverse_against_oracles(m):
     inv = m.inverse()
     ref, _, _ = gauss_jordan([r + e for r, e in zip(m.data, Matrix.identity(m.rows).data)])
     assert inv == Matrix([row[m.rows:] for row in ref])
-    assert inv.row_list() == from_sympy(to_sympy(m).inv().tolist())
+    assert [list(r) for r in inv.data] == from_sympy(to_sympy(m).inv().tolist())
 
 
 @settings(max_examples=80, deadline=None)
@@ -331,7 +339,7 @@ def test_solve_rows(basis, data):
     kernel = basis.kernel_basis()
     if kernel.rows:
         # a nonzero kernel vector is orthogonal to the row span, so off it
-        off = rows.row_list()
+        off = [list(r) for r in rows.data]
         off[-1] = [a + b for a, b in zip(off[-1], kernel.data[0])]
         assert solve_rows(basis, Matrix(off)) is None
 
