@@ -14,12 +14,14 @@ dual of a system of four diagonal quadrics (its 7-line configuration
 and smoothness test), line dropping with pair regrouping, node
 classification, and the finite group actions (wreath product on pair
 slots, S4 on quadrangle vertices, GL3(F2) on characters, torus
-scalings).  Stability and triple points read one table of the C(n,3)
-minors, ``plucker``.  The canonical form works on the integer columns
-of ``matrix.num`` (the lines scaled by the common denominator, which
-changes no line): it searches lazily for its first frame, as it
-usually stops at the first 4-subset of columns, and reads each entry
-off 3-minors by Cramer's rule.
+scalings).  The integer columns of ``matrix.num`` are the lines
+scaled by the common denominator, which changes no line.  Column
+permutation, the group actions and line dropping select those columns.
+The canonical form works on them: it searches lazily for its first
+frame, as it usually stops at the first 4-subset of columns, and reads
+each entry off 3-minors by Cramer's rule.  Stability and triple points
+read one table of the C(n,3) minors, ``plucker``, and the Cremona
+involution multiplies by the pair vertices, both on Fraction columns.
 """
 
 from __future__ import annotations
@@ -80,10 +82,7 @@ class ConfigMatrix:
 
     def permute_columns(self, perm) -> "ConfigMatrix":
         """Column j of the result is column perm[j] of self."""
-        cols = [list(self.matrix.column(p)) for p in perm]
-        return ConfigMatrix(
-            Matrix.from_columns(cols), tuple(self.labels[p] for p in perm)
-        )
+        return _select(self, perm, tuple(self.labels[p] for p in perm))
 
     def to_json(self):
         return {
@@ -96,6 +95,12 @@ class ConfigMatrix:
         return ConfigMatrix(
             Matrix.from_json(data["matrix"]), tuple(data["labels"])
         )
+
+
+def _select(c: ConfigMatrix, order, labels) -> ConfigMatrix:
+    """Column j of the result is column order[j] of ``c``, under
+    ``labels``; the denominator is re-normalised for the kept columns."""
+    return ConfigMatrix(c.matrix.submatrix(range(3), order), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +460,8 @@ def drop_line(c: ConfigMatrix, kappa: int) -> ConfigMatrix:
     if kappa not in c.labels:
         raise LabelError(f"no column labeled {kappa}")
     position = {lab: j for j, lab in enumerate(c.labels)}
-    cols = []
-    for chi, other in drop_pairs(kappa):
-        cols.append(list(c.column(position[chi])))
-        cols.append(list(c.column(position[other])))
-    return ConfigMatrix(Matrix.from_columns(cols), PAIR_LABELS)
+    order = [position[chi] for pair in drop_pairs(kappa) for chi in pair]
+    return _select(c, order, PAIR_LABELS)
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +546,7 @@ def act_wreath(element, c: ConfigMatrix) -> ConfigMatrix:
             lo, hi = hi, lo
         source[2 * perm[i]] = lo
         source[2 * perm[i] + 1] = hi
-    cols = [list(c.column(source[j])) for j in range(6)]
-    return ConfigMatrix(Matrix.from_columns(cols), PAIR_LABELS)
+    return _select(c, source, PAIR_LABELS)
 
 
 #: The six sides of the quadrangle on vertices 1..4, as vertex pairs,
@@ -616,8 +617,8 @@ def act_gl3f2(g, c: ConfigMatrix) -> ConfigMatrix:
     if len(image) != 7:
         raise LabelError("matrix is not invertible over F2")
     position = {lab: j for j, lab in enumerate(c.labels)}
-    cols = [list(c.column(position[image[chi]])) for chi in range(1, 8)]
-    return ConfigMatrix(Matrix.from_columns(cols), CHAR_LABELS)
+    order = [position[image[chi]] for chi in range(1, 8)]
+    return _select(c, order, CHAR_LABELS)
 
 
 def act_torus(scalars, c: ConfigMatrix) -> ConfigMatrix:
@@ -665,12 +666,7 @@ def orbit(items, elements, action):
 
 
 def quadrangle_vertices():
-    return (
-        (Fraction(1), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(1)),
-        (Fraction(1), Fraction(1), Fraction(1)),
-    )
+    return ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
 
 
 def complete_quadrangle(assignment=None) -> ConfigMatrix:
@@ -684,7 +680,7 @@ def complete_quadrangle(assignment=None) -> ConfigMatrix:
     for side in QUADRANGLE_SIDES:
         i, j = sorted(side)
         cols.append(_cross(verts[i - 1], verts[j - 1]))
-    config = ConfigMatrix(Matrix.from_columns(cols), PAIR_LABELS)
+    config = ConfigMatrix(Matrix.from_integers(zip(*cols)), PAIR_LABELS)
     if assignment is not None:
         config = act_wreath(assignment, config)
     return config

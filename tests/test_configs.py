@@ -372,6 +372,98 @@ def test_cremona_collinear_vertices_raise():
         cremona(bad)
 
 
+def _fraction_copy(c, order):
+    """The Fraction route: columns ``order`` of ``c`` copied into
+    ``Matrix.from_columns``."""
+    return Matrix.from_columns([list(c.matrix.column(j)) for j in order])
+
+
+def _f2_apply(g, chi):
+    """The 3x3 F2 matrix ``g`` (rows of bits) applied to character chi."""
+    bits = [(chi >> (2 - k)) & 1 for k in range(3)]
+    return sum((sum(g[i][k] * bits[k] for k in range(3)) % 2) << (2 - i) for i in range(3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(line_configs(), st.data())
+def test_column_moves_against_fraction_copy(c, data):
+    """Permuting, the group actions and ``drop_line`` select integer
+    columns; each gives the matrix of the Fraction column copy."""
+    perm = data.draw(st.permutations(range(c.n)))
+    moved = c.permute_columns(perm)
+    assert moved.matrix == _fraction_copy(c, perm)
+    assert moved.labels == tuple(c.labels[p] for p in perm)
+    if c.n == 6:
+        bits, slots = element = data.draw(st.sampled_from(wreath_elements()))
+        # pair i, swapped if bits[i], lands in pair slot slots[i]
+        source = {2 * slots[i] + b: 2 * i + (b ^ bits[i]) for i in range(3) for b in (0, 1)}
+        moved = act_wreath(element, c)
+        assert moved.matrix == _fraction_copy(c, [source[j] for j in range(6)])
+        assert moved.labels == PAIR_LABELS
+        return
+    c = moved  # seven lines under permuted labels
+    g = data.draw(st.sampled_from(gl3f2_elements()))
+    inverse = {_f2_apply(g, chi): chi for chi in CHAR_LABELS}
+    moved = act_gl3f2(g, c)
+    assert moved.matrix == _fraction_copy(c, [c.labels.index(inverse[chi]) for chi in CHAR_LABELS])
+    assert moved.labels == CHAR_LABELS
+    kappa = data.draw(st.sampled_from(CHAR_LABELS))
+    dropped = drop_line(c, kappa)
+    order = [c.labels.index(chi) for pair in drop_pairs(kappa) for chi in pair]
+    assert dropped.matrix == _fraction_copy(c, order)
+    assert dropped.labels == PAIR_LABELS
+
+
+def test_drop_line_drops_a_denominator():
+    """Only the dropped line has a denominator, so the result's storage
+    is integral, as the Fraction copy's is."""
+    c = ConfigMatrix([[Fraction(1, 6), 0, 0, 1, 2, 3, 1],
+                      [0, 1, 0, 1, 5, 7, 4],
+                      [0, 0, 1, 1, 11, 13, 9]])
+    assert c.matrix.den == 6
+    dropped = drop_line(c, 1)
+    assert dropped.matrix.den == 1
+    assert dropped.matrix == _fraction_copy(c, [1, 2, 3, 4, 5, 6])
+    assert dropped.matrix.num == ((0, 0, 1, 2, 3, 1), (1, 0, 1, 5, 7, 4), (0, 1, 1, 11, 13, 9))
+    # a shared denominator shrinks to what the kept columns carry
+    c = ConfigMatrix(c.matrix.scale(Fraction(1, 2)), CHAR_LABELS)
+    assert (c.matrix.den, drop_line(c, 1).matrix.den) == (12, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(line_configs())
+def test_plucker_against_fraction_determinants(c):
+    cols = [c.matrix.column(j) for j in range(c.n)]
+    coords = plucker(c)
+    assert list(coords) == list(combinations(range(c.n), 3))
+    for t, m in coords.items():
+        assert type(m) is Fraction
+        assert m == Matrix.from_columns([cols[j] for j in t]).det()
+
+
+@settings(max_examples=100, deadline=None)
+@given(line_configs())
+def test_triple_points_against_fraction_cross_products(c):
+    cols = [c.matrix.column(j) for j in range(c.n)]
+    same = [
+        (i, j) for i, j in combinations(range(c.n), 2)
+        if not any(_cross_fractions(cols[i], cols[j]))
+    ]
+    if same:
+        with pytest.raises(DimensionError, match=f"columns {same[0][0]} and {same[0][1]} "):
+            triple_points(c)
+        return
+    want = []
+    for t in combinations(range(c.n), 3):
+        if Matrix.from_columns([cols[j] for j in t]).det() == 0:
+            point = _cross_fractions(cols[t[0]], cols[t[1]])
+            lead = next(x for x in point if x)
+            want.append((t, tuple(x / lead for x in point)))
+    got = triple_points(c)
+    assert got == want
+    assert all(type(x) is Fraction for _, point in got for x in point)
+
+
 def test_etale_slice_identity():
     rng = random.Random(5)
     done = 0

@@ -12,6 +12,8 @@
   discriminant generators (u), the discriminant coefficients (v) and the
   isotropic basis completion (v).
 * ``Matrix.inverse`` is called only in the isotropic basis completion.
+* ``configs`` reads Fraction columns only in ``ConfigMatrix.column``, the
+  torus action, the minors table and the Cremona involution.
 """
 
 import ast
@@ -186,17 +188,15 @@ def test_traced_functions_exist():
     assert not missing, missing
 
 
-def _calls(tree, name):
-    """(scope, call) for each call of ``name``: scope is the dotted path
-    of the classes and functions around the call, or None at module level."""
+def _scoped(tree, match):
+    """(scope, node) for each node that ``match`` accepts: scope is the
+    dotted path of the classes and functions around the node, or None at
+    module level."""
     parent = {
         child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
     }
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if getattr(func, "id", getattr(func, "attr", None)) != name:
+        if not match(node):
             continue
         scopes = []
         scope = parent.get(node)
@@ -205,6 +205,15 @@ def _calls(tree, name):
                 scopes.append(scope.name)
             scope = parent.get(scope)
         yield ".".join(reversed(scopes)) or None, node
+
+
+def _calls(tree, name):
+    """(scope, call) for each call of ``name``."""
+    return _scoped(
+        tree,
+        lambda node: isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == name,
+    )
 
 
 def _module_calls(name):
@@ -251,3 +260,29 @@ def test_inverse_only_in_basis_completion():
     discriminant coefficients x·u⁻¹·d are read as x·G·v instead."""
     callers = _callers("inverse")
     assert callers == ["isotropic._complete_to_basis"], callers
+
+
+def test_configs_fraction_columns():
+    """The column moves (``permute_columns``, the group actions,
+    ``drop_line``) and the canonical form work on the integer columns of
+    ``matrix.num``.  Only these read a Fraction ``column``/``data`` view
+    or build a matrix through ``Matrix.from_columns``: ``ConfigMatrix.column``,
+    the torus action (its scalars are Fractions), and the minors table
+    and the Cremona involution, whose integer versions wait for a
+    benchmark whose peak memory does not grow with speed."""
+    tree = ast.parse((PACKAGE / "configs.py").read_text(encoding="utf-8"))
+    scopes = sorted({
+        scope for scope, _ in _scoped(
+            tree,
+            lambda node: isinstance(node, ast.Attribute)
+            and node.attr in ("column", "data", "from_columns"),
+        )
+    })
+    assert scopes == [
+        "ConfigMatrix.column",
+        "_coincidence_groups",
+        "act_torus",
+        "cremona",
+        "plucker",
+        "triple_points",
+    ], scopes

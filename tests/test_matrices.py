@@ -331,7 +331,10 @@ def test_det_inverse_against_oracles(m):
 @settings(max_examples=80, deadline=None)
 @given(rational_matrices(), st.data())
 def test_solve_rows(basis, data):
-    assume(basis.rows and to_sympy(basis).rank() == basis.rows)
+    # the pivot rows of the transpose's RREF: an independent subset of the rows
+    _, independent = to_sympy(basis).T.rref()
+    assume(independent)
+    basis = basis.submatrix(independent, range(basis.cols))
     nsol = data.draw(st.integers(min_value=1, max_value=3))
     x = Matrix([[data.draw(rational) for _ in range(basis.rows)] for _ in range(nsol)])
     rows = x * basis
