@@ -122,18 +122,19 @@ class FiniteForm:
         bilinear = bilinear if isinstance(bilinear, Matrix) else Matrix(bilinear)
         if bilinear.rows != len(orders) or bilinear.cols != len(orders):
             raise DimensionError("bilinear matrix size mismatch")
-        data = [[x % 1 for x in row] for row in bilinear.data]
-        bilinear = Matrix(data)
+        den = bilinear.den  # x % den keeps gcd(den, x), so den stays the denominator
+        num = [[x % den for x in row] for row in bilinear.num]
+        bilinear = Matrix.from_integers(num, den, len(orders))
         if not bilinear.is_symmetric():
             raise DimensionError("bilinear matrix must be symmetric")
-        if any((n * x).denominator != 1 for n, row in zip(orders, data) for x in row):
+        if any(n * x % den for n, row in zip(orders, num) for x in row):
             raise DimensionError("bilinear values not well defined: need n_i * b_ij integral")
         if quadratic is not None:
             quadratic = tuple(Fraction(x) % 2 for x in quadratic)
             if len(quadratic) != len(orders):
                 raise DimensionError("quadratic vector size mismatch")
-            if any((x - data[i][i]).denominator != 1 or n * n * x % 2
-                   for i, (n, x) in enumerate(zip(orders, quadratic))):
+            if any((x * den - row[i]) % den or n * n * x % 2
+                   for i, (n, x, row) in enumerate(zip(orders, quadratic, num))):
                 raise DimensionError(
                     "quadratic values not well defined: need q_i = b_ii mod 1 "
                     "and n_i^2 * q_i even"
@@ -141,9 +142,9 @@ class FiniteForm:
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "bilinear", bilinear)
         object.__setattr__(self, "quadratic", quadratic)
-        scale = orders[-1] if orders else 1  # makes every form value an integer
+        scale = orders[-1] if orders else 1  # den divides it; it makes every form value an integer
         object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_gram", [[int(x * scale) for x in row] for row in data])
+        object.__setattr__(self, "_gram", [[x * (scale // den) for x in row] for row in num])
         qvec = None if quadratic is None else [int(x * scale) for x in quadratic]
         object.__setattr__(self, "_qvec", qvec)
         object.__setattr__(self, "_cache", None)
@@ -272,7 +273,7 @@ class FiniteForm:
     def to_json(self):
         obj = {
             "orders": list(self.orders),
-            "bilinear": [[frac_to_str(x) for x in row] for row in self.bilinear.data],
+            "bilinear": self.bilinear.to_json()["entries"],
         }
         if self.quadratic is not None:
             obj["quadratic"] = [frac_to_str(x) for x in self.quadratic]

@@ -130,14 +130,14 @@ def classify_isotropic_vector(l: Lattice | None, v) -> IsotropicClass:
     if gcd(*v) != 1:
         raise NotPrimitive("vector content exceeds 1")
     vm = Matrix([v])
-    norm = (vm * l.gram * vm.transpose()).entry(0, 0)
+    norm = (vm * l.gram * vm.transpose()).num[0][0]  # L is integral
     if norm != 0:
         raise NotIsotropic(f"vector has norm {norm}")
     complement = orthogonal_complement(Sublattice(l, vm))
     cert = _quotient_gram(vm, complement)
     if _vector_parity_gcd(l, v) == 2:
         return IsotropicClass(EVEN_VECTOR, cert)
-    quotient_even = all(cert.entry(i, i) % 2 == 0 for i in range(cert.rows))
+    quotient_even = all(row[i] % (2 * cert.den) == 0 for i, row in enumerate(cert.num))
     kind = ODD_TYPE2_VECTOR if quotient_even else ODD_TYPE1_VECTOR
     return IsotropicClass(kind, cert)
 
@@ -161,7 +161,7 @@ def classify_isotropic_plane(l: Lattice | None, basis) -> IsotropicClass:
     # P is primitive in L iff in the saturated P⊥, which _quotient_gram tests
     complement = orthogonal_complement(Sublattice(l, basis))
     cert = _quotient_gram(basis, complement)
-    r1, r2 = basis.data
+    r1, r2 = basis.num  # a Sublattice basis, so integral
     has_even = any(
         _vector_parity_gcd(l, [a * x + b * y for x, y in zip(r1, r2)]) == 2
         for a, b in ((1, 0), (0, 1), (1, 1))

@@ -19,9 +19,10 @@ in F x {y_j}, and its non-pivot monomials are the full complement
 basis — fully deterministic.  Every reduction step, and the period
 matrix's kernel, is read off one ``matrices.echelon`` of integer rows,
 and ``matrix`` and ``kernel`` keep them as integer-backed Matrices;
-Fractions are built only for ``reduce_vector``.  The second summand's
-rows e_t (x) q_p (p in the triple t) are block diagonal over its two
-triples t, so its dimension is the sum of 4 - rank{q_p : p in t}.
+Fractions are built only for ``reduce_vector`` and the relation rows
+the oracles read.  The second summand's rows e_t (x) q_p (p in the
+triple t) are block diagonal over its two triples t, so its dimension
+is the sum of 4 - rank{q_p : p in t}.
 """
 
 from __future__ import annotations
@@ -56,26 +57,30 @@ def _ambient(i: int, c):
     return row
 
 
+def _columns(q: Matrix):
+    """The columns of the system ``q`` as Fraction lists, read off ``q.num``."""
+    return [[Fraction(x, q.den) for x in col] for col in zip(*q.num)]
+
+
 def quadric_rows(q: Matrix):
     """The 16 relation rows Q_k y_j: coefficient q_{k,i} at x_i^2 y_j."""
     rows = []
-    for k in range(NY):
+    for qk in zip(*_columns(q)):
         for j in range(NY):
             row = [Fraction(0)] * AMBIENT
-            for i in range(1, 8):
-                row[_slot(i, j)] = q.entry(k, i - 1)
+            row[j::NY] = qk
             rows.append(row)
     return rows
 
 
 def jacobian_rows(q: Matrix):
     """The 7 relation rows sum_j q_{ij} x_i^2 y_j (one per character)."""
-    return [_ambient(i, q.column(i)) for i in range(NCHARS)]
+    return [_ambient(i, c) for i, c in enumerate(_columns(q))]
 
 
 def kappa_rows(q: Matrix, kappa: int):
     """The 6 rows sum_j q_{kappa j} x_s^2 y_j for s != kappa."""
-    qk = q.column(kappa - 1)
+    qk = _columns(q)[kappa - 1]
     return [_ambient(s, qk) for s in range(NCHARS) if s != kappa - 1]
 
 
@@ -322,14 +327,9 @@ def kernel_family_vectors(q, kappa: int):
 
 
 def deformed_system(q, direction, t) -> Matrix:
-    """The system Q + t * direction, with direction a 28-coefficient
-    deformation vector in monomial coordinates."""
-    q = gale_dual(q)[0]
-    t = Fraction(t)
-    rows = []
-    for j in range(NY):
-        row = []
-        for i in range(1, 8):
-            row.append(q.entry(j, i - 1) + t * Fraction(direction[_slot(i, j)]))
-        rows.append(row)
-    return Matrix(rows)
+    """The system Q + t * D, with D the 4 x 7 matrix of a 28-coefficient
+    deformation vector in monomial coordinates: D[j][i-1] is the
+    coefficient of x_i^2 y_j."""
+    q, t = gale_dual(q)[0], Fraction(t)
+    d = Matrix([[direction[_slot(i, j)] for i in range(1, 8)] for j in range(NY)])
+    return q + d.scale(t)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm, prod
 
 from .errors import (
@@ -69,7 +70,7 @@ class Lattice:
         """
         if not self.is_integral():
             raise NonIntegralLattice("parity requires an integral Gram matrix")
-        even = all(self.gram.entry(i, i) % 2 == 0 for i in range(self.n))
+        even = all(row[i] % 2 == 0 for i, row in enumerate(self.gram.num))
         return "even" if even else "odd"
 
     def is_unimodular(self) -> bool:
@@ -77,7 +78,7 @@ class Lattice:
 
     def signature(self):
         """(positive, negative) inertia counts by congruence diagonalization."""
-        d, _ = _diagonalize(self.gram)
+        d, _ = _diagonalize(self.gram.num)
         pos = sum(1 for x in d if x > 0)
         return pos, len(d) - pos
 
@@ -106,27 +107,25 @@ class Lattice:
             (form, lifts): ``form`` the :class:`FiniteForm` on canonical
             SNF generators; ``lifts`` a k x n rational matrix whose rows
             are dual-vector representatives of the generators in lattice
-            coordinates.
+            coordinates, row i of u over each elementary divisor d_i > 1.
         """
         if not self.is_integral():
             raise NonIntegralLattice("discriminant form requires integral Gram")
         d, u, _ = snf(self.gram)
-        orders = []
-        lift_rows = []
-        for i in range(self.n):
-            di = d.num[i][i]
-            if di == 0:
-                raise DegenerateGram("degenerate Gram matrix")
-            if di > 1:
-                orders.append(di)
-                lift_rows.append([Fraction(x, di) for x in u.num[i]])
-        lifts = Matrix(lift_rows) if lift_rows else Matrix.zeros(0, self.n)
+        divisors = [d.num[i][i] for i in range(self.n)]
+        if 0 in divisors:
+            raise DegenerateGram("degenerate Gram matrix")
+        gens = [(di, row) for di, row in zip(divisors, u.num) if di > 1]
+        top = gens[-1][0] if gens else 1  # each d_i divides the next
+        lifts = Matrix.from_integers(
+            [[x * (top // di) for x in row] for di, row in gens], top, self.n
+        )
         even = self.parity() == "even"
-        if not orders:
+        if not gens:
             return trivial_form(even), lifts
         pair = lifts * self.gram * lifts.transpose()
-        quad = [pair.entry(i, i) for i in range(len(orders))] if even else None
-        return FiniteForm(orders, pair, quad), lifts
+        quad = [Fraction(row[i], pair.den) for i, row in enumerate(pair.num)] if even else None
+        return FiniteForm([di for di, _ in gens], pair, quad), lifts
 
     def discriminant_form(self) -> FiniteForm:
         return self.discriminant_data()[0]
@@ -169,12 +168,13 @@ class Lattice:
         return f"Lattice({self.name or self.gram!r})"
 
 
-def _diagonalize(gram: Matrix):
-    """Congruence diagonalization ``gram = Lᵀ·diag(d)·L``, L upper unitriangular.
+def _diagonalize(rows):
+    """Congruence diagonalization ``rows = Lᵀ·diag(d)·L`` of the integer
+    rows of a symmetric matrix, L upper unitriangular.
 
     A zero pivot is first replaced by swapping in a later nonzero
     diagonal entry, or else by adding a later row and column that pairs
-    nonzero with it; L factors ``gram`` itself only when neither step
+    nonzero with it; L factors ``rows`` itself only when neither step
     was taken, which is always so for positive definite input.
 
     Returns:
@@ -183,8 +183,8 @@ def _diagonalize(gram: Matrix):
     Raises:
         DegenerateGram: the matrix is singular.
     """
-    n = gram.rows
-    a = [list(row) for row in gram.data]
+    n = len(rows)
+    a = [list(row) for row in rows]
     lmat = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     d = []
     for i in range(n):
@@ -201,7 +201,7 @@ def _diagonalize(gram: Matrix):
                 a[i] = [x + y for x, y in zip(a[i], a[off])]
                 for row in a:
                     row[i] += row[off]
-        pivot = a[i][i]
+        pivot = Fraction(a[i][i])
         d.append(pivot)
         for j in range(i + 1, n):
             lmat[i][j] = a[i][j] / pivot
@@ -544,42 +544,39 @@ def gauss_reduce_binary(g: Matrix) -> Matrix:
     """Gauss-reduced form of a definite binary Gram matrix.
 
     Output convention: ``[[a,b],[b,c]]`` with ``0 <= 2b <= a <= c``
-    (sign-flipped for negative definite inputs).
+    (sign-flipped for negative definite inputs), reduced on the integer
+    rows ``num``, which are ``den`` times the form.
     """
     if g.rows != 2 or g.cols != 2 or not g.is_symmetric():
         raise DimensionError("gauss_reduce_binary requires a symmetric 2x2 matrix")
-    det = g.det()
-    if det <= 0:
+    if g.det() <= 0:
         raise DimensionError("binary form must be definite")
-    sign = 1 if g.entry(0, 0) > 0 else -1
-    a, b, c = sign * g.entry(0, 0), sign * g.entry(0, 1), sign * g.entry(1, 1)
+    sign = 1 if g.num[0][0] > 0 else -1
+    (a, b), (_, c) = g.scale(sign).num
     while True:
         if c < a:
             a, c = c, a
-        # center b modulo a
         if abs(2 * b) > a:
-            q = Fraction(b, a)
-            t = (q.numerator + (q.denominator // 2)) // q.denominator
+            # center b modulo a: t is b/a rounded to nearest, halves up
+            t = (2 * b + a) // (2 * a)
             c = c - 2 * t * b + t * t * a
             b = b - t * a
             continue
-        if c < a:
-            continue
         break
-    if b < 0:
-        b = -b
-    return Matrix([[sign * a, sign * b], [sign * b, sign * c]])
+    b = sign * abs(b)
+    return Matrix.from_integers([[sign * a, b], [b, sign * c]], g.den)
 
 
 def short_vectors(gram: Matrix, norm: Fraction):
     """All integer vectors of the given norm in a positive definite lattice.
 
-    Straightforward exact Fincke-Pohst style recursion on the
-    congruence diagonalization of the Gram matrix.
+    Exact Fincke-Pohst style recursion on the congruence diagonalization
+    of the integer rows ``num`` (``den`` times the Gram) at ``den`` times
+    the norm; each coordinate walks both ways from -center to a miss past it.
     """
     n = gram.rows
     try:
-        d, lmat = _diagonalize(gram)
+        d, lmat = _diagonalize(gram.num)
     except DegenerateGram:
         d = None
     if d is None or any(x <= 0 for x in d):
@@ -596,18 +593,19 @@ def short_vectors(gram: Matrix, norm: Fraction):
         # d[i]*(x_i + center)^2 <= remaining
         base = -center
         start = base.numerator // base.denominator  # floor
-        for direction in (1, -1):
-            xi = start if direction == 1 else start - 1
+        for xi, step in ((start, 1), (start - 1, -1)):
             while True:
                 val = d[i] * (xi + center) ** 2
-                if val > remaining:
+                if val <= remaining:
+                    x[i] = xi
+                    rec(i - 1, remaining - val)
+                elif step < 0 or xi > base:
+                    # floor(-center) may miss while the integer above hits
                     break
-                x[i] = xi
-                rec(i - 1, remaining - val)
-                xi += direction
+                xi += step
         x[i] = 0
 
-    rec(n - 1, Fraction(norm))
+    rec(n - 1, Fraction(norm) * gram.den)
     return out
 
 
@@ -625,30 +623,28 @@ def definite_isometries(a: Lattice, b: Lattice):
     if a.n != b.n or abs(a.det()) != abs(b.det()):
         return
     ga, gb = a.gram, b.gram
-    if ga.entry(0, 0) < 0 and gb.entry(0, 0) < 0:
+    if ga.num[0][0] < 0 and gb.num[0][0] < 0:
         ga, gb = ga.scale(-1), gb.scale(-1)
-    cache = {}
 
+    @cache
     def vectors_of_norm(t):
-        if t not in cache:
-            cache[t] = short_vectors(gb, t)
-        return cache[t]
+        return short_vectors(gb, Fraction(t, ga.den))
 
-    n = a.n
     cols: list = []
+    # pair(u, v) is gb.den times uᵀ·gram(b)·v, read off b's nonzero entries
+    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in gb.num]
 
     def pair(u, v):
-        return sum(
-            u[i] * gb.entry(i, j) * v[j] for i in range(n) for j in range(n) if u[i] and gb.entry(i, j)
-        )
+        return sum(ui * sum(x * v[j] for j, x in row) for ui, row in zip(u, sparse) if ui)
 
     def rec(k):
-        if k == n:
-            yield Matrix.from_columns(cols)
+        if k == a.n:
+            yield Matrix.from_integers(zip(*cols))
             return
-        for v in vectors_of_norm(ga.entry(k, k)):
-            if all(pair(v, cols[j]) == ga.entry(k, j) for j in range(k)):
-                cols.append(list(v))
+        target = ga.num[k]
+        for v in vectors_of_norm(target[k]):
+            if all(pair(v, cols[j]) * ga.den == target[j] * gb.den for j in range(k)):
+                cols.append(v)
                 yield from rec(k + 1)
                 cols.pop()
 
@@ -713,8 +709,7 @@ def gamma_member(h: Matrix) -> bool:
         raise DimensionError("gamma_member requires an integral 2x2 matrix")
     if abs(h.det()) != 1:
         return False
-    a, b = h.entry(0, 0), h.entry(0, 1)
-    c, d = h.entry(1, 0), h.entry(1, 1)
+    (a, b), (c, d) = h.num
     return (a - d) % 2 == 0 and (b - c) % 2 == 0
 
 

@@ -19,8 +19,9 @@ runs through one fraction-free kernel on integer rows, ``bareiss``,
 whose steps keep every entry an integer minor of the input (scaling
 every row by ``den`` changes no pivot and no RREF).  ``rank`` and
 ``det`` read its pivots and last pivot; every RREF is read off its one
-reducing caller, ``echelon``, and callers that keep integer rows
-(``configs``, ``jacobian``, ``lattices``) use ``num`` directly.
+reducing caller, ``echelon``.  The rest of the package reads ``num``
+and ``den``; the Fraction views serve the CLI, the verify report and a
+few ``configs`` functions.
 
 Conventions (fixed once, used everywhere):
 

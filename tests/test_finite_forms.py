@@ -231,6 +231,63 @@ def forms(draw):
     return FiniteForm(orders, bil, quad)
 
 
+def _fraction_fields(orders, bilinear, quadratic):
+    """Oracle: a form's ``bilinear``, ``quadratic`` and ``_gram`` through
+    Fraction entries (each b_ij reduced mod 1, then scaled by the largest
+    order), or the start of the error message of an ill-defined form."""
+    data = [[x % 1 for x in row] for row in Matrix(bilinear).data]
+    if any(data[i][j] != data[j][i] for i in range(len(data)) for j in range(i)):
+        return "bilinear matrix must be symmetric"
+    if any((n * x).denominator != 1 for n, row in zip(orders, data) for x in row):
+        return "bilinear values not well defined"
+    if quadratic is not None:
+        quadratic = tuple(Fraction(x) % 2 for x in quadratic)
+        if any((x - data[i][i]).denominator != 1 or n * n * x % 2
+               for i, (n, x) in enumerate(zip(orders, quadratic))):
+            return "quadratic values not well defined"
+    scale = orders[-1] if orders else 1
+    return Matrix(data), quadratic, [[int(x * scale) for x in row] for row in data]
+
+
+def test_construction_against_fraction_route():
+    """Drawn forms, unreduced, negative, asymmetric or ill-defined ones
+    included, get the reduced values and the integer pair table of the
+    Fraction route, or its error."""
+    rng = random.Random(71)
+    chains = CHAINS + [(), (5,), (2, 8), (3, 9), (4, 12), (2, 2, 8)]
+    outcomes = set()
+    for _ in range(400):
+        orders = rng.choice(chains)
+        k = len(orders)
+        bil = [[Fraction(0)] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                t = Fraction(rng.randrange(orders[i]), orders[i])
+                bil[i][j] = t + rng.randint(-3, 3)
+                bil[j][i] = t + rng.randint(-3, 3)
+        if k and rng.random() < 0.2:  # possibly ill-defined or asymmetric
+            i, j = rng.randrange(k), rng.randrange(k)
+            bil[i][j] += Fraction(1, rng.choice((2, 3, 4, 8, 16)))
+        quad = None
+        if rng.random() < 0.6:
+            quad = []
+            for i, n in enumerate(orders):
+                b = bil[i][i] % 1
+                lift = rng.randint(0, 1) if n % 2 == 0 else (n * b) % 2
+                quad.append(b + lift + 2 * rng.randint(-2, 2))
+            if k and rng.random() < 0.2:
+                quad[rng.randrange(k)] += Fraction(1, rng.choice((1, 2, 3)))
+        expected = _fraction_fields(orders, bil, quad)
+        outcomes.add(type(expected))
+        if isinstance(expected, str):
+            with pytest.raises(DimensionError, match=expected):
+                FiniteForm(orders, bil, quad)
+            continue
+        f = FiniteForm(orders, Matrix(bil), quad)
+        assert (f.bilinear, f.quadratic, f._gram) == expected
+    assert outcomes == {str, tuple}
+
+
 @st.composite
 def form_pairs(draw):
     """A form and its pullback along a random tuple of generator images:

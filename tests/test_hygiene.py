@@ -12,8 +12,10 @@
   discriminant generators (u), the discriminant coefficients (v) and the
   isotropic basis completion (v).
 * ``Matrix.inverse`` is called only in the isotropic basis completion.
-* ``configs`` reads Fraction columns only in ``ConfigMatrix.column``, the
-  torus action, the minors table and the Cremona involution.
+* Outside ``cli`` and ``verify``, the Fraction views of a Matrix
+  (``entry``, ``column``, ``data``, ``from_columns``) are read only in
+  named boundary scopes: the Matrix's own text forms and six ``configs``
+  scopes.
 """
 
 import ast
@@ -262,27 +264,41 @@ def test_inverse_only_in_basis_completion():
     assert callers == ["isotropic._complete_to_basis"], callers
 
 
-def test_configs_fraction_columns():
-    """The column moves (``permute_columns``, the group actions,
-    ``drop_line``) and the canonical form work on the integer columns of
-    ``matrix.num``.  Only these read a Fraction ``column``/``data`` view
-    or build a matrix through ``Matrix.from_columns``: ``ConfigMatrix.column``,
-    the torus action (its scalars are Fractions), and the minors table
-    and the Cremona involution, whose integer versions wait for a
-    benchmark whose peak memory does not grow with speed."""
-    tree = ast.parse((PACKAGE / "configs.py").read_text(encoding="utf-8"))
+FRACTION_VIEWS = ("entry", "column", "data", "from_columns")
+
+# Modules that turn results into text, where Fractions belong.
+FRACTION_BOUNDARY_MODULES = ("cli", "verify")
+
+# Every other scope that reads a Fraction view.  In ``matrices``, the
+# text forms of a Matrix.  In ``configs``, ``ConfigMatrix.column`` and
+# the torus action (its scalars are Fractions), and the minors table,
+# the triple points, the coincidence groups and the Cremona involution,
+# whose integer versions wait for a benchmark whose peak memory does
+# not grow with speed.
+FRACTION_BOUNDARY_SCOPES = [
+    "configs.ConfigMatrix.column",
+    "configs._coincidence_groups",
+    "configs.act_torus",
+    "configs.cremona",
+    "configs.plucker",
+    "configs.triple_points",
+    "matrices.Matrix.__repr__",
+    "matrices.Matrix.to_json",
+]
+
+
+def test_fraction_views_only_at_the_boundary():
+    """Library code reads a Matrix's integer rows ``num`` over ``den``.
+    The Fraction views ``entry``, ``column`` and ``data``, and
+    ``Matrix.from_columns``, appear outside the CLI and the verify
+    report only in the scopes named above."""
     scopes = sorted({
-        scope for scope, _ in _scoped(
-            tree,
-            lambda node: isinstance(node, ast.Attribute)
-            and node.attr in ("column", "data", "from_columns"),
+        f"{path.stem}.{scope}"
+        for path in MODULES
+        if path.stem not in FRACTION_BOUNDARY_MODULES
+        for scope, _ in _scoped(
+            ast.parse(path.read_text(encoding="utf-8")),
+            lambda node: isinstance(node, ast.Attribute) and node.attr in FRACTION_VIEWS,
         )
     })
-    assert scopes == [
-        "ConfigMatrix.column",
-        "_coincidence_groups",
-        "act_torus",
-        "cremona",
-        "plucker",
-        "triple_points",
-    ], scopes
+    assert scopes == FRACTION_BOUNDARY_SCOPES, scopes

@@ -354,3 +354,37 @@ def test_kappa_rows_shape():
     rows = kappa_rows(q, 4)
     assert len(rows) == 6
     assert all(len(r) == AMBIENT for r in rows)
+
+
+def test_relation_rows_and_deformation_against_fraction_entries():
+    """On a system with den > 1, every relation row holds the Fraction
+    entries of the system at their slots, and Q + t·D adds t times each
+    direction coefficient to its entry."""
+    rng = random.Random(37)
+    q = Matrix([[Fraction(x, rng.randint(1, 4)) for x in row]
+                for row in random_system(rng).num])
+    assert q.den > 1
+    kappa = 3
+
+    def ambient(value):  # the row with value(character, j) at x_{character+1}^2 y_j
+        return [value(i, j) for i in range(7) for j in range(4)]
+
+    expected = [
+        ambient(lambda i, jj: q.entry(k, i) if jj == j else 0)
+        for k in range(4) for j in range(4)
+    ]
+    expected += [ambient(lambda i, j: q.entry(j, s) if i == s else 0) for s in range(7)]
+    expected += [
+        ambient(lambda i, j: q.entry(j, kappa - 1) if i == s else 0)
+        for s in range(7) if s != kappa - 1
+    ]
+    rows = quadric_rows(q) + jacobian_rows(q) + kappa_rows(q, kappa)
+    assert rows == expected
+    assert all(type(x) is Fraction for row in rows for x in row)
+    direction = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(AMBIENT)]
+    t = Fraction(-2, 3)
+    moved = deformed_system(q, direction, t)
+    assert all(
+        moved.entry(j, i - 1) == q.entry(j, i - 1) + t * direction[_slot(i, j)]
+        for i in range(1, 8) for j in range(4)
+    )

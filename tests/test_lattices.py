@@ -3,8 +3,8 @@
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from itertools import combinations, product
+from math import floor, gcd, isqrt
 
 import pytest
 
@@ -436,6 +436,272 @@ def test_short_vectors_rejects_non_positive_definite(gram):
     with pytest.raises(DimensionError) as info:
         short_vectors(Matrix(gram), 2)
     assert type(info.value) is DimensionError
+
+
+# -- the integer routes against their Fraction routes ------------------
+
+
+def _fraction_diagonalize(gram):
+    """Oracle: ``_diagonalize`` on the Fraction entries of ``gram``."""
+    n = gram.rows
+    a = [list(row) for row in gram.data]
+    lmat = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    d = []
+    for i in range(n):
+        if a[i][i] == 0:
+            swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
+            if swap is not None:
+                a[i], a[swap] = a[swap], a[i]
+                for row in a:
+                    row[i], row[swap] = row[swap], row[i]
+            else:
+                off = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
+                if off is None:
+                    raise DegenerateGram("degenerate Gram matrix")
+                a[i] = [x + y for x, y in zip(a[i], a[off])]
+                for row in a:
+                    row[i] += row[off]
+        pivot = a[i][i]
+        d.append(pivot)
+        for j in range(i + 1, n):
+            lmat[i][j] = a[i][j] / pivot
+        for j in range(i + 1, n):
+            for k in range(i + 1, n):
+                a[j][k] -= a[i][j] * a[i][k] / pivot
+    return d, lmat
+
+
+def _fraction_short_vectors(gram, norm):
+    """Oracle: ``short_vectors`` on the Fraction diagonalization, whose
+    upward walk steps over a miss at floor(-center)."""
+    n = gram.rows
+    d, lmat = _fraction_diagonalize(gram)
+    out = []
+    x = [0] * n
+
+    def rec(i, remaining):
+        if i < 0:
+            if remaining == 0:
+                out.append(tuple(x))
+            return
+        center = sum(lmat[i][j] * x[j] for j in range(i + 1, n))
+        base = -center
+        start = base.numerator // base.denominator
+        for direction in (1, -1):
+            xi = start if direction == 1 else start - 1
+            while True:
+                val = d[i] * (xi + center) ** 2
+                if val > remaining:
+                    if direction == 1 and xi == start:
+                        xi += 1
+                        continue
+                    break
+                x[i] = xi
+                rec(i - 1, remaining - val)
+                xi += direction
+        x[i] = 0
+
+    rec(n - 1, Fraction(norm))
+    return out
+
+
+def _fraction_isometries(a, b):
+    """Oracle: ``definite_isometries`` on Fraction entries, built through
+    ``Matrix.from_columns``."""
+    if a.n != b.n or abs(a.det()) != abs(b.det()):
+        return
+    ga, gb = a.gram, b.gram
+    if ga.entry(0, 0) < 0 and gb.entry(0, 0) < 0:
+        ga, gb = ga.scale(-1), gb.scale(-1)
+    n = a.n
+    cols = []
+
+    def pair(u, v):
+        return sum(u[i] * gb.entry(i, j) * v[j] for i in range(n) for j in range(n))
+
+    def rec(k):
+        if k == n:
+            yield Matrix.from_columns(cols)
+            return
+        for v in _fraction_short_vectors(gb, ga.entry(k, k)):
+            if all(pair(v, cols[j]) == ga.entry(k, j) for j in range(k)):
+                cols.append(list(v))
+                yield from rec(k + 1)
+                cols.pop()
+
+    yield from rec(0)
+
+
+def _definite_gram(rng, n):
+    """A positive definite integer Gram m·mᵀ + c·I with small entries,
+    off-diagonal entries of both signs."""
+    m = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+    return m * m.transpose() + Matrix.identity(n).scale(rng.randint(1, 3))
+
+
+def _unimodular(rng, n):
+    """A random unimodular matrix: a few elementary moves, a signed
+    permutation."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    rng.shuffle(u)
+    return Matrix(u).transpose() * Matrix.diagonal([rng.choice((-1, 1)) for _ in u])
+
+
+def _brute_short_vectors(gram, norm):
+    """Every x with xᵀ·gram·x = norm, in the box x_i² <= norm·(gram⁻¹)_ii."""
+    inv = gram.inverse()
+    bounds = [isqrt(floor(norm * inv.entry(i, i))) for i in range(gram.rows)]
+    out = []
+    for x in product(*(range(-b, b + 1) for b in bounds)):
+        v = Matrix([x])
+        if (v * gram * v.transpose()).entry(0, 0) == norm:
+            out.append(x)
+    return out
+
+
+SKEWED_PAIR = (  # the second Gram is uᵀ·G·u for u below, det u = -1
+    [[10, 6, 7], [6, 6, 4], [7, 4, 7]],
+    [[5, -2, 0], [-2, 3, 1], [0, 1, 5]],
+    [[0, 1, 1], [-1, 0, -1], [1, -1, -1]],
+)
+
+
+def test_short_vectors_against_brute_force():
+    """On non-diagonal definite Grams, integral and with den > 1, the
+    walk finds every vector of each norm once, also where floor(-center)
+    misses and the integer above it hits."""
+    assert (0, 1, -1) in short_vectors(Matrix([[4, 0, -1], [0, 3, 3], [-1, 3, 6]]), 3)
+    rng = random.Random(61)
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        gram = _definite_gram(rng, n).scale(Fraction(1, rng.randint(1, 3)))
+        for _ in range(3):
+            norm = (gram.entry(0, 0) + gram.entry(n - 1, n - 1)) * rng.randint(1, 3) // 2
+            found = short_vectors(gram, norm)
+            assert len(set(found)) == len(found)
+            assert sorted(found) == sorted(_brute_short_vectors(gram, norm)), (gram, norm)
+
+
+def test_definite_isometries_against_fraction_route():
+    """Pairs B = uᵀ·A·u, rational and negative definite ones included,
+    get the matrices of the Fraction route in its order; their count is
+    even (g and -g) and u is among the isometries from B onto A."""
+    rng = random.Random(62)
+    pairs = [tuple(map(Matrix, SKEWED_PAIR))]
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        a = _definite_gram(rng, n).scale(Fraction(rng.choice((-1, 1)), rng.randint(1, 3)))
+        u = _unimodular(rng, n)
+        pairs.append((a, u.transpose() * a * u, u))
+    for a, b, u in pairs:
+        la, lb = Lattice(a), Lattice(b)
+        for src, dst in ((lb, la), (la, lb)):
+            found = list(definite_isometries(src, dst))
+            assert found == list(_fraction_isometries(src, dst))
+            assert len(found) % 2 == 0
+            assert all(g.transpose() * dst.gram * g == src.gram for g in found)
+        assert u in list(definite_isometries(lb, la))
+    assert is_isometric_small(Lattice(SKEWED_PAIR[0]), Lattice(SKEWED_PAIR[1]))
+
+
+def test_signature_against_fraction_route():
+    """Symmetric Grams with den > 1, zero diagonal entries included, get
+    the signs of the Fraction diagonalization, or DegenerateGram alike."""
+    rng = random.Random(63)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.choice((0, 0, rng.randint(-5, 5)))
+        gram = Matrix(rows).scale(Fraction(1, rng.randint(2, 6)))
+        try:
+            d, _ = _fraction_diagonalize(gram)
+        except DegenerateGram:
+            with pytest.raises(DegenerateGram):
+                Lattice(gram).signature()
+            continue
+        pos = sum(1 for x in d if x > 0)
+        assert Lattice(gram).signature() == (pos, n - pos)
+
+
+def _fraction_discriminant_data(l):
+    """Oracle: the lifts as Fraction rows u_i / d_i, and the form's
+    orders, its bilinear values mod 1 and its quadratic values mod 2 read
+    off the Fraction entries of the lifts' pairing."""
+    d, u, _ = snf(l.gram)
+    gens = [(d.entry(i, i), u.data[i]) for i in range(l.n) if d.entry(i, i) > 1]
+    lifts = Matrix([[x / di for x in row] for di, row in gens]) if gens else Matrix.zeros(0, l.n)
+    pair = lifts * l.gram * lifts.transpose()
+    bilinear = Matrix([[x % 1 for x in row] for row in pair.data])
+    even = l.parity() == "even"
+    quad = tuple(pair.entry(i, i) % 2 for i in range(len(gens))) if even else None
+    return [int(di) for di, _ in gens], bilinear, quad, lifts
+
+
+def test_discriminant_data_against_fraction_route():
+    """Random nondegenerate integral Grams, even and odd, definite and
+    indefinite, get the lifts and the form of the Fraction route."""
+    rng = random.Random(64)
+    tried = 0
+    while tried < 80:
+        n = rng.randint(1, 5)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = rng.randint(-4, 4) * (2 if tried % 2 else 1)
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+        l = Lattice(rows)
+        if l.det() == 0:
+            continue
+        tried += 1
+        form, lifts = l.discriminant_data()
+        orders, bilinear, quad, fraction_lifts = _fraction_discriminant_data(l)
+        assert lifts == fraction_lifts
+        assert list(form.orders) == orders
+        if orders:
+            assert form.bilinear == bilinear
+        assert form.quadratic == quad
+
+
+def _brute_minima(g):
+    """The two successive minima of the positive definite binary form g,
+    over the box that holds every vector of norm at most max(g00, g11)."""
+    (a, b), (_, c) = g.data
+    det, top = a * c - b * b, max(a, c)
+    bx, by = isqrt(floor(top * c / det)), isqrt(floor(top * a / det))
+    vectors = sorted(
+        (a * x * x + 2 * b * x * y + c * y * y, x, y)
+        for x in range(-bx, bx + 1) for y in range(-by, by + 1) if x or y
+    )
+    first = vectors[0]
+    second = next(v for v in vectors if first[1] * v[2] != first[2] * v[1])
+    return first[0], second[0]
+
+
+def test_gauss_reduce_binary_against_brute_force_minimum():
+    """Rational and negative definite binary forms reduce to [[a,b],[b,c]]
+    with 0 <= 2b <= a <= c, the same determinant, and a and c the two
+    successive minima of the form."""
+    rng = random.Random(65)
+    tried = 0
+    while tried < 200:
+        a, b, c = rng.randint(1, 30), rng.randint(-30, 30), rng.randint(1, 30)
+        if a * c <= b * b:
+            continue
+        tried += 1
+        sign = rng.choice((-1, 1))
+        g = Matrix([[a, b], [b, c]]).scale(Fraction(sign, rng.randint(1, 4)))
+        r = gauss_reduce_binary(g).scale(sign)
+        (ra, rb), (rb2, rc) = r.data
+        assert rb == rb2 and 0 <= 2 * rb <= ra <= rc
+        assert r.det() == g.det()
+        assert (ra, rc) == _brute_minima(g.scale(sign))
+        assert gauss_reduce_binary(gauss_reduce_binary(g)) == gauss_reduce_binary(g)
 
 
 def test_is_isometry_identity():
