@@ -14,14 +14,17 @@ dual of a system of four diagonal quadrics (its 7-line configuration
 and smoothness test), line dropping with pair regrouping, node
 classification, and the finite group actions (wreath product on pair
 slots, S4 on quadrangle vertices, GL3(F2) on characters, torus
-scalings).  The integer columns of ``matrix.num`` are the lines
-scaled by the common denominator, which changes no line.  Column
-permutation, the group actions and line dropping select those columns.
-The canonical form works on them: it searches lazily for its first
-frame, as it usually stops at the first 4-subset of columns, and reads
-each entry off 3-minors by Cramer's rule.  Stability and triple points
-read one table of the C(n,3) minors, ``plucker``, and the Cremona
-involution multiplies by the pair vertices, both on Fraction columns.
+scalings).  The lines are read off the integer columns of
+``matrix.num``: they are the lines scaled by the common denominator
+``den``, which changes no line.  Column permutation, the group actions
+and line dropping select those columns.  The canonical form searches
+lazily for its first frame, as it usually stops at the first 4-subset
+of columns, and reads each entry off 3-minors by Cramer's rule.
+Triple points are integer cross products over their lead entries, and
+the Cremona involution takes the dot products of the integer columns
+with the integer pair vertices, over ``den**3``.  Only the minors
+table ``plucker``, whose zeros stability and triple points read,
+still takes its 3-minors on Fraction columns.
 """
 
 from __future__ import annotations
@@ -73,9 +76,6 @@ class ConfigMatrix:
     @property
     def n(self) -> int:
         return self.matrix.cols
-
-    def column(self, j):
-        return self.matrix.column(j)
 
     def with_matrix(self, matrix: Matrix) -> "ConfigMatrix":
         return ConfigMatrix(matrix, self.labels)
@@ -143,9 +143,7 @@ def plucker(c: ConfigMatrix) -> dict:
 
 
 def _proportional(u, v) -> bool:
-    return all(
-        u[i] * v[j] == u[j] * v[i] for i in range(3) for j in range(i + 1, 3)
-    )
+    return not any(_cross(u, v))
 
 
 @dataclass(frozen=True)
@@ -166,11 +164,11 @@ class StabilityReport:
 
 def _coincidence_groups(c: ConfigMatrix):
     """Partition of columns into groups of mutually proportional lines."""
+    cols = list(zip(*c.matrix.num))
     groups = []
-    for j in range(c.n):
-        col = c.column(j)
+    for j, col in enumerate(cols):
         for g in groups:
-            if _proportional(col, c.column(g[0])):
+            if _proportional(col, cols[g[0]]):
                 g.append(j)
                 break
         else:
@@ -247,15 +245,16 @@ def triple_points(c: ConfigMatrix):
     Each entry is (triple of column indices, common point) where the
     point is scaled so its first nonzero coordinate is 1.
     """
+    cols = list(zip(*c.matrix.num))
     for i, j in combinations(range(c.n), 2):
-        if _proportional(c.column(i), c.column(j)):
+        if _proportional(cols[i], cols[j]):
             raise DimensionError(f"columns {i} and {j} are the same line")
     out = []
     for t, m in plucker(c).items():
         if m == 0:
-            point = _cross(c.column(t[0]), c.column(t[1]))
+            point = _cross(cols[t[0]], cols[t[1]])
             lead = next(x for x in point if x != 0)
-            out.append((t, tuple(x / lead for x in point)))
+            out.append((t, tuple(Fraction(x, lead) for x in point)))
     return out
 
 
@@ -328,23 +327,17 @@ def cremona(c: ConfigMatrix) -> ConfigMatrix:
     """
     if c.n != 6:
         raise DimensionError("the Cremona involution acts on six lines")
-    n = Matrix(
-        [
-            _cross(c.column(0), c.column(1)),
-            _cross(c.column(2), c.column(3)),
-            _cross(c.column(4), c.column(5)),
-        ]
-    )
-    if n.det() == 0:
+    cols = list(zip(*c.matrix.num))
+    n = [_cross(cols[k], cols[k + 1]) for k in (0, 2, 4)]
+    if _det3(*n) == 0:
         raise VerticesCollinear("the three pair vertices are collinear")
-    p = n * c.matrix
-    cols = []
-    for j in range(6):
-        col = list(p.column(j))
+    images = []
+    for j, x in enumerate(cols):
+        col = [_dot(r, x) for r in n]
         others = [i for i in range(3) if i != j // 2]
         col[others[0]], col[others[1]] = col[others[1]], col[others[0]]
-        cols.append(col)
-    return c.with_matrix(Matrix.from_columns(cols))
+        images.append(col)
+    return c.with_matrix(Matrix.from_integers(zip(*images), c.matrix.den**3))
 
 
 def etale_slice(t, a, b, c, d) -> ConfigMatrix:
@@ -627,10 +620,7 @@ def act_torus(scalars, c: ConfigMatrix) -> ConfigMatrix:
     scalars = [Fraction(s) for s in scalars]
     if any(s == 0 for s in scalars):
         raise DimensionError("torus scalars must be nonzero")
-    cols = [
-        [x * scalars[j] for x in c.column(j)] for j in range(c.n)
-    ]
-    return c.with_matrix(Matrix.from_columns(cols))
+    return c.with_matrix(c.matrix * Matrix.diagonal(scalars))
 
 
 def orbit(items, elements, action):

@@ -623,7 +623,7 @@ def definite_isometries(a: Lattice, b: Lattice):
     if a.n != b.n or abs(a.det()) != abs(b.det()):
         return
     ga, gb = a.gram, b.gram
-    if ga.num[0][0] < 0 and gb.num[0][0] < 0:
+    if a.n and ga.num[0][0] < 0 and gb.num[0][0] < 0:
         ga, gb = ga.scale(-1), gb.scale(-1)
 
     @cache

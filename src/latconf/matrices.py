@@ -20,8 +20,8 @@ whose steps keep every entry an integer minor of the input (scaling
 every row by ``den`` changes no pivot and no RREF).  ``rank`` and
 ``det`` read its pivots and last pivot; every RREF is read off its one
 reducing caller, ``echelon``.  The rest of the package reads ``num``
-and ``den``; the Fraction views serve the CLI, the verify report and a
-few ``configs`` functions.
+and ``den``; the Fraction views serve the CLI, the verify report and
+the ``configs`` minors table.
 
 Conventions (fixed once, used everywhere):
 
@@ -504,9 +504,7 @@ def snf(m: Matrix):
                     if a[t][j] != 0:
                         swap_cols(t, j)
                         dirty = True
-            if not dirty and all(
-                a[i][t] == 0 for i in range(t + 1, nrows)
-            ) and all(a[t][j] == 0 for j in range(t + 1, ncols)):
+            if not dirty:
                 break
         # enforce divisibility of the remaining block by a[t][t]
         offender = None

@@ -122,6 +122,16 @@ def _seeded_configs(rng, n):
             continue
 
 
+def _over_denominators(rng, c):
+    """The lines of ``c`` over denominators: each column times its own
+    s/d with s in (1, -1, 2) and d in 5..7."""
+    cols = []
+    for col in zip(*c.matrix.num):
+        s, d = rng.choice((1, -1, 2)), rng.choice((5, 6, 7))
+        cols.append([Fraction(s * x, d) for x in col])
+    return ConfigMatrix(Matrix.from_columns(cols), c.labels)
+
+
 def _column_ranks(c):
     """``Matrix.rank`` of every subset of 2 to 5 columns (2 or 3 of 7)."""
     sizes = range(2, 6) if c.n == 6 else (2, 3)
@@ -173,6 +183,9 @@ def test_stability_and_triple_points_against_rank_oracle():
                                    [0, 0, 0, 0, 1, 1]])
     configs = [polystable_231] + [_seeded_configs(rng, 6) for _ in range(400)]
     configs += [_seeded_configs(rng, 7) for _ in range(100)]
+    rational = [_over_denominators(rng, c) for c in configs]
+    assert all(c.matrix.den > 1 for c in rational)
+    configs += rational
     seen = set()
     for c in configs:
         rank = _column_ranks(c)
@@ -194,7 +207,7 @@ def test_stability_and_triple_points_against_rank_oracle():
         for t, point in found:
             assert next(x for x in point if x != 0) == 1
             for j in t:
-                assert sum(a * b for a, b in zip(c.column(j), point)) == 0
+                assert sum(a * b for a, b in zip(c.matrix.column(j), point)) == 0
     assert len(seen) == 9
 
 
@@ -321,7 +334,9 @@ def test_equivalent_with_different_labels_needs_no_frame():
 def test_cremona_involution_samples():
     rng = random.Random(3)
     done = 0
-    while done < 10:
+    for _ in range(100):  # bounded: a broken cremona must fail, not hang
+        if done == 10:
+            break
         try:
             c = ConfigMatrix([[rng.randint(-9, 9) for _ in range(6)]
                               for _ in range(3)])
@@ -335,6 +350,7 @@ def test_cremona_involution_samples():
             continue
         assert equivalent(back, c)
         done += 1
+    assert done == 10
 
 
 def _cross_fractions(u, v):
@@ -361,6 +377,23 @@ def test_cremona_matrix_against_fraction_formula(c):
         col[i], col[k] = col[k], col[i]
         want.append(col)
     assert cremona(c).matrix == Matrix.from_columns(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(line_configs(), st.lists(rational_entry.filter(bool), min_size=7, max_size=7))
+def test_act_torus_against_fraction_columns(c, scalars):
+    scalars = scalars[:c.n]
+    want = [[x * s for x in c.matrix.column(j)] for j, s in enumerate(scalars)]
+    moved = act_torus(scalars, c)
+    assert moved.matrix == Matrix.from_columns(want)
+    assert moved.labels == c.labels
+
+
+def test_act_torus_rejects_bad_scalars():
+    with pytest.raises(DimensionError, match="one scalar per column"):
+        act_torus([1] * 5, GENERIC)
+    with pytest.raises(DimensionError, match="nonzero"):
+        act_torus([1, 2, 0, 1, 1, 1], GENERIC)
 
 
 def test_cremona_collinear_vertices_raise():

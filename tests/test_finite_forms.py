@@ -109,6 +109,15 @@ def test_d6_vs_index2_sublattices():
                                  "bilinear") is None
 
 
+def test_forms_of_different_orders_are_not_isometric():
+    """(Z/2)² and Z/4 have the same group order but different orders."""
+    d4 = Dn(4).discriminant_form()
+    z4 = Zpq(1, 0).rescale(4).discriminant_form()
+    assert (d4.orders, z4.orders) == ((2, 2), (4,))
+    for compare in ("bilinear", "quadratic"):
+        assert finite_form_isometric(d4, z4, compare) is None
+
+
 def test_witness_preserves_form():
     a = Dn(6).discriminant_form()
     images = finite_form_isometric(a, a, "quadratic")

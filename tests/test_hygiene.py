@@ -14,8 +14,8 @@
 * ``Matrix.inverse`` is called only in the isotropic basis completion.
 * Outside ``cli`` and ``verify``, the Fraction views of a Matrix
   (``entry``, ``column``, ``data``, ``from_columns``) are read only in
-  named boundary scopes: the Matrix's own text forms and six ``configs``
-  scopes.
+  named boundary scopes: the Matrix's own text forms and the
+  ``configs`` minors table.
 """
 
 import ast
@@ -269,19 +269,12 @@ FRACTION_VIEWS = ("entry", "column", "data", "from_columns")
 # Modules that turn results into text, where Fractions belong.
 FRACTION_BOUNDARY_MODULES = ("cli", "verify")
 
-# Every other scope that reads a Fraction view.  In ``matrices``, the
-# text forms of a Matrix.  In ``configs``, ``ConfigMatrix.column`` and
-# the torus action (its scalars are Fractions), and the minors table,
-# the triple points, the coincidence groups and the Cremona involution,
-# whose integer versions wait for a benchmark whose peak memory does
-# not grow with speed.
+# Every other scope that reads a Fraction view: the text forms of a
+# Matrix, which print its entries as "p/q", and the ``configs`` minors
+# table, whose integer version waits for a benchmark whose peak memory
+# does not grow with speed.
 FRACTION_BOUNDARY_SCOPES = [
-    "configs.ConfigMatrix.column",
-    "configs._coincidence_groups",
-    "configs.act_torus",
-    "configs.cremona",
     "configs.plucker",
-    "configs.triple_points",
     "matrices.Matrix.__repr__",
     "matrices.Matrix.to_json",
 ]

@@ -37,6 +37,7 @@ from latconf.lattices import (
     orthogonal_complement,
     overlattice_from_isotropic,
     parse_lattice_name,
+    same_invariants,
     saturation,
     short_vectors,
     sublattice_index,
@@ -399,6 +400,20 @@ def test_definite_isometries_z2():
     assert len(autos) == 8  # the symmetries of the square
     for g in autos:
         assert is_isometry(z2, g)
+
+
+def test_rank_zero_lattices_are_isometric():
+    """The rank-0 lattice has one isometry onto itself, the empty one."""
+    empty = Lattice([])
+    assert list(definite_isometries(empty, empty)) == [Matrix.zeros(0, 0)]
+    assert is_isometric_small(empty, empty)
+
+
+def test_same_invariants_stops_at_the_first_difference():
+    assert same_invariants(Zpq(1, 1), Zpq(2, 0)) == (False, "signature")
+    assert same_invariants(Zpq(1, 1), hyperbolic()) == (False, "parity")
+    assert same_invariants(Lattice([[2]]), Lattice([[4]])) == (False, "discriminant-form")
+    assert same_invariants(Dn(4), Dn(4)) == (True, None)
 
 
 def test_definite_isometries_skip_embeddings():
