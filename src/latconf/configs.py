@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import lcm
+from operator import index
 
 from .errors import (
     DimensionError,
@@ -386,7 +387,12 @@ def gale_dual(q):
 
 
 def check_kappa(kappa: int) -> int:
-    """``kappa``, checked to be one of the nonzero characters 1..7."""
+    """``kappa`` as an int, checked to be one of the nonzero characters
+    1..7; only what ``operator.index`` accepts is an integer."""
+    try:
+        kappa = index(kappa)
+    except TypeError:
+        kappa = None
     if kappa not in range(1, 8):
         raise LabelError("kappa must be a nonzero character 1..7")
     return kappa
@@ -429,7 +435,7 @@ def smoothness(q: Matrix):
 def drop_pairs(kappa: int):
     """The three pairs {chi, chi + kappa} of surviving characters,
     sorted by smallest member, each pair sorted ascending."""
-    check_kappa(kappa)
+    kappa = check_kappa(kappa)
     pairs = []
     seen = set()
     for chi in range(1, 8):
@@ -446,12 +452,11 @@ def drop_line(c: ConfigMatrix, kappa: int) -> ConfigMatrix:
     """Remove the line labeled kappa and regroup the rest into pairs.
 
     The six remaining lines are reordered so the pair slots hold the
-    character pairs {chi, chi + kappa} sorted by smallest member.
+    character pairs {chi, chi + kappa} sorted by smallest member;
+    ``drop_pairs`` checks kappa.
     """
     if c.n != 7:
         raise DimensionError("drop_line expects a seven-line configuration")
-    if kappa not in c.labels:
-        raise LabelError(f"no column labeled {kappa}")
     position = {lab: j for j, lab in enumerate(c.labels)}
     order = [position[chi] for pair in drop_pairs(kappa) for chi in pair]
     return _select(c, order, PAIR_LABELS)
@@ -474,7 +479,7 @@ def node_report(c: ConfigMatrix, kappa: int):
     """
     if c.n != 7:
         raise DimensionError("node_report expects a seven-line configuration")
-    check_kappa(kappa)
+    kappa = check_kappa(kappa)
     entries = []
     counts = {
         "Degenerate": 0,

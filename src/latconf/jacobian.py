@@ -5,7 +5,7 @@ The ambient monomials x_i^2 y_j form Q^7 (x) Q^4, flattened so that
 coordinate (i-1)*4 + j holds the coefficient of x_i^2 y_j.  Every graded
 piece contains the quadric rows Q_k y_j, which span rowspace(q) (x) Q^4;
 modulo them e_i (x) c is g_i (x) c, g_i column i of the Gale dual G of q
-(``configs.gale_dual``, taken once per entry point).  So the source
+(``configs.gale_dual``).  So the source
 R_{1,0} is the RREF of its Jacobian rows g_i (x) q_i on the 12
 coordinates F x {y_j}, F the free columns of q's RREF; as G q^T = 0 the
 seven rows sum to zero, so the first six span them.  The first target
@@ -23,12 +23,22 @@ Fractions are built only for ``reduce_vector`` and the relation rows
 the oracles read.  The second summand's rows e_t (x) q_p (p in the
 triple t) are block diagonal over its two triples t, so its dimension
 is the sum of 4 - rank{q_p : p in t}.
+
+A system's seven period maps share what does not depend on kappa: its
+integer columns, the smoothness witness of its Gale dual and the source
+piece.  A memo of one entry, keyed by the system as a Matrix (compared
+by value), holds these for the last system that ``period_map``,
+``period_maps``, ``kappa_target`` or ``invariant_deformations`` read, so
+a loop over kappa eliminates the system once.  It holds no exception:
+a system error leaves the previous entry, and the smoothness test is
+raised outside it, after the kappa check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .configs import check_kappa, dependent_columns, gale_dual
@@ -157,10 +167,21 @@ def _quotient(piece: GradedPiece, relation_rows) -> GradedPiece:
 
 
 def _system(q):
-    """(columns, G, F): the columns of the system ``q``, each scaled to
-    integers, and ``configs.gale_dual``'s G and F; one elimination."""
+    """(columns, witness, source) of the system ``q``: its columns, each
+    scaled to integers, ``configs.dependent_columns`` of its Gale dual
+    and the source piece R_{1,0}; the memo holds the last system."""
+    return _system_data(q if isinstance(q, Matrix) else Matrix(q))
+
+
+@lru_cache(maxsize=1)
+def _system_data(q: Matrix):
     q, g, chars = gale_dual(q)
-    return q.transpose().num, g, chars
+    qcols, basis = q.transpose().num, g.num
+    # rows g_i (x) q_i; the seventh is minus the first six's sum
+    step = echelon([[b[i] * x for b in basis for x in qcols[i]]
+                    for i in range(NCHARS - 1)], len(basis) * NY)
+    free = tuple(chars[c // NY] * NY + c % NY for c in step[1])
+    return qcols, dependent_columns(g), GradedPiece(basis, g.den, (step,), free)
 
 
 def invariant_deformations(q) -> GradedPiece:
@@ -172,15 +193,7 @@ def invariant_deformations(q) -> GradedPiece:
     relation rank is 22 for full-rank systems.  On the 12 quotient
     coordinates the Jacobian rows are g_i (x) q_i, of rank 6.
     """
-    return _invariant_piece(*_system(q))
-
-
-def _invariant_piece(qcols, g: Matrix, chars) -> GradedPiece:
-    basis = g.num  # rows g_i (x) q_i; the seventh is minus the first six's sum
-    step = echelon([[b[i] * x for b in basis for x in qcols[i]]
-                    for i in range(NCHARS - 1)], len(basis) * NY)
-    free = tuple(chars[c // NY] * NY + c % NY for c in step[1])
-    return GradedPiece(basis, g.den, (step,), free)
+    return _system(q)[2]
 
 
 def kappa_sum_bases(kappa: int):
@@ -217,15 +230,15 @@ def kappa_target(q, kappa: int, require_smooth: bool = True):
     presuppose 4-column independence of the system, so non-smooth
     input is rejected unless ``require_smooth`` is disabled.
     """
-    qcols, g, chars = _system(q)
+    qcols, witness, source = _system(q)
     kappa = check_kappa(kappa)
     if require_smooth:
-        _require_smooth(g)
-    return _target_pieces(qcols, kappa, _invariant_piece(qcols, g, chars))
+        _require_smooth(witness)
+    return _target_pieces(qcols, kappa, source)
 
 
-def _require_smooth(g: Matrix) -> None:
-    if dependent_columns(g) is not None:
+def _require_smooth(witness) -> None:
+    if witness is not None:
         raise SmoothnessRequired(
             "kappa_target dimensions presuppose a smooth system"
         )
@@ -271,31 +284,14 @@ def period_map(q, kappa: int) -> PeriodMapData:
     identity; the matrix expresses each source complement monomial in
     the target complement basis.
     """
-    qcols, g, chars = _system(q)
+    qcols, witness, source = _system(q)
     kappa = check_kappa(kappa)
-    _require_smooth(g)
-    return _period_map(qcols, _invariant_piece(qcols, g, chars), kappa)
-
-
-def period_maps(q) -> dict:
-    """The period maps of all seven characters, ``{kappa: PeriodMapData}``.
-
-    The Gale dual, the smoothness test and the source piece R_{1,0} do
-    not depend on kappa, so they are done once for all seven maps; each
-    value equals ``period_map(q, kappa)``.
-    """
-    qcols, g, chars = _system(q)
-    _require_smooth(g)
-    source = _invariant_piece(qcols, g, chars)
-    return {kappa: _period_map(qcols, source, kappa) for kappa in range(1, NCHARS + 1)}
-
-
-def _period_map(qcols, source: GradedPiece, kappa: int) -> PeriodMapData:
-    """The matrix, read off the target's last step: source slot k maps to
-    the unit vector of k among the kept slots, or, for the pivot k of a
-    new relation row, to minus that row.  Both are taken times the step's
-    pivot value, which leaves the kernel unchanged."""
+    _require_smooth(witness)
     first, second_dim = _target_pieces(qcols, kappa, source)
+    # read off the target's last step: source slot k maps to the unit
+    # vector of k among the kept slots, or, for the pivot k of a new
+    # relation row, to minus that row, both times the step's pivot value
+    # (which leaves the kernel unchanged)
     pivots, kept, rows, scale = first.steps[-1]
     new = dict(zip(pivots, rows))
     scaled = [
@@ -313,6 +309,14 @@ def _period_map(qcols, source: GradedPiece, kappa: int) -> PeriodMapData:
         kernel=kern,
         second_dim=second_dim,
     )
+
+
+def period_maps(q) -> dict:
+    """The period maps of all seven characters, ``{kappa: PeriodMapData}``:
+    each value is ``period_map(q, kappa)``, and the memo of the last
+    system shares the Gale dual, the smoothness test and the source
+    piece R_{1,0} among the seven."""
+    return {kappa: period_map(q, kappa) for kappa in range(1, NCHARS + 1)}
 
 
 def kernel_family_vectors(q, kappa: int):

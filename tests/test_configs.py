@@ -16,6 +16,7 @@ from latconf.configs import (
     act_torus,
     act_wreath,
     canonical_form,
+    check_kappa,
     complete_quadrangle,
     cremona,
     drop_line,
@@ -36,6 +37,7 @@ from latconf.configs import (
     wreath_signature,
 )
 from latconf.errors import DimensionError, LabelError, NoFrame, VerticesCollinear
+from latconf.jacobian import kappa_target, kernel_family_vectors, period_map
 from latconf.matrices import Matrix
 from latconf.verify import random_system
 
@@ -557,6 +559,34 @@ def test_node_report_kinds():
     assert node_report(config, 4)["counts"]["ExtraFixedNode"] == 1
     assert node_report(config, 5)["counts"]["OnBranch"] == 1
     assert node_report(config, 3)["counts"]["PairFixed"] == 1
+
+
+def test_kappa_is_an_integer_label():
+    """Every kappa caller takes what ``operator.index`` accepts, as that
+    int, and raises LabelError for anything else: an integral float or
+    Fraction too, instead of a TypeError further on."""
+
+    class Three:
+        def __index__(self):
+            return 3
+
+    q = random_system(random.Random(71))
+    config = seven_line_config(q)
+    callers = {
+        period_map: (q,),
+        kappa_target: (q,),
+        kernel_family_vectors: (q,),
+        drop_line: (config,),
+        drop_pairs: (),
+        node_report: (config,),
+    }
+    for fn, args in callers.items():
+        for kappa in (1.0, Fraction(3), 2.5, "3", None, 0, 8, False):
+            with pytest.raises(LabelError):
+                fn(*args, kappa)
+        assert fn(*args, Three()) == fn(*args, 3), fn.__name__
+        assert fn(*args, True) == fn(*args, 1), fn.__name__
+    assert type(check_kappa(Three())) is int
 
 
 def test_wreath_group():

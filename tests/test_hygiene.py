@@ -16,6 +16,10 @@
   (``entry``, ``column``, ``data``, ``from_columns``) are read only in
   named boundary scopes: the Matrix's own text forms and the
   ``configs`` minors table.
+* No function outside another function caches its calls without bound
+  (``functools.cache``, ``lru_cache(maxsize=None)``) if it takes
+  parameters: such a cache would keep every input the process has seen,
+  so a benchmark that repeats its ops would time cached results.
 """
 
 import ast
@@ -295,3 +299,51 @@ def test_fraction_views_only_at_the_boundary():
         )
     })
     assert scopes == FRACTION_BOUNDARY_SCOPES, scopes
+
+
+def _unbounded_cache(decorator) -> bool:
+    """Whether a decorator is ``cache`` or ``lru_cache(maxsize=None)``,
+    bare or as an attribute of ``functools``."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    target = call.func if call else decorator
+    name = getattr(target, "id", getattr(target, "attr", None))
+    if name != "lru_cache" or call is None:
+        return name == "cache"
+    size = call.args[:1] + [kw.value for kw in call.keywords if kw.arg == "maxsize"]
+    return any(isinstance(v, ast.Constant) and v.value is None for v in size)
+
+
+def _unbounded_caches(tree):
+    """Names of the functions outside any function (module level or in a
+    class) that take parameters and cache their calls without bound."""
+    found, todo = [], list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.ClassDef):
+            todo += node.body
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            takes = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            if any(takes) and any(map(_unbounded_cache, node.decorator_list)):
+                found.append(node.name)
+    return sorted(found)
+
+
+def test_no_unbounded_input_caches():
+    """Parameterless caches (``isotropic._signed_permutations``) and
+    caches local to one call (``vectors_of_norm``) are allowed."""
+    sample = ast.parse(
+        "@functools.cache\ndef a(x): pass\n"
+        "@lru_cache(maxsize=None)\ndef b(x): pass\n"
+        "class C:\n    @lru_cache(None)\n    def c(self): pass\n"
+        "@cache\ndef d(): pass\n"
+        "@lru_cache(maxsize=1)\ndef e(x): pass\n"
+        "def f(x):\n    @cache\n    def g(y): pass\n"
+    )
+    assert _unbounded_caches(sample) == ["a", "b", "c"]
+    offending = [
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name in _unbounded_caches(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not offending, offending

@@ -95,23 +95,35 @@ def _degenerate(rng, kappa):
             return bad
 
 
+MEMO = latconf.jacobian._system_data
+
+
 def test_period_map_error_order():
     bad = _degenerate(random.Random(23), 3)
     rank3 = Matrix(list(bad.data[:3]) + [bad.data[0]])
-    # system errors, then kappa errors, then smoothness
-    for fn in (period_map, kappa_target):
+    # on a cold memo, and on one warmed by the bad system itself and by a
+    # smooth one: system errors, then kappa errors, then smoothness
+    warm_ups = (
+        MEMO.cache_clear,
+        lambda: kappa_target(bad, 3, require_smooth=False),
+        lambda: period_map(random_system(random.Random(23)), 3),
+    )
+    for warm_up in warm_ups:
+        for fn in (period_map, kappa_target):
+            warm_up()
+            with pytest.raises(DimensionError):
+                fn(Matrix([[1, 2], [3, 4]]), 0)
+            with pytest.raises(DimensionError, match="rank 4"):
+                fn(rank3, 0)
+            with pytest.raises(LabelError):
+                fn(bad, 0)
+            with pytest.raises(SmoothnessRequired):
+                fn(bad, 3)
+        warm_up()
         with pytest.raises(DimensionError):
-            fn(Matrix([[1, 2], [3, 4]]), 0)
-        with pytest.raises(DimensionError, match="rank 4"):
-            fn(rank3, 0)
-        with pytest.raises(LabelError):
-            fn(bad, 0)
+            period_maps(Matrix([[1, 2], [3, 4]]))
         with pytest.raises(SmoothnessRequired):
-            fn(bad, 3)
-    with pytest.raises(DimensionError):
-        period_maps(Matrix([[1, 2], [3, 4]]))
-    with pytest.raises(SmoothnessRequired):
-        period_maps(bad)
+            period_maps(bad)
 
 
 def test_one_elimination_of_the_system(monkeypatch):
@@ -136,10 +148,16 @@ def test_one_elimination_of_the_system(monkeypatch):
         "smoothness": lambda: smoothness(q),
         "seven_line_config": lambda: seven_line_config(q),
     }
+    memo_readers = ("period_map", "period_maps", "kappa_target", "invariant_deformations")
     for name, call in calls.items():
+        MEMO.cache_clear()
         shapes.clear()
         call()
         assert shapes.count((4, 7)) == 1, name
+        if name in memo_readers:  # a repeat reads the system off the memo
+            shapes.clear()
+            call()
+            assert shapes.count((4, 7)) == shapes.count((6, 12)) == 0, name
 
     class Draws(random.Random):
         """Counts the entries drawn, 28 per system."""
@@ -174,8 +192,98 @@ def test_period_map_eliminations(monkeypatch):
         return _original(m, reduce)
 
     monkeypatch.setattr(latconf.matrices, "bareiss", counted)
+    MEMO.cache_clear()
     period_map(q, 6)
     assert shapes == [(4, 7), (6, 12), (3, 6), (3, 4), (3, 4), (4, 6)]
+    # a repeat on the same system, with any kappa, reads the system and
+    # its source piece off the memo
+    for kappa in (6, 2):
+        shapes.clear()
+        period_map(q, kappa)
+        assert shapes == [(3, 6), (3, 4), (3, 4), (4, 6)]
+
+
+def _cold(fn, *args, **kwargs):
+    MEMO.cache_clear()
+    return fn(*args, **kwargs)
+
+
+def _same_map(pm, other):
+    assert pm.matrix == other.matrix
+    assert pm.kernel == other.kernel
+    assert pm.source.free == other.source.free
+    assert pm.target.free == other.target.free
+    assert pm.to_json() == other.to_json()
+
+
+def test_memo_warm_equals_cold():
+    """Every kappa's map, target and source agree on a warm memo (after
+    the system's other kappas) and a cold one."""
+    rng = random.Random(59)
+    for _ in range(3):
+        q = random_system(rng)
+        cold = {kappa: _cold(period_map, q, kappa) for kappa in range(1, 8)}
+        targets = {kappa: _cold(kappa_target, q, kappa) for kappa in range(1, 8)}
+        source = _cold(invariant_deformations, q)
+        MEMO.cache_clear()
+        for kappa in (4, 1, 7, 2, 6, 3, 5):
+            _same_map(period_map(q, kappa), cold[kappa])
+            assert kappa_target(q, kappa) == targets[kappa]
+            assert invariant_deformations(q) == source
+        for kappa, pm in period_maps(q).items():
+            _same_map(pm, cold[kappa])
+        assert MEMO.cache_info().currsize == 1
+
+
+def test_memo_alternating_and_equal_systems():
+    """Systems A, B, A in turn give A's cold answers again; an equal but
+    distinct Matrix, and the system as a list of rows, hit A's entry."""
+    rng = random.Random(61)
+    a, b = random_system(rng), random_system(rng)
+    cold_a = {kappa: _cold(period_map, a, kappa) for kappa in range(1, 8)}
+    cold_b = {kappa: _cold(period_map, b, kappa) for kappa in range(1, 8)}
+    for kappa in range(1, 8):
+        for q, cold in ((a, cold_a), (b, cold_b), (a, cold_a)):
+            _same_map(period_map(q, kappa), cold[kappa])
+            assert MEMO.cache_info().currsize == 1
+    twin, rows = Matrix(a.data), [list(row) for row in a.data]
+    assert twin is not a and twin == a
+    MEMO.cache_clear()
+    period_map(a, 1)
+    for q in (twin, rows):
+        hits = MEMO.cache_info().hits
+        for kappa in range(1, 8):
+            _same_map(period_map(q, kappa), cold_a[kappa])
+        assert MEMO.cache_info().hits == hits + 7
+    _same_map(period_maps(rows)[5], cold_a[5])
+
+
+def test_memo_keeps_no_error():
+    """A non-smooth system right after a smooth one still raises, and
+    still answers without the smoothness requirement; a system error
+    leaves the previous entry in place."""
+    rng = random.Random(67)
+    good, bad = random_system(rng), _degenerate(rng, 5)
+    cold_first, cold_second = _cold(kappa_target, bad, 5, require_smooth=False)
+    period_map(good, 5)
+    with pytest.raises(SmoothnessRequired):
+        period_map(bad, 5)
+    first, second = kappa_target(bad, 5, require_smooth=False)
+    assert (first, second) == (cold_first, cold_second)
+    assert first.dimension != 4
+    with pytest.raises(SmoothnessRequired):
+        kappa_target(bad, 5)
+    with pytest.raises(SmoothnessRequired):
+        period_maps(bad)
+    period_map(good, 5)
+    misses = MEMO.cache_info().misses
+    with pytest.raises(DimensionError):
+        period_map(Matrix(list(good.data[:3]) + [good.data[0]]), 5)
+    assert MEMO.cache_info().misses == misses + 1
+    period_map(good, 5)  # still the entry
+    assert MEMO.cache_info().misses == misses + 1
+    assert MEMO.cache_info().maxsize == 1
+    assert MEMO.cache_info().currsize <= 1
 
 
 def test_relation_counts():
