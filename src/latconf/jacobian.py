@@ -16,20 +16,26 @@ modulo the source's RREF, live on the source's 6 free coordinates,
 where one 3 x 6 elimination (rank 2) finishes it.  An RREF
 is unique, so these are the rows of the full 28-column RREF with pivots
 in F x {y_j}, and its non-pivot monomials are the full complement
-basis — fully deterministic.  Every reduction step, and the period
-matrix's kernel, is read off one ``matrices.echelon`` of integer rows,
-and ``matrix`` and ``kernel`` keep them as integer-backed Matrices;
-Fractions are built only for ``reduce_vector`` and the relation rows
-the oracles read.  The second summand's rows e_t (x) q_p (p in the
-triple t) are block diagonal over its two triples t, so its dimension
-is the sum of 4 - rank{q_p : p in t}.
+basis — fully deterministic.  The second summand's rows e_t (x) q_p
+(p in the triple t) are block diagonal over its two triples t, so its
+dimension is the sum of 4 - rank{q_p : p in t}, two ``Matrix.rank``s.
+
+Every reduction step is one ``matrices.echelon`` of integer rows, kept
+in lowest terms: each row is divided by its content before the
+elimination, and the step's RREF rows and scale by their gcd after it.
+Neither changes the RREF, so the step holds the integers of the RREF,
+not Bareiss's minors with their common factor.  The period matrix's
+kernel is read off the target's step as well (see ``period_map``), and
+``matrix`` and ``kernel`` are integer-backed Matrices; Fractions are
+built only for ``reduce_vector`` and the relation rows the oracles read.
 
 A system's seven period maps share what does not depend on kappa: its
 integer columns, the smoothness witness of its Gale dual and the source
 piece.  A memo of one entry, keyed by the system as a Matrix (compared
 by value), holds these for the last system that ``period_map``,
-``period_maps``, ``kappa_target`` or ``invariant_deformations`` read, so
-a loop over kappa eliminates the system once.  It holds no exception:
+``period_maps``, ``kappa_target``, ``invariant_deformations`` or
+``kernel_family_vectors`` read, so a loop over kappa eliminates the
+system once.  It holds no exception:
 a system error leaves the previous entry, and the smoothness test is
 raised outside it, after the kappa check.
 """
@@ -39,11 +45,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
+from math import gcd
 
 from .configs import check_kappa, dependent_columns, gale_dual
-from .errors import SmoothnessRequired
-from .matrices import Matrix, echelon, null_space
+from .errors import DimensionError, SmoothnessRequired
+from .matrices import Matrix, echelon
 
 NCHARS = 7
 NY = 4
@@ -103,10 +110,11 @@ class GradedPiece:
     the quotient coordinates a*NY + j with weights B[a][i].  Each of
     ``steps`` reduces a vector on the coordinates the step before kept
     (the first step: all m*NY quotient coordinates) modulo an RREF and
-    keeps its non-pivot coordinates.  A step is the ``matrices.echelon``
-    of the step's relation rows: (pivots, kept, rows, scale), ``rows``
-    the RREF's rows on the kept coordinates times ``scale``.  ``free``
-    holds the ambient slots of the coordinates the last step keeps."""
+    keeps its non-pivot coordinates.  A step is ``_step`` of the step's
+    relation rows: (pivots, kept, rows, scale), ``rows`` the RREF's rows
+    on the kept coordinates times ``scale``, in lowest terms (gcd of
+    ``scale`` and every entry 1).  ``free`` holds the ambient slots of
+    the coordinates the last step keeps."""
 
     basis: tuple
     den: int
@@ -119,7 +127,12 @@ class GradedPiece:
 
     def reduce_vector(self, vec):
         """Coordinates of a vector's class on the free monomials: its
-        projection through B, reduced by each step in turn."""
+        projection through B, reduced by each step in turn; ``vec``
+        has the AMBIENT coordinates."""
+        if len(vec) != AMBIENT:
+            raise DimensionError(
+                f"a graded-piece vector has {AMBIENT} entries, not {len(vec)}"
+            )
         vec = Matrix([vec])
         (vec,), den = vec.num, vec.den
         quot = [0] * (len(self.basis) * NY)
@@ -148,6 +161,20 @@ def _reduce(x, step):
     return out
 
 
+def _step(rows, width: int):
+    """The reduction step of the integer relation ``rows`` on ``width``
+    coordinates: their ``matrices.echelon`` in lowest terms.  Each row
+    is divided by its content before the elimination, and the RREF's
+    rows and scale by their gcd after it; neither changes the RREF."""
+    rows = [[x // g for x in row] if (g := gcd(*row)) > 1 else row for row in rows]
+    pivots, kept, reduced, scale = echelon(rows, width)
+    g = gcd(scale, *chain.from_iterable(reduced))
+    if g != 1:
+        reduced = tuple(tuple(x // g for x in row) for row in reduced)
+        scale //= g
+    return pivots, kept, reduced, scale
+
+
 def _quotient(piece: GradedPiece, relation_rows) -> GradedPiece:
     """``piece`` modulo further relation rows on its quotient coordinates.
 
@@ -161,7 +188,7 @@ def _quotient(piece: GradedPiece, relation_rows) -> GradedPiece:
     """
     for step in piece.steps:
         relation_rows = [_reduce(row, step) for row in relation_rows]
-    step = echelon(relation_rows, piece.dimension)
+    step = _step(relation_rows, piece.dimension)
     free = tuple(piece.free[k] for k in step[1])
     return GradedPiece(piece.basis, piece.den, piece.steps + (step,), free)
 
@@ -178,8 +205,8 @@ def _system_data(q: Matrix):
     q, g, chars = gale_dual(q)
     qcols, basis = q.transpose().num, g.num
     # rows g_i (x) q_i; the seventh is minus the first six's sum
-    step = echelon([[b[i] * x for b in basis for x in qcols[i]]
-                    for i in range(NCHARS - 1)], len(basis) * NY)
+    step = _step([[b[i] * x for b in basis for x in qcols[i]]
+                  for i in range(NCHARS - 1)], len(basis) * NY)
     free = tuple(chars[c // NY] * NY + c % NY for c in step[1])
     return qcols, dependent_columns(g), GradedPiece(basis, g.den, (step,), free)
 
@@ -252,7 +279,7 @@ def _target_pieces(qcols, kappa: int, source: GradedPiece):
         [x if a == b else 0 for b in range(m) for x in qk] for a in range(m)
     ])
     second_dim = sum(
-        NY - len(echelon([qcols[p - 1] for p in t], NY)[0])
+        NY - Matrix.from_integers([qcols[p - 1] for p in t]).rank()
         for t in squarefree_triples(kappa)
     )
     return first, second_dim
@@ -283,6 +310,14 @@ def period_map(q, kappa: int) -> PeriodMapData:
     On the shared 28 monomial coordinates the multiplication is the
     identity; the matrix expresses each source complement monomial in
     the target complement basis.
+
+    The kernel comes off the target's last step (pivots, kept, rows,
+    scale) too.  With ``new`` mapping each pivot p to its row, the rows
+    scale·e_p + sum_t new[p][t]·e_kept[t] are a basis of it.  By matroid
+    duality the free columns of the period matrix's RREF are those
+    rows' columns picked greedily from the right, so the echelon kernel
+    basis (``matrices.null_space`` of the period matrix) is their RREF
+    with the column order reversed, reversed back.
     """
     qcols, witness, source = _system(q)
     kappa = check_kappa(kappa)
@@ -290,22 +325,30 @@ def period_map(q, kappa: int) -> PeriodMapData:
     first, second_dim = _target_pieces(qcols, kappa, source)
     # read off the target's last step: source slot k maps to the unit
     # vector of k among the kept slots, or, for the pivot k of a new
-    # relation row, to minus that row, both times the step's pivot value
-    # (which leaves the kernel unchanged)
+    # relation row, to minus that row, both times the step's scale
     pivots, kept, rows, scale = first.steps[-1]
-    new = dict(zip(pivots, rows))
+    new, width = dict(zip(pivots, rows)), source.dimension
     scaled = [
-        [-new[k][t] if k in new else scale * (k == c)
-         for k in range(source.dimension)]
+        [-new[k][t] if k in new else scale * (k == c) for k in range(width)]
         for t, c in enumerate(kept)
     ]
-    matrix = Matrix.from_integers(scaled, scale, source.dimension)
-    kern = null_space(scaled, source.dimension)[0]
+    matrix = Matrix.from_integers(scaled, scale, width)
+    reversed_basis = []
+    for p, row in new.items():
+        vec = [0] * width
+        vec[p] = scale
+        for k, x in zip(kept, row):
+            vec[k] = x
+        reversed_basis.append(vec[::-1])
+    # the rows are independent, so echelon leaves each one its RREF row
+    # times the returned scale
+    kern_scale = echelon(reversed_basis, width)[3]
+    kern = Matrix.from_integers([vec[::-1] for vec in reversed(reversed_basis)], kern_scale, width)
     return PeriodMapData(
         source=source,
         target=first,
         matrix=matrix,
-        rank=source.dimension - kern.rows,
+        rank=width - kern.rows,
         kernel=kern,
         second_dim=second_dim,
     )
@@ -326,7 +369,8 @@ def kernel_family_vectors(q, kappa: int):
     Multiplying such a vector by x_kappa gives one of the relation
     rows of the target, so its period-map image vanishes exactly.
     """
-    q = gale_dual(q)[0]
+    q = q if isinstance(q, Matrix) else Matrix(q)
+    _system(q)  # the system's check, read off the memo
     return kappa_rows(q, check_kappa(kappa))
 
 
@@ -335,5 +379,9 @@ def deformed_system(q, direction, t) -> Matrix:
     deformation vector in monomial coordinates: D[j][i-1] is the
     coefficient of x_i^2 y_j."""
     q, t = gale_dual(q)[0], Fraction(t)
+    if len(direction) != AMBIENT:
+        raise DimensionError(
+            f"a deformation direction has {AMBIENT} entries, not {len(direction)}"
+        )
     d = Matrix([[direction[_slot(i, j)] for i in range(1, 8)] for j in range(NY)])
     return q + d.scale(t)

@@ -1,9 +1,13 @@
 """Jacobian-ring graded pieces and the period-map first approximation."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+import sympy
 
 import latconf.jacobian
 import latconf.matrices
@@ -148,7 +152,10 @@ def test_one_elimination_of_the_system(monkeypatch):
         "smoothness": lambda: smoothness(q),
         "seven_line_config": lambda: seven_line_config(q),
     }
-    memo_readers = ("period_map", "period_maps", "kappa_target", "invariant_deformations")
+    memo_readers = (
+        "period_map", "period_maps", "kappa_target", "invariant_deformations",
+        "kernel_family_vectors",
+    )
     for name, call in calls.items():
         MEMO.cache_clear()
         shapes.clear()
@@ -183,7 +190,8 @@ def test_period_map_eliminations(monkeypatch):
     the source's seven Jacobian rows (they sum to zero), the target's
     three new rows on the source's free coordinates (not the stacked
     12 x 12 system), the system's columns in each of the second
-    summand's two triples, and the period matrix for its kernel."""
+    summand's two triples, and the two rows that span the period
+    matrix's kernel (read off the target's step, see ``period_map``)."""
     q = random_system(random.Random(47))
     shapes = []
 
@@ -194,13 +202,13 @@ def test_period_map_eliminations(monkeypatch):
     monkeypatch.setattr(latconf.matrices, "bareiss", counted)
     MEMO.cache_clear()
     period_map(q, 6)
-    assert shapes == [(4, 7), (6, 12), (3, 6), (3, 4), (3, 4), (4, 6)]
+    assert shapes == [(4, 7), (6, 12), (3, 6), (3, 4), (3, 4), (2, 6)]
     # a repeat on the same system, with any kappa, reads the system and
     # its source piece off the memo
     for kappa in (6, 2):
         shapes.clear()
         period_map(q, kappa)
-        assert shapes == [(3, 6), (3, 4), (3, 4), (4, 6)]
+        assert shapes == [(3, 6), (3, 4), (3, 4), (2, 6)]
 
 
 def _cold(fn, *args, **kwargs):
@@ -496,3 +504,79 @@ def test_relation_rows_and_deformation_against_fraction_entries():
         moved.entry(j, i - 1) == q.entry(j, i - 1) + t * direction[_slot(i, j)]
         for i in range(1, 8) for j in range(4)
     )
+
+
+def test_vector_lengths_are_checked():
+    """A graded-piece vector and a deformation direction have exactly
+    AMBIENT entries; a short one no longer reads as zero-padded and a
+    long one no longer drops its tail."""
+    q = random_system(random.Random(71))
+    pm = period_map(q, 2)
+    for n in (5, AMBIENT - 1, AMBIENT + 1, 30):
+        for piece in (pm.source, pm.target):
+            with pytest.raises(DimensionError, match="28 entries"):
+                piece.reduce_vector([1] * n)
+        with pytest.raises(DimensionError, match="28 entries"):
+            deformed_system(q, [1] * n, 1)
+    assert len(pm.source.reduce_vector([1] * AMBIENT)) == 6
+    assert deformed_system(q, [0] * AMBIENT, 5) == q
+
+
+def _small_system(rng):
+    """A smooth system with entries in [-2, 2]: its period maps often
+    have non-generic free columns."""
+    while True:
+        q = Matrix([[rng.randint(-2, 2) for _ in range(7)] for _ in range(4)])
+        if q.rank() == 4 and smoothness(q)[0]:
+            return q
+
+
+def _systems(seed, generic, small):
+    rng = random.Random(seed)
+    return [random_system(rng) for _ in range(generic)] + [
+        _small_system(rng) for _ in range(small)
+    ]
+
+
+def test_kernel_against_sympy_nullspace():
+    """The kernel read off the target's step is sympy's nullspace of the
+    period matrix, for every kappa, including small-entry systems whose
+    period matrices have non-generic free columns."""
+    frees = set()
+    for q in _systems(73, 4, 12):
+        for kappa in range(1, 8):
+            pm = period_map(q, kappa)
+            m = sympy.Matrix(pm.matrix.rows, pm.matrix.cols,
+                             [sympy.Rational(x) for row in pm.matrix.data for x in row])
+            want = [[Fraction(int(x.p), int(x.q)) for x in v] for v in m.nullspace()]
+            assert [list(row) for row in pm.kernel.data] == want
+            assert pm.rank == m.rank()
+            frees.add(tuple(c for c in range(6) if c not in pm.matrix.rref()[1]))
+    assert len(frees) > 2  # not only the generic free columns
+
+
+def test_steps_in_lowest_terms():
+    """Every stored reduction step has gcd(scale, entries) = 1."""
+    for q in _systems(79, 6, 4):
+        for kappa in range(1, 8):
+            first, _ = kappa_target(q, kappa)
+            for _, _, rows, scale in first.steps:
+                assert gcd(scale, *(x for row in rows for x in row)) == 1
+
+
+PINNED_PERIOD_MAPS = "d48d24d90f585fbb81a36956e9116844aa1e200c103a5af9b9f8f4f5625cc142"
+
+
+def test_period_map_outputs_pinned():
+    """The summary, matrix, kernel and free monomials of 50 seeded
+    systems' 350 period maps hash to the digest of the code before the
+    steps were kept in lowest terms: any changed output byte fails."""
+    h = hashlib.sha256()
+    for q in _systems(2401, 40, 10):
+        for kappa in range(1, 8):
+            pm = period_map(q, kappa)
+            h.update(json.dumps([
+                pm.to_json(), pm.matrix.to_json(), pm.kernel.to_json(),
+                list(pm.source.free), list(pm.target.free),
+            ]).encode())
+    assert h.hexdigest() == PINNED_PERIOD_MAPS
