@@ -1,5 +1,7 @@
 """Finite bilinear/quadratic forms and isometry search."""
 
+import hashlib
+import json
 import random
 import time
 import tracemalloc
@@ -516,6 +518,22 @@ def test_l2_automorphisms():
                         (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 1, 0))
     assert autos[-1] == ((1, 1, 1, 0, 2, 2), (1, 1, 0, 1, 2, 2), (1, 0, 1, 1, 2, 2),
                          (0, 1, 1, 1, 2, 2), (1, 1, 1, 1, 3, 2), (1, 1, 1, 1, 2, 3))
+
+
+PINNED_L2_IMAGES = "1dc9677228e880ec524733ab32a2a7bf96c229f1b9e57aa92c4340b5df7bab77"
+
+
+def test_l2_images_pinned():
+    """``apply_images`` of 512 seeded L(2) automorphisms on all 256
+    elements hashes to the digest of the code that folded over every
+    coefficient: any changed output byte fails."""
+    lam = transcendental_slice().rescale(2).discriminant_form()
+    autos = list(finite_form_automorphisms(lam))
+    els = lam.elements()
+    h = hashlib.sha256()
+    for images in random.Random(26).sample(autos, 512):
+        h.update(json.dumps([apply_images(lam, images, x) for x in els]).encode())
+    assert h.hexdigest() == PINNED_L2_IMAGES
 
 
 @pytest.mark.parametrize("orders", [(2,) * 10, (2, 2, 4, 4, 4, 4), (1024,)])

@@ -1,5 +1,7 @@
 """Quadratic lattices: invariants, complements, gluing, isometries."""
 
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
@@ -349,6 +351,26 @@ def test_overlattice_enumeration_matches_single_glues(name):
     infos = enumerate_integral_overlattices(l)
     assert [(i.index, i.subgroup, i.lattice) for i in infos] == expected
     assert len(expected) > 1
+
+
+CATALOGUE = ("D4", "D4+D4", "H(2)+H(2)", "Z(0,4)*2", "D6+D6", "H(2)+E10*-1",
+             "D(2,4)", "H(4)", "H(2)+D4*-1", "D4*2")
+PINNED_CATALOGUE = "5edde0a522ea458d5614e8f6509e3321d75e960aef97c2453e828c2971c2f239"
+
+
+def test_catalogue_overlattices_pinned():
+    """The ten catalogue lattices' discriminant forms and every
+    ``OverlatticeInfo`` (subgroup, index, parity, unimodular, Gram) hash
+    to the digest of the code that enumerated every subgroup and
+    filtered by isotropy: any changed output byte fails."""
+    h = hashlib.sha256()
+    for name in CATALOGUE:
+        l = parse_lattice_name(name)
+        h.update(json.dumps(l.discriminant_form().to_json()).encode())
+        for o in enumerate_integral_overlattices(l):
+            h.update(json.dumps([o.subgroup, o.index, o.parity, o.unimodular,
+                                 o.lattice.gram.to_json()]).encode())
+    assert h.hexdigest() == PINNED_CATALOGUE
 
 
 @pytest.mark.parametrize("name", ["D4*2", "H(2)+D4*-1", "H(4)", "L*2"])
