@@ -25,13 +25,22 @@ Each form also carries element tables, built with numpy on first use
 and cached on the instance: its elements in ``elements()`` order (mixed
 radix, so index order is the lexicographic tuple order), a dict from
 element to index, ``add[i][j]``, the index of x_i + x_j, and
-``smul[t][i]``, the index of t*x_i for t below the largest generator
-order.  The table rows are ``array('H')`` rows, so a form of 2**10
-elements keeps them in a few MB.  Subgroup enumeration,
-``apply_images`` and the isometry search run on element indices
-through these tables; the public API speaks in coefficient tuples.
-``subgroup`` stays in tuple arithmetic, so it needs no tables and
-works on forms of any size.
+``terms[i]``, a pair ``(j, smul[c_j])`` for each nonzero coefficient c_j
+of x_i, where ``smul[t][y]`` is the index of t*x_y.  The table rows are
+``array('H')`` rows, so a form of 2**10 elements keeps them in a few
+MB.  ``apply_images`` folds ``add`` over the row ``terms[i]`` only, and
+the isometry search folds its radical elements the same way.  Subgroup
+enumeration runs on element indices too; the public API speaks in
+coefficient tuples.
+
+Subgroups come from one walk from {0} that joins one element at a time.
+``all_subgroups`` lets every element join; ``isotropic_subgroups`` lets
+a subgroup join only the isotropic elements orthogonal to it, a bitset
+narrowed by one AND with the orthogonal set of each element joined
+(read off the integer pair table).  Every intermediate subgroup of an
+isotropic one is then isotropic, so that walk reaches every isotropic
+subgroup and no other.  ``subgroup`` stays in tuple arithmetic, so it
+needs no tables and works on forms of any size.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ from .errors import DimensionError, GroupTooLarge
 from .matrices import Matrix, frac_to_str, str_to_frac
 
 SEARCH_BOUND = 2**10
-# all_subgroups stops past this many subgroups; (Z/2)^8 has 417,199
+# the subgroup walk stops past this many subgroups; (Z/2)^8 has 417,199
 SUBGROUP_BOUND = 2**14
 
 
@@ -69,7 +78,7 @@ class _ElementTables(NamedTuple):
     index: dict  # coefficient tuple -> index
     coeff: object  # (N, k) int64 array of the coefficient rows
     add: list  # add[i][j] = index of x_i + x_j, array('H') rows
-    smul: list  # smul[t][i] = index of t * x_i, array('H') rows
+    terms: list  # terms[i] = ((j, smul[c_j]) for each nonzero c_j of x_i)
 
 
 def _element_tables(orders) -> _ElementTables:
@@ -91,8 +100,19 @@ def _element_tables(orders) -> _ElementTables:
     def rows(table):
         return [array("H", row.tobytes()) for row in table.astype(np.uint16)]
 
+    smul = rows(smul)
+    steps = [[(j, row) for row in smul[:n]] for j, n in enumerate(orders)]
+    terms = [tuple(steps[j][c] for j, c in enumerate(x) if c) for x in elements]
     return _ElementTables(elements, {x: i for i, x in enumerate(elements)},
-                          coeff, rows(add), rows(smul))
+                          coeff, rows(add), terms)
+
+
+def _bits(rows):
+    """Row r of a boolean array as an int, bit j for ``rows[r, j]``."""
+    import numpy as np
+
+    return [int.from_bytes(r.tobytes(), "little")
+            for r in np.packbits(rows, axis=1, bitorder="little")]
 
 
 def _join(span, g, translate):
@@ -207,21 +227,43 @@ class FiniteForm:
 
     def all_subgroups(self):
         """Every subgroup, as a sorted list of frozensets of elements."""
+        return self._walk(isotropic=False)
+
+    def isotropic_subgroups(self):
+        """Every subgroup on which the bilinear form vanishes, in
+        ``all_subgroups`` order."""
+        return self._walk(isotropic=True)
+
+    def _walk(self, isotropic):
+        """The subgroups reached from {0} by joining one element at a
+        time, sorted by (order, element indices).  Each subgroup carries
+        the bitset of elements it may join: every element, or with
+        ``isotropic`` the isotropic elements orthogonal to it."""
         if self.group_order() > SEARCH_BOUND:
             raise GroupTooLarge("discriminant group exceeds the search bound")
         t = self._tables()
+        if isotropic:
+            orth = _bits(_scaled_tables(self)[2] == 0)
+            allowed = sum(1 << i for i, row in enumerate(orth) if row >> i & 1)
+        else:
+            allowed = (1 << len(t.elements)) - 1
+            orth = [allowed] * len(t.elements)
         shifts = [row.__getitem__ for row in t.add]
-        seen = {frozenset([0])}
+        seen = {frozenset([0]): allowed}
         frontier = list(seen)
         while frontier:
             nxt = []
             for sub in frontier:
-                for g in range(len(shifts)):
+                free = rest = seen[sub]
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    g = low.bit_length() - 1
                     if g in sub:
                         continue
                     bigger = _join(sub, g, shifts.__getitem__)
                     if bigger not in seen:
-                        seen.add(bigger)
+                        seen[bigger] = free & orth[g]
                         nxt.append(bigger)
                         if len(seen) > SUBGROUP_BOUND:
                             raise GroupTooLarge(f"over {SUBGROUP_BOUND} subgroups")
@@ -320,13 +362,13 @@ def _scaled_tables(f: FiniteForm):
     coefficient rows as an array (both from the element tables),
     ``pair[i, j] = scale*b(x_i, x_j) mod scale`` and ``quad[i] =
     scale*q(x_i) mod 2*scale`` (``None`` without a quadratic
-    refinement), ``scale`` the largest generator order; ``f`` must have
-    a generator.  These are the values ``b`` and ``q`` compute.
+    refinement), ``scale`` the largest generator order.  These are the
+    values ``b`` and ``q`` compute.
     """
     import numpy as np
 
     scale = f._scale
-    bs = np.array(f._gram, dtype=np.int64)
+    bs = np.array(f._gram, dtype=np.int64).reshape(f.ngens, f.ngens)
     elements, _, coeff, _, _ = f._tables()
     raw = coeff @ bs @ coeff.T
     pair = raw % scale
@@ -365,12 +407,8 @@ def _search(a: FiniteForm, b: FiniteForm, compare: str):
 
     import numpy as np
 
-    def bits(rows):  # row r of a boolean array as an int, bit j for rows[r, j]
-        return [int.from_bytes(r.tobytes(), "little")
-                for r in np.packbits(rows, axis=1, bitorder="little")]
-
     ta = _scaled_tables(a)
-    elements_a, _, pair_a, quad_a = ta
+    _, _, pair_a, quad_a = ta
     elements_b, coeff_b, pair_b, quad_b = ta if b is a else _scaled_tables(b)
     # generator e_i sits at the mixed-radix index prod(orders[i+1:])
     gidx = [prod(a.orders[i + 1:]) for i in range(k)]
@@ -381,19 +419,19 @@ def _search(a: FiniteForm, b: FiniteForm, compare: str):
     keep &= np.diagonal(pair_b) == np.diagonal(pair_a)[gidx][:, None]
     if use_quadratic:
         keep &= quad_b == quad_a[gidx][:, None]
-    pools = bits(keep)
-    masks = {v: bits(pair_b.T == v) for v in {cross[o][i] for o in range(k) for i in range(o)}}
+    pools = _bits(keep)
+    masks = {v: _bits(pair_b.T == v) for v in {cross[o][i] for o in range(k) for i in range(o)}}
     tails = [[masks[cross[o][i]] for o in range(i + 1, k)] for i in range(k)]
     # The kernel of a b-preserving homomorphism pairs trivially with
     # everything, so the map is bijective iff no nonzero element of the
-    # radical of a maps to zero.  radical[i]: those whose last nonzero
-    # coefficient is at e_i, whose images the choices for e_0..e_i fix.
+    # radical of a maps to zero.  radical[i]: the term rows of those
+    # whose last nonzero coefficient is at e_i, whose images the choices
+    # for e_0..e_i fix.  Equal orders give a and b the same term rows.
+    terms = a._tables().terms
     radical = [[] for _ in range(k)]
     for r in np.flatnonzero(~pair_a[1:].any(axis=1)) + 1:
-        coeffs = elements_a[r]
-        last = max(j for j, c in enumerate(coeffs) if c)
-        radical[last].append(coeffs[: last + 1])
-    _, _, _, add, smul = b._tables()
+        radical[terms[r][-1][0]].append(terms[r])
+    add = b._tables().add
     # stack[i]: the untried images of e_i, then the pools of e_{i+1}, ...
     chosen, stack = [0] * k, [pools]
     while stack:
@@ -405,11 +443,10 @@ def _search(a: FiniteForm, b: FiniteForm, compare: str):
         low = rest & -rest
         pool[0] = rest ^ low
         x = chosen[i] = low.bit_length() - 1
-        for coeffs in radical[i]:
+        for steps in radical[i]:
             total = 0
-            for c, y in zip(coeffs, chosen):
-                if c:
-                    total = add[total][smul[c][y]]
+            for j, row in steps:
+                total = add[total][row[chosen[j]]]
             if not total:
                 break
         else:
@@ -444,21 +481,25 @@ def finite_form_automorphisms(f: FiniteForm, compare="bilinear"):
 
 def apply_images(f: FiniteForm, images, x):
     """Apply the homomorphism defined by generator ``images`` to ``x``:
-    the sum of c_i * images[i] over the nonzero coefficients c_i of
-    ``x``, by table lookups."""
+    the sum of c_j * images[j] over the nonzero coefficients c_j of
+    ``x``, folded over its row of the term table.  Every image is looked
+    up, also one at a zero coefficient, so each must be an element."""
     if len(images) != len(f.orders):
         raise DimensionError("need one image per generator")
-    if f.group_order() > SEARCH_BOUND:  # too large for tables
-        images = [f.reduce(img) for img in images]
-        return tuple(sum(c * img[j] for c, img in zip(f.reduce(x), images)) % n
-                     for j, n in enumerate(f.orders))
-    elements, index, _, add, smul = f._tables()
+    t = f._cache
+    if t is None:
+        if f.group_order() > SEARCH_BOUND:  # too large for tables
+            images = [f.reduce(img) for img in images]
+            return tuple(sum(c * img[j] for c, img in zip(f.reduce(x), images)) % n
+                         for j, n in enumerate(f.orders))
+        t = f._tables()
+    elements, index, _, add, terms = t
     try:
-        coeffs, ids = elements[index[x]], [index[img] for img in images]
+        ids, steps = list(map(index.__getitem__, images)), terms[index[x]]
     except (KeyError, TypeError):  # unreduced, malformed or unhashable
-        coeffs, ids = f.reduce(x), [index[f.reduce(img)] for img in images]
+        ids = [index[f.reduce(img)] for img in images]
+        steps = terms[index[f.reduce(x)]]
     total = 0
-    for c, img in zip(coeffs, ids):
-        if c:
-            total = add[total][smul[c][img]]
+    for j, row in steps:
+        total = add[total][row[ids[j]]]
     return elements[total]

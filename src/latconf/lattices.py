@@ -509,19 +509,21 @@ class OverlatticeInfo:
 def enumerate_integral_overlattices(l: Lattice):
     """All integral overlattices of ``l`` from isotropic discriminant subgroups.
 
-    Enumerates every subgroup of the discriminant group, keeps those
-    whose glue is integral (bilinear isotropy), and reports invariants.
-    The results come in ``all_subgroups`` order, (index, subgroup): the
-    index is the subgroup's order, so the trivial subgroup (the lattice
+    Glues each subgroup of the discriminant group on which the bilinear
+    form vanishes (``isotropic_subgroups``; each glue is integral, and
+    the overlattice depends only on the subgroup) and reports
+    invariants.  The results come in (index, subgroup) order: the index
+    is the subgroup's order, so the trivial subgroup (the lattice
     itself) is always first.
+
+    Raises:
+        GroupTooLarge: past ``SEARCH_BOUND`` discriminant elements or
+            ``SUBGROUP_BOUND`` isotropic subgroups.
     """
     form, lifts = l.discriminant_data()
     results = []
-    for sub in form.all_subgroups():
+    for sub in form.isotropic_subgroups():
         gens = sorted(sub)
-        ok, _pair = form.is_isotropic_subgroup(gens, use_quadratic=False)
-        if not ok:
-            continue
         glue = _glue(l, lifts, gens, len(sub))
         results.append(
             OverlatticeInfo(

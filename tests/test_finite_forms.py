@@ -160,6 +160,13 @@ def test_apply_images_rejects_malformed_images():
         apply_images(f, [(1, 0), (1, 0, 5)], (1, 1))
     with pytest.raises(DimensionError):
         apply_images(f, [(1, 0), (1,)], (0, 0))
+    # every image is checked, also one at a zero coefficient of x
+    with pytest.raises(DimensionError):
+        apply_images(f, [(1, 0), (1, 0, 5)], (1, 0))
+    with pytest.raises(DimensionError):
+        apply_images(f, [(1, 0), (Fraction(1, 2), 0)], (1, 0))
+    with pytest.raises(DimensionError):
+        apply_images(f, [(0, 1.5), (0, 1)], (0, 1))
     # integral but unreduced images and elements still work
     assert apply_images(f, [(3, 0), [0, -1]], (1, 1)) == (1, 1)
     assert apply_images(f, [(1, 1), (Fraction(2), 1.0)], [3, -1]) == (1, 0)
@@ -495,6 +502,20 @@ def test_tables_against_tuple_arithmetic(f, data):
     for x in els:
         y = tuple(c + 2 * n for c, n in zip(x, f.orders))
         assert apply_images(f, images, x) == apply_images(f, images, y) == _combination(f, images, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(forms())
+def test_isotropic_subgroups_against_filtered_subgroups(f):
+    """The isotropic walk against every subgroup filtered by the
+    pairwise check, in the same order; degenerate forms included."""
+    expected = [s for s in f.all_subgroups()
+                if f.is_isotropic_subgroup(sorted(s), use_quadratic=False)[0]]
+    assert f.isotropic_subgroups() == expected
+
+
+def test_isotropic_subgroups_of_the_trivial_form():
+    assert trivial_form(False).isotropic_subgroups() == [frozenset([()])]
 
 
 def test_tables_on_the_l2_form():

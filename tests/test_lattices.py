@@ -25,6 +25,7 @@ from latconf.lattices import (
     E8,
     E10,
     Lattice,
+    OverlatticeInfo,
     Sublattice,
     Zpq,
     definite_isometries,
@@ -335,42 +336,95 @@ def test_overlattice_enumeration_of_reference_lattice():
     assert unimodular[0].index == 2
 
 
-@pytest.mark.parametrize("name", ["D4", "H(4)", "D4*2"])
-def test_overlattice_enumeration_matches_single_glues(name):
-    # the enumeration glues each isotropic subgroup in one pass; it must
-    # agree with gluing that subgroup alone through the public entry point
-    l = parse_lattice_name(name)
+def _overlattices_by_filter(l):
+    """Oracle: every subgroup of the discriminant group, kept when it is
+    isotropic and glued alone through the public entry point."""
     form = l.discriminant_form()
-    expected = []
+    infos = []
     for sub in form.all_subgroups():
         gens = sorted(sub)
         if form.is_isotropic_subgroup(gens, use_quadratic=False)[0]:
             glue = overlattice_from_isotropic(l, gens, check_quadratic=False)
-            expected.append((glue.index, tuple(gens), glue.lattice))
-    expected.sort(key=lambda e: e[:2])
-    infos = enumerate_integral_overlattices(l)
-    assert [(i.index, i.subgroup, i.lattice) for i in infos] == expected
-    assert len(expected) > 1
+            infos.append(OverlatticeInfo(tuple(gens), glue.index, glue.lattice,
+                                         glue.lattice.parity(), glue.lattice.is_unimodular()))
+    return infos
 
 
 CATALOGUE = ("D4", "D4+D4", "H(2)+H(2)", "Z(0,4)*2", "D6+D6", "H(2)+E10*-1",
              "D(2,4)", "H(4)", "H(2)+D4*-1", "D4*2")
+
+
+@pytest.mark.parametrize("name", CATALOGUE)
+def test_overlattice_enumeration_matches_single_glues(name):
+    # the enumeration walks the isotropic subgroups only; it must agree,
+    # in order, with filtering every subgroup and gluing each survivor
+    l = parse_lattice_name(name)
+    expected = _overlattices_by_filter(l)
+    assert enumerate_integral_overlattices(l) == expected
+    assert len(expected) > 1
+
+
+def test_overlattice_enumeration_on_seeded_grams():
+    """The filtered route as oracle on rescaled random Grams, definite
+    and indefinite, with discriminant groups of order at most 64."""
+    rng = random.Random(2606)
+    tried = 0
+    while tried < 12:
+        n, k = rng.randint(2, 4), rng.choice((2, 3, 4))
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = k * rng.randint(-2, 2)
+        l = Lattice(Matrix(rows))
+        if l.det() == 0 or abs(l.det()) > 64:
+            continue
+        expected = _overlattices_by_filter(l)
+        assert enumerate_integral_overlattices(l) == expected
+        tried += len(expected) > 1
+
+
+@pytest.mark.parametrize("n, codes", [(6, 15), (8, 135)])
+def test_unimodular_overlattices_of_scaled_cubic_lattices(n, codes):
+    """Unimodular overlattices of Z^n(2) are the self-dual binary codes
+    of length n, prod_{i=1}^{n/2-1} (2^i + 1) of them.  (Z/2)^8 has more
+    subgroups than the walk's bound, but few enough isotropic ones."""
+    l = parse_lattice_name(f"Z({n},0)*2")
+    infos = enumerate_integral_overlattices(l)
+    assert sum(i.unimodular for i in infos) == codes
+    assert all(i.index == 2 ** (n // 2) for i in infos if i.unimodular)
+    if n == 8:
+        with pytest.raises(GroupTooLarge):
+            l.discriminant_form().all_subgroups()
+
+
 PINNED_CATALOGUE = "5edde0a522ea458d5614e8f6509e3321d75e960aef97c2453e828c2971c2f239"
+PINNED_L2 = "cd02d05b2c1f16680407c2e97d59451d15d9fd5f7878ad68cecfb67addb2de85"
 
 
-def test_catalogue_overlattices_pinned():
-    """The ten catalogue lattices' discriminant forms and every
-    ``OverlatticeInfo`` (subgroup, index, parity, unimodular, Gram) hash
-    to the digest of the code that enumerated every subgroup and
-    filtered by isotropy: any changed output byte fails."""
+def _overlattices_digest(names):
+    """SHA-256 of each lattice's discriminant form and every
+    ``OverlatticeInfo`` (subgroup, index, parity, unimodular, Gram)."""
     h = hashlib.sha256()
-    for name in CATALOGUE:
+    for name in names:
         l = parse_lattice_name(name)
         h.update(json.dumps(l.discriminant_form().to_json()).encode())
         for o in enumerate_integral_overlattices(l):
             h.update(json.dumps([o.subgroup, o.index, o.parity, o.unimodular,
                                  o.lattice.gram.to_json()]).encode())
-    assert h.hexdigest() == PINNED_CATALOGUE
+    return h.hexdigest()
+
+
+def test_catalogue_overlattices_pinned():
+    """The ten catalogue lattices hash to the digest of the code that
+    enumerated every subgroup and filtered by isotropy: any changed
+    output byte fails."""
+    assert _overlattices_digest(CATALOGUE) == PINNED_CATALOGUE
+
+
+def test_l2_overlattices_pinned():
+    """The 253 overlattices of L(2) hash to the digest of the filtered
+    route, which took about 22 s for them on 2 vCPUs."""
+    assert _overlattices_digest(["L*2"]) == PINNED_L2
 
 
 @pytest.mark.parametrize("name", ["D4*2", "H(2)+D4*-1", "H(4)", "L*2"])
