@@ -16,19 +16,22 @@ classification, and the finite group actions (wreath product on pair
 slots, S4 on quadrangle vertices, GL3(F2) on characters, torus
 scalings).  The lines are read off the integer columns of
 ``matrix.num``: they are the lines scaled by the common denominator
-``den``, which changes no line.  Column permutation, the group actions
-and line dropping select those columns.  The canonical form searches
-lazily for its first frame, as it usually stops at the first 4-subset
-of columns, and reads each entry off 3-minors by Cramer's rule.
-Triple points are integer cross products over their lead entries, and
-the Cremona involution takes the dot products of the integer columns
-with the integer pair vertices, over ``den**3``.  Only the minors
-table ``plucker``, whose zeros stability and triple points read,
-still takes its 3-minors on Fraction columns.
+``den``, which changes no line, and each of their 3-minors is a minor
+of the lines times ``den**3``, which changes no zero.  Column
+permutation, the group actions and line dropping select those columns.
+Stability, triple points and the smoothness test read the zero minors
+off one pass over the integer columns; ``plucker`` divides the same
+integer minors by ``den**3``.  The canonical form searches lazily for
+its first frame, as it usually stops at the first 4-subset of columns,
+and reads each entry off 3-minors by Cramer's rule.  Triple points are
+integer cross products over their lead entries, and the Cremona
+involution takes the dot products of the integer columns with the
+integer pair vertices, over ``den**3``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -130,11 +133,24 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
+def _zero_triples(cols):
+    """The column triples of the integer columns ``cols`` whose 3-minor
+    is zero, in lex order."""
+    return [
+        (i, j, k)
+        for i, j, k in combinations(range(len(cols)), 3)
+        if not _det3(cols[i], cols[j], cols[k])
+    ]
+
+
 def plucker(c: ConfigMatrix) -> dict:
-    """All C(n,3) maximal minors m_{ijk}, keyed by column triples."""
-    cols = list(zip(*c.matrix.data))
+    """All C(n,3) maximal minors m_{ijk}, keyed by column triples: the
+    minors of the integer columns over ``den**3``."""
+    cols = list(zip(*c.matrix.num))
+    scale = c.matrix.den**3
     return {
-        t: _det3(*(cols[j] for j in t)) for t in combinations(range(c.n), 3)
+        (i, j, k): Fraction(_det3(cols[i], cols[j], cols[k]), scale)
+        for i, j, k in combinations(range(c.n), 3)
     }
 
 
@@ -163,18 +179,13 @@ class StabilityReport:
         }
 
 
-def _coincidence_groups(c: ConfigMatrix):
+def _coincidence_groups(cols):
     """Partition of columns into groups of mutually proportional lines."""
-    cols = list(zip(*c.matrix.num))
-    groups = []
+    groups = {}
     for j, col in enumerate(cols):
-        for g in groups:
-            if _proportional(col, cols[g[0]]):
-                g.append(j)
-                break
-        else:
-            groups.append([j])
-    return groups
+        first = next((g for g in groups if _proportional(col, cols[g])), j)
+        groups.setdefault(first, []).append(j)
+    return list(groups.values())
 
 
 def stability(c: ConfigMatrix) -> StabilityReport:
@@ -188,28 +199,19 @@ def stability(c: ConfigMatrix) -> StabilityReport:
     """
     if c.n != 6:
         raise DimensionError("stability is defined for six lines")
-    groups = _coincidence_groups(c)
+    cols = list(zip(*c.matrix.num))
+    groups = _coincidence_groups(cols)
     group_of = {j: g for g, members in enumerate(groups) for j in members}
-    zero = {t for t, m in plucker(c).items() if m == 0}
-
-    def concurrent(*lines):
-        return tuple(sorted(lines)) in zero
-
+    zeros = _zero_triples(cols)
     mult = max(len(g) for g in groups)
-    pairs = tuple(
-        (g[a], g[b])
-        for g in groups
-        for a in range(len(g))
-        for b in range(a + 1, len(g))
-    )
-    triples = tuple(
-        t for t in sorted(zero) if len({group_of[j] for j in t}) == 3
-    )
+    pairs = tuple(p for g in groups for p in combinations(g, 2))
+    triples = tuple(t for t in zeros if len({group_of[j] for j in t}) == 3)
     if mult >= 3:
         return StabilityReport("Unstable", "213", pairs, triples)
     # the most lines, with multiplicity, through the point where two meet
+    through = Counter(p for t in zeros for p in combinations(t, 2))
     conc = max(
-        2 + sum(concurrent(i, j, k) for k in range(6) if k not in (i, j))
+        2 + through[i, j]
         for i, j in combinations(range(6), 2)
         if group_of[i] != group_of[j]
     )
@@ -224,8 +226,9 @@ def stability(c: ConfigMatrix) -> StabilityReport:
         return StabilityReport("Polystable", "222", pairs, triples)
     if len(doubled) == 1 and len(groups) == 5:
         i, j, *rest = (g[0] for g in groups if len(g) == 1)
-        if all(concurrent(i, j, k) for k in rest) and not concurrent(
-            i, j, doubled[0][0]
+        # singles come in column order, so (i, j, k) is sorted
+        if all((i, j, k) in zeros for k in rest) and (
+            tuple(sorted((i, j, doubled[0][0]))) not in zeros
         ):
             return StabilityReport("Polystable", "231", pairs, triples)
     if mult >= 2 and conc >= 4:
@@ -251,11 +254,10 @@ def triple_points(c: ConfigMatrix):
         if _proportional(cols[i], cols[j]):
             raise DimensionError(f"columns {i} and {j} are the same line")
     out = []
-    for t, m in plucker(c).items():
-        if m == 0:
-            point = _cross(cols[t[0]], cols[t[1]])
-            lead = next(x for x in point if x != 0)
-            out.append((t, tuple(Fraction(x, lead) for x in point)))
+    for t in _zero_triples(cols):
+        point = _cross(cols[t[0]], cols[t[1]])
+        lead = next(x for x in point if x != 0)
+        out.append((t, tuple(Fraction(x, lead) for x in point)))
     return out
 
 
@@ -283,7 +285,10 @@ def canonical_form(c: ConfigMatrix):
     """
     cols = list(zip(*c.matrix.num))
     for frame in combinations(range(c.n), 4):
-        if all(_det3(*(cols[j] for j in t)) for t in combinations(frame, 3)):
+        if all(
+            _det3(cols[i], cols[j], cols[k])
+            for i, j, k in combinations(frame, 3)
+        ):
             break
     else:
         raise NoFrame("no four columns form a projective frame")
@@ -405,9 +410,6 @@ def seven_line_config(q: Matrix) -> ConfigMatrix:
     return ConfigMatrix(gale_dual(q)[1], CHAR_LABELS)
 
 
-_TRIPLES_REVERSED = tuple(reversed(list(combinations(range(7), 3))))
-
-
 def dependent_columns(g: Matrix):
     """The first dependent 4-subset of the columns of a rank-4 system
     whose Gale dual is ``g``, or None if every 4-subset is independent.
@@ -418,11 +420,8 @@ def dependent_columns(g: Matrix):
     dependent 4-subset: complements reverse the lex order of subsets of
     range(7).
     """
-    cols = list(zip(*g.num))
-    for i, j, k in _TRIPLES_REVERSED:
-        if _det3(cols[i], cols[j], cols[k]) == 0:
-            return tuple(c for c in range(7) if c not in (i, j, k))
-    return None
+    zeros = _zero_triples(list(zip(*g.num)))
+    return tuple(j for j in range(7) if j not in zeros[-1]) if zeros else None
 
 
 def smoothness(q: Matrix):

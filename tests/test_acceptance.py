@@ -1,11 +1,15 @@
-"""Acceptance gate: thirteen tests, all exact arithmetic.
+"""Acceptance gate: fourteen tests, all exact arithmetic.
 
 Each of the eleven numbered tests pins one headline claim to its
 verification-registry checks and asserts the key numbers recorded in
 the checks' details.  The whole registry is run once per session with
-seed 0; the last two tests require it to pass completely inside the
-two-minute budget and a filtered report to be deterministic.
+seed 0; the last three tests require it to pass completely inside the
+two-minute budget, its report to keep every byte, and a filtered report
+to be deterministic.
 """
+
+import hashlib
+import json
 
 import pytest
 
@@ -148,6 +152,18 @@ def test_suite_is_fast_and_green(report):
     assert report.counts["Fail"] == 0
     assert report.counts["Skipped"] == 0
     assert report.elapsed_seconds < 120
+
+
+# SHA-256 of the seed-0 report's sorted JSON (elapsed times are not in it)
+PINNED_REPORT = "eba95b251f6524218c29abafca855e0ee15eefc1a56f7b16855a5d3d3c9a0aa6"
+
+
+def test_seed_0_report_pinned(report):
+    """Every detail of every check hashes to the digest of the code
+    whose minors ``configs`` took on Fraction columns: any changed
+    output byte fails."""
+    text = json.dumps(report.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORT
 
 
 def test_filtered_subset_is_deterministic():

@@ -1,5 +1,7 @@
 """Line configurations: stability, canonical forms, Cremona, groups."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -19,10 +21,12 @@ from latconf.configs import (
     check_kappa,
     complete_quadrangle,
     cremona,
+    dependent_columns,
     drop_line,
     drop_pairs,
     equivalent,
     etale_slice,
+    gale_dual,
     gl3f2_elements,
     node_report,
     plucker,
@@ -36,7 +40,13 @@ from latconf.configs import (
     wreath_elements,
     wreath_signature,
 )
-from latconf.errors import DimensionError, LabelError, NoFrame, VerticesCollinear
+from latconf.errors import (
+    DimensionError,
+    LabelError,
+    LatconfError,
+    NoFrame,
+    VerticesCollinear,
+)
 from latconf.jacobian import kappa_target, kernel_family_vectors, period_map
 from latconf.matrices import Matrix
 from latconf.verify import random_system
@@ -178,7 +188,9 @@ def _stability_oracle(rank):
     return kind + (pairs, triples)
 
 
-def test_stability_and_triple_points_against_rank_oracle():
+def _oracle_configs():
+    """401 six-line and 100 seven-line seeded configurations, then each
+    of them over denominators."""
     rng = random.Random(17)
     # random draws rarely reach this stratum
     polystable_231 = ConfigMatrix([[1, 0, 1, 1, 0, 0], [0, 1, 1, 2, 0, 0],
@@ -187,9 +199,12 @@ def test_stability_and_triple_points_against_rank_oracle():
     configs += [_seeded_configs(rng, 7) for _ in range(100)]
     rational = [_over_denominators(rng, c) for c in configs]
     assert all(c.matrix.den > 1 for c in rational)
-    configs += rational
+    return configs + rational
+
+
+def test_stability_and_triple_points_against_rank_oracle():
     seen = set()
-    for c in configs:
+    for c in _oracle_configs():
         rank = _column_ranks(c)
         if c.n == 6:
             report = stability(c)
@@ -647,7 +662,10 @@ def test_complements_reverse_lex_order():
     assert complements == list(combinations(range(7), 4))[::-1]
 
 
-def test_smoothness_against_minor_scan():
+def _minor_scan_systems():
+    """61 seeded 4 x 7 systems: 20 random ones, 40 with engineered
+    dependent, duplicated or proportional columns, and one of rank 4
+    with a single independent 4-subset."""
     rng = random.Random(44)
     systems = [random_system(rng, smooth=False) for _ in range(20)]
     for trial in range(40):
@@ -667,8 +685,12 @@ def test_smoothness_against_minor_scan():
     # rank 4 with a single independent 4-subset
     systems.append(Matrix([[1 if j == i else 0 for j in range(7)]
                            for i in range(4)]))
+    return systems
+
+
+def test_smoothness_against_minor_scan():
     counts = set()
-    for q in systems:
+    for q in _minor_scan_systems():
         if q.rank() < 4:
             with pytest.raises(DimensionError, match="rank 4"):
                 smoothness(q)
@@ -678,6 +700,53 @@ def test_smoothness_against_minor_scan():
         expect = (False, dependent[0]) if dependent else (True, None)
         assert smoothness(q) == expect
     assert counts == {0, 1, "several", 34}
+
+
+def _outputs(make):
+    """``make()`` as JSON-ready data, or a domain error's class and message."""
+    try:
+        return make()
+    except LatconfError as e:
+        return [type(e).__name__, str(e)]
+
+
+def _config_outputs(c):
+    """``plucker``, ``stability``, ``triple_points`` and (seven lines)
+    ``dependent_columns`` of ``c``, as JSON-ready data."""
+    out = [
+        [[list(t), str(m)] for t, m in plucker(c).items()],
+        _outputs(lambda: [[list(t), [str(x) for x in p]] for t, p in triple_points(c)]),
+    ]
+    if c.n == 6:
+        out.append(stability(c).to_json())
+    else:
+        out.append(dependent_columns(c.matrix))
+    return out
+
+
+def _dual_outputs(q):
+    """``dependent_columns`` of the Gale dual of ``q``, then the outputs
+    of its seven-line configuration."""
+    g = gale_dual(q)[1]
+    return [dependent_columns(g), _outputs(lambda: _config_outputs(ConfigMatrix(g)))]
+
+
+# SHA-256 of the outputs over every stratum, taken where ``plucker`` built
+# one Fraction per minor and ``stability``/``triple_points`` read its zeros
+PINNED_CONFIG_OUTPUTS = "8d8eceb00d69e11ca980ceae2ec4574c227604628e15de8029b2adc3856c9704"
+
+
+def test_config_outputs_pinned():
+    """The 1,002 configurations of the rank-oracle test (every stratum,
+    with and without denominators) and the Gale duals of the rank-4
+    systems of the minor scan hash to the pinned digest: any changed
+    output byte fails."""
+    h = hashlib.sha256()
+    for c in _oracle_configs():
+        h.update(json.dumps(_config_outputs(c)).encode())
+    for q in _minor_scan_systems():
+        h.update(json.dumps(_outputs(lambda: _dual_outputs(q))).encode())
+    assert h.hexdigest() == PINNED_CONFIG_OUTPUTS
 
 
 def test_smoothness_rejects_bad_input():

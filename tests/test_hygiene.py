@@ -274,11 +274,8 @@ FRACTION_VIEWS = ("entry", "column", "data", "from_columns")
 FRACTION_BOUNDARY_MODULES = ("cli", "verify")
 
 # Every other scope that reads a Fraction view: the text forms of a
-# Matrix, which print its entries as "p/q", and the ``configs`` minors
-# table, whose integer version waits for a benchmark whose peak memory
-# does not grow with speed.
+# Matrix, which print its entries as "p/q".
 FRACTION_BOUNDARY_SCOPES = [
-    "configs.plucker",
     "matrices.Matrix.__repr__",
     "matrices.Matrix.to_json",
 ]
