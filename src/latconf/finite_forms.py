@@ -26,12 +26,15 @@ and cached on the instance: its elements in ``elements()`` order (mixed
 radix, so index order is the lexicographic tuple order), a dict from
 element to index, ``add[i][j]``, the index of x_i + x_j, and
 ``terms[i]``, a pair ``(j, smul[c_j])`` for each nonzero coefficient c_j
-of x_i, where ``smul[t][y]`` is the index of t*x_y.  The table rows are
-``array('H')`` rows, so a form of 2**10 elements keeps them in a few
-MB.  ``apply_images`` folds ``add`` over the row ``terms[i]`` only, and
-the isometry search folds its radical elements the same way.  Subgroup
-enumeration runs on element indices too; the public API speaks in
-coefficient tuples.
+of x_i, where ``smul[t][y]`` is the index of t*x_y, and the scaled form
+values: ``pair[i, j]``, ``scale*b(x_i, x_j) mod scale``, and ``quad[i]``,
+``scale*q(x_i) mod 2*scale``.  The ``add`` rows are ``array('H')`` rows
+and ``pair`` is int16, so a form of 2**10 elements keeps its tables in
+a few MB.  ``apply_images`` folds ``add`` over the row ``terms[i]``
+only, and the isometry search folds its radical elements the same way.
+The search and the subgroup walk read ``pair`` and ``quad`` off the same
+tables, so each form builds them once.  Subgroup enumeration runs on
+element indices too; the public API speaks in coefficient tuples.
 
 Subgroups come from one walk from {0} that joins one element at a time.
 ``all_subgroups`` lets every element join; ``isotropic_subgroups`` lets
@@ -79,12 +82,18 @@ class _ElementTables(NamedTuple):
     coeff: object  # (N, k) int64 array of the coefficient rows
     add: list  # add[i][j] = index of x_i + x_j, array('H') rows
     terms: list  # terms[i] = ((j, smul[c_j]) for each nonzero c_j of x_i)
+    pair: object  # (N, N) int16 array, scale*b(x_i, x_j) mod scale
+    quad: object  # (N,) int64 array, scale*q(x_i) mod 2*scale, or None
 
 
-def _element_tables(orders) -> _ElementTables:
-    """Build the tables with numpy, one mixed-radix digit at a time."""
+def _element_tables(f: FiniteForm) -> _ElementTables:
+    """Build the tables with numpy, one mixed-radix digit at a time;
+    ``pair`` and ``quad`` are the values ``b`` and ``q`` compute, times
+    ``scale``, the largest generator order (at most ``SEARCH_BOUND``, so
+    ``pair`` fits int16)."""
     import numpy as np
 
+    orders = f.orders
     elements = list(product(*(range(n) for n in orders)))
     size = len(elements)
     coeff = np.array(elements, dtype=np.int64).reshape(size, len(orders))
@@ -103,8 +112,14 @@ def _element_tables(orders) -> _ElementTables:
     smul = rows(smul)
     steps = [[(j, row) for row in smul[:n]] for j, n in enumerate(orders)]
     terms = [tuple(steps[j][c] for j, c in enumerate(x) if c) for x in elements]
+    bs = np.array(f._gram, dtype=np.int64).reshape(len(orders), len(orders))
+    raw = coeff @ bs @ coeff.T
+    quad = None
+    if f.quadratic is not None:
+        qs = np.array(f._qvec, dtype=np.int64)
+        quad = (np.diagonal(raw) + (coeff * coeff) @ (qs - np.diagonal(bs))) % (2 * f._scale)
     return _ElementTables(elements, {x: i for i, x in enumerate(elements)},
-                          coeff, rows(add), terms)
+                          coeff, rows(add), terms, (raw % f._scale).astype(np.int16), quad)
 
 
 def _bits(rows):
@@ -178,7 +193,7 @@ class FiniteForm:
         if self._cache is None:
             if self.group_order() > SEARCH_BOUND:
                 raise GroupTooLarge("finite form exceeds the element-table bound")
-            object.__setattr__(self, "_cache", _element_tables(self.orders))
+            object.__setattr__(self, "_cache", _element_tables(self))
         return self._cache
 
     # -- group structure ----------------------------------------------
@@ -239,11 +254,9 @@ class FiniteForm:
         time, sorted by (order, element indices).  Each subgroup carries
         the bitset of elements it may join: every element, or with
         ``isotropic`` the isotropic elements orthogonal to it."""
-        if self.group_order() > SEARCH_BOUND:
-            raise GroupTooLarge("discriminant group exceeds the search bound")
         t = self._tables()
         if isotropic:
-            orth = _bits(_scaled_tables(self)[2] == 0)
+            orth = _bits(t.pair == 0)
             allowed = sum(1 << i for i, row in enumerate(orth) if row >> i & 1)
         else:
             allowed = (1 << len(t.elements)) - 1
@@ -355,30 +368,6 @@ def trivial_form(quadratic: bool):
 # ---------------------------------------------------------------------------
 
 
-def _scaled_tables(f: FiniteForm):
-    """Integer tables of ``f`` on all elements, in ``elements()`` order.
-
-    Returns ``(elements, coeff, pair, quad)``: the elements and their
-    coefficient rows as an array (both from the element tables),
-    ``pair[i, j] = scale*b(x_i, x_j) mod scale`` and ``quad[i] =
-    scale*q(x_i) mod 2*scale`` (``None`` without a quadratic
-    refinement), ``scale`` the largest generator order.  These are the
-    values ``b`` and ``q`` compute.
-    """
-    import numpy as np
-
-    scale = f._scale
-    bs = np.array(f._gram, dtype=np.int64).reshape(f.ngens, f.ngens)
-    elements, _, coeff, _, _ = f._tables()
-    raw = coeff @ bs @ coeff.T
-    pair = raw % scale
-    quad = None
-    if f.quadratic is not None:
-        qs = np.array(f._qvec, dtype=np.int64)
-        quad = (np.diagonal(raw) + (coeff * coeff) @ (qs - np.diagonal(bs))) % (2 * scale)
-    return elements, coeff, pair, quad
-
-
 def _search(a: FiniteForm, b: FiniteForm, compare: str):
     """Depth-first search over generator images; yield witness image tuples.
 
@@ -407,31 +396,28 @@ def _search(a: FiniteForm, b: FiniteForm, compare: str):
 
     import numpy as np
 
-    ta = _scaled_tables(a)
-    _, _, pair_a, quad_a = ta
-    elements_b, coeff_b, pair_b, quad_b = ta if b is a else _scaled_tables(b)
+    ta, tb = a._tables(), b._tables()
     # generator e_i sits at the mixed-radix index prod(orders[i+1:])
     gidx = [prod(a.orders[i + 1:]) for i in range(k)]
-    cross = pair_a[np.ix_(gidx, gidx)].tolist()
+    cross = ta.pair[np.ix_(gidx, gidx)].tolist()
     # candidates for e_i: n_i * y = 0 and the values of e_i
     orders = np.array(a.orders)
-    keep = (orders[:, None, None] * coeff_b % orders == 0).all(axis=2)
-    keep &= np.diagonal(pair_b) == np.diagonal(pair_a)[gidx][:, None]
+    keep = (orders[:, None, None] * tb.coeff % orders == 0).all(axis=2)
+    keep &= np.diagonal(tb.pair) == np.diagonal(ta.pair)[gidx][:, None]
     if use_quadratic:
-        keep &= quad_b == quad_a[gidx][:, None]
+        keep &= tb.quad == ta.quad[gidx][:, None]
     pools = _bits(keep)
-    masks = {v: _bits(pair_b.T == v) for v in {cross[o][i] for o in range(k) for i in range(o)}}
+    masks = {v: _bits(tb.pair.T == v) for v in {cross[o][i] for o in range(k) for i in range(o)}}
     tails = [[masks[cross[o][i]] for o in range(i + 1, k)] for i in range(k)]
     # The kernel of a b-preserving homomorphism pairs trivially with
     # everything, so the map is bijective iff no nonzero element of the
     # radical of a maps to zero.  radical[i]: the term rows of those
     # whose last nonzero coefficient is at e_i, whose images the choices
     # for e_0..e_i fix.  Equal orders give a and b the same term rows.
-    terms = a._tables().terms
+    terms, add = ta.terms, tb.add
     radical = [[] for _ in range(k)]
-    for r in np.flatnonzero(~pair_a[1:].any(axis=1)) + 1:
+    for r in np.flatnonzero(~ta.pair[1:].any(axis=1)) + 1:
         radical[terms[r][-1][0]].append(terms[r])
-    add = b._tables().add
     # stack[i]: the untried images of e_i, then the pools of e_{i+1}, ...
     chosen, stack = [0] * k, [pools]
     while stack:
@@ -451,7 +437,7 @@ def _search(a: FiniteForm, b: FiniteForm, compare: str):
                 break
         else:
             if i == k - 1:
-                yield tuple(map(elements_b.__getitem__, chosen))
+                yield tuple(map(tb.elements.__getitem__, chosen))
                 continue
             nxt = [p & m[x] for p, m in zip(pool[1:], tails[i])]
             if all(nxt):
@@ -493,7 +479,7 @@ def apply_images(f: FiniteForm, images, x):
             return tuple(sum(c * img[j] for c, img in zip(f.reduce(x), images)) % n
                          for j, n in enumerate(f.orders))
         t = f._tables()
-    elements, index, _, add, terms = t
+    elements, index, _, add, terms, _, _ = t
     try:
         ids, steps = list(map(index.__getitem__, images)), terms[index[x]]
     except (KeyError, TypeError):  # unreduced, malformed or unhashable

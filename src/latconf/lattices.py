@@ -12,6 +12,11 @@ orthogonal complements (HNF integer kernels), overlattice gluing along
 isotropic subgroups of the discriminant group, integral overlattice
 enumeration, binary Gauss reduction and the two-adic index-exponent formula.
 
+A lattice derives its discriminant data once, on first use, from one
+Smith decomposition d = u·G·v: the form and the generator lifts (rows
+of u) and the coefficients of dual vectors (through v).  Every call
+returns the same form object, so its element tables are built once too.
+
 Isometry of small lattices is a bool decision, True only when shown:
 rank, signature and |det| first, then a lazy search for an isometry
 (definite pairs) or the invariant triple (indefinite integral pairs).
@@ -33,14 +38,14 @@ from .errors import (
     NonIntegralLattice,
     IntegralityViolation,
 )
-from .finite_forms import FiniteForm, finite_form_isometric, trivial_form
+from .finite_forms import FiniteForm, finite_form_isometric
 from .matrices import Matrix, hnf, integer_kernel, snf, solve_rows
 
 
 class Lattice:
     """Free Z-module with a symmetric nondegenerate rational Gram matrix."""
 
-    __slots__ = ("gram", "name")
+    __slots__ = ("gram", "name", "_disc")
 
     def __init__(self, gram, name=None):
         gram = gram if isinstance(gram, Matrix) else Matrix(gram)
@@ -48,6 +53,7 @@ class Lattice:
             raise DimensionError("Gram matrix must be symmetric")
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_disc", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Lattice is immutable")
@@ -100,6 +106,29 @@ class Lattice:
 
     # -- discriminant form --------------------------------------------
 
+    def _discriminant(self):
+        """``(form, lifts, divisors, v)`` from one Smith decomposition
+        d = u·G·v, derived on first use and kept: the form and lifts of
+        ``discriminant_data``, the elementary divisors d_i and v."""
+        if self._disc is None:
+            if not self.is_integral():
+                raise NonIntegralLattice("discriminant form requires integral Gram")
+            d, u, v = snf(self.gram)
+            divisors = [d.num[i][i] for i in range(self.n)]
+            if 0 in divisors:
+                raise DegenerateGram("degenerate Gram matrix")
+            gens = [(di, row) for di, row in zip(divisors, u.num) if di > 1]
+            top = gens[-1][0] if gens else 1  # each d_i divides the next
+            lifts = Matrix.from_integers(
+                [[x * (top // di) for x in row] for di, row in gens], top, self.n
+            )
+            pair = lifts * self.gram * lifts.transpose()
+            even = self.parity() == "even"
+            quad = [Fraction(row[i], pair.den) for i, row in enumerate(pair.num)] if even else None
+            form = FiniteForm([di for di, _ in gens], pair, quad)
+            object.__setattr__(self, "_disc", (form, lifts, divisors, v))
+        return self._disc
+
     def discriminant_data(self):
         """Canonical discriminant group data.
 
@@ -109,26 +138,10 @@ class Lattice:
             are dual-vector representatives of the generators in lattice
             coordinates, row i of u over each elementary divisor d_i > 1.
         """
-        if not self.is_integral():
-            raise NonIntegralLattice("discriminant form requires integral Gram")
-        d, u, _ = snf(self.gram)
-        divisors = [d.num[i][i] for i in range(self.n)]
-        if 0 in divisors:
-            raise DegenerateGram("degenerate Gram matrix")
-        gens = [(di, row) for di, row in zip(divisors, u.num) if di > 1]
-        top = gens[-1][0] if gens else 1  # each d_i divides the next
-        lifts = Matrix.from_integers(
-            [[x * (top // di) for x in row] for di, row in gens], top, self.n
-        )
-        even = self.parity() == "even"
-        if not gens:
-            return trivial_form(even), lifts
-        pair = lifts * self.gram * lifts.transpose()
-        quad = [Fraction(row[i], pair.den) for i, row in enumerate(pair.num)] if even else None
-        return FiniteForm([di for di, _ in gens], pair, quad), lifts
+        return self._discriminant()[:2]
 
     def discriminant_form(self) -> FiniteForm:
-        return self.discriminant_data()[0]
+        return self._discriminant()[0]
 
     def disc_element(self, vector):
         """Coefficients of a dual vector in the canonical generators.
@@ -136,15 +149,14 @@ class Lattice:
         ``vector`` is a rational coordinate vector (an element of the
         dual lattice, written in the lattice basis); the result is the
         coefficient tuple of its class in the discriminant group.  With
-        d = u·G·v, the coefficients x·u⁻¹·d are x·G·v.
+        d = u·G·v, the coefficients x·u⁻¹·d are x·G·v.  A non-integral
+        or degenerate Gram raises as ``discriminant_form`` does.
         """
-        d, _, v = snf(self.gram)
+        _, _, divisors, v = self._discriminant()
         y = Matrix([list(vector)]) * self.gram * v
         if not y.is_integral():
             raise DimensionError("vector is not in the dual lattice")
-        return tuple(
-            y.num[0][i] % d.num[i][i] for i in range(self.n) if d.num[i][i] > 1
-        )
+        return tuple(c % di for c, di in zip(y.num[0], divisors) if di > 1)
 
     # -- serialization ------------------------------------------------
 

@@ -162,10 +162,10 @@ class Report:
 
 
 def random_system(rng, smooth=True) -> Matrix:
-    """Random full-rank 4x7 rational system, smooth unless disabled."""
+    """Random full-rank 4x7 integer system, smooth unless disabled."""
     while True:
-        q = Matrix(
-            [[Fraction(rng.randint(-9, 9)) for _ in range(7)] for _ in range(4)]
+        q = Matrix.from_integers(
+            [[rng.randint(-9, 9) for _ in range(7)] for _ in range(4)]
         )
         try:
             g = gale_dual(q)[1]
@@ -180,17 +180,17 @@ def _degenerate_system(rng) -> Matrix:
     while True:
         q = random_system(rng)
         subset = sorted(rng.sample(range(7), 4))
-        cols = [list(q.column(j)) for j in range(7)]
+        cols = list(zip(*q.num))  # q.den is 1
         # replace the last column of the subset by a combination of the
         # other three, making that 4-subset (and generically only it)
         # dependent
         a, b, c, d = subset
-        coeffs = [Fraction(rng.randint(1, 5)) for _ in range(3)]
+        coeffs = [rng.randint(1, 5) for _ in range(3)]
         cols[d] = [
             coeffs[0] * cols[a][i] + coeffs[1] * cols[b][i] + coeffs[2] * cols[c][i]
             for i in range(4)
         ]
-        q2 = Matrix.from_columns(cols)
+        q2 = Matrix.from_integers(zip(*cols))
         if q2.rank() != 4:
             continue
         if _dependent_subsets(q2) == [tuple(subset)]:
@@ -208,8 +208,8 @@ def _rand_config(rng) -> ConfigMatrix:
     while True:
         try:
             c = ConfigMatrix(
-                Matrix([[Fraction(rng.randint(-9, 9)) for _ in range(6)]
-                        for _ in range(3)])
+                Matrix.from_integers([[rng.randint(-9, 9) for _ in range(6)]
+                                      for _ in range(3)])
             )
         except LatconfError:
             continue
@@ -230,12 +230,11 @@ def _rand_stable_config(rng) -> ConfigMatrix:
 
 def check_disc_form_d6(rng):
     form = Dn(6).discriminant_form()
-    expected = Matrix([[Fraction(0), Fraction(1, 2)],
-                       [Fraction(1, 2), Fraction(1, 2)]])
+    expected = Matrix.from_integers([[0, 1], [1, 1]], 2)
     ok = form.orders == (2, 2) and form.bilinear == expected
     return ok, {
         "orders": list(form.orders),
-        "bilinear": [[frac_to_str(x) for x in row] for row in form.bilinear.data],
+        "bilinear": form.bilinear.to_json()["entries"],
         "expected_bilinear": [["0", "1/2"], ["1/2", "1/2"]],
     }
 
@@ -279,7 +278,7 @@ def check_d6_perp_e8(rng):
     reduced = gauss_reduce_binary(comp.gram())
     expected = Matrix([[2, 0], [0, 2]])
     return reduced == expected, {
-        "reduced_gram": [[frac_to_str(x) for x in row] for row in reduced.data],
+        "reduced_gram": reduced.to_json()["entries"],
         "expected": [["2", "0"], ["0", "2"]],
     }
 
@@ -522,15 +521,15 @@ def check_jacobian_counts(rng):
         (pm.matrix * Matrix([[x] for x in vec])).is_zero() for vec in fam
     )
     spans = Matrix(fam).rank() == 2 and Matrix(
-        fam + [list(r) for r in pm.kernel.data]
+        fam + [list(r) for r in pm.kernel.num]
     ).rank() == 2
     # a constructed degenerate system breaks the dimension-4 claim:
     # duplicating the kappa column keeps rank 4 but kills smoothness
     while True:
-        cols = [list(q.column(j)) for j in range(7)]
+        cols = list(zip(*q.num))  # q.den is 1
         other = rng.choice([j for j in range(7) if j != kappa - 1])
-        cols[kappa - 1] = list(cols[other])
-        qbad = Matrix.from_columns(cols)
+        cols[kappa - 1] = cols[other]
+        qbad = Matrix.from_integers(zip(*cols))
         if qbad.rank() == 4:
             break
         q = random_system(rng)
@@ -785,11 +784,11 @@ def check_drop_line_paths(rng):
         # kernel of the hyperplane-sliced system.  Y spans the kernel of
         # the kappa column of q; Y*q with the kappa column removed cuts
         # out the span of the six remaining lines.
-        y = Matrix([[x] for x in q.column(kappa - 1)]).transpose().kernel_basis()
+        y = Matrix.from_integers([[row[kappa - 1] for row in q.num]]).kernel_basis()
         sliced = y * q
         # columns in the same pair-regrouped order as drop_line output
         order = [chi for pair in drop_pairs(kappa) for chi in pair]
-        b = Matrix.from_columns([list(sliced.column(chi - 1)) for chi in order])
+        b = sliced.submatrix(range(sliced.rows), [chi - 1 for chi in order])
         product_zero = (b * dropped.matrix.transpose()).is_zero()
         rank_ok = dropped.matrix.rank() == 3 and b.rank() == 3
         if not (product_zero and rank_ok):

@@ -8,11 +8,11 @@
 * Every function the benchmark's tracer wraps by name still exists.
 * The elimination kernel ``bareiss`` is called only in ``matrices``, and
   reduces (``reduce=True``) only inside ``echelon``.
-* ``snf`` is called only where one of its transforms is read: the
-  discriminant generators (u), the discriminant coefficients (v) and the
-  isotropic basis completion (v).
+* ``snf`` is called only where its transforms are read: the one
+  discriminant decomposition of a lattice (u and v) and the isotropic
+  basis completion (v).
 * ``Matrix.inverse`` is called only in the isotropic basis completion.
-* Outside ``cli`` and ``verify``, the Fraction views of a Matrix
+* Outside ``cli``, the Fraction views of a Matrix
   (``entry``, ``column``, ``data``, ``from_columns``) are read only in
   named boundary scopes: the Matrix's own text forms and the
   ``configs`` minors table.
@@ -249,15 +249,15 @@ def test_one_reducing_elimination():
 
 
 def test_snf_only_where_a_transform_is_read():
-    """Each caller reads one transform of d = u·m·v: ``discriminant_data``
-    reads u (its rows over the elementary divisors lift the generators),
-    ``disc_element`` reads v (a dual vector's coefficients are x·G·v) and
-    ``_complete_to_basis`` reads v (v⁻¹ completes a primitive basis)."""
+    """Each caller reads a transform of d = u·m·v: ``Lattice._discriminant``
+    reads u and v of one decomposition (the rows of u over the elementary
+    divisors lift the generators, and a dual vector's coefficients are
+    x·G·v) and ``_complete_to_basis`` reads v (v⁻¹ completes a primitive
+    basis)."""
     callers = _callers("snf")
     assert callers == [
         "isotropic._complete_to_basis",
-        "lattices.Lattice.disc_element",
-        "lattices.Lattice.discriminant_data",
+        "lattices.Lattice._discriminant",
     ], callers
 
 
@@ -270,8 +270,8 @@ def test_inverse_only_in_basis_completion():
 
 FRACTION_VIEWS = ("entry", "column", "data", "from_columns")
 
-# Modules that turn results into text, where Fractions belong.
-FRACTION_BOUNDARY_MODULES = ("cli", "verify")
+# The module that turns results into text, where Fractions belong.
+FRACTION_BOUNDARY_MODULES = ("cli",)
 
 # Every other scope that reads a Fraction view: the text forms of a
 # Matrix, which print its entries as "p/q".
@@ -284,8 +284,8 @@ FRACTION_BOUNDARY_SCOPES = [
 def test_fraction_views_only_at_the_boundary():
     """Library code reads a Matrix's integer rows ``num`` over ``den``.
     The Fraction views ``entry``, ``column`` and ``data``, and
-    ``Matrix.from_columns``, appear outside the CLI and the verify
-    report only in the scopes named above."""
+    ``Matrix.from_columns``, appear outside the CLI only in the scopes
+    named above."""
     scopes = sorted({
         f"{path.stem}.{scope}"
         for path in MODULES

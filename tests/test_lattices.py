@@ -4,12 +4,14 @@ import hashlib
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import floor, gcd, isqrt
 
 import pytest
 
+from latconf import finite_forms, lattices
 from latconf.errors import (
     DegenerateGram,
     DimensionError,
@@ -18,6 +20,7 @@ from latconf.errors import (
     InvalidName,
     NonIntegralLattice,
 )
+from latconf.finite_forms import finite_form_automorphisms, finite_form_isometric
 from latconf.lattices import (
     MAX_NAME_RANK,
     Dn,
@@ -425,6 +428,65 @@ def test_l2_overlattices_pinned():
     """The 253 overlattices of L(2) hash to the digest of the filtered
     route, which took about 22 s for them on 2 vCPUs."""
     assert _overlattices_digest(["L*2"]) == PINNED_L2
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Counts of the ``snf`` calls of ``lattices`` and of the element
+    table builds of ``finite_forms``."""
+    counts = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(lattices, "snf")
+    count(finite_forms, "_element_tables")
+    return counts
+
+
+@pytest.mark.parametrize("name", CATALOGUE)
+def test_one_decomposition_and_one_table_set_per_lattice(name, derivations):
+    """The form, the overlattice walk and the automorphism search of one
+    lattice share one Smith decomposition and one set of tables."""
+    l = parse_lattice_name(name)
+    form = l.discriminant_form()
+    enumerate_integral_overlattices(l)
+    assert sum(1 for _ in finite_form_automorphisms(l.discriminant_form())) > 0
+    assert l.discriminant_form() is form
+    assert derivations == {"snf": 1, "_element_tables": 1}
+
+
+def test_disc_elements_share_the_decomposition(derivations):
+    """The six L(2) dual vectors of the verify report and a search on the
+    form read the one decomposition and the one table set."""
+    l2 = transcendental_slice().rescale(2)
+    quarters = [[Fraction(1, 4) if j == i else 0 for j in range(6)] for i in range(2)]
+    halves = [[0, 0] + [Fraction(1, 2) if j == i else 0 for j in range(4)] for i in range(4)]
+    coefficients = [l2.disc_element(v) for v in quarters + halves]
+    lam = l2.discriminant_form()
+    assert all(len(x) == lam.ngens for x in coefficients)
+    assert finite_form_isometric(lam, l2.discriminant_form(), "bilinear") is not None
+    assert derivations == {"snf": 1, "_element_tables": 1}
+
+
+@pytest.mark.parametrize("gram, vector, error", [
+    ([[2, 0], [0, 0]], [Fraction(1, 2), 0], DegenerateGram),
+    ([[Fraction(1, 2), 0], [0, 1]], [1, 0], NonIntegralLattice),
+])
+def test_disc_element_raises_the_domain_errors(gram, vector, error):
+    """A degenerate or non-integral Gram has no discriminant form, so no
+    dual vector gets coefficients in one."""
+    l = Lattice(gram)
+    with pytest.raises(error):
+        l.discriminant_form()
+    with pytest.raises(error):
+        l.disc_element(vector)
 
 
 @pytest.mark.parametrize("name", ["D4*2", "H(2)+D4*-1", "H(4)", "L*2"])
