@@ -1,5 +1,7 @@
 """Isotropic vector and plane classification in the reference lattice."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -416,3 +418,26 @@ def test_skewed_plane_certificates_match_their_model_only():
                 same = gauss_reduce_binary(cert) == gauss_reduce_binary(reference.gram)
                 assert same == (other == kind)
                 assert bool(is_isometric_small(Lattice(cert), reference)) == same
+
+
+PINNED_CERTIFICATES = "5caacb73b468aff6d7e6fadd1aa2490a40da4ab35921097825b8d13007312d06"
+
+
+def test_certificates_pinned():
+    """SHA-256 of the kind and certificate Gram of 40 seeded height-3
+    vectors and of the saturations of 40 seeded orthogonal pairs: the
+    certificates are completed from snf's v, so any changed byte fails."""
+    rng = random.Random(29)
+    vectors = enumerate_isotropic_vectors(height=3)
+    gram = (2, 2, -1, -1, -1, -1)
+    h = hashlib.sha256()
+    classes = [classify_isotropic_vector(None, v) for v in rng.sample(vectors, 40)]
+    for _ in range(40):
+        r = rng.choice(vectors)
+        s = rng.choice([s for s in vectors if s != r
+                        and sum(g * x * y for g, x, y in zip(gram, r, s)) == 0])
+        plane = saturation(Sublattice(transcendental_slice(), [list(r), list(s)]))
+        classes.append(classify_isotropic_plane(None, plane.basis))
+    for cls in classes:
+        h.update(json.dumps([cls.kind, cls.certificate.to_json()]).encode())
+    assert h.hexdigest() == PINNED_CERTIFICATES

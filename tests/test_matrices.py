@@ -1,5 +1,7 @@
 """Exact linear algebra: normal forms, rank, kernels."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
 from latconf.errors import DimensionError, SingularMatrixError
+from latconf.lattices import parse_lattice_name
 from latconf.matrices import (
     Matrix,
     echelon,
@@ -162,6 +165,27 @@ def test_snf_against_sympy():
         ]
         ranks.add("full" if m.rank() == n else "deficient")
     assert ranks == {"full", "deficient"}
+
+
+PINNED_SNF = "ee7484be163ef522d06713ddcdc30a0f8ca74cef50e8a048fbff3f6d91bfa0b5"
+SNF_GRAMS = ("D4", "D4+D4", "H(2)+H(2)", "Z(0,4)*2", "D6+D6", "H(2)+E10*-1",
+             "D(2,4)", "H(4)", "H(2)+D4*-1", "D4*2", "L*2", "E8")
+
+
+def test_snf_transforms_pinned():
+    """SHA-256 of (d, u, v) for 30 seeded integer matrices of every shape
+    up to 6x6 (entries in [-6, 6]) and for the catalogue Grams, L(2) and
+    E8: the discriminant generators and certificates are read off u and
+    v, so any changed transform byte fails."""
+    rng = random.Random(29)
+    cases = [Matrix([[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)])
+             for r in range(1, 7) for c in range(1, 7) for _ in range(30)]
+    cases += [parse_lattice_name(name).gram for name in SNF_GRAMS]
+    h = hashlib.sha256()
+    for m in cases:
+        d, u, v = snf(m)
+        h.update(json.dumps([d.num, u.num, v.num]).encode())
+    assert h.hexdigest() == PINNED_SNF
 
 
 @settings(max_examples=40, deadline=None)
