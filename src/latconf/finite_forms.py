@@ -43,7 +43,8 @@ narrowed by one AND with the orthogonal set of each element joined
 (read off the integer pair table).  Every intermediate subgroup of an
 isotropic one is then isotropic, so that walk reaches every isotropic
 subgroup and no other.  ``subgroup`` stays in tuple arithmetic, so it
-needs no tables and works on forms of any size.
+needs no tables and works on forms of any size; ``subgroup_order``
+reads the order off one Hermite form without listing the subgroup.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from operator import index
 from typing import NamedTuple
 
 from .errors import DimensionError, GroupTooLarge
-from .matrices import Matrix, frac_to_str, str_to_frac
+from .matrices import Matrix, frac_to_str, hnf, str_to_frac
 
 SEARCH_BOUND = 2**10
 # the subgroup walk stops past this many subgroups; (Z/2)^8 has 417,199
@@ -239,6 +240,15 @@ class FiniteForm:
         for g in gens:
             span = _join(span, self.reduce(g), lambda x: partial(self.add, x))
         return span
+
+    def subgroup_order(self, gens) -> int:
+        """Order of the subgroup generated by ``gens``, without listing
+        it: |A| over the index in Z^k of the span of the rows n_i·e_i and
+        the generators, the product of its Hermite pivots."""
+        k = self.ngens
+        rows = [[n * (i == j) for j in range(k)] for i, n in enumerate(self.orders)]
+        h = hnf(Matrix.from_integers(rows + [self.reduce(g) for g in gens], 1, k))
+        return self.group_order() // prod(h.num[i][i] for i in range(k))
 
     def all_subgroups(self):
         """Every subgroup, as a sorted list of frozensets of elements."""

@@ -480,7 +480,7 @@ def overlattice_from_isotropic(l: Lattice, subgroup_gens, check_quadratic=False)
         raise IntegralityViolation(
             f"subgroup is not isotropic: offending pair {pair}", pair=pair
         )
-    return _glue(l, lifts, gens, len(form.subgroup(gens)))
+    return _glue(l, lifts, gens, form.subgroup_order(gens))
 
 
 def _glue(l: Lattice, lifts: Matrix, gens, order: int) -> GlueResult:

@@ -8,7 +8,8 @@ normal forms used by the rest of the package:
 * ``integer_kernel``: the HNF basis of the integer kernel of integer rows,
 * ``solve_rows``: the coefficients of rows in the row span of a basis,
 * row-style Hermite normal form ``hnf`` of the row lattice,
-* Smith normal form ``snf`` with both unimodular transforms.
+* Smith normal form ``snf`` with both unimodular transforms, read off
+  the blocks of one working matrix ``[[m, I], [I, 0]]``.
 
 A Matrix stores integer rows ``num`` over one positive denominator
 ``den`` with gcd(den, every entry) = 1, so equal values are equal
@@ -20,8 +21,7 @@ whose steps keep every entry an integer minor of the input (scaling
 every row by ``den`` changes no pivot and no RREF).  ``rank`` and
 ``det`` read its pivots and last pivot; every RREF is read off its one
 reducing caller, ``echelon``.  The rest of the package reads ``num``
-and ``den``; the Fraction views serve the CLI, the verify report and
-the ``configs`` minors table.
+and ``den``; only ``to_json`` and ``repr`` read the Fraction views.
 
 Conventions (fixed once, used everywhere):
 
@@ -445,81 +445,62 @@ def snf(m: Matrix):
     Returns:
         (d, u, v) with ``d = u*m*v``; ``u``, ``v`` unimodular; ``d``
         diagonal with nonnegative entries, each dividing the next.
+
+    Runs on one working matrix ``[[m, I], [I, 0]]``.  Row operations act
+    on whole rows among the first ``m.rows`` and column operations on
+    whole columns among the first ``m.cols``, so the ``m`` block becomes
+    ``d`` while the top-right block becomes ``u`` and the bottom-left
+    block ``v``.  The pivot search, the clearing passes and the
+    divisibility step read only the ``m`` block.
     """
     _require_integral(m, "snf")
-    a = [list(row) for row in m.num]
     nrows, ncols = m.rows, m.cols
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_row(dst, src, q):
-        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
-
-    def addmul_col(dst, src, q):
-        for row in a:
-            row[dst] -= q * row[src]
-        for row in v:
-            row[dst] -= q * row[src]
+    a = [list(row) + [int(i == k) for k in range(nrows)] for i, row in enumerate(m.num)]
+    a += [[int(i == j) for j in range(ncols)] + [0] * nrows for i in range(ncols)]
 
     t = 0
     while t < min(nrows, ncols):
-        # locate a nonzero pivot in the trailing block
-        pos = None
+        # the least nonzero entry of the trailing block, first in row order
         best = None
         for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pos = (i, j)
-        if pos is None:
+            for j, x in enumerate(a[i][t:ncols], t):
+                if x and (best is None or abs(x) < best):
+                    best, pi, pj = abs(x), i, j
+        if best is None:
             break
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
-        while True:
-            # clear column t
+        a[t], a[pi] = a[pi], a[t]
+        for row in a:
+            row[t], row[pj] = row[pj], row[t]
+        dirty = True
+        while dirty:
             dirty = False
+            # clear column t, then row t; a nonzero remainder is the new pivot
             for i in range(t + 1, nrows):
-                if a[i][t] != 0:
+                if a[i][t]:
                     q = a[i][t] // a[t][t]
-                    addmul_row(i, t, q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    if a[i][t]:
+                        a[t], a[i] = a[i], a[t]
                         dirty = True
-            # clear row t
             for j in range(t + 1, ncols):
-                if a[t][j] != 0:
+                if a[t][j]:
                     q = a[t][j] // a[t][t]
-                    addmul_col(j, t, q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
+                    for row in a:
+                        row[j] -= q * row[t]
+                    if a[t][j]:
+                        for row in a:
+                            row[t], row[j] = row[j], row[t]
                         dirty = True
-            if not dirty:
-                break
         # enforce divisibility of the remaining block by a[t][t]
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next((i for i in range(t + 1, nrows) for j in range(t + 1, ncols)
+                         if a[i][j] % a[t][t]), None)
         if offender is not None:
-            addmul_row(t, offender, -1)  # a[t] += a[offender]
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
             continue
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
         t += 1
-    return tuple(_of_integers(x, 1, w) for x, w in ((a, ncols), (u, nrows), (v, ncols)))
+    top, bottom = a[:nrows], a[nrows:]
+    return (_of_integers([row[:ncols] for row in top], 1, ncols),
+            _of_integers([row[ncols:] for row in top], 1, nrows),
+            _of_integers([row[:ncols] for row in bottom], 1, ncols))

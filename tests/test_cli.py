@@ -74,6 +74,18 @@ def test_complement_with_large_entries_answers_fast(capsys):
     assert gcd(*minors) == 1
 
 
+def test_glue_of_a_large_cyclic_subgroup_answers_fast(capsys):
+    # listing the subgroup took 5.2 s and 242 MB already at order 2^20
+    n = 2**24
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "lattice", "glue", "--gram", json.dumps([[n, 0], [0, -n]]),
+                         "--gens", "[[1,1]]")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and doc["index"] == n
+    assert doc["gram"]["entries"] == [[str(2 - n), str(1 - n)], [str(1 - n), str(-n)]]
+    assert doc["parity"] == "even" and doc["discriminant"] == "-1"
+
+
 def test_index_formula(capsys):
     code, doc = run_json(
         capsys, "lattice", "index-formula", "--ell2-base", "0",
@@ -261,6 +273,15 @@ def test_config_commands_answer_with_one_json_document(rows, command, kappa):
     if command in ("nodes", "drop"):
         argv += ["--kappa", str(kappa)]
     _answers_with_one_json_document(argv)
+
+
+def test_config_nodes_reports_a_degenerate_triple(capsys):
+    config = [[1, 0, 1, 0, 1, 2, 3], [0, 1, 1, 0, 5, 7, 11], [0, 0, 0, 1, 13, 17, 19]]
+    code, doc = run_json(capsys, "config", "nodes", "--config", json.dumps(config),
+                         "--kappa", "4")
+    assert code == 0
+    assert doc["counts"] == {"Degenerate": 1, "OnBranch": 0, "PairFixed": 0, "ExtraFixedNode": 0}
+    assert doc["triples"] == [{"columns": [0, 1, 2], "labels": [1, 2, 3], "kind": "Degenerate"}]
 
 
 def _answers_with_one_json_document(argv):

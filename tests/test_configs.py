@@ -576,6 +576,17 @@ def test_node_report_kinds():
     assert node_report(config, 3)["counts"]["PairFixed"] == 1
 
 
+def test_node_report_degenerate_triple():
+    """Lines 1, 2 and 3 meet in a point, and 1 ^ 2 ^ 3 = 0: their labels
+    generate no character group, whatever kappa is."""
+    config = [[1, 0, 1, 0, 1, 2, 3], [0, 1, 1, 0, 5, 7, 11], [0, 0, 0, 1, 13, 17, 19]]
+    report = node_report(ConfigMatrix(Matrix(config)), 4)
+    assert report == {
+        "counts": {"Degenerate": 1, "OnBranch": 0, "PairFixed": 0, "ExtraFixedNode": 0},
+        "triples": [{"triple": (0, 1, 2), "labels": (1, 2, 3), "kind": "Degenerate"}],
+    }
+
+
 def test_kappa_is_an_integer_label():
     """Every kappa caller takes what ``operator.index`` accepts, as that
     int, and raises LabelError for anything else: an integral float or

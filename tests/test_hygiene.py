@@ -270,11 +270,8 @@ def test_inverse_only_in_basis_completion():
 
 FRACTION_VIEWS = ("entry", "column", "data", "from_columns")
 
-# The module that turns results into text, where Fractions belong.
-FRACTION_BOUNDARY_MODULES = ("cli",)
-
-# Every other scope that reads a Fraction view: the text forms of a
-# Matrix, which print its entries as "p/q".
+# Every scope that reads a Fraction view: the text forms of a Matrix,
+# which print its entries as "p/q".
 FRACTION_BOUNDARY_SCOPES = [
     "matrices.Matrix.__repr__",
     "matrices.Matrix.to_json",
@@ -282,14 +279,13 @@ FRACTION_BOUNDARY_SCOPES = [
 
 
 def test_fraction_views_only_at_the_boundary():
-    """Library code reads a Matrix's integer rows ``num`` over ``den``.
-    The Fraction views ``entry``, ``column`` and ``data``, and
-    ``Matrix.from_columns``, appear outside the CLI only in the scopes
+    """Every module, the CLI included, reads a Matrix's integer rows
+    ``num`` over ``den``.  The Fraction views ``entry``, ``column`` and
+    ``data``, and ``Matrix.from_columns``, appear only in the scopes
     named above."""
     scopes = sorted({
         f"{path.stem}.{scope}"
         for path in MODULES
-        if path.stem not in FRACTION_BOUNDARY_MODULES
         for scope, _ in _scoped(
             ast.parse(path.read_text(encoding="utf-8")),
             lambda node: isinstance(node, ast.Attribute) and node.attr in FRACTION_VIEWS,

@@ -510,6 +510,36 @@ def test_glue_gram_against_fraction_product(name):
     assert tried > 3
 
 
+def test_subgroup_order_agrees_with_listing():
+    """The order read off one Hermite form in discriminant coordinates
+    against the listed subgroup, on 52 seeded generator sets (isotropic
+    or not) per catalogue form."""
+    for name in CATALOGUE:
+        form = parse_lattice_name(name).discriminant_form()
+        rng = random.Random(name)
+        els = form.elements()
+        for _ in range(52):
+            gens = rng.sample(els, rng.randint(0, 3))
+            assert form.subgroup_order(gens) == len(form.subgroup(gens)), (name, gens)
+
+
+@pytest.mark.parametrize("e", [16, 24, 40])
+def test_glue_of_a_large_cyclic_subgroup_answers_fast(e):
+    """Gluing [[n, 0], [0, -n]], n = 2^e, along (1, 1) lists none of the
+    subgroup's n elements; at e = 16, where listing it still finishes,
+    both orders agree."""
+    n = 2**e
+    l = Lattice([[n, 0], [0, -n]])
+    start = time.perf_counter()
+    glue = overlattice_from_isotropic(l, [(1, 1)])
+    assert time.perf_counter() - start < 1
+    assert glue.index == n
+    assert glue.basis.to_json()["entries"] == [[f"1/{n}", f"{n - 1}/{n}"], ["0", "1"]]
+    assert glue.lattice.gram.num == ((2 - n, 1 - n), (1 - n, -n))
+    if e == 16:
+        assert len(l.discriminant_form().subgroup([(1, 1)])) == n
+
+
 def test_gauss_reduce_idempotent_and_canonical():
     g = gauss_reduce_binary(Matrix([[4, 2], [2, 4]]).scale(-1))
     assert gauss_reduce_binary(g) == g

@@ -1,0 +1,43 @@
+"""The verify report: how it runs its checks and prints their outcomes."""
+
+import pytest
+
+from latconf import verify
+
+
+def test_a_raising_check_fails_and_the_next_still_runs(monkeypatch):
+    def raises(rng):
+        raise ValueError("no such thing")
+
+    def passes(rng):
+        return True, {"n": 1}
+
+    monkeypatch.setattr(verify, "REGISTRY", (("raises", "raises", raises),
+                                             ("passes", "passes", passes)))
+    report = verify.run_verify(seed=0)
+    failed, passed = report.checks
+    assert failed.status == "Fail"
+    assert failed.details["exception"] == "ValueError"
+    assert failed.details["message"] == "no such thing"
+    assert "ValueError: no such thing" in failed.details["traceback"]
+    assert passed.status == "Pass" and passed.details == {"n": 1}
+    assert not report.ok and report.counts == {"Pass": 1, "Fail": 1, "Skipped": 0}
+
+
+def test_render_text_prints_only_a_failed_checks_details():
+    report = verify.Report(0, "0", (
+        verify.Check("a", "first", "Fail", {"got": 3, "want": 4}),
+        verify.Check("b", "second", "Pass", {"n": 1}),
+    ))
+    assert report.render_text().splitlines() == [
+        "[   Fail] a: first",
+        "          got: 3",
+        "          want: 4",
+        "[   Pass] b: second",
+        "1 passed, 1 failed, 0 skipped (seed 0)",
+    ]
+
+
+def test_run_check_of_an_unknown_id_raises_key_error():
+    with pytest.raises(KeyError, match="no-such-check"):
+        verify.run_check("no-such-check")
