@@ -32,6 +32,12 @@ values: ``pair[i, j]``, ``scale*b(x_i, x_j) mod scale``, and ``quad[i]``,
 and ``pair`` is int16, so a form of 2**10 elements keeps its tables in
 a few MB.  ``apply_images`` folds ``add`` over the row ``terms[i]``
 only, and the isometry search folds its radical elements the same way.
+Its callers apply one automorphism to several elements in a row, so
+each form keeps a one-entry memo, the last tuple of images it resolved
+with their element indices: a call with that same tuple object skips
+the lookups.  Only a tuple whose images were all found as elements is
+kept (the memo's reference keeps it alive and its entries fixed); lists
+and unreduced images are looked up on every call.
 The search and the subgroup walk read ``pair`` and ``quad`` off the same
 tables, so each form builds them once.  Subgroup enumeration runs on
 element indices too; the public API speaks in coefficient tuples.
@@ -64,6 +70,8 @@ from .matrices import Matrix, frac_to_str, hnf, str_to_frac
 SEARCH_BOUND = 2**10
 # the subgroup walk stops past this many subgroups; (Z/2)^8 has 417,199
 SUBGROUP_BOUND = 2**14
+# the initial images of apply_images's memo: no caller passes this object
+_NO_IMAGES = object()
 
 
 def _integer(c) -> int:
@@ -146,7 +154,7 @@ def _join(span, g, translate):
 class FiniteForm:
     """Finite bilinear/quadratic form module on canonical generators."""
 
-    __slots__ = ("orders", "bilinear", "quadratic", "_scale", "_gram", "_qvec", "_cache")
+    __slots__ = ("orders", "bilinear", "quadratic", "_scale", "_gram", "_qvec", "_cache", "_last")
 
     def __init__(self, orders, bilinear, quadratic=None):
         orders = tuple(int(n) for n in orders)
@@ -184,6 +192,7 @@ class FiniteForm:
         qvec = None if quadratic is None else [int(x * scale) for x in quadratic]
         object.__setattr__(self, "_qvec", qvec)
         object.__setattr__(self, "_cache", None)
+        object.__setattr__(self, "_last", (_NO_IMAGES, None))  # apply_images's memo
 
     def __setattr__(self, *_):
         raise AttributeError("FiniteForm is immutable")
@@ -479,23 +488,32 @@ def apply_images(f: FiniteForm, images, x):
     """Apply the homomorphism defined by generator ``images`` to ``x``:
     the sum of c_j * images[j] over the nonzero coefficients c_j of
     ``x``, folded over its row of the term table.  Every image is looked
-    up, also one at a zero coefficient, so each must be an element."""
-    if len(images) != len(f.orders):
-        raise DimensionError("need one image per generator")
-    t = f._cache
-    if t is None:
-        if f.group_order() > SEARCH_BOUND:  # too large for tables
-            images = [f.reduce(img) for img in images]
-            return tuple(sum(c * img[j] for c, img in zip(f.reduce(x), images)) % n
-                         for j, n in enumerate(f.orders))
-        t = f._tables()
-    elements, index, _, add, terms, _, _ = t
+    up, also one at a zero coefficient, so each must be an element.
+    A call with the tuple the form memoised last (see the module
+    docstring) reuses its indices; lists, unreduced images and forms
+    above ``SEARCH_BOUND`` are resolved on every call."""
+    t, (last, ids) = f._cache, f._last
+    if images is not last:
+        if len(images) != len(f.orders):
+            raise DimensionError("need one image per generator")
+        if t is None:
+            if f.group_order() > SEARCH_BOUND:  # too large for tables
+                images = [f.reduce(img) for img in images]
+                return tuple(sum(c * img[j] for c, img in zip(f.reduce(x), images)) % n
+                             for j, n in enumerate(f.orders))
+            t = f._tables()
+        try:
+            ids = list(map(t.index.__getitem__, images))
+        except (KeyError, TypeError):  # unreduced, malformed or unhashable
+            ids = [t.index[f.reduce(img)] for img in images]
+        else:
+            if type(images) is tuple:
+                object.__setattr__(f, "_last", (images, ids))
     try:
-        ids, steps = list(map(index.__getitem__, images)), terms[index[x]]
-    except (KeyError, TypeError):  # unreduced, malformed or unhashable
-        ids = [index[f.reduce(img)] for img in images]
-        steps = terms[index[f.reduce(x)]]
-    total = 0
+        steps = t.terms[t.index[x]]
+    except (KeyError, TypeError):
+        steps = t.terms[t.index[f.reduce(x)]]
+    add, total = t.add, 0
     for j, row in steps:
         total = add[total][row[ids[j]]]
-    return elements[total]
+    return t.elements[total]

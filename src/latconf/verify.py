@@ -199,9 +199,16 @@ def _degenerate_system(rng) -> Matrix:
 
 def _dependent_subsets(q: Matrix):
     """The 4-subsets of system columns with a zero 4 x 4 ``det``: an
-    oracle for ``smoothness`` that does not go through the Gale dual."""
-    return [s for s in combinations(range(7), 4)
-            if q.submatrix(range(4), s).det() == 0]
+    oracle for ``smoothness`` that does not go through the Gale dual.
+    Each determinant is a Laplace expansion along the top two rows over
+    the integer 2 x 2 minors of rows (0, 1) and of rows (2, 3)."""
+    pairs = list(combinations(range(7), 2))
+    top, bottom = ({(i, j): r[i] * s[j] - r[j] * s[i] for i, j in pairs}
+                   for r, s in (q.num[:2], q.num[2:]))
+    return [(a, b, c, d) for a, b, c, d in combinations(range(7), 4)
+            if top[a, b] * bottom[c, d] - top[a, c] * bottom[b, d]
+            + top[a, d] * bottom[b, c] + top[b, c] * bottom[a, d]
+            - top[b, d] * bottom[a, c] + top[c, d] * bottom[a, b] == 0]
 
 
 def _rand_config(rng) -> ConfigMatrix:

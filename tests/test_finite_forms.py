@@ -590,3 +590,114 @@ def test_forms_above_the_bound_work_without_tables():
         apply_images(f, [(1, 0)], (1, 1))
     with pytest.raises(GroupTooLarge):
         f.all_subgroups()
+
+
+def _l2_form():
+    lam = transcendental_slice().rescale(2).discriminant_form()
+    assert lam.orders == (2, 2, 2, 2, 4, 4)
+    return lam
+
+
+def test_apply_images_memo_does_not_keep_mutable_images():
+    """A list, or a tuple holding a list, changed in place between two
+    calls gives the images it holds at each call."""
+    lam = _l2_form()
+    a, b = islice(finite_form_automorphisms(lam), 0, 2000, 1999)
+    x = (1, 1, 0, 1, 3, 2)
+    images = list(a)
+    assert apply_images(lam, images, x) == _combination(lam, a, x)
+    images[:] = b
+    assert apply_images(lam, images, x) == _combination(lam, b, x)
+    held = [list(a[0])]
+    images = (held[0],) + a[1:]
+    assert apply_images(lam, images, x) == _combination(lam, a, x)
+    held[0][:] = b[0]
+    assert apply_images(lam, images, x) == _combination(lam, (b[0],) + a[1:], x)
+
+
+def test_apply_images_memo_on_interleaved_and_equal_tuples():
+    """Images A, B, A in turn, and a tuple equal to A but not A itself,
+    each give their own combination on every element."""
+    lam = _l2_form()
+    a, b = islice(finite_form_automorphisms(lam), 0, 3000, 2999)
+    copy = tuple(list(a))
+    assert copy == a and copy is not a
+    els = lam.elements()
+    for images in (a, b, a, copy, b, copy):
+        assert [apply_images(lam, images, x) for x in els] == [_combination(lam, images, x) for x in els]
+    # unreduced images resolve on every call, also in a tuple
+    unreduced = tuple(tuple(c + n for c, n in zip(img, lam.orders)) for img in b)
+    for _ in range(2):
+        assert [apply_images(lam, unreduced, x) for x in els] == [_combination(lam, b, x) for x in els]
+
+
+def test_apply_images_memo_is_per_form():
+    """One tuple on two forms with equal orders, and on a form with other
+    orders of the same rank, gives each form's own combination."""
+    f = FiniteForm((2, 4), Matrix.zeros(2, 2))
+    g = FiniteForm((2, 4), [[Fraction(1, 2), 0], [0, Fraction(1, 4)]])
+    h = FiniteForm((4, 4), Matrix.zeros(2, 2))
+    images = ((1, 1), (0, 3))
+    for form in (f, g, f, h, g):
+        for x in form.elements():
+            assert apply_images(form, images, x) == _combination(form, images, x)
+
+
+def test_apply_images_memo_survives_malformed_calls():
+    """A malformed call between two good ones raises as before and
+    leaves the memoised images right; a malformed tuple is never
+    memoised, so it raises again."""
+    f = FiniteForm((2, 4), Matrix.zeros(2, 2))
+    images = ((1, 2), (1, 3))
+    assert apply_images(f, images, (1, 1)) == _combination(f, images, (1, 1))
+    with pytest.raises(DimensionError):
+        apply_images(f, images, (1, 1, 0))
+    bad = ((1, 2), (1, 3, 0))
+    for _ in range(2):
+        with pytest.raises(DimensionError):
+            apply_images(f, bad, (1, 0))
+    with pytest.raises(DimensionError):
+        apply_images(f, ((1, 2),), (1, 0))
+    for x in f.elements():
+        assert apply_images(f, images, x) == _combination(f, images, x)
+    # a fresh form has no memo that an argument could match
+    with pytest.raises(TypeError):
+        apply_images(FiniteForm((2,), Matrix.zeros(1, 1)), None, (0,))
+
+
+def test_apply_images_memo_above_the_bound():
+    """Forms above ``SEARCH_BOUND`` keep their table-free path: one
+    tuple applied twice, then another, and no tables are built."""
+    f = FiniteForm((4, 512), Matrix.zeros(2, 2))
+    a, b = ((1, 3), (2, 5)), ((3, 1), (0, 7))
+    for images in (a, a, b, a):
+        for x in ((1, 1), (3, 511), (2, -3)):
+            assert apply_images(f, images, x) == _combination(f, images, f.reduce(x))
+    assert f._cache is None
+
+
+class _CountingIndex(dict):
+    """An element index that counts its lookups."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_apply_images_looks_each_automorphism_up_once():
+    """One automorphism on 3 elements in a row looks up its 6 images
+    once and each element once: 6 + 3 index lookups, not 18 + 3."""
+    lam = _l2_form()
+    tables = lam._tables()
+    index = _CountingIndex(tables.index)
+    object.__setattr__(lam, "_cache", tables._replace(index=index))
+    gens = [(0, 0, 0, 0, 2, 0), (0, 0, 0, 0, 0, 2), (1, 1, 1, 1, 0, 0)]
+    for images in islice(finite_form_automorphisms(lam), 0, 1000, 250):
+        index.lookups = 0
+        out = [apply_images(lam, images, g) for g in gens]
+        assert index.lookups == 6 + 3
+        assert out == [_combination(lam, images, g) for g in gens]
