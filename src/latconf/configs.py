@@ -27,6 +27,21 @@ and reads each entry off 3-minors by Cramer's rule.  Triple points are
 integer cross products over their lead entries, and the Cremona
 involution takes the dot products of the integer columns with the
 integer pair vertices, over ``den**3``.
+
+The public constructor and ``with_matrix`` check the labels and that no
+column is zero.  The configurations this module derives from a valid
+one are built without those checks (``_derived``), as each is valid by
+construction:
+
+* ``permute_columns`` (when its labels rearrange the input's), the
+  group actions ``act_wreath`` and ``act_gl3f2`` and ``drop_line``
+  select columns of the input, so none is zero, under labels that are
+  a rearrangement of the input's, ``PAIR_LABELS`` or ``CHAR_LABELS``;
+* ``canonical_form`` scales every column to a first nonzero entry of 1
+  and keeps the input's labels;
+* ``cremona``'s columns are N*x, for an invertible N (the pair vertices
+  are not collinear) and a nonzero column x, with two entries swapped,
+  so none is zero; it keeps the input's labels.
 """
 
 from __future__ import annotations
@@ -86,7 +101,11 @@ class ConfigMatrix:
 
     def permute_columns(self, perm) -> "ConfigMatrix":
         """Column j of the result is column perm[j] of self."""
-        return _select(self, perm, tuple(self.labels[p] for p in perm))
+        labels = tuple(self.labels[p] for p in perm)
+        if sorted(labels) == sorted(self.labels):
+            return _select(self, perm, labels)
+        # not a rearrangement of the labels: the constructor says why
+        return ConfigMatrix(self.matrix.submatrix(range(3), perm), labels)
 
     def to_json(self):
         return {
@@ -101,10 +120,21 @@ class ConfigMatrix:
         )
 
 
+def _derived(matrix: Matrix, labels: tuple) -> ConfigMatrix:
+    """A ConfigMatrix of ``matrix`` and ``labels`` without ``__init__``'s
+    checks, for a result derived from a valid configuration (see the
+    module docstring for why each such result is valid)."""
+    c = object.__new__(ConfigMatrix)
+    object.__setattr__(c, "matrix", matrix)
+    object.__setattr__(c, "labels", labels)
+    return c
+
+
 def _select(c: ConfigMatrix, order, labels) -> ConfigMatrix:
     """Column j of the result is column order[j] of ``c``, under
-    ``labels``; the denominator is re-normalised for the kept columns."""
-    return ConfigMatrix(c.matrix.submatrix(range(3), order), labels)
+    ``labels``, a valid labelling of the result; the denominator is
+    re-normalised for the kept columns."""
+    return _derived(c.matrix.submatrix(range(3), order), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +331,7 @@ def canonical_form(c: ConfigMatrix):
     leads = [next(t for t in v if t) for v in images]
     den = lcm(*leads)
     normal = [[t * (den // lead) for t in v] for v, lead in zip(images, leads)]
-    return c.with_matrix(Matrix.from_integers(zip(*normal), den)), frame
+    return _derived(Matrix.from_integers(zip(*normal), den), c.labels), frame
 
 
 def canonical_key(c: ConfigMatrix):
@@ -343,7 +373,7 @@ def cremona(c: ConfigMatrix) -> ConfigMatrix:
         others = [i for i in range(3) if i != j // 2]
         col[others[0]], col[others[1]] = col[others[1]], col[others[0]]
         images.append(col)
-    return c.with_matrix(Matrix.from_integers(zip(*images), c.matrix.den**3))
+    return _derived(Matrix.from_integers(zip(*images), c.matrix.den**3), c.labels)
 
 
 def etale_slice(t, a, b, c, d) -> ConfigMatrix:
@@ -582,12 +612,14 @@ def s4_to_wreath(sigma):
 
 
 def _char_matrix_apply(g, chi: int) -> int:
-    """Apply a 3x3 F2 matrix (rows of bit tuples) to a character."""
-    bits = ((chi >> 2) & 1, (chi >> 1) & 1, chi & 1)
+    """Apply a 3x3 F2 matrix (rows of bit tuples) to a character: bit
+    2 - i of the image is the parity of row i against chi's bits, the
+    low bit of the XOR of ``row[k] & chi >> (2 - k)`` over k."""
+    hi, mid = chi >> 2, chi >> 1
     out = 0
     for i in range(3):
-        val = sum(g[i][k] * bits[k] for k in range(3)) % 2
-        out = (out << 1) | val
+        row = g[i]
+        out = out << 1 | ((row[0] & hi) ^ (row[1] & mid) ^ (row[2] & chi)) & 1
     return out
 
 
@@ -631,25 +663,34 @@ def orbit(items, elements, action):
     """Partition configurations into classes under the group action
     combined with GL3 x torus equivalence.
 
-    ``items`` is a list of ConfigMatrix; ``elements`` the group
-    elements; ``action(element, config)`` the action map.  Returns a
-    list of lists of indices into ``items``.
+    ``items`` is a list of ConfigMatrix; ``elements`` a sequence of the
+    group elements; ``action(element, config)`` the action map.  Returns
+    a list of lists of indices into ``items``: each class starts at its
+    first item and lists its members in index order.
+
+    Each class walks ``elements`` in order from its first item and stops
+    once every later unclassed item is found, but only after at least
+    one element (so a class with no later items still tries the action
+    once).  An element past that point is never applied, so an error
+    its action would raise is not raised.
     """
     keys = [canonical_key(item) for item in items]
     classes = []
-    assigned = {}
+    assigned = set()
     for idx, item in enumerate(items):
         if idx in assigned:
             continue
-        cls = [idx]
-        assigned[idx] = len(classes)
-        reach = {canonical_key(action(el, item)) for el in elements}
+        pending = {}
         for jdx in range(idx + 1, len(items)):
-            if jdx in assigned:
-                continue
-            if keys[jdx] in reach:
-                cls.append(jdx)
-                assigned[jdx] = len(classes)
+            if jdx not in assigned:
+                pending.setdefault(keys[jdx], []).append(jdx)
+        cls = [idx]
+        for el in elements:
+            cls += pending.pop(canonical_key(action(el, item)), ())
+            if not pending:
+                break
+        cls.sort()
+        assigned.update(cls)
         classes.append(cls)
     return classes
 

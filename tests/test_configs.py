@@ -4,7 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +18,7 @@ from latconf.configs import (
     act_torus,
     act_wreath,
     canonical_form,
+    canonical_key,
     check_kappa,
     complete_quadrangle,
     cremona,
@@ -29,6 +30,7 @@ from latconf.configs import (
     gale_dual,
     gl3f2_elements,
     node_report,
+    orbit,
     plucker,
     quadrangle_classes,
     quadrangle_slice,
@@ -63,6 +65,13 @@ def test_config_validation():
                       [0, 0, 1, 1, 11, 0]])  # zero column
     with pytest.raises(LabelError):
         ConfigMatrix(GENERIC.matrix, (0, 0, 0, 1, 1, 2))
+    # a column selection that does not rearrange the labels is checked
+    with pytest.raises(DimensionError):
+        GENERIC.permute_columns([0, 1, 2, 3, 4])
+    with pytest.raises(LabelError):
+        GENERIC.permute_columns([0, 1, 0, 1, 4, 5])
+    repeated = GENERIC.permute_columns([0, 0, 2, 3, 4, 5])
+    assert ConfigMatrix(repeated.matrix, repeated.labels) == repeated
 
 
 def test_json_round_trip():
@@ -317,6 +326,14 @@ def test_canonical_form_against_fraction_oracle(c):
     normal, frame = canonical_form(c)
     assert (normal.matrix, frame) == want
     assert normal.matrix.data == want[0].data and normal.labels == c.labels
+    # results built without the constructor's checks pass them
+    assert ConfigMatrix(normal.matrix, normal.labels) == normal
+    if c.n == 6:
+        try:
+            image = cremona(c)
+        except VerticesCollinear:
+            return
+        assert ConfigMatrix(image.matrix, image.labels) == image
 
 
 def test_config_matrix_is_a_slotted_frozen_value():
@@ -438,11 +455,13 @@ def _f2_apply(g, chi):
 @given(line_configs(), st.data())
 def test_column_moves_against_fraction_copy(c, data):
     """Permuting, the group actions and ``drop_line`` select integer
-    columns; each gives the matrix of the Fraction column copy."""
+    columns; each gives the matrix of the Fraction column copy, and a
+    configuration that the constructor's checks accept."""
     perm = data.draw(st.permutations(range(c.n)))
     moved = c.permute_columns(perm)
     assert moved.matrix == _fraction_copy(c, perm)
     assert moved.labels == tuple(c.labels[p] for p in perm)
+    assert ConfigMatrix(moved.matrix, moved.labels) == moved
     if c.n == 6:
         bits, slots = element = data.draw(st.sampled_from(wreath_elements()))
         # pair i, swapped if bits[i], lands in pair slot slots[i]
@@ -450,6 +469,7 @@ def test_column_moves_against_fraction_copy(c, data):
         moved = act_wreath(element, c)
         assert moved.matrix == _fraction_copy(c, [source[j] for j in range(6)])
         assert moved.labels == PAIR_LABELS
+        assert ConfigMatrix(moved.matrix, moved.labels) == moved
         return
     c = moved  # seven lines under permuted labels
     g = data.draw(st.sampled_from(gl3f2_elements()))
@@ -457,11 +477,13 @@ def test_column_moves_against_fraction_copy(c, data):
     moved = act_gl3f2(g, c)
     assert moved.matrix == _fraction_copy(c, [c.labels.index(inverse[chi]) for chi in CHAR_LABELS])
     assert moved.labels == CHAR_LABELS
+    assert ConfigMatrix(moved.matrix, moved.labels) == moved
     kappa = data.draw(st.sampled_from(CHAR_LABELS))
     dropped = drop_line(c, kappa)
     order = [c.labels.index(chi) for pair in drop_pairs(kappa) for chi in pair]
     assert dropped.matrix == _fraction_copy(c, order)
     assert dropped.labels == PAIR_LABELS
+    assert ConfigMatrix(dropped.matrix, dropped.labels) == dropped
 
 
 def test_drop_line_drops_a_denominator():
@@ -634,15 +656,145 @@ def test_s4_embedding():
     assert len(images) == 24
 
 
+# SHA-256 of ``json.dumps(gl3f2_elements())``: the benchmark's orbit ops
+# draw their element from this list by index
+PINNED_GL3F2_ELEMENTS = "0ace20bba230fca2a0f5961b7e6ff14f05fd166299ee042142713911ede61276"
+
+
 def test_gl3f2_action():
     els = gl3f2_elements()
     assert len(els) == 168
+    rows = [v for v in product((0, 1), repeat=3) if any(v)]
+    assert els == [
+        g for g in product(rows, repeat=3)
+        if len({_f2_apply(g, chi) for chi in CHAR_LABELS}) == 7
+    ]
+    assert hashlib.sha256(json.dumps(els).encode()).hexdigest() == PINNED_GL3F2_ELEMENTS
     rng = random.Random(9)
     q = random_system(rng)
     config = seven_line_config(q)
-    g = els[17]
-    moved = act_gl3f2(g, config)
-    assert sorted(moved.labels) == sorted(config.labels)
+    assert len(set(zip(*config.matrix.num))) == 7
+    # seven distinct columns: each result fixes g's image of every
+    # character, so this reads all 168 x 7 images
+    for g in els:
+        inverse = {_f2_apply(g, chi): chi for chi in CHAR_LABELS}
+        moved = act_gl3f2(g, config)
+        assert moved.matrix == _fraction_copy(config, [inverse[chi] - 1 for chi in CHAR_LABELS])
+        assert moved.labels == CHAR_LABELS
+
+
+def _orbit_oracle(items, elements, action):
+    """Every g.item of a class's first item keyed first, then each later
+    unclassed item tested for membership in that reach."""
+    keys = [canonical_key(item) for item in items]
+    classes, assigned = [], set()
+    for idx, item in enumerate(items):
+        if idx in assigned:
+            continue
+        reach = {canonical_key(action(el, item)) for el in elements}
+        cls = [idx] + [
+            jdx for jdx in range(idx + 1, len(items))
+            if jdx not in assigned and keys[jdx] in reach
+        ]
+        assigned.update(cls)
+        classes.append(cls)
+    return classes
+
+
+def test_quadrangle_orbits_against_full_reach():
+    variants = [complete_quadrangle(el) for el in wreath_elements()]
+    groups = [
+        [((0, 0, 0), (0, 1, 2))],
+        [el for el in wreath_elements() if wreath_signature(el) == 0],
+        wreath_elements(),
+    ]
+    classes = [orbit(variants, els, act_wreath) for els in groups]
+    assert classes == [_orbit_oracle(variants, els, act_wreath) for els in groups]
+    assert tuple(classes) == quadrangle_classes()
+    assert [len(c) for c in classes] == [2, 2, 1]
+
+
+def _framed_config(rng, n):
+    """A random integer configuration with a projective frame."""
+    while True:
+        try:
+            c = ConfigMatrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(3)])
+            canonical_form(c)
+            return c
+        except (DimensionError, NoFrame):
+            continue
+
+
+def _orbit_items(rng, n, act, elements, others):
+    """1-6 configurations: a few seeds, their images under group
+    elements (``elements``) and other moves (``others``), the same moved
+    by GL3 and the torus, repeats, and unrelated configurations."""
+    seeds = [_framed_config(rng, n) for _ in range(rng.randint(1, 3))]
+    items = []
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.randrange(6)
+        c = rng.choice(seeds)
+        if kind == 0:
+            items.append(c)
+        elif kind == 1:
+            items.append(act(rng.choice(elements), c))
+        elif kind == 2:
+            items.append(others(rng, c))
+        elif kind == 3:  # a GL3 x torus image of a group image
+            c = act(rng.choice(elements), c)
+            g = Matrix([[1, rng.randint(-2, 2), 0], [0, 1, 0], [rng.randint(-2, 2), 0, 1]])
+            scalars = [rng.choice([-3, -1, 2, Fraction(1, 2)]) for _ in range(n)]
+            items.append(act_torus(scalars, c.with_matrix(g * c.matrix)))
+        elif kind == 4 and items:
+            items.append(rng.choice(items))
+        else:
+            items.append(_framed_config(rng, n))
+    return items
+
+
+def _wreath_image(rng, c):
+    """``c`` moved by any wreath element: an odd one leaves the S4 orbit."""
+    return act_wreath(rng.choice(wreath_elements()), c)
+
+
+def _relabelled(rng, c):
+    """Seven columns in a random order, under the standard labels: a
+    move that GL3(F2) mostly does not make."""
+    order = rng.sample(range(7), 7)
+    return ConfigMatrix(c.matrix.submatrix(range(3), order), CHAR_LABELS)
+
+
+@pytest.mark.parametrize("group", ["w3", "s4", "glf2"])
+def test_orbit_against_full_reach(group):
+    """Seeded lists of 1-6 configurations: the classes are those of the
+    full-reach oracle, member for member and in index order."""
+    if group == "glf2":
+        n, act, elements, others = 7, act_gl3f2, gl3f2_elements(), _relabelled
+    else:
+        n, act, others = 6, act_wreath, _wreath_image
+        elements = (wreath_elements() if group == "w3"
+                    else [s4_to_wreath(s) for s in permutations(range(1, 5))])
+    rng = random.Random(f"orbit:{group}")
+    merged = 0
+    for _ in range(12):
+        items = _orbit_items(rng, n, act, elements, others)
+        classes = orbit(items, elements, act)
+        assert classes == _orbit_oracle(items, elements, act)
+        merged += len(items) - len(classes)
+    assert merged  # some classes have more than one member
+
+
+def test_orbit_error_contract():
+    """Each class applies the action at least once, so a wrong-size item
+    still raises; with no elements every item is its own class; an
+    element past the point where a class is settled is never applied."""
+    q = random_system(random.Random(12))
+    with pytest.raises(DimensionError):
+        orbit([seven_line_config(q)], wreath_elements(), act_wreath)
+    items = [GENERIC, GENERIC, complete_quadrangle()]
+    assert orbit(items, [], act_wreath) == [[0], [1], [2]]
+    identity = ((0, 0, 0), (0, 1, 2))
+    assert orbit(items[:2], [identity, "not an element"], act_wreath) == [[0, 1]]
 
 
 def test_smoothness_witness():
