@@ -33,10 +33,9 @@ column is zero.  The configurations this module derives from a valid
 one are built without those checks (``_derived``), as each is valid by
 construction:
 
-* ``permute_columns`` (when its labels rearrange the input's), the
-  group actions ``act_wreath`` and ``act_gl3f2`` and ``drop_line``
-  select columns of the input, so none is zero, under labels that are
-  a rearrangement of the input's, ``PAIR_LABELS`` or ``CHAR_LABELS``;
+* the group actions ``act_wreath`` and ``act_gl3f2`` and
+  ``drop_line`` select columns of the input, so none is zero, under
+  ``PAIR_LABELS`` or ``CHAR_LABELS``;
 * ``canonical_form`` scales every column to a first nonzero entry of 1
   and keeps the input's labels;
 * ``cremona``'s columns are N*x, for an invertible N (the pair vertices
@@ -102,9 +101,6 @@ class ConfigMatrix:
     def permute_columns(self, perm) -> "ConfigMatrix":
         """Column j of the result is column perm[j] of self."""
         labels = tuple(self.labels[p] for p in perm)
-        if sorted(labels) == sorted(self.labels):
-            return _select(self, perm, labels)
-        # not a rearrangement of the labels: the constructor says why
         return ConfigMatrix(self.matrix.submatrix(range(3), perm), labels)
 
     def to_json(self):
