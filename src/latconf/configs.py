@@ -21,12 +21,15 @@ of the lines times ``den**3``, which changes no zero.  Column
 permutation, the group actions and line dropping select those columns.
 Stability, triple points and the smoothness test read the zero minors
 off one pass over the integer columns; ``plucker`` divides the same
-integer minors by ``den**3``.  The canonical form searches lazily for
-its first frame, as it usually stops at the first 4-subset of columns,
-and reads each entry off 3-minors by Cramer's rule.  Triple points are
-integer cross products over their lead entries, and the Cremona
-involution takes the dot products of the integer columns with the
-integer pair vertices, over ``den**3``.
+integer minors by ``den**3``.  One kernel, ``_canonical_columns``,
+searches lazily for the first frame (it usually stops at the first
+4-subset of columns) and reads each image column off 3-minors by
+Cramer's rule, divided by its signed content: ``canonical_key`` is the
+labels, the frame and those primitive int triples, with no Matrix, and
+``canonical_form`` scales the same triples to a lead entry of 1.
+Triple points are integer cross products over their lead entries, and
+the Cremona involution takes the dot products of the integer columns
+with the integer pair vertices, over ``den**3``.
 
 The public constructor and ``with_matrix`` check the labels and that no
 column is zero.  The configurations this module derives from a valid
@@ -49,7 +52,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import lcm
+from math import gcd, lcm
 from operator import index
 
 from .errors import (
@@ -292,6 +295,41 @@ def triple_points(c: ConfigMatrix):
 # ---------------------------------------------------------------------------
 
 
+def _canonical_columns(cols):
+    """(frame, columns): the first frame of the integer columns ``cols``
+    and each column's image, divided by its signed content (the gcd of
+    its entries, with the sign of its first nonzero entry).
+
+    By Cramer's rule, with frame (a, b, e, d), entry i of the image of x
+    is M_i(x)/M_i(d), where M_0(x) = det[x, b, e], M_1(x) = det[a, x, e]
+    and M_2(x) = det[a, b, x]: the dot products of x with the rows
+    b^e, e^a, a^b of the adjugate of [a b e].  Scaling a line scales
+    its column, so the minors are taken on the integer columns.  Two
+    images are proportional iff these primitive triples are equal.
+    """
+    for frame in combinations(range(len(cols)), 4):
+        if all(_det3(cols[i], cols[j], cols[k]) for i, j, k in combinations(frame, 3)):
+            break
+    else:
+        raise NoFrame("no four columns form a projective frame")
+    a, b, e, d = (cols[j] for j in frame)
+    adj = (_cross(b, e), _cross(e, a), _cross(a, b))
+    m0, m1, m2 = (_dot(r, d) for r in adj)
+    # the rows that give m0*m1*m2 times the image of x
+    (p0, p1, p2), (q0, q1, q2), (s0, s1, s2) = (
+        [w * t for t in r] for w, r in zip((m1 * m2, m0 * m2, m0 * m1), adj)
+    )
+    out = []
+    for x0, x1, x2 in cols:
+        v0 = p0 * x0 + p1 * x1 + p2 * x2
+        v1 = q0 * x0 + q1 * x1 + q2 * x2
+        v2 = s0 * x0 + s1 * x1 + s2 * x2
+        g = gcd(v0, v1, v2)
+        g = g if (v0 or v1 or v2) > 0 else -g
+        out.append((v0 // g, v1 // g, v2 // g))
+    return frame, tuple(out)
+
+
 def canonical_form(c: ConfigMatrix):
     """Normalize under GL3 and column scalings; labels kept in place.
 
@@ -299,49 +337,29 @@ def canonical_form(c: ConfigMatrix):
     minors are all nonzero is mapped to the standard projective frame
     (e1, e2, e3, (1,1,1)); every column is then scaled so its first
     nonzero entry is 1.  Two configurations with the same labels are
-    GL3 x torus equivalent iff their canonical forms are equal.
-
-    By Cramer's rule, with frame (a, b, e, d), entry i of column x is
-    M_i(x)/M_i(d), where M_0(x) = det[x, b, e], M_1(x) = det[a, x, e]
-    and M_2(x) = det[a, b, x]: the dot products of x with the rows
-    b^e, e^a, a^b of the adjugate of [a b e].  Scaling a line scales
-    its column, so the minors are taken on the integer columns.
+    GL3 x torus equivalent iff their canonical forms are equal.  Column
+    w of ``_canonical_columns``, with lead entry ``lead``, becomes
+    w*(den // lead) over den = lcm(leads): lowest terms, as w is primitive.
 
     Returns (normalized ConfigMatrix, frame column subset).
     """
-    cols = list(zip(*c.matrix.num))
-    for frame in combinations(range(c.n), 4):
-        if all(
-            _det3(cols[i], cols[j], cols[k])
-            for i, j, k in combinations(frame, 3)
-        ):
-            break
-    else:
-        raise NoFrame("no four columns form a projective frame")
-    a, b, e, d = (cols[j] for j in frame)
-    adj = (_cross(b, e), _cross(e, a), _cross(a, b))
-    m0, m1, m2 = (_dot(r, d) for r in adj)
-    # v = m0*m1*m2 times the image of x, then each column over its lead
-    weighted = tuple(zip((m1 * m2, m0 * m2, m0 * m1), adj))
-    images = [[w * _dot(r, x) for w, r in weighted] for x in cols]
-    leads = [next(t for t in v if t) for v in images]
+    frame, columns = _canonical_columns(list(zip(*c.matrix.num)))
+    leads = [next(t for t in w if t) for w in columns]
     den = lcm(*leads)
-    normal = [[t * (den // lead) for t in v] for v, lead in zip(images, leads)]
+    normal = [[t * (den // lead) for t in w] for w, lead in zip(columns, leads)]
     return _derived(Matrix.from_integers(zip(*normal), den), c.labels), frame
 
 
 def canonical_key(c: ConfigMatrix):
-    """``(labels, frame, canonical matrix)``: two configurations are GL3
-    x torus equivalent with fixed labels iff their keys are equal."""
-    normal, frame = canonical_form(c)
-    return c.labels, frame, normal.matrix
+    """``(labels, frame, columns)`` of ``_canonical_columns``, with no
+    Matrix: two configurations are GL3 x torus equivalent with fixed
+    labels iff their keys are equal."""
+    return (c.labels, *_canonical_columns(list(zip(*c.matrix.num))))
 
 
 def equivalent(a: ConfigMatrix, b: ConfigMatrix) -> bool:
-    """GL3 x torus equivalence with fixed labels, via canonical forms."""
-    if a.labels != b.labels:
-        return False
-    return canonical_key(a) == canonical_key(b)
+    """GL3 x torus equivalence with fixed labels, via canonical keys."""
+    return a.labels == b.labels and canonical_key(a) == canonical_key(b)
 
 
 # ---------------------------------------------------------------------------
@@ -461,16 +479,8 @@ def drop_pairs(kappa: int):
     """The three pairs {chi, chi + kappa} of surviving characters,
     sorted by smallest member, each pair sorted ascending."""
     kappa = check_kappa(kappa)
-    pairs = []
-    seen = set()
-    for chi in range(1, 8):
-        if chi == kappa or chi in seen:
-            continue
-        other = chi ^ kappa
-        seen.update((chi, other))
-        pairs.append((chi, other) if chi < other else (other, chi))
-    pairs.sort()
-    return pairs
+    # chi < chi ^ kappa picks each pair once by its smaller member
+    return [(chi, chi ^ kappa) for chi in range(1, 8) if chi < chi ^ kappa]
 
 
 def drop_line(c: ConfigMatrix, kappa: int) -> ConfigMatrix:
@@ -591,20 +601,14 @@ def s4_to_wreath(sigma):
     if sorted(sigma) != [1, 2, 3, 4]:
         raise LabelError("expected a permutation of (1,2,3,4)")
     move = dict(zip((1, 2, 3, 4), sigma))
-    images = [
+    # the sides move by a permutation of column slots preserving pair
+    # slots: side 2i goes to slot t, so pair i goes to slot t // 2, and in
+    # act_wreath terms it is swapped when its first member lands second
+    slots = [
         QUADRANGLE_SIDES.index(frozenset(move[v] for v in side))
-        for side in QUADRANGLE_SIDES
+        for side in QUADRANGLE_SIDES[::2]
     ]
-    # images is a permutation of column slots preserving pair slots
-    perm = [0, 0, 0]
-    bits = [0, 0, 0]
-    for i in range(3):
-        target = images[2 * i]
-        perm[i] = target // 2
-        bits[i] = target % 2
-    # translate: column 2i goes to slot images[2i]; in act_wreath terms
-    # a swap happens when the first member of pair i lands second.
-    return (tuple(bits), tuple(perm))
+    return tuple(t % 2 for t in slots), tuple(t // 2 for t in slots)
 
 
 def _char_matrix_apply(g, chi: int) -> int:
@@ -622,15 +626,10 @@ def _char_matrix_apply(g, chi: int) -> int:
 def gl3f2_elements():
     """All 168 invertible 3x3 matrices over F2 (rows of bit tuples)."""
     vecs = [v for v in product((0, 1), repeat=3) if any(v)]
-    out = []
-    for r0 in vecs:
-        for r1 in vecs:
-            for r2 in vecs:
-                g = (r0, r1, r2)
-                imgs = {_char_matrix_apply(g, chi) for chi in range(1, 8)}
-                if len(imgs) == 7:
-                    out.append(g)
-    return out
+    return [
+        g for g in product(vecs, repeat=3)
+        if len({_char_matrix_apply(g, chi) for chi in range(1, 8)}) == 7
+    ]
 
 
 def act_gl3f2(g, c: ConfigMatrix) -> ConfigMatrix:

@@ -411,11 +411,20 @@ class Sublattice:
         return Lattice(self.gram())
 
 
+def _sublattice(ambient: Lattice, basis: Matrix) -> Sublattice:
+    """A Sublattice without ``__init__``'s checks, for an HNF integer
+    kernel of width ``ambient.n``, which has full row rank."""
+    s = object.__new__(Sublattice)
+    object.__setattr__(s, "ambient", ambient)
+    object.__setattr__(s, "basis", basis)
+    return s
+
+
 def saturation(s: Sublattice) -> Sublattice:
     """Primitive closure of a sublattice inside its ambient lattice, in HNF:
     the integer kernel of the integer kernel of the basis."""
     n = s.ambient.n
-    return Sublattice(s.ambient, integer_kernel(integer_kernel(s.basis.num, n).num, n))
+    return _sublattice(s.ambient, integer_kernel(integer_kernel(s.basis.num, n).num, n))
 
 
 def sublattice_index(sub: Sublattice, sup: Sublattice) -> int:
@@ -438,7 +447,7 @@ def orthogonal_complement(s: Sublattice) -> Sublattice:
     if not s.ambient.is_integral():
         raise NonIntegralLattice("orthogonal complement requires integral ambient")
     n = s.ambient.n
-    return Sublattice(s.ambient, integer_kernel((s.basis * s.ambient.gram).num, n))
+    return _sublattice(s.ambient, integer_kernel((s.basis * s.ambient.gram).num, n))
 
 
 def is_primitive(s: Sublattice) -> bool:

@@ -336,6 +336,51 @@ def test_canonical_form_against_fraction_oracle(c):
         assert ConfigMatrix(image.matrix, image.labels) == image
 
 
+def _form_key(c):
+    """``(labels, frame, canonical_form matrix)``: the Matrix form, which
+    ``test_canonical_form_against_fraction_oracle`` holds to the Fraction
+    route, so this key is independent of ``canonical_key``."""
+    normal, frame = canonical_form(c)
+    return c.labels, frame, normal.matrix
+
+
+@st.composite
+def key_families(draw):
+    """A drawn configuration, a GL3 x torus image of it, the same columns
+    shuffled under the same labels, the same columns with their labels
+    and an unrelated draw."""
+    c = draw(line_configs())
+    g = Matrix([draw(st.lists(small_frac, min_size=3, max_size=3)) for _ in range(3)])
+    scalars = draw(st.lists(rational_entry.filter(bool), min_size=c.n, max_size=c.n))
+    order = draw(st.permutations(range(c.n)))
+    family = [c, ConfigMatrix(c.matrix.submatrix(range(3), order), c.labels),
+              c.permute_columns(order), draw(line_configs())]
+    if g.det():
+        family.append(act_torus(scalars, c.with_matrix(g * c.matrix)))
+    return family
+
+
+@settings(max_examples=100, deadline=None)
+@given(key_families())
+def test_canonical_key_against_matrix_form(family):
+    """Keys are equal exactly when labels, frame and canonical_form matrix
+    are, and ``canonical_key`` raises NoFrame exactly where
+    ``canonical_form`` does; its columns are int triples."""
+    pairs = []
+    for c in family:
+        try:
+            form = _form_key(c)
+        except NoFrame:
+            with pytest.raises(NoFrame):
+                canonical_key(c)
+            continue
+        key = canonical_key(c)
+        assert all(type(t) is int for col in key[2] for t in col)
+        pairs.append((form, key))
+    for (form_a, key_a), (form_b, key_b) in product(pairs, repeat=2):
+        assert (key_a == key_b) == (form_a == form_b)
+
+
 def test_config_matrix_is_a_slotted_frozen_value():
     """No per-instance ``__dict__``; assignment raises; ``==`` and
     ``hash`` compare the matrix values and the labels."""
@@ -686,12 +731,12 @@ def test_gl3f2_action():
 def _orbit_oracle(items, elements, action):
     """Every g.item of a class's first item keyed first, then each later
     unclassed item tested for membership in that reach."""
-    keys = [canonical_key(item) for item in items]
+    keys = [_form_key(item) for item in items]
     classes, assigned = [], set()
     for idx, item in enumerate(items):
         if idx in assigned:
             continue
-        reach = {canonical_key(action(el, item)) for el in elements}
+        reach = {_form_key(action(el, item)) for el in elements}
         cls = [idx] + [
             jdx for jdx in range(idx + 1, len(items))
             if jdx not in assigned and keys[jdx] in reach

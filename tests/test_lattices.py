@@ -305,6 +305,29 @@ def test_complements_of_full_and_zero_rank_sublattices():
     assert orthogonal_complement(zero).basis == Matrix.identity(2)
 
 
+def test_saturations_and_complements_pass_the_checked_constructor():
+    """``saturation`` and ``orthogonal_complement`` build their HNF kernels
+    without ``Sublattice``'s checks; each result passes them unchanged,
+    zero-rank and full-rank results included."""
+    rng = random.Random(32)
+    cases = [Sublattice(Zpq(1, 1), [[1, 0], [0, 1]]), Sublattice(Zpq(1, 1), Matrix.zeros(0, 2))]
+    while len(cases) < 60:
+        n = rng.randint(1, 5)
+        half = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        amb = Lattice([[half[i][j] + half[j][i] for j in range(n)] for i in range(n)])
+        basis = Matrix.from_integers(
+            [[rng.choice((1, 2, 3)) * rng.randint(-3, 3) for _ in range(n)]
+             for _ in range(rng.randint(0, n))], 1, n)
+        if amb.det() != 0 and basis.rank() == basis.rows:
+            cases.append(Sublattice(amb, basis))
+    for sub in cases:
+        for result in (saturation(sub), orthogonal_complement(sub)):
+            checked = Sublattice(result.ambient, result.basis)
+            assert (checked.ambient, checked.basis) == (sub.ambient, result.basis)
+            with pytest.raises(AttributeError):
+                result.basis = sub.basis
+
+
 def test_glue_discriminant_drops_by_index_squared():
     l = transcendental_slice().rescale(2)
     form = l.discriminant_form()
