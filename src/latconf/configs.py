@@ -51,6 +51,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import gcd, lcm
 from operator import index
@@ -632,16 +633,22 @@ def gl3f2_elements():
     ]
 
 
+@lru_cache(maxsize=168)
+def _gl3f2_preimages(g):
+    """The labels g^{-1}(1..7), g as row tuples; a singular g raises (not memoised)."""
+    image = {_char_matrix_apply(g, chi): chi for chi in range(1, 8)}
+    if len(image) != 7:
+        raise LabelError("matrix is not invertible over F2")
+    return tuple(image[chi] for chi in range(1, 8))
+
+
 def act_gl3f2(g, c: ConfigMatrix) -> ConfigMatrix:
     """Relabel characters by g: the column at label position chi of
     the result is the column labeled g^{-1}(chi)."""
     if c.n != 7:
         raise DimensionError("GL3(F2) acts on seven-line configurations")
-    image = {_char_matrix_apply(g, chi): chi for chi in range(1, 8)}
-    if len(image) != 7:
-        raise LabelError("matrix is not invertible over F2")
     position = {lab: j for j, lab in enumerate(c.labels)}
-    order = [position[image[chi]] for chi in range(1, 8)]
+    order = [position[lab] for lab in _gl3f2_preimages(tuple(map(tuple, g)))]
     return _select(c, order, CHAR_LABELS)
 
 

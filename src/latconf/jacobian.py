@@ -18,7 +18,7 @@ is unique, so these are the rows of the full 28-column RREF with pivots
 in F x {y_j}, and its non-pivot monomials are the full complement
 basis — fully deterministic.  The second summand's rows e_t (x) q_p
 (p in the triple t) are block diagonal over its two triples t, so its
-dimension is the sum of 4 - rank{q_p : p in t}, two ``Matrix.rank``s.
+dimension is the sum of 4 - rank{q_p : p in t}, ``matrices.rank`` of int columns.
 
 Every reduction step is one ``matrices.echelon`` of integer rows, kept
 in lowest terms: each row is divided by its content before the
@@ -50,7 +50,7 @@ from math import gcd
 
 from .configs import check_kappa, dependent_columns, gale_dual
 from .errors import DimensionError, SmoothnessRequired
-from .matrices import Matrix, echelon
+from .matrices import Matrix, echelon, rank
 
 NCHARS = 7
 NY = 4
@@ -223,16 +223,15 @@ def invariant_deformations(q) -> GradedPiece:
     return _system(q)[2]
 
 
+_SUM_BASES = tuple(tuple(t for t in combinations(range(1, 8), 3)  # [k - 1]: kappa_sum_bases(k)
+                         if k not in t and t[0] ^ t[1] ^ t[2] == k) for k in range(1, 8))
+
+
 def kappa_sum_bases(kappa: int):
     """All unordered triples of distinct non-kappa characters whose
     XOR-sum is kappa.  There are four for every kappa (they are the
     character-group bases summing to kappa)."""
-    kappa = check_kappa(kappa)
-    return [
-        t
-        for t in combinations(range(1, 8), 3)
-        if kappa not in t and t[0] ^ t[1] ^ t[2] == kappa
-    ]
+    return list(_SUM_BASES[check_kappa(kappa) - 1])
 
 
 def squarefree_triples(kappa: int):
@@ -275,14 +274,11 @@ def _target_pieces(qcols, kappa: int, source: GradedPiece):
     """(first, second_dim) on the fewest relation rows (see the module
     docstring); ``qcols`` are the system's integer columns."""
     qk, m = qcols[kappa - 1], len(source.basis)
-    first = _quotient(source, [
-        [x if a == b else 0 for b in range(m) for x in qk] for a in range(m)
-    ])
-    second_dim = sum(
-        NY - Matrix.from_integers([qcols[p - 1] for p in t]).rank()
-        for t in squarefree_triples(kappa)
-    )
-    return first, second_dim
+    relation_rows = [[0] * (m * NY) for _ in range(m)]
+    for a, row in enumerate(relation_rows):  # e_a (x) q_kappa
+        row[a * NY:(a + 1) * NY] = qk
+    first = _quotient(source, relation_rows)
+    return first, sum(NY - rank([qcols[p - 1] for p in t]) for t in _SUM_BASES[kappa - 1][:2])
 
 
 @dataclass(frozen=True)
@@ -312,8 +308,8 @@ def period_map(q, kappa: int) -> PeriodMapData:
     the target complement basis.
 
     The kernel comes off the target's last step (pivots, kept, rows,
-    scale) too.  With ``new`` mapping each pivot p to its row, the rows
-    scale·e_p + sum_t new[p][t]·e_kept[t] are a basis of it.  By matroid
+    scale) too.  For each pivot p and its row r, the rows
+    scale·e_p + sum_t r[t]·e_kept[t] are a basis of it.  By matroid
     duality the free columns of the period matrix's RREF are those
     rows' columns picked greedily from the right, so the echelon kernel
     basis (``matrices.null_space`` of the period matrix) is their RREF
@@ -327,19 +323,19 @@ def period_map(q, kappa: int) -> PeriodMapData:
     # vector of k among the kept slots, or, for the pivot k of a new
     # relation row, to minus that row, both times the step's scale
     pivots, kept, rows, scale = first.steps[-1]
-    new, width = dict(zip(pivots, rows)), source.dimension
-    scaled = [
-        [-new[k][t] if k in new else scale * (k == c) for k in range(width)]
-        for t, c in enumerate(kept)
-    ]
-    matrix = Matrix.from_integers(scaled, scale, width)
+    width = source.dimension
+    scaled = [[0] * width for _ in kept]
+    for out, c in zip(scaled, kept):
+        out[c] = scale
     reversed_basis = []
-    for p, row in new.items():
+    for p, row in zip(pivots, rows):
         vec = [0] * width
         vec[p] = scale
-        for k, x in zip(kept, row):
+        for k, out, x in zip(kept, scaled, row):
+            out[p] = -x
             vec[k] = x
         reversed_basis.append(vec[::-1])
+    matrix = Matrix.from_integers(scaled, scale, width)
     # the rows are independent, so echelon leaves each one its RREF row
     # times the returned scale
     kern_scale = echelon(reversed_basis, width)[3]

@@ -4,7 +4,8 @@ Provides an immutable :class:`Matrix` of rationals together with the
 normal forms used by the rest of the package:
 
 * ``rref`` / ``kernel_basis`` / ``rank`` / ``det`` / ``inverse`` over Q,
-  and ``null_space``, the kernel basis of integer rows and its free columns,
+  and ``null_space`` and ``rank``, the kernel basis (and its free columns)
+  and the rank of integer rows,
 * ``integer_kernel``: the HNF basis of the integer kernel of integer rows,
 * ``solve_rows``: the coefficients of rows in the row span of a basis,
 * row-style Hermite normal form ``hnf`` of the row lattice,
@@ -37,6 +38,7 @@ No floating point appears anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
@@ -93,7 +95,7 @@ class Matrix:
         integer ``den``; ``cols`` gives the width when there are no rows.
         Raises TypeError unless every entry and ``den`` is an int."""
         num = tuple(map(tuple, num))
-        if type(den) is not int or any(type(x) is not int for row in num for x in row):
+        if type(den) is not int or not {*map(type, chain.from_iterable(num))} <= {int}:
             raise TypeError("from_integers takes int entries over an int denominator")
         return _of_integers(num, den, cols)
 
@@ -213,8 +215,8 @@ class Matrix:
         return _of_integers(m, scale, self.cols), list(pivots)
 
     def rank(self) -> int:
-        """Rank over Q: the pivot count of the fraction-free elimination."""
-        return len(bareiss(list(self.num))[0])
+        """Rank over Q: ``rank`` of the integer rows ``num``."""
+        return rank(self.num)
 
     def kernel_basis(self):
         """Echelon basis of the right null space, rows spanning it.
@@ -273,7 +275,7 @@ def _of_integers(num, den=1, cols=None):
     this module computes."""
     num = tuple(map(tuple, num))
     width = len(num[0]) if num else cols or 0
-    if any(len(row) != width for row in num):
+    if {*map(len, num)} - {width}:
         raise DimensionError("ragged rows")
     m = object.__new__(Matrix)
     _set(m, num, den, width)
@@ -286,11 +288,11 @@ def _set(m, num, den, cols):
     if den != 1:
         if not den:
             raise ZeroDivisionError("Matrix with denominator 0")
-        g = gcd(den, *(x for row in num for x in row))
+        g = gcd(den, *chain.from_iterable(num))
         if den < 0:
             g = -g
         if g != 1:
-            num = tuple(tuple(x // g for x in row) for row in num)
+            num = tuple([tuple([x // g for x in row]) for row in num])
             den //= g
     object.__setattr__(m, "num", num)
     object.__setattr__(m, "den", den)
@@ -304,8 +306,8 @@ def echelon(rows, width: int):
     ``scale`` (the last pivot) times the RREF: its pivot and free
     columns, and its pivot rows on the free columns times ``scale``."""
     pivots, _, scale = bareiss(rows, reduce=True)
-    free = tuple(c for c in range(width) if c not in pivots)
-    reduced = tuple(tuple(row[c] for c in free) for row in rows[: len(pivots)])
+    free = tuple([c for c in range(width) if c not in pivots])
+    reduced = tuple([tuple([row[c] for c in free]) for row in rows[: len(pivots)]])
     return tuple(pivots), free, reduced, scale
 
 
@@ -333,6 +335,11 @@ def integer_kernel(rows, width: int) -> Matrix:
     return _of_integers([r[k:] for r in h if not any(r[:k])], 1, width)
 
 
+def rank(rows) -> int:
+    """Rank over Q of the integer ``rows`` (left as they are): a pivot count."""
+    return len(bareiss(list(rows))[0])
+
+
 def bareiss(m, reduce=False):
     """Fraction-free (Bareiss) elimination of integer rows ``m``, in place.
 
@@ -355,10 +362,10 @@ def bareiss(m, reduce=False):
     prev = 1
     prow = 0
     for col in range(ncols):
-        sel = next((r for r in range(prow, nrows) if m[r][col] != 0), None)
-        if sel is None:
-            continue
-        if sel != prow:
+        if not m[prow][col]:  # the first row below with a nonzero entry
+            sel = next((r for r in range(prow + 1, nrows) if m[r][col]), None)
+            if sel is None:
+                continue
             m[prow], m[sel] = m[sel], m[prow]
             swaps += 1
         mp = m[prow]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latconf.configs
 from latconf.configs import (
     CHAR_LABELS,
     PAIR_LABELS,
@@ -726,6 +727,30 @@ def test_gl3f2_action():
         moved = act_gl3f2(g, config)
         assert moved.matrix == _fraction_copy(config, [inverse[chi] - 1 for chi in CHAR_LABELS])
         assert moved.labels == CHAR_LABELS
+
+
+def test_gl3f2_images_memo():
+    """``act_gl3f2`` memoises each element's character images: list-form
+    elements act as their tuples do, a singular matrix raises on every
+    call and is not kept, and the memo holds at most the 168 elements."""
+    memo = latconf.configs._gl3f2_preimages
+    memo.cache_clear()
+    config = seven_line_config(random_system(random.Random(11)))
+    els = gl3f2_elements()
+    singular = ((1, 0, 0), (0, 1, 0), (1, 1, 0))
+    for _ in range(3):
+        for g in (singular, [list(row) for row in singular]):
+            with pytest.raises(LabelError):
+                act_gl3f2(g, config)
+    assert memo.cache_info().currsize == 0
+    for g in els + els[::-1]:
+        moved = act_gl3f2(g, config)
+        assert act_gl3f2([list(row) for row in g], config) == moved
+    assert memo.cache_info().currsize == memo.cache_info().maxsize == 168
+    with pytest.raises(LabelError):
+        act_gl3f2(singular, config)
+    with pytest.raises(DimensionError):
+        act_gl3f2(els[0], complete_quadrangle())
 
 
 def _orbit_oracle(items, elements, action):

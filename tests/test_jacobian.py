@@ -211,6 +211,42 @@ def test_period_map_eliminations(monkeypatch):
         assert shapes == [(3, 6), (3, 4), (3, 4), (2, 6)]
 
 
+def test_warm_period_map_builds_two_matrices(monkeypatch):
+    """A warm ``period_map`` builds two Matrices, its ``matrix`` and its
+    ``kernel``: the second summand's ranks and the eliminations run on
+    integer rows.  Every route to a new Matrix is counted: the class's
+    constructor, ``from_integers`` and the module's unchecked builder,
+    which ``from_integers``, ``zeros`` and the arithmetic go through."""
+    q = random_system(random.Random(53))
+    period_map(q, 1)
+    made = []
+    checked, unchecked = Matrix.from_integers.__func__, latconf.matrices._of_integers
+    init = Matrix.__init__
+
+    def counted_init(self, data):
+        init(self, data)
+        made.append(self)
+
+    def counted_checked(cls, *args, **kwargs):
+        m = checked(cls, *args, **kwargs)
+        made.append(m)
+        return m
+
+    def counted_unchecked(*args, **kwargs):
+        m = unchecked(*args, **kwargs)
+        made.append(m)
+        return m
+
+    monkeypatch.setattr(Matrix, "__init__", counted_init)
+    monkeypatch.setattr(Matrix, "from_integers", classmethod(counted_checked))
+    monkeypatch.setattr(latconf.matrices, "_of_integers", counted_unchecked)
+    for kappa in range(1, 8):
+        made.clear()
+        pm = period_map(q, kappa)
+        assert {id(m) for m in made} == {id(pm.matrix), id(pm.kernel)}, kappa
+        assert len(made) == 4  # each built by from_integers over the builder
+
+
 def _cold(fn, *args, **kwargs):
     MEMO.cache_clear()
     return fn(*args, **kwargs)
@@ -415,6 +451,29 @@ def test_degenerate_target_matches_full_width_oracle():
         assert q.rank() == 4 and not smoothness(q)[0]
         _, second = check(q, kappa)
         assert second == 3
+    # triples of rank 2, 1 and 0: a zero column, repeated and proportional
+    # columns, and a triple of zero columns; the two retained triples
+    # share one character, so the other triple's rank drops too when its
+    # shared column is zero
+    ranks = set()
+    for kappa in range(1, 8):
+        for t in squarefree_triples(kappa):
+            a, b, c = (p - 1 for p in t)
+            q = random_system(rng)
+            col, zero = [list(q.column(j)) for j in range(7)], [0] * 4
+            for changes in (
+                {b: zero},
+                {b: col[a], c: col[a]},
+                {b: [2 * x for x in col[a]], c: zero},
+                {a: zero, b: zero, c: zero},
+            ):
+                bad = q
+                for j, new in changes.items():
+                    bad = _with_column(bad, j, new)
+                assert bad.rank() == 4 and not smoothness(bad)[0]
+                ranks.add(Matrix.from_columns([bad.column(p - 1) for p in t]).rank())
+                check(bad, kappa)
+    assert ranks == {0, 1, 2}
 
 
 def test_kappa_sum_bases_and_squarefree_triples():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from enum import IntEnum
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -16,10 +17,12 @@ from latconf.errors import DimensionError, SingularMatrixError
 from latconf.lattices import parse_lattice_name
 from latconf.matrices import (
     Matrix,
+    bareiss,
     echelon,
     frac_to_str,
     hnf,
     null_space,
+    rank,
     snf,
     solve_rows,
     str_to_frac,
@@ -203,6 +206,86 @@ def test_kernel_basis(m):
 def test_rank_agrees_with_rref(m):
     red, pivots = m.rref()
     assert m.rank() == len(pivots)
+
+
+def _generator_bareiss(m, reduce=False):
+    """``bareiss`` with its pivot row found by one generator search per
+    column, the first row at or below the pivot row with a nonzero entry
+    (the kernel tests the pivot row's own entry first)."""
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots, swaps, prev, prow = [], 0, 1, 0
+    for col in range(ncols):
+        sel = next((r for r in range(prow, nrows) if m[r][col] != 0), None)
+        if sel is None:
+            continue
+        if sel != prow:
+            m[prow], m[sel] = m[sel], m[prow]
+            swaps += 1
+        mp = m[prow]
+        pivot = mp[col]
+        for r in range(0 if reduce else prow + 1, nrows):
+            if r != prow:
+                mr = m[r]
+                f = mr[col]
+                m[r] = [(pivot * a - f * b) // prev for a, b in zip(mr, mp)]
+        pivots.append(col)
+        prev = pivot
+        prow += 1
+        if prow == nrows:
+            break
+    return pivots, swaps, prev
+
+
+def _probe_matrices(rng):
+    """Seeded integer matrices of every shape 0x0 .. 7x7, mostly zeros,
+    with zero leading entries, a zero row, a zero column or a row that is
+    a combination of two others."""
+    for nrows in range(8):
+        for ncols in range(8):
+            for variant in range(6):
+                m = [[rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(ncols)]
+                     for _ in range(nrows)]
+                if nrows and ncols:
+                    if variant == 1:
+                        m[0][0] = 0
+                        m[rng.randrange(nrows)][0] = 0
+                    elif variant == 2:
+                        m[rng.randrange(nrows)] = [0] * ncols
+                    elif variant == 3:
+                        col = rng.randrange(ncols)
+                        for row in m:
+                            row[col] = 0
+                    elif variant == 4 and nrows >= 3:
+                        i, j, k = rng.sample(range(nrows), 3)
+                        c = rng.randint(-3, 3)
+                        m[i] = [c * a + b for a, b in zip(m[j], m[k])]
+                    elif variant == 5:  # runs of leading zeros
+                        for row in m:
+                            z = rng.randrange(ncols + 1)
+                            row[:] = [0] * z + [rng.choice((-1, 1)) * rng.randint(1, 9)
+                                                for _ in range(ncols - z)]
+                yield m
+
+
+def test_pivot_probe_matches_generator_search():
+    """The kernel's pivot probe picks the pivot row the generator search
+    picks, so pivots, swaps, the last pivot and every row left in place
+    are the same, with and without ``reduce``; ``rank`` of the rows is
+    the pivot count, as ``Matrix.rank`` and a Fraction elimination
+    count it, and leaves the rows as they were."""
+    count = 0
+    for m in _probe_matrices(random.Random(3401)):
+        for reduce in (False, True):
+            ours, theirs = [list(row) for row in m], [list(row) for row in m]
+            assert bareiss(ours, reduce) == _generator_bareiss(theirs, reduce)
+            assert ours == theirs
+        rows = [tuple(row) for row in m]
+        expected = len(gauss_jordan(m)[1])
+        assert rank(rows) == Matrix(m).rank() == expected
+        assert rows == [tuple(row) for row in m]
+        count += 1
+    assert count == 8 * 8 * 6
 
 
 def test_hnf_example():
@@ -417,9 +500,14 @@ def test_one_matrix_from_every_route():
         m.den = 1
 
 
+class _Two(IntEnum):
+    TWO = 2
+
+
 @pytest.mark.parametrize(
     "num, den",
-    [([[Fraction(1, 2)]], 1), ([[0.5, 1]], 1), ([[1, True]], 1), ([["1"]], 1), ([[1]], Fraction(2))],
+    [([[Fraction(1, 2)]], 1), ([[0.5, 1]], 1), ([[1, True]], 1), ([["1"]], 1), ([[1]], Fraction(2)),
+     ([[1, _Two.TWO]], 1), ([[1, 2]], True)],
 )
 def test_from_integers_rejects_non_int_entries(num, den):
     """Stored entries must be ints: a Fraction or float left in ``num``
