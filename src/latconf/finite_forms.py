@@ -7,19 +7,34 @@ generators, and optionally a vector of quadratic values in Q/2Z (present
 exactly when the source lattice is even).  The constructor rejects
 values that are not well defined on the group.
 
-Isometry testing and automorphism enumeration share one exhaustive
-depth-first search over generator images, bounded at group order
-2**10.  A candidate image must have an order dividing its generator's
-and the right form values against the images chosen so far; each
-generator's candidates are a bitset over the elements (an int), so
-choosing an image narrows every later pool with one AND against a mask
-built once per search from the integer pair table.  Such an assignment
-is a form-preserving homomorphism, and its kernel pairs trivially with
-everything, so it lies in the radical of the source form.  Table folds
-of the nonzero radical elements (none may map to zero) decide
-bijectivity, for degenerate and nondegenerate forms; each is tested at
-the first node whose choices fix its image, so no search walks the
-subtree of a non-injective prefix.
+Isometry testing and the automorphism group share one depth-first
+search over generator images from a pinned prefix, bounded at group
+order 2**10.  A candidate image must have an order dividing its
+generator's and the right form values against the images chosen so
+far; each generator's candidates are a bitset over the elements (an
+int), so choosing an image narrows every later pool with one AND
+against a mask built once per set-up from the integer pair table, and a
+pinned generator's pool is the one bit of its image.  Such an
+assignment is a form-preserving homomorphism, and its kernel pairs
+trivially with everything, so it lies in the radical of the source
+form.  Table folds of the nonzero radical elements (none may map to
+zero) decide bijectivity, for degenerate and nondegenerate forms; each
+is tested at the first node whose choices fix its image, so no search
+walks the subtree of a non-injective prefix.
+
+``finite_form_isometric`` takes the first witness from the empty
+prefix.  The automorphism group is read off a stabilizer chain (Sims;
+Seress, *Permutation Group Algorithms*, ch. 4) along the base e_0, ...,
+e_{k-1}: level i pins e_0..e_{i-1} to themselves, and the candidates x
+for e_i that the search completes form the basic orbit Δ_i, one witness
+t_x each, so |Aut| = ∏|Δ_i| and the witnesses generate Aut.
+``finite_form_automorphisms`` enumerates by coset products: the
+automorphisms that agree with p on e_0..e_{i-1} are p∘G^(i), where G^(i)
+fixes e_0..e_{i-1}, and they take e_i to p(Δ_i), so the walk descends
+into p∘t_x∘G^(i+1) for x by increasing p(x).  A coset of at most
+``BATCH_BOUND`` elements comes out as one sorted batch.  The chain is
+filled on demand, so the first automorphism of a huge group comes out
+after one search.
 
 Each form also carries element tables, built with numpy on first use
 and cached on the instance: its elements in ``elements()`` order (mixed
@@ -68,6 +83,12 @@ from .errors import DimensionError, GroupTooLarge
 from .matrices import Matrix, frac_to_str, hnf, str_to_frac
 
 SEARCH_BOUND = 2**10
+# The automorphism walk sorts a coset p∘G^(i) in one batch once the
+# candidate counts of e_i..e_{k-1} bound |G^(i)| by this.  A batch first
+# tests every candidate below it, so the bound stays under the element
+# count of a form at SEARCH_BOUND: the first automorphism of the zero
+# form on (Z/2)^10 takes one search, not a test of 1,024 candidates.
+BATCH_BOUND = 2**9
 # the subgroup walk stops past this many subgroups; (Z/2)^8 has 417,199
 SUBGROUP_BOUND = 2**14
 # the initial images of apply_images's memo: no caller passes this object
@@ -387,17 +408,29 @@ def trivial_form(quadratic: bool):
 # ---------------------------------------------------------------------------
 
 
-def _search(a: FiniteForm, b: FiniteForm, compare: str):
-    """Depth-first search over generator images; yield witness image tuples.
+class _Search:
+    """The set-up of a search ``a -> b``: ``pools[i]``, the candidates
+    for e_i as a bitset over the elements of ``b``; ``tails[i][o]``, the
+    masks that narrow the pool of e_{i+1+o} once e_i is chosen;
+    ``radical[i]``, the term rows of the radical elements of ``a`` whose
+    images the choices for e_0..e_i fix; ``add``, the addition table of
+    ``b``; ``elements``, the elements of ``b`` in index order; and
+    ``gidx[i]``, the index of e_i."""
 
-    A witness is a tuple of elements of ``b`` (one per generator of
-    ``a``) defining a group isomorphism ``a -> b`` preserving the
-    bilinear form (and quadratic form when requested) on generators —
-    hence, by (bi)linearity, everywhere.  Pools are bitsets over the
-    elements of ``b``, narrowed with one AND per later generator by
-    ``masks[v][x]``, the elements y with ``scale*b(y, x) = v``.  An
-    explicit stack takes the bits lowest first, so witnesses come in
-    lexicographic order of their element indices.
+    __slots__ = ("pools", "tails", "radical", "add", "elements", "gidx")
+
+    def __init__(self, pools, tails, radical, add, elements, gidx):
+        self.pools, self.tails, self.radical = pools, tails, radical
+        self.add, self.elements, self.gidx = add, elements, gidx
+
+
+def _prepare(a: FiniteForm, b: FiniteForm, compare: str):
+    """The search set-up for ``a -> b``, or None when the generator
+    orders differ (so no isomorphism exists).
+
+    Pools are bitsets over the elements of ``b``, narrowed with one AND
+    per later generator by ``masks[v][x]``, the elements y with
+    ``scale*b(y, x) = v``.
     """
     if a.group_order() > SEARCH_BOUND or b.group_order() > SEARCH_BOUND:
         raise GroupTooLarge("finite form exceeds the backtracking bound")
@@ -407,11 +440,10 @@ def _search(a: FiniteForm, b: FiniteForm, compare: str):
     if use_quadratic and (a.quadratic is None or b.quadratic is None):
         raise DimensionError("quadratic comparison requires quadratic refinements")
     if a.orders != b.orders:
-        return
+        return None
     k = a.ngens
     if k == 0:
-        yield ()
-        return
+        return _Search([], [], [], None, [], [])
 
     import numpy as np
 
@@ -437,6 +469,26 @@ def _search(a: FiniteForm, b: FiniteForm, compare: str):
     radical = [[] for _ in range(k)]
     for r in np.flatnonzero(~ta.pair[1:].any(axis=1)) + 1:
         radical[terms[r][-1][0]].append(terms[r])
+    return _Search(pools, tails, radical, add, tb.elements, gidx)
+
+
+def _dfs(s: _Search, prefix=()):
+    """Depth-first search over generator images from a pinned prefix:
+    yield, in lexicographic order, the tuples of element indices that
+    begin with ``prefix`` and define a group isomorphism ``a -> b``
+    preserving the bilinear form (and quadratic form when requested) on
+    generators — hence, by (bi)linearity, everywhere.
+
+    An explicit stack takes the bits lowest first; a pinned generator's
+    pool is the one bit of its image, so the prefix is checked like any
+    other choice.
+    """
+    k = len(s.pools)
+    if k == 0:
+        yield ()
+        return
+    pools = [p & (1 << x) for p, x in zip(s.pools, prefix)] + s.pools[len(prefix):]
+    radical, tails, add = s.radical, s.tails, s.add
     # stack[i]: the untried images of e_i, then the pools of e_{i+1}, ...
     chosen, stack = [0] * k, [pools]
     while stack:
@@ -456,7 +508,7 @@ def _search(a: FiniteForm, b: FiniteForm, compare: str):
                 break
         else:
             if i == k - 1:
-                yield tuple(map(tb.elements.__getitem__, chosen))
+                yield tuple(chosen)
                 continue
             nxt = [p & m[x] for p, m in zip(pool[1:], tails[i])]
             if all(nxt):
@@ -475,13 +527,138 @@ def finite_form_isometric(a: FiniteForm, b: FiniteForm, compare="quadratic"):
         A witness tuple of generator images (an explicit isomorphism
         ``a -> b``) if the forms are isometric, else ``None``.
     """
-    return next(_search(a, b, compare), None)
+    search = _prepare(a, b, compare)
+    found = None if search is None else next(_dfs(search), None)
+    return None if found is None else tuple(map(search.elements.__getitem__, found))
+
+
+class _Chain:
+    """The stabilizer chain of Aut(f) along the base e_0, ..., e_{k-1}
+    (see the module docstring), filled on demand from one set-up.
+
+    ``orbit[i]`` maps each x tested for e_i to its witness t_x, an
+    element of G^(i) sending e_i to x held as a permutation of the
+    element indices (a numpy index array), or to None when x is not in
+    Δ_i.  Only the x in ``candidates[i]``, the pool of e_i narrowed by
+    e_0..e_{i-1} fixed, can be in Δ_i.
+    """
+
+    def __init__(self, f, search):
+        import numpy as np
+
+        t = f._tables()
+        self.search, self.coeff, self.orders = search, t.coeff, np.array(f.orders)
+        size = len(t.elements)
+        self.identity = np.arange(size)
+        gidx, tails = search.gidx, search.tails
+        self.orbit = [{g: self.identity} for g in gidx]
+        self.candidates = []
+        for i, bits in enumerate(search.pools):
+            for j in range(i):
+                bits &= tails[j][i - j - 1][gidx[j]]
+            self.candidates.append(np.array([x for x in range(size) if bits >> x & 1]))
+        # bound[i] >= |G^(i)|, from the candidate counts alone
+        self.bound = [prod(map(len, self.candidates[i:])) for i in range(len(gidx) + 1)]
+        self.rows = {len(gidx): np.array([gidx])}
+
+    def complete(self, i, p, y):
+        """Whether y is in Δ_i: the search from the prefix p(e_0), ...,
+        p(e_{i-1}), p(y), for an automorphism p.  Record the witness
+        p^{-1}∘σ for the least completion σ, and return σ as a
+        permutation (coefficient rows times its image rows, reduced and
+        read in the mixed radix, which is ``gidx``), or None."""
+        gidx = self.search.gidx
+        found = next(_dfs(self.search, p[gidx[:i] + [y]].tolist()), None)
+        if found is None:
+            self.orbit[i][y] = None
+            return None
+        sigma = self.coeff @ self.coeff[list(found)] % self.orders @ gidx
+        self.orbit[i][y] = p.argsort()[sigma]
+        return sigma
+
+    def fill(self, i):
+        """Test every candidate for e_i, ..., e_{k-1}."""
+        for j in range(i, len(self.orbit)):
+            for y in self.candidates[j].tolist():
+                if y not in self.orbit[j]:
+                    self.complete(j, self.identity, y)
+
+    def images(self, i):
+        """The generator images of every element of G^(i), one row of
+        element indices each: the products t_x∘h for x in Δ_i and h in
+        G^(i+1)."""
+        if i not in self.rows:
+            import numpy as np
+
+            self.fill(i)
+            below = self.images(i + 1)
+            transversal = [t for t in self.orbit[i].values() if t is not None]
+            self.rows[i] = np.concatenate([t[below] for t in transversal])
+        return self.rows[i]
+
+    def walk(self, i, p, least):
+        """The coset p∘G^(i) as arrays of index rows, in lexicographic
+        order: by increasing p(x) for x in Δ_i, the coset p∘t_x∘G^(i+1),
+        or the whole coset sorted at once when ``bound[i]`` is at most
+        ``BATCH_BOUND``.  ``least`` says that p is the least element of
+        its coset, as the least completion of a prefix is, so no x with
+        p(x) < p(e_i) is in Δ_i."""
+        import numpy as np
+
+        if self.bound[i] <= BATCH_BOUND:
+            rows = p[self.images(i)]
+            yield rows[np.lexsort(rows.T[::-1])]
+            return
+        orbit, g, ys = self.orbit[i], self.search.gidx[i], self.candidates[i]
+        if least:
+            below = p[ys] < p[g]
+            orbit.update(dict.fromkeys(ys[below].tolist()))
+            ys = ys[~below]
+        for y in ys[np.argsort(p[ys])].tolist():
+            if y not in orbit:
+                sigma = self.complete(i, p, y)
+                if sigma is not None:
+                    yield from self.walk(i + 1, sigma, True)
+            elif y == g:
+                yield from self.walk(i + 1, p, least)
+            elif orbit[y] is not None:
+                yield from self.walk(i + 1, p[orbit[y]], False)
 
 
 def finite_form_automorphisms(f: FiniteForm, compare="bilinear"):
-    """Iterate over all form automorphisms of ``f`` as image tuples
-    (``compare`` as in :func:`finite_form_isometric`)."""
-    return _search(f, f, compare)
+    """Iterate lazily over all form automorphisms of ``f`` as image
+    tuples, in lexicographic order (``compare`` as in
+    :func:`finite_form_isometric`).  They are coset products read off a
+    stabilizer chain that the isometry search fills on demand (see the
+    module docstring), so the first comes out after one search."""
+    search = _prepare(f, f, compare)
+    if not f.orders:
+        yield ()
+        return
+
+    import numpy as np
+
+    chain = _Chain(f, search)
+    elements = np.fromiter(search.elements, dtype=object, count=len(search.elements))
+    for rows in chain.walk(0, chain.identity, False):
+        yield from map(tuple, elements[rows].tolist())
+
+
+def stabilizer_chain(f: FiniteForm, compare="bilinear"):
+    """The transversals of the stabilizer chain of Aut(f) along the base
+    e_0, ..., e_{k-1}: for each generator e_i, the image tuples of
+    automorphisms fixing e_0..e_{i-1}, one sending e_i to each x in its
+    basic orbit Δ_i, by increasing x.  |Aut(f)| is the product of their
+    lengths, and together they generate Aut(f) (``compare`` as in
+    :func:`finite_form_isometric`)."""
+    search = _prepare(f, f, compare)
+    if not f.orders:
+        return []
+    chain = _Chain(f, search)
+    chain.fill(0)
+    gidx = search.gidx
+    return [[tuple(map(search.elements.__getitem__, orbit[x][gidx].tolist()))
+             for x in sorted(orbit) if orbit[x] is not None] for orbit in chain.orbit]
 
 
 def apply_images(f: FiniteForm, images, x):

@@ -20,6 +20,7 @@ import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 from . import __version__
 from . import f2space
@@ -45,8 +46,8 @@ from .configs import (
 from .errors import DimensionError, LatconfError, VerticesCollinear
 from .finite_forms import (
     apply_images,
-    finite_form_automorphisms,
     finite_form_isometric,
+    stabilizer_chain,
 )
 from .isotropic import (
     certificate_matches,
@@ -439,15 +440,14 @@ def check_lambda_glue(rng):
 def check_lambda_stable(rng):
     _, lam, _, gens = _lambda_data()
     lam0 = lam.subgroup(gens)
-    count = 0
-    stable = True
-    for images in finite_form_automorphisms(lam, compare="bilinear"):
-        count += 1
-        stable = all(apply_images(lam, images, g) in lam0 for g in gens)
-        if not stable:
-            break
-    return stable and count > 0, {
-        "automorphisms": count,
+    # the transversals of a stabilizer chain generate Aut, so the
+    # subgroup is stable iff they keep it; the order is their product
+    chain = stabilizer_chain(lam, compare="bilinear")
+    stable = all(apply_images(lam, images, g) in lam0
+                 for level in chain for images in level for g in gens)
+    order = prod(map(len, chain))
+    return stable and order > 0, {
+        "automorphisms": order,
         "subgroup_stable": stable,
     }
 

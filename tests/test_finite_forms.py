@@ -1,29 +1,33 @@
 """Finite bilinear/quadratic forms and isometry search."""
 
+import functools
 import hashlib
 import json
 import random
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice, product
-from math import prod
+from itertools import chain, combinations_with_replacement, islice
+from math import lcm, prod
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latconf import finite_forms
 from latconf.errors import DimensionError, GroupTooLarge
 from latconf.finite_forms import (
+    BATCH_BOUND,
     SEARCH_BOUND,
     FiniteForm,
     apply_images,
     finite_form_automorphisms,
     finite_form_isometric,
+    stabilizer_chain,
     trivial_form,
 )
-from latconf.lattices import Dn, Dpq, Zpq, parse_lattice_name, transcendental_slice
+from latconf.lattices import Dn, Dpq, Lattice, Zpq, parse_lattice_name, transcendental_slice
 from latconf.matrices import Matrix
 
 
@@ -196,36 +200,61 @@ CHAINS = [
 ]
 
 
+def _values(f, coeff, den):
+    """``den*b`` on every pair of elements (mod ``den``) and ``den*q`` on
+    every element (mod ``2*den``, or zeros without q), from the Fraction
+    entries of ``f`` and the sums that define the values."""
+    k = f.ngens
+    bil = np.array([[int(x * den) for x in row] for row in f.bilinear.data], dtype=np.int64)
+    pair = coeff @ bil.reshape(k, k) @ coeff.T % den
+    if f.quadratic is None:
+        return pair, np.zeros(len(coeff), dtype=np.int64)
+    quad = np.array([int(x * den) for x in f.quadratic], dtype=np.int64)
+    cross = np.einsum("ni,ij,nj->n", coeff, np.triu(bil.reshape(k, k), 1), coeff)
+    return pair, (coeff * coeff @ quad + 2 * cross) % (2 * den)
+
+
 def _oracle(a, b, use_quadratic):
     """Every order-respecting tuple of generator images of ``a`` in ``b``
-    whose map is bijective and preserves b (and q) on all elements.
+    whose map is bijective and preserves b (and q) on all elements, in
+    lexicographic order.
 
-    All tuples are tested at once: phi of every element is one matmul
-    mod the orders, read as its row index in ``elements()``, and each
-    form value is replaced by an integer label, equal iff the values are.
+    Tuples grow one generator at a time, all of them at once in numpy:
+    phi of an element is one matmul mod the orders, read as its row
+    index in ``elements()``.  A tuple x_0..x_i is kept while it keeps
+    b(e_j, e_i) for j <= i (and q(e_i)) and its map is injective on the
+    span of e_0..e_i; these are necessary, so no witness is lost.  Each
+    complete tuple is then tested on all elements, in chunks.
     """
     if a.orders != b.orders:
         return []
     els = a.elements()
-    size = len(els)
-    orders = np.array(a.orders)
-    radix = np.array([prod(a.orders[j + 1:]) for j in range(len(a.orders))])
-    labels = {}
-
-    def table(values):
-        return np.array([labels.setdefault(v, len(labels)) for v in values])
-
-    ba = table(a.b(x, y) for x in els for y in els).reshape(size, size)
-    bb = table(b.b(x, y) for x in els for y in els).reshape(size, size)
-    pools = [[y for y in els if n % b.element_order(y) == 0] for n in a.orders]
-    candidates = list(product(*pools))
-    phi = (np.array(els) @ np.array(candidates)) % orders @ radix  # (tuple, element)
-    keep = (np.sort(phi, axis=1) == np.arange(size)).all(axis=1)
-    keep &= (bb[phi[:, :, None], phi[:, None, :]] == ba).all(axis=(1, 2))
-    if use_quadratic:
-        qa, qb = table(map(a.q, els)), table(map(b.q, els))
+    size, k = len(els), a.ngens
+    coeff = np.array(els, dtype=np.int64).reshape(size, k)
+    orders = np.array(a.orders, dtype=np.int64)
+    radix = np.array([prod(a.orders[j + 1:]) for j in range(k)], dtype=np.int64)  # index of e_j
+    fractions = [x for f in (a, b) for x in chain(*f.bilinear.data, f.quadratic or ())]
+    den = lcm(*(x.denominator for x in fractions))
+    (ba, qa), (bb, qb) = _values(a, coeff, den), _values(b, coeff, den)
+    if not use_quadratic:
+        qa = qb = np.zeros(size, dtype=np.int64)
+    tuples = np.zeros((1, 0), dtype=np.int64)
+    for i, n in enumerate(a.orders):
+        pool = np.flatnonzero((n * coeff % orders == 0).all(axis=1))
+        grown = np.column_stack([np.repeat(tuples, len(pool), axis=0), np.tile(pool, len(tuples))])
+        keep = (bb[grown[:, i:i + 1], grown] == ba[radix[i], radix[:i + 1]]).all(axis=1)
+        grown = grown[keep & (qb[grown[:, i]] == qa[radix[i]])]
+        span = coeff[~coeff[:, i + 1:].any(axis=1), :i + 1]
+        phi = np.sort(span @ coeff[grown] % orders @ radix, axis=1)
+        tuples = grown[(np.diff(phi, axis=1) != 0).all(axis=1)]
+    found = []
+    for part in np.array_split(tuples, len(tuples) // max(1, 2**18 // size**2) + 1):
+        phi = coeff @ coeff[part] % orders @ radix  # (tuple, element)
+        keep = (np.sort(phi, axis=1) == np.arange(size)).all(axis=1)
+        keep &= (bb[phi[:, :, None], phi[:, None, :]] == ba).all(axis=(1, 2))
         keep &= (qb[phi] == qa).all(axis=1)
-    return [images for images, ok in zip(candidates, keep) if ok]
+        found += [tuple(els[j] for j in row) for row in part[keep].tolist()]
+    return found
 
 
 @st.composite
@@ -426,6 +455,154 @@ def test_zero_forms_beyond_the_oracle(orders, count):
     els = f.elements()
     for images in autos[::7]:
         assert sorted(apply_images(f, images, x) for x in els) == els
+
+
+# the lattice-census catalogue
+CATALOGUE = ["D4", "D4+D4", "H(2)+H(2)", "Z(0,4)*2", "D6+D6", "H(2)+E10*-1", "D(2,4)", "H(4)",
+             "H(2)+D4*-1", "D4*2"]
+
+
+def _seeded_forms():
+    """The catalogue's forms, the discriminant forms of 30 seeded Grams
+    with groups of order at most 256, three zero forms, and 20 seeded
+    forms on the chains above, often degenerate."""
+    rng = random.Random(5)
+    out = [parse_lattice_name(name).discriminant_form() for name in CATALOGUE]
+    grams = []
+    while len(grams) < 30:
+        n = rng.randint(1, 4)
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = rng.randint(-4, 4)
+        lattice = Lattice(gram)
+        if 0 < abs(lattice.det()) <= 256:
+            grams.append(lattice.discriminant_form())
+    out += grams
+    out += [FiniteForm(orders, Matrix.zeros(len(orders), len(orders)))
+            for orders in ((2, 2, 2), (4, 4), (2, 2, 2, 2))]
+    for _ in range(20):
+        orders = rng.choice(CHAINS)
+        k = len(orders)
+        bil = [[Fraction(0)] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                t = rng.randrange(orders[i]) if rng.random() < 0.5 else 0
+                bil[i][j] = bil[j][i] = Fraction(t, orders[i])
+        quad = None
+        if rng.random() < 0.5:
+            quad = [bil[i][i] + (rng.randint(0, 1) if n % 2 == 0 else (n * bil[i][i]) % 2)
+                    for i, n in enumerate(orders)]
+        out.append(FiniteForm(orders, bil, quad))
+    return out
+
+
+@functools.cache
+def _seeded_cases():
+    """(form, compare, the oracle's automorphisms) for each seeded form
+    and each compare mode it has."""
+    return [(f, compare, _oracle(f, f, compare == "quadratic"))
+            for f in _seeded_forms()
+            for compare in ["bilinear"] + (["quadratic"] if f.quadratic is not None else [])]
+
+
+def _seeded_subgroups(f, rng):
+    """Generator lists of seeded subgroups of ``f``: random ones, 2A and
+    3A, and the elements killed by 2, which every automorphism keeps."""
+    gens = [tuple(int(i == j) for j in range(f.ngens)) for i in range(f.ngens)]
+    lists = [rng.sample(f.elements(), rng.randint(1, min(2, f.group_order()))) for _ in range(6)]
+    lists += [[f.smul(t, g) for g in gens] for t in (2, 3)]
+    lists.append([f.smul(n // 2, g) for n, g in zip(f.orders, gens) if n % 2 == 0])
+    return lists
+
+
+def _keeps(f, autos, sub, span):
+    """Whether every automorphism in ``autos`` maps every element of
+    ``sub`` into ``span``: x times the image rows, mod the orders."""
+    k = f.ngens
+    radix = np.array([prod(f.orders[j + 1:]) for j in range(k)], dtype=np.int64)
+    images = (np.array(sub, dtype=np.int64).reshape(len(sub), k)
+              @ np.array(autos, dtype=np.int64).reshape(len(autos), k, k))
+    members = np.zeros(f.group_order(), dtype=bool)
+    members[np.array(sorted(span), dtype=np.int64).reshape(len(span), k) @ radix] = True
+    return bool(members[images % np.array(f.orders, dtype=np.int64) @ radix].all())
+
+
+@pytest.mark.parametrize("batch", [1, BATCH_BOUND])
+def test_enumeration_against_oracle(batch, monkeypatch):
+    """On the seeded forms, in both compare modes, the enumeration is
+    the oracle's list, also when every coset is walked down to single
+    automorphisms."""
+    monkeypatch.setattr(finite_forms, "BATCH_BOUND", batch)
+    for f, compare, autos in _seeded_cases():
+        assert list(finite_form_automorphisms(f, compare)) == autos, (f, compare)
+
+
+def test_chain_against_oracle():
+    """On the seeded forms, in both compare modes: the chain's order is
+    the oracle's count; level i holds automorphisms fixing e_0..e_{i-1},
+    with increasing images of e_i, e_i itself among them; and a seeded
+    subgroup is stable under the chain's witnesses iff it is stable
+    under every automorphism the oracle lists."""
+    rng = random.Random(5)
+    outcomes = set()
+    for f, compare, autos in _seeded_cases():
+        gens = [tuple(int(i == j) for j in range(f.ngens)) for i in range(f.ngens)]
+        levels = stabilizer_chain(f, compare)
+        assert len(levels) == f.ngens and prod(map(len, levels)) == len(autos)
+        known = set(autos)
+        for i, level in enumerate(levels):
+            assert set(level) <= known
+            assert all(images[:i] == tuple(gens[:i]) for images in level)
+            images_of_e_i = [images[i] for images in level]
+            assert images_of_e_i == sorted(set(images_of_e_i)) and gens[i] in images_of_e_i
+        witnesses = [images for level in levels for images in level]
+        for sub in _seeded_subgroups(f, rng):
+            span = _closure(f, sub)
+            stable = _keeps(f, autos, sub, span)
+            assert stable == all(apply_images(f, images, x) in span
+                                 for images in witnesses for x in sub), (f, compare, sub)
+            outcomes.add(stable)
+    assert outcomes == {True, False}
+
+
+def test_chain_of_the_trivial_form():
+    for compare in ("bilinear", "quadratic"):
+        assert stabilizer_chain(trivial_form(True), compare) == []
+        assert list(finite_form_automorphisms(trivial_form(True), compare)) == [()]
+
+
+def test_l2_chain():
+    """The paper's L(2) form: the chain's orbit lengths multiply to the
+    49,152 automorphisms that ``test_l2_automorphisms`` counts, and its 63
+    witnesses keep the order-8 isotropic glue subgroup."""
+    lam = _l2_form()
+    levels = stabilizer_chain(lam, "bilinear")
+    assert [len(level) for level in levels] == [32, 12, 8, 1, 8, 2]
+    glue = [(0, 0, 0, 0, 2, 0), (0, 0, 0, 0, 0, 2), (1, 1, 1, 1, 0, 0)]
+    span = _closure(lam, glue)
+    assert len(span) == 8
+    witnesses = [images for level in levels for images in level]
+    assert all(apply_images(lam, images, g) in span for images in witnesses for g in glue)
+
+
+def test_first_automorphism_is_lazy(monkeypatch):
+    """The zero form on (Z/2)^10 has |GL(10, F2)| automorphisms, about
+    2^100: the first comes out at once, and it is the isometry search's
+    first witness.  It takes two searches, for x = 0 and x = e_9 as the
+    image of e_0: the least completion σ of the second is the least
+    automorphism of its coset, so each later level descends at
+    σ(e_i) without a search, and no level is filled."""
+    searches = []
+    dfs = finite_forms._dfs
+    monkeypatch.setattr(finite_forms, "_dfs", lambda *args: searches.append(args) or dfs(*args))
+    f = FiniteForm((2,) * 10, Matrix.zeros(10, 10))
+    start = time.perf_counter()
+    first = next(finite_form_automorphisms(f))
+    elapsed = time.perf_counter() - start
+    assert len(searches) == 2
+    assert first == finite_form_isometric(f, f, "bilinear")
+    assert elapsed < 1.0, elapsed
 
 
 @pytest.mark.parametrize("rank", [5, 6])

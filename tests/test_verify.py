@@ -63,3 +63,15 @@ def test_dependent_subsets_match_the_matrix_determinants():
         assert verify._dependent_subsets(q) == expected
         dependent += bool(expected)
     assert dependent > 150
+
+
+def test_lambda_stable_fails_with_the_group_order(monkeypatch):
+    """A subgroup that some automorphism moves fails the L(2) stability
+    check, which still reports the order of the whole group, read off
+    its stabilizer chain, and not a count of automorphisms walked."""
+    l2, lam, parts, _ = verify._lambda_data()
+    moved = [(1, 0, 0, 0, 0, 0)]
+    monkeypatch.setattr(verify, "_lambda_data", lambda: (l2, lam, parts, moved))
+    check = verify.run_check("lattice-subgroup-stable", 0)
+    assert check.status == "Fail"
+    assert check.details == {"automorphisms": 49152, "subgroup_stable": False}
