@@ -202,7 +202,7 @@ def cmd_lattice_classify_isotropic(args) -> int:
     if args.vector is not None:
         try:
             coords = [Fraction(str(x)) for x in _load_json(args.vector)]
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise UsageError(f"malformed vector entry: {exc}") from exc
         cls = classify_isotropic_vector(None, coords)
     else:

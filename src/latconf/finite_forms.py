@@ -58,14 +58,15 @@ tables, so each form builds them once.  Subgroup enumeration runs on
 element indices too; the public API speaks in coefficient tuples.
 
 Subgroups come from one walk from {0} that joins one element at a time.
-``all_subgroups`` lets every element join; ``isotropic_subgroups`` lets
-a subgroup join only the isotropic elements orthogonal to it, a bitset
-narrowed by one AND with the orthogonal set of each element joined
-(read off the integer pair table).  Every intermediate subgroup of an
-isotropic one is then isotropic, so that walk reaches every isotropic
-subgroup and no other.  ``subgroup`` stays in tuple arithmetic, so it
-needs no tables and works on forms of any size; ``subgroup_order``
-reads the order off one Hermite form without listing the subgroup.
+``isotropic_subgroups`` lets a subgroup join only the isotropic elements
+orthogonal to it, a bitset narrowed by one AND with the orthogonal set
+of each element joined (read off the integer pair table).  Every
+intermediate subgroup of an isotropic one is then isotropic, so the
+walk reaches every isotropic subgroup and no other.  ``all_subgroups``
+is the same walk on the zero form, where every subgroup is isotropic.
+``subgroup`` stays in tuple arithmetic, so it needs no tables and works
+on forms of any size; ``subgroup_order`` reads the order off one Hermite
+form without listing the subgroup.
 """
 
 from __future__ import annotations
@@ -281,26 +282,19 @@ class FiniteForm:
         return self.group_order() // prod(h.num[i][i] for i in range(k))
 
     def all_subgroups(self):
-        """Every subgroup, as a sorted list of frozensets of elements."""
-        return self._walk(isotropic=False)
+        """Every subgroup, as a sorted list of frozensets of elements: the
+        isotropic subgroups of the zero form on the same group."""
+        zero = FiniteForm(self.orders, Matrix.zeros(self.ngens, self.ngens))
+        return zero.isotropic_subgroups()
 
     def isotropic_subgroups(self):
-        """Every subgroup on which the bilinear form vanishes, in
-        ``all_subgroups`` order."""
-        return self._walk(isotropic=True)
-
-    def _walk(self, isotropic):
-        """The subgroups reached from {0} by joining one element at a
-        time, sorted by (order, element indices).  Each subgroup carries
-        the bitset of elements it may join: every element, or with
-        ``isotropic`` the isotropic elements orthogonal to it."""
+        """Every subgroup on which the bilinear form vanishes, sorted by
+        (order, element indices): the walk from {0} joining one element
+        at a time, each subgroup carrying the bitset of the isotropic
+        elements orthogonal to it that it may join."""
         t = self._tables()
-        if isotropic:
-            orth = _bits(t.pair == 0)
-            allowed = sum(1 << i for i, row in enumerate(orth) if row >> i & 1)
-        else:
-            allowed = (1 << len(t.elements)) - 1
-            orth = [allowed] * len(t.elements)
+        orth = _bits(t.pair == 0)
+        allowed = sum(1 << i for i, row in enumerate(orth) if row >> i & 1)
         shifts = [row.__getitem__ for row in t.add]
         seen = {frozenset([0]): allowed}
         frontier = list(seen)

@@ -6,10 +6,10 @@ predicates, not assumptions (scaled hyperbolic planes like H(1/2) are
 representable).  A :class:`Sublattice` is a full-row-rank integer
 coordinate matrix inside an ambient lattice.
 
-The module implements signatures (exact congruence diagonalization),
-discriminant forms via Smith normal form, indices, saturations and
-orthogonal complements (HNF integer kernels), overlattice gluing along
-isotropic subgroups of the discriminant group, integral overlattice
+The module implements signatures and short vectors (integer congruence
+diagonalization), discriminant forms via Smith normal form, indices,
+saturations and orthogonal complements (HNF integer kernels), overlattice
+gluing along isotropic discriminant subgroups, integral overlattice
 enumeration, binary Gauss reduction and the two-adic index-exponent formula.
 
 A lattice derives its discriminant data once, on first use, from one
@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import lcm, prod
+from functools import cache, partial
+from math import isqrt, lcm, prod
 
 from .errors import (
     DegenerateGram,
@@ -83,10 +83,10 @@ class Lattice:
         return abs(self.det()) == 1
 
     def signature(self):
-        """(positive, negative) inertia counts by congruence diagonalization."""
-        d, _ = _diagonalize(self.gram.num)
-        pos = sum(1 for x in d if x > 0)
-        return pos, len(d) - pos
+        """(positive, negative) inertia counts: d_i > 0 where p_i, p_{i-1} agree in sign."""
+        pivots, _ = _diagonalize(self.gram.num)
+        pos = sum(1 for p, q in zip([1] + pivots, pivots) if (p > 0) == (q > 0))
+        return pos, len(pivots) - pos
 
     # -- construction helpers -----------------------------------------
 
@@ -182,23 +182,24 @@ class Lattice:
 
 def _diagonalize(rows):
     """Congruence diagonalization ``rows = Lᵀ·diag(d)·L`` of the integer
-    rows of a symmetric matrix, L upper unitriangular.
+    rows of a symmetric matrix by Bareiss's recurrence, L unitriangular.
 
     A zero pivot is first replaced by swapping in a later nonzero
     diagonal entry, or else by adding a later row and column that pairs
-    nonzero with it; L factors ``rows`` itself only when neither step
-    was taken, which is always so for positive definite input.
+    nonzero with it, a congruence on the trailing indices, so step i's
+    a[j] = (p·a[j] - a[j][i]·a[i]) // prev stays exact.  L factors
+    ``rows`` only when neither step was taken, always so if definite.
 
     Returns:
-        (d, L): the diagonal entries and L as lists of Fractions.
+        (p, a): the pivots p_i = d_0···d_i and a[i][j] = p_i·L[i][j], j >= i.
 
     Raises:
         DegenerateGram: the matrix is singular.
     """
     n = len(rows)
     a = [list(row) for row in rows]
-    lmat = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    d = []
+    pivots = []
+    prev = 1
     for i in range(n):
         if a[i][i] == 0:
             swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
@@ -213,14 +214,14 @@ def _diagonalize(rows):
                 a[i] = [x + y for x, y in zip(a[i], a[off])]
                 for row in a:
                     row[i] += row[off]
-        pivot = Fraction(a[i][i])
-        d.append(pivot)
-        for j in range(i + 1, n):
-            lmat[i][j] = a[i][j] / pivot
-        for j in range(i + 1, n):
+        pivot, top = a[i][i], a[i]
+        pivots.append(pivot)
+        for row in a[i + 1:]:
+            c = row[i]
             for k in range(i + 1, n):
-                a[j][k] -= a[i][j] * a[i][k] / pivot
-    return d, lmat
+                row[k] = (pivot * row[k] - c * top[k]) // prev
+        prev = pivot
+    return pivots, a
 
 
 # ---------------------------------------------------------------------------
@@ -507,13 +508,12 @@ def _glue(l: Lattice, lifts: Matrix, gens, order: int) -> GlueResult:
     top = hnf(Matrix.from_integers(scaled + list(glue.num))).num[:n]
     basis = Matrix.from_integers(top, den)
     new_gram = basis * l.gram * basis.transpose()
-    # H is upper triangular with positive pivots: it has full rank n
-    index = Fraction(den**n, prod(top[i][i] for i in range(n)))
-    if index.denominator != 1 or int(index) != order:
+    # H is upper triangular with positive pivots: full rank n, index den**n / ∏ pivots
+    if den**n != order * prod(top[i][i] for i in range(n)):
         raise IntegralityViolation("glue index does not match subgroup order")
     if not new_gram.is_integral():
         raise IntegralityViolation("glued lattice is not integral")
-    return GlueResult(Lattice(new_gram), basis, int(index))
+    return GlueResult(Lattice(new_gram), basis, order)
 
 
 @dataclass(frozen=True)
@@ -590,20 +590,27 @@ def gauss_reduce_binary(g: Matrix) -> Matrix:
     return Matrix.from_integers([[sign * a, b], [b, sign * c]], g.den)
 
 
-def short_vectors(gram: Matrix, norm: Fraction):
+def short_vectors(gram: Matrix, norm):
     """All integer vectors of the given norm in a positive definite lattice.
 
-    Exact Fincke-Pohst style recursion on the congruence diagonalization
-    of the integer rows ``num`` (``den`` times the Gram) at ``den`` times
-    the norm; each coordinate walks both ways from -center to a miss past it.
+    Exact Fincke-Pohst recursion on the congruence diagonalization of
+    ``num`` = den·Gram: den·norm(x) = Σ y_i²/(p_{i-1}·p_i), y_i = p_i·(Lx)_i,
+    so times C = lcm(p_{i-1}·p_i) one ``isqrt`` bounds each y_i.  Each x_i
+    walks up from floor(-center), then down from the integer below it.
     """
     n = gram.rows
     try:
-        d, lmat = _diagonalize(gram.num)
+        pivots, a = _diagonalize(gram.num)
     except DegenerateGram:
-        d = None
-    if d is None or any(x <= 0 for x in d):
+        pivots = None
+    if pivots is None or any(p <= 0 for p in pivots):
         raise DimensionError("short_vectors requires positive definite Gram")
+    target = Fraction(norm) * gram.den
+    if target.denominator != 1 or target < 0:
+        return []
+    pairs = [p * q for p, q in zip([1] + pivots, pivots)]
+    c = lcm(*pairs)
+    weights = [c // pq for pq in pairs]
     out = []
     x = [0] * n
 
@@ -612,23 +619,17 @@ def short_vectors(gram: Matrix, norm: Fraction):
             if remaining == 0:
                 out.append(tuple(x))
             return
-        center = sum(lmat[i][j] * x[j] for j in range(i + 1, n))
-        # d[i]*(x_i + center)^2 <= remaining
-        base = -center
-        start = base.numerator // base.denominator  # floor
-        for xi, step in ((start, 1), (start - 1, -1)):
-            while True:
-                val = d[i] * (xi + center) ** 2
-                if val <= remaining:
-                    x[i] = xi
-                    rec(i - 1, remaining - val)
-                elif step < 0 or xi > base:
-                    # floor(-center) may miss while the integer above hits
-                    break
-                xi += step
-        x[i] = 0
+        row, p, w = a[i], pivots[i], weights[i]
+        s = sum(row[j] * x[j] for j in range(i + 1, n))
+        # w·y² <= remaining for y = p·x_i + s, so |y| <= m
+        m = isqrt(remaining // w)
+        lo, hi, start = -((m + s) // p), (m - s) // p, -s // p
+        for xi in (*range(max(start, lo), hi + 1), *range(start - 1, lo - 1, -1)):
+            x[i] = xi
+            y = p * xi + s
+            rec(i - 1, remaining - w * y * y)
 
-    rec(n - 1, Fraction(norm) * gram.den)
+    rec(n - 1, c * int(target))
     return out
 
 
@@ -641,20 +642,19 @@ def definite_isometries(a: Lattice, b: Lattice):
     such a g is unimodular exactly when |det a| = |det b|; otherwise it is
     only an embedding and nothing is yielded.  Both lattices must be
     definite of the same sign; negative definite pairs are handled by a
-    global sign flip.
+    global sign flip, and both are scaled to integer rows.
     """
     if a.n != b.n or abs(a.det()) != abs(b.det()):
         return
     ga, gb = a.gram, b.gram
-    if a.n and ga.num[0][0] < 0 and gb.num[0][0] < 0:
-        ga, gb = ga.scale(-1), gb.scale(-1)
+    sign = -1 if a.n and ga.num[0][0] < 0 and gb.num[0][0] < 0 else 1
+    scale = sign * lcm(ga.den, gb.den)
+    ga, gb = ga.scale(scale), gb.scale(scale)
 
-    @cache
-    def vectors_of_norm(t):
-        return short_vectors(gb, Fraction(t, ga.den))
+    vectors_of_norm = cache(partial(short_vectors, gb))
 
     cols: list = []
-    # pair(u, v) is gb.den times uᵀ·gram(b)·v, read off b's nonzero entries
+    # pair(u, v) is uᵀ·gram(b)·v, read off b's nonzero entries
     sparse = [[(j, x) for j, x in enumerate(row) if x] for row in gb.num]
 
     def pair(u, v):
@@ -666,7 +666,7 @@ def definite_isometries(a: Lattice, b: Lattice):
             return
         target = ga.num[k]
         for v in vectors_of_norm(target[k]):
-            if all(pair(v, cols[j]) * ga.den == target[j] * gb.den for j in range(k)):
+            if all(pair(v, cols[j]) == target[j] for j in range(k)):
                 cols.append(v)
                 yield from rec(k + 1)
                 cols.pop()

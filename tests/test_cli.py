@@ -452,6 +452,43 @@ def test_classify_isotropic_takes_no_lattice(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("plane, kind, gram", [
+    ([[1, 0, 1, -1, 0, 0], [0, 1, -1, -1, 0, 0]], "EvenPlane", [["-1", "0"], ["0", "-1"]]),
+    ([[1, 0, 0, 0, 1, 1], [0, 1, -1, -1, 0, 0]], "OddPlane", [["-2", "0"], ["0", "-2"]]),
+])
+@pytest.mark.parametrize("from_file", [False, True])
+def test_classify_isotropic_plane(capsys, tmp_path, plane, kind, gram, from_file):
+    spec = json.dumps(plane)
+    if from_file:
+        path = tmp_path / "plane.json"
+        path.write_text(spec, encoding="utf-8")
+        spec = str(path)
+    code, doc = run_json(capsys, "lattice", "classify-isotropic", "--plane", spec)
+    assert code == 0
+    assert doc == {
+        "kind": kind,
+        "certificate_gram": {"rows": 2, "cols": 2, "entries": gram},
+    }
+
+
+def test_classify_isotropic_vector_from_a_file(capsys, tmp_path):
+    path = tmp_path / "vector.json"
+    path.write_text("[1, 0, 1, 1, 0, 0]", encoding="utf-8")
+    code, doc = run_json(capsys, "lattice", "classify-isotropic", "--vector", str(path))
+    assert (code, doc["kind"]) == (0, "OddType1Vector")
+    assert doc["certificate_gram"]["entries"] == [
+        ["2", "0", "0", "0"], ["0", "-2", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"],
+    ]
+
+
+@pytest.mark.parametrize("vector", [
+    '[1,"x",0,0,0,0]', "[1,null,0,0,0,0]", "[1,[0],0,0,0,0]", '["1/0",0,0,0,0,0]',
+])
+def test_non_numeric_vector_entry_exit_2(capsys, vector):
+    code, doc = run_json(capsys, "lattice", "classify-isotropic", "--vector", vector)
+    assert (code, set(doc), doc["error"]["kind"]) == (2, {"error"}, "UsageError")
+
+
 def test_bad_flag_exit_2(capsys):
     code = main(["lattice", "no-such-subcommand"])
     capsys.readouterr()

@@ -12,6 +12,9 @@
   discriminant decomposition of a lattice (u and v) and the isotropic
   basis completion (v).
 * ``Matrix.inverse`` is called only in the isotropic basis completion.
+* The congruence diagonalization ``lattices._diagonalize``,
+  ``definite_isometries`` and the recursion of ``short_vectors`` name no
+  ``Fraction``; ``short_vectors`` reads its norm as one once.
 * Outside ``cli``, the Fraction views of a Matrix
   (``entry``, ``column``, ``data``, ``from_columns``) are read only in
   named boundary scopes: the Matrix's own text forms and the
@@ -24,6 +27,7 @@
 
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -266,6 +270,24 @@ def test_inverse_only_in_basis_completion():
     discriminant coefficients x·u⁻¹·d are read as x·G·v instead."""
     callers = _callers("inverse")
     assert callers == ["isotropic._complete_to_basis"], callers
+
+
+def test_integer_diagonalization_and_short_vectors():
+    """The Fincke-Pohst route runs on the Bareiss pivots and rows:
+    ``Fraction`` is named in none of the scopes below, and in
+    ``short_vectors`` itself once, to read the norm at entry."""
+    tree = ast.parse((PACKAGE / "lattices.py").read_text(encoding="utf-8"))
+    functions = {
+        f"{scope}.{node.name}" if scope else node.name
+        for scope, node in _scoped(tree, lambda node: isinstance(node, ast.FunctionDef))
+    }
+    integer = ("_diagonalize", "definite_isometries", "short_vectors.rec")
+    assert set(integer) <= functions, functions
+    named = Counter(scope for scope, _ in _scoped(
+        tree, lambda node: isinstance(node, ast.Name) and node.id == "Fraction"))
+    offending = [scope for scope in named if scope and scope.startswith(integer)]
+    assert not offending, offending
+    assert named["short_vectors"] == 1, named
 
 
 FRACTION_VIEWS = ("entry", "column", "data", "from_columns")

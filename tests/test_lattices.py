@@ -647,8 +647,10 @@ def test_short_vectors_rejects_non_positive_definite(gram):
 # -- the integer routes against their Fraction routes ------------------
 
 
-def _fraction_diagonalize(gram):
-    """Oracle: ``_diagonalize`` on the Fraction entries of ``gram``."""
+def _fraction_diagonalize(gram, taken=None):
+    """Oracle: ``_diagonalize`` on the Fraction entries of ``gram``,
+    appending ``(i, "swap")`` or ``(i, "add")`` to ``taken`` for each zero
+    pivot replaced at step i."""
     n = gram.rows
     a = [list(row) for row in gram.data]
     lmat = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
@@ -656,6 +658,8 @@ def _fraction_diagonalize(gram):
     for i in range(n):
         if a[i][i] == 0:
             swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
+            if taken is not None:
+                taken.append((i, "add" if swap is None else "swap"))
             if swap is not None:
                 a[i], a[swap] = a[swap], a[i]
                 for row in a:
@@ -814,25 +818,57 @@ def test_definite_isometries_against_fraction_route():
     assert is_isometric_small(Lattice(SKEWED_PAIR[0]), Lattice(SKEWED_PAIR[1]))
 
 
+def _zero_pivot_gram(rng, n):
+    """uᵀ·B·u for B a block sum of scalars and blocks [[0, c], [c, 0]]
+    and u upper unitriangular: u keeps the leading minors of B, which
+    are zero where a prefix splits a block, so zero pivots come up after
+    the first step."""
+    b = [[0] * n for _ in range(n)]
+    i = 0
+    while i < n:
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        if i + 1 < n and rng.random() < 0.5:
+            b[i][i + 1] = b[i + 1][i] = c
+            i += 2
+        else:
+            b[i][i] = c
+            i += 1
+    u = [[int(i == j) if i >= j else rng.randint(-2, 2) for j in range(n)] for i in range(n)]
+    return Matrix(u).transpose() * Matrix(b) * Matrix(u)
+
+
 def test_signature_against_fraction_route():
     """Symmetric Grams with den > 1, zero diagonal entries included, get
-    the signs of the Fraction diagonalization, or DegenerateGram alike."""
+    the signs of the Fraction diagonalization, or DegenerateGram alike,
+    and pivots p_i with p_i / p_{i-1} = den·d_i.  The seeded Grams of
+    ``_zero_pivot_gram`` take both zero-pivot branches after step 0,
+    where the Bareiss division is by a pivot other than 1."""
     rng = random.Random(63)
+    grams = []
     for _ in range(200):
         n = rng.randint(1, 5)
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 rows[i][j] = rows[j][i] = rng.choice((0, 0, rng.randint(-5, 5)))
-        gram = Matrix(rows).scale(Fraction(1, rng.randint(2, 6)))
+        grams.append(Matrix(rows).scale(Fraction(1, rng.randint(2, 6))))
+    for _ in range(120):
+        gram = _zero_pivot_gram(rng, rng.randint(2, 6))
+        grams.append(gram.scale(Fraction(1, rng.randint(2, 6))))
+    taken = []
+    for gram in grams:
+        n = gram.rows
         try:
-            d, _ = _fraction_diagonalize(gram)
+            d, _ = _fraction_diagonalize(gram, taken)
         except DegenerateGram:
             with pytest.raises(DegenerateGram):
                 Lattice(gram).signature()
             continue
+        pivots, _ = lattices._diagonalize(gram.num)
+        assert [Fraction(p, q) for p, q in zip(pivots, [1] + pivots)] == [gram.den * x for x in d]
         pos = sum(1 for x in d if x > 0)
         assert Lattice(gram).signature() == (pos, n - pos)
+    assert {"swap", "add"} <= {branch for i, branch in taken if i > 0}
 
 
 def _fraction_discriminant_data(l):
