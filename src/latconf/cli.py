@@ -103,9 +103,24 @@ SERIALIZED_FORMS = (
 )
 
 
-def _deserialize(from_json, obj):
-    """``from_json(obj)``; a missing key or malformed value is a usage error."""
+def _number_rows(rows, what: str) -> list:
+    """``rows`` as lists of Fractions; a row that is not a JSON array (a
+    string is not one) or an entry that is not a number or a numeric
+    string (``true`` is not one) is a usage error."""
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and {*map(type, row)} <= {int, float, str} for row in rows):
+        raise UsageError(f"{what} must be JSON arrays of numbers or numeric strings")
     try:
+        return [[Fraction(str(x)) for x in row] for row in rows]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"malformed {what} entry: {exc}") from exc
+
+
+def _deserialize(from_json, obj, key=None):
+    """``from_json(obj)`` once ``_number_rows`` passes its matrix ``obj[key]``
+    (or ``obj``); a missing key or malformed value is a usage error."""
+    try:
+        _number_rows((obj[key] if key else obj)["entries"], "matrix")
         return from_json(obj)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(
@@ -116,13 +131,10 @@ def _deserialize(from_json, obj):
 
 def _matrix_from(obj) -> Matrix:
     """Matrix from serialized form or a plain nested list."""
-    try:
-        if isinstance(obj, dict) and "entries" in obj:
-            return _deserialize(Matrix.from_json, obj)
-        if isinstance(obj, list):
-            return Matrix([[Fraction(str(x)) for x in row] for row in obj])
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise UsageError(f"malformed matrix entry: {exc}") from exc
+    if isinstance(obj, dict) and "entries" in obj:
+        return _deserialize(Matrix.from_json, obj)
+    if isinstance(obj, list):
+        return Matrix(_number_rows(obj, "matrix"))
     raise UsageError("expected a matrix: nested list or serialized form")
 
 
@@ -132,7 +144,7 @@ def _lattice_from(args) -> Lattice:
     if getattr(args, "gram", None):
         obj = _load_json(args.gram)
         if isinstance(obj, dict) and "gram" in obj:
-            return _deserialize(Lattice.from_json, obj)
+            return _deserialize(Lattice.from_json, obj, "gram")
         return Lattice(_matrix_from(obj))
     raise UsageError("provide --name or --gram")
 
@@ -140,7 +152,7 @@ def _lattice_from(args) -> Lattice:
 def _config_from(spec: str) -> ConfigMatrix:
     obj = _load_json(spec)
     if isinstance(obj, dict) and "matrix" in obj:
-        return _deserialize(ConfigMatrix.from_json, obj)
+        return _deserialize(ConfigMatrix.from_json, obj, "matrix")
     return ConfigMatrix(_matrix_from(obj))
 
 
@@ -181,9 +193,7 @@ def cmd_lattice_complement(args) -> int:
 
 def cmd_lattice_glue(args) -> int:
     l = _lattice_from(args)
-    gens = _load_json(args.gens)
-    if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
-        raise UsageError("--gens must be a list of coefficient lists")
+    gens = _number_rows(_load_json(args.gens), "--gens")
     result = overlattice_from_isotropic(
         l, gens, check_quadratic=args.quadratic
     )
@@ -200,10 +210,7 @@ def cmd_lattice_classify_isotropic(args) -> int:
     if (args.vector is None) == (args.plane is None):
         raise UsageError("provide exactly one of --vector or --plane")
     if args.vector is not None:
-        try:
-            coords = [Fraction(str(x)) for x in _load_json(args.vector)]
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
-            raise UsageError(f"malformed vector entry: {exc}") from exc
+        (coords,) = _number_rows([_load_json(args.vector)], "--vector")
         cls = classify_isotropic_vector(None, coords)
     else:
         basis = _matrix_from(_load_json(args.plane))

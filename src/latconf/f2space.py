@@ -11,6 +11,7 @@ recovers the column characters of the 3 x 7 generator matrix.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, product
 
 from .errors import DimensionError
@@ -77,12 +78,10 @@ def census() -> dict[int, int]:
     the 64 classes {x, x + (1,...,1)} in F2^7; counting classes by
     weight gives {7: 1, 5: 7, 3: 21, 1: 35}.
     """
-    out: dict[int, int] = {}
-    for x in product((0, 1), repeat=DIM):
-        if sum(x) <= 3:  # one representative per class
-            w = weight(x)
-            out[w] = out.get(w, 0) + 1
-    return out
+    return dict(Counter(
+        weight(x) for x in product((0, 1), repeat=DIM)
+        if sum(x) <= 3  # one representative per class
+    ))
 
 
 def g_elements():
@@ -117,7 +116,8 @@ def character_of_column(i: int) -> int:
 
 
 def character_bases():
-    """Unordered bases of the rank-3 character group.
+    """Bases of the rank-3 character group, as increasing triples in
+    lexicographic order.
 
     Characters are the integers 1..7 read as 3-bit vectors with XOR as
     addition.  A basis is a set {a, b, c} of three characters with
@@ -125,17 +125,9 @@ def character_bases():
     zero are automatically independent in dimension 3).  There are
     7 * 6 * 4 / 3! = 28 of them.
     """
-    return [
-        frozenset(t)
-        for t in combinations(range(1, 8), 3)
-        if t[0] ^ t[1] ^ t[2] != 0
-    ]
+    return [t for t in combinations(range(1, 8), 3) if t[0] ^ t[1] ^ t[2] != 0]
 
 
 def character_basis_census() -> dict[int, int]:
     """Count character bases grouped by their XOR-sum: 4 per sum."""
-    out: dict[int, int] = {}
-    for base in character_bases():
-        a, b_, c = tuple(base)
-        out[a ^ b_ ^ c] = out.get(a ^ b_ ^ c, 0) + 1
-    return out
+    return dict(Counter(x ^ y ^ z for x, y, z in character_bases()))

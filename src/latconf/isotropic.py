@@ -10,6 +10,8 @@ A primitive isotropic vector falls into one of three classes:
 
 A primitive totally isotropic plane is ``EvenPlane`` (contains an even
 vector; certificate Z^2(-1)) or ``OddPlane`` (certificate Z^2(-2)).
+Both classifiers build P^perp/P by one route; L and the boundary models
+are built once.  Vector coordinates must be integers (DimensionError).
 
 The acceptance suite's exhaustive census lists the primitive isotropic
 vectors of bounded height and counts the planes spanned by pairs of
@@ -20,11 +22,13 @@ permutations against the list, weighting each plane it meets.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import gcd
+from types import MappingProxyType
 
 from .errors import DimensionError, NotIsotropic, NotPrimitive
 from .lattices import (
@@ -54,15 +58,23 @@ class IsotropicClass:
     certificate: Matrix
 
 
+@cache
+def _slice() -> Lattice:
+    """L, built once per process, on first use."""
+    return transcendental_slice()
+
+
+@cache
 def boundary_models():
-    """Reference lattices for the certificate of each class."""
-    return {
+    """Reference lattices for each class's certificate: one read-only
+    mapping, built once per process, on first use."""
+    return MappingProxyType({
         EVEN_VECTOR: Zpq(1, 3),
         ODD_TYPE1_VECTOR: Zpq(1, 1).direct_sum(Zpq(2, 0).rescale(-2)),
         ODD_TYPE2_VECTOR: hyperbolic().direct_sum(Zpq(2, 0).rescale(-2)),
         ODD_PLANE: Zpq(2, 0).rescale(-2),
         EVEN_PLANE: Zpq(0, 2),
-    }
+    })
 
 
 def certificate_matches(cls: IsotropicClass) -> bool:
@@ -85,43 +97,42 @@ def _complete_to_basis(coords: Matrix) -> Matrix:
     return v.inverse()
 
 
-def _quotient_gram(sub_rows: Matrix, complement: Sublattice) -> Matrix:
-    """Gram matrix of complement / (row span of sub_rows).
+def _certificate(l: Lattice, rows: Matrix) -> Matrix:
+    """Gram matrix of P⊥/P, P the totally isotropic span of ``rows`` in L.
 
-    ``sub_rows`` are ambient coordinates of an isotropic sublattice inside
-    ``complement`` (its own orthogonal complement), so the form descends to
-    the quotient; any basis completion gives the same form up to base
-    change.  Raises NotPrimitive unless it is primitive in ``complement``.
-    """
-    ambient = complement.ambient
-    coords = solve_rows(complement.basis, sub_rows)
-    if coords is None or not coords.is_integral():
-        raise DimensionError("sublattice not inside its complement")
-    completion = _complete_to_basis(coords)
-    new_basis = completion * complement.basis
-    rest = new_basis.submatrix(range(sub_rows.rows, new_basis.rows), range(new_basis.cols))
-    return rest * ambient.gram * rest.transpose()
+    The rows have integer coordinates in the saturated P⊥, and any basis
+    completion gives the same form up to base change.  Raises
+    NotPrimitive unless P is primitive in P⊥, that is, in L."""
+    complement = orthogonal_complement(Sublattice(l, rows)).basis
+    new_basis = _complete_to_basis(solve_rows(complement, rows)) * complement
+    rest = new_basis.submatrix(range(rows.rows, new_basis.rows), range(new_basis.cols))
+    return rest * l.gram * rest.transpose()
 
 
 def _slice_only(l: Lattice | None) -> Lattice:
-    """``l``, or L when ``l`` is None: the classification is defined on
-    no other lattice."""
-    if l is None:
-        return transcendental_slice()
-    if l.gram != transcendental_slice().gram:
+    """L, when ``l`` is None or L: the classification is defined on L only."""
+    if l is not None and l.gram != _slice().gram:
         raise DimensionError("classification is defined on L = diag(2,2,-1,-1,-1,-1) only")
-    return l
+    return _slice()
+
+
+def _integers(coords: list):
+    """``coords`` as a list of ints, or None unless each is an integer."""
+    try:
+        ints = list(map(int, coords))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return ints if ints == coords else None
 
 
 def classify_isotropic_vector(l: Lattice | None, v) -> IsotropicClass:
     """Classify a primitive isotropic vector of L (``l`` is None or L).
 
-    Raises NotIsotropic / NotPrimitive / DimensionError on bad input.
-    """
+    Raises NotIsotropic / NotPrimitive / DimensionError on bad input, a
+    coordinate that is not an integer included."""
     l = _slice_only(l)
-    coords = list(v)
-    v = [int(x) for x in coords]
-    if v != coords:
+    v = _integers(list(v))
+    if v is None:
         raise DimensionError("vector coordinates must be integers")
     if len(v) != l.n:
         raise DimensionError("vector length mismatch")
@@ -130,21 +141,15 @@ def classify_isotropic_vector(l: Lattice | None, v) -> IsotropicClass:
     if gcd(*v) != 1:
         raise NotPrimitive("vector content exceeds 1")
     vm = Matrix([v])
-    norm = (vm * l.gram * vm.transpose()).num[0][0]  # L is integral
+    pairings = (vm * l.gram).num[0]  # L is integral
+    norm = sum(x * y for x, y in zip(pairings, v))
     if norm != 0:
         raise NotIsotropic(f"vector has norm {norm}")
-    complement = orthogonal_complement(Sublattice(l, vm))
-    cert = _quotient_gram(vm, complement)
-    if _vector_parity_gcd(l, v) == 2:
+    cert = _certificate(l, vm)
+    if gcd(*pairings) == 2:
         return IsotropicClass(EVEN_VECTOR, cert)
-    quotient_even = all(row[i] % (2 * cert.den) == 0 for i, row in enumerate(cert.num))
-    kind = ODD_TYPE2_VECTOR if quotient_even else ODD_TYPE1_VECTOR
+    kind = ODD_TYPE2_VECTOR if Lattice(cert).parity() == "even" else ODD_TYPE1_VECTOR
     return IsotropicClass(kind, cert)
-
-
-def _vector_parity_gcd(l: Lattice, v) -> int:
-    vm = Matrix([v])
-    return gcd(*(vm * l.gram).num[0])
 
 
 def classify_isotropic_plane(l: Lattice | None, basis) -> IsotropicClass:
@@ -156,14 +161,13 @@ def classify_isotropic_plane(l: Lattice | None, basis) -> IsotropicClass:
         raise DimensionError("plane basis must be 2 x n")
     if basis.rank() != 2:
         raise DimensionError("plane basis must have rank 2")
-    if not (basis * l.gram * basis.transpose()).is_zero():
+    pairings = basis * l.gram
+    if not (pairings * basis.transpose()).is_zero():
         raise NotIsotropic("plane is not totally isotropic")
-    # P is primitive in L iff in the saturated P⊥, which _quotient_gram tests
-    complement = orthogonal_complement(Sublattice(l, basis))
-    cert = _quotient_gram(basis, complement)
-    r1, r2 = basis.num  # a Sublattice basis, so integral
+    cert = _certificate(l, basis)
+    p1, p2 = pairings.num  # integral: _certificate took the basis as a Sublattice's
     has_even = any(
-        _vector_parity_gcd(l, [a * x + b * y for x, y in zip(r1, r2)]) == 2
+        gcd(*(a * x + b * y for x, y in zip(p1, p2))) == 2
         for a, b in ((1, 0), (0, 1), (1, 1))
     )
     return IsotropicClass(EVEN_PLANE if has_even else ODD_PLANE, cert)
@@ -221,15 +225,9 @@ def enumerate_isotropic_vectors(height: int = 5):
     return [v for v in candidates if v > zero and gcd(*v) == 1]
 
 
-def isotropic_vector_census(height: int = 5, vectors=None):
-    """Kind counts over all primitive isotropic vectors of height <= h."""
-    if vectors is None:
-        vectors = enumerate_isotropic_vectors(height)
-    census: dict[str, int] = {}
-    for v in vectors:
-        k = fast_vector_kind(v)
-        census[k] = census.get(k, 0) + 1
-    return census
+def isotropic_vector_census(vectors):
+    """Kind counts over the listed primitive isotropic vectors."""
+    return dict(Counter(map(fast_vector_kind, vectors)))
 
 
 @dataclass(frozen=True)
@@ -247,16 +245,17 @@ class PlaneScan:
 
 
 def _integer_array(vectors):
-    """The listed vectors as int64 rows.  Coordinates below 2^30 keep every
-    pairing (at most 8*max|x|^2) and 2x2 minor exact."""
+    """The listed vectors as int64 rows, checked in one pass.  Coordinates
+    below 2^30 keep every pairing (at most 8*max|x|^2) and 2x2 minor exact."""
     import numpy as np
 
     rows = [tuple(v) for v in vectors]
-    if any(len(v) != 6 or any(int(x) != x for x in v) for v in rows):
+    flat = _integers(list(chain.from_iterable(rows)))
+    if flat is None or set(map(len, rows)) - {6}:
         raise DimensionError("listed vectors need 6 integer coordinates")
-    if any(abs(x) >= 2**30 for v in rows for x in v):
+    if flat and max(max(flat), -min(flat)) >= 2**30:
         raise DimensionError("vector coordinates must lie below 2^30 in absolute value")
-    return np.array(rows, dtype=np.int64).reshape(len(rows), 6)
+    return np.array(flat, dtype=np.int64).reshape(len(rows), 6)
 
 
 def _runs(rows):
@@ -377,5 +376,5 @@ def scan_isotropic_planes(vectors=None, height: int = 5) -> PlaneScan:
             k, g = _least_image(keys[mask], index, sign)
             p, s = perms[g // len(signs)], signs[g % len(signs)]
             span = [(s * V[x][p]).tolist() for x in (reps[ii[mask][k]], jj[mask][k])]
-            representatives[kind] = saturation(Sublattice(transcendental_slice(), span)).basis
+            representatives[kind] = saturation(Sublattice(_slice(), span)).basis
     return PlaneScan(sum(census.values()), census, representatives)

@@ -45,11 +45,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain
 from math import gcd
 
 from .configs import check_kappa, dependent_columns, gale_dual
 from .errors import DimensionError, SmoothnessRequired
+from .f2space import character_bases
 from .matrices import Matrix, echelon, rank
 
 NCHARS = 7
@@ -223,8 +224,8 @@ def invariant_deformations(q) -> GradedPiece:
     return _system(q)[2]
 
 
-_SUM_BASES = tuple(tuple(t for t in combinations(range(1, 8), 3)  # [k - 1]: kappa_sum_bases(k)
-                         if k not in t and t[0] ^ t[1] ^ t[2] == k) for k in range(1, 8))
+_SUM_BASES = tuple(tuple(t for t in character_bases()  # [k - 1]: kappa_sum_bases(k)
+                         if t[0] ^ t[1] ^ t[2] == k) for k in range(1, 8))
 
 
 def kappa_sum_bases(kappa: int):

@@ -187,7 +187,7 @@ def test_closed_stdout_exits_1_without_traceback(capsys, monkeypatch, stub,
     (["lattice", "classify-isotropic", "--vector", "[1.5,0,1,1,0,0]"], 1, "DimensionError"),
     # glue coefficients are never truncated; --gens must be a list of lists
     (["lattice", "glue", "--name", "D6", "--gens", "[[1.5,0]]"], 1, "DimensionError"),
-    (["lattice", "glue", "--name", "D6", "--gens", '[["a",0]]'], 1, "DimensionError"),
+    (["lattice", "glue", "--name", "D6", "--gens", '[["3/2",0]]'], 1, "DimensionError"),
     (["lattice", "glue", "--name", "D6", "--gens", "5"], 2, "UsageError"),
     (["lattice", "glue", "--name", "D6", "--gens", "[5]"], 2, "UsageError"),
     # names above the rank bound are refused before any matrix is built
@@ -206,6 +206,36 @@ def test_closed_stdout_exits_1_without_traceback(capsys, monkeypatch, stub,
 def test_bad_input_one_error_document(capsys, argv, code, kind):
     got, doc = run_json(capsys, *argv)
     assert (got, doc["error"]["kind"]) == (code, kind)
+
+
+SIX_ROWS = [[1, 0, 0, 1, 1, 1], [0, 1, 0, 1, 2, 3], [0, 0, 1, 1, 3, 5]]
+
+
+@pytest.mark.parametrize("argv", [
+    # a JSON string is not a row or a vector: its digits are not entries
+    ["lattice", "disc-form", "--gram", '["21","12"]'],
+    ["lattice", "disc-form", "--gram", '{"gram":{"rows":2,"cols":2,"entries":["21","12"]}}'],
+    ["lattice", "disc-form", "--gram", '{"rows":2,"cols":2,"entries":["21","12"]}'],
+    ["lattice", "classify-isotropic", "--vector", '"101100"'],
+    ["lattice", "complement", "--name", "D4", "--basis", '["1000"]'],
+    ["config", "stability", "--config", '["100123","010157","001111"]'],
+    ["config", "stability", "--config", json.dumps(
+        {"matrix": {"rows": 3, "cols": 6, "entries": ["100123", "010157", "001111"]},
+         "labels": [0, 0, 1, 1, 2, 2]})],
+    ["jacobian", "dims", "--system", '["1000000","0100000","0010000","0001000"]'],
+    # JSON true and false are not 1 and 0 on the serialized route or in --gens
+    ["lattice", "disc-form", "--gram", '{"gram":{"rows":2,"cols":2,"entries":[[true,1],[1,2]]}}'],
+    ["config", "stability", "--config", json.dumps(
+        {"matrix": {"rows": 3, "cols": 6, "entries": [[True] + SIX_ROWS[0][1:]] + SIX_ROWS[1:]},
+         "labels": [0, 0, 1, 1, 2, 2]})],
+    ["lattice", "glue", "--name", "D4", "--gens", "[[true,0]]"],
+    ["lattice", "glue", "--name", "D4", "--gens", "[[1,false]]"],
+    # a non-numeric glue coefficient is malformed input, not a domain error
+    ["lattice", "glue", "--name", "D6", "--gens", '[["a",0]]'],
+])
+def test_json_strings_and_booleans_are_not_numbers(capsys, argv):
+    code, doc = run_json(capsys, *argv)
+    assert (code, set(doc), doc["error"]["kind"]) == (2, {"error"}, "UsageError")
 
 
 def test_overlattices_past_the_subgroup_bound_exit_1(capsys):

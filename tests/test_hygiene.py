@@ -12,6 +12,9 @@
   discriminant decomposition of a lattice (u and v) and the isotropic
   basis completion (v).
 * ``Matrix.inverse`` is called only in the isotropic basis completion.
+* In ``isotropic``, L and the boundary models are built (``transcendental_slice``,
+  ``Zpq``, ``hyperbolic``) only by the parameterless cached helpers
+  ``_slice`` and ``boundary_models``.
 * The congruence diagonalization ``lattices._diagonalize``,
   ``definite_isometries`` and the recursion of ``short_vectors`` name no
   ``Fraction``; ``short_vectors`` reads its norm as one once.
@@ -270,6 +273,23 @@ def test_inverse_only_in_basis_completion():
     discriminant coefficients x·u⁻¹·d are read as x·G·v instead."""
     callers = _callers("inverse")
     assert callers == ["isotropic._complete_to_basis"], callers
+
+
+def test_slice_and_models_built_only_in_cached_helpers():
+    """L and the boundary models are built only by two parameterless
+    cached helpers, so no classification, certificate check or scan
+    rebuilds them, nor their discriminant forms and element tables."""
+    tree = ast.parse((PACKAGE / "isotropic.py").read_text(encoding="utf-8"))
+    scopes = sorted({scope for name in ("transcendental_slice", "Zpq", "hyperbolic")
+                     for scope, _ in _calls(tree, name)})
+    assert scopes == ["_slice", "boundary_models"], scopes
+    helpers = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name in scopes]
+    assert len(helpers) == 2
+    for node in helpers:
+        a = node.args
+        assert not (a.posonlyargs or a.args or a.kwonlyargs or a.vararg or a.kwarg), node.name
+        assert any(map(_unbounded_cache, node.decorator_list)), node.name
 
 
 def test_integer_diagonalization_and_short_vectors():

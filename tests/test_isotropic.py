@@ -71,9 +71,12 @@ def test_rejects_bad_vectors():
         classify_isotropic_vector(None, (2, 2, 4, 0, 0, 0))
     with pytest.raises(NotIsotropic):
         classify_isotropic_vector(None, (0, 0, 0, 0, 0, 0))
-    # non-integral coordinates are rejected, not truncated
-    for v in ((1.5, 0, 1, 1, 0, 0), (Fraction(3, 2), 0, 1, 1, 0, 0)):
-        with pytest.raises(DimensionError):
+    # non-integral coordinates are rejected, not truncated, and so are
+    # coordinates that are not numbers at all
+    for v in ((1.5, 0, 1, 1, 0, 0), (Fraction(3, 2), 0, 1, 1, 0, 0),
+              ["a", 0, 0, 0, 0, 0], [None, 0, 0, 0, 0, 0], [float("inf"), 0, 0, 0, 0, 0],
+              [float("nan"), 0, 0, 0, 0, 0]):
+        with pytest.raises(DimensionError, match="must be integers"):
             classify_isotropic_vector(None, v)
 
 
@@ -306,7 +309,11 @@ def test_plane_scan_of_unions_of_orbits(picks, k):
     [(1, 1, 2, 0, 0, 0), ("1", -1, 0, 2, 0, 0)],
     [tuple(10**9 * x for x in v) for v in HEIGHT_2],
     [tuple(2**30 * x for x in v) for v in enumerate_isotropic_vectors(1)],
-], ids=["float", "fraction", "short", "string", "1e9-height-2", "2^30"])
+    [(1, 1, 2, 0, 0, 0), ("a", 0, 0, 0, 0, 0)],
+    [(1, 1, 2, 0, 0, 0), (None, 0, 0, 0, 0, 0)],
+    [(1, 1, 2, 0, 0, 0), (float("inf"), 0, 0, 0, 0, 0)],
+], ids=["float", "fraction", "short", "string", "1e9-height-2", "2^30",
+        "non-numeric", "none", "infinite"])
 def test_plane_scan_rejects_inexact_input(vectors):
     # non-integral coordinates are rejected, not truncated, and so are
     # coordinates whose pairings (up to 8*max|x|^2) could leave int64
@@ -377,6 +384,45 @@ def test_boundary_models_pairwise_distinct():
                 continue
             assert not bool(is_isometric_small(models[a], models[b])), (a, b)
             assert not bool(is_isometric_small(models[b], models[a])), (b, a)
+
+
+def test_boundary_models_built_once_and_read_only():
+    models = boundary_models()
+    assert len(models) == 5
+    assert all(boundary_models()[kind] is model for kind, model in models.items())
+    with pytest.raises(TypeError):
+        models[EVEN_PLANE] = Zpq(0, 2)
+    with pytest.raises(TypeError):
+        del models[ODD_PLANE]
+
+
+ONE_OF_EACH_KIND = [
+    (classify_isotropic_vector, (1, 1, 2, 0, 0, 0)),
+    (classify_isotropic_vector, (1, 0, 1, 1, 0, 0)),
+    (classify_isotropic_vector, (1, 1, 1, 1, 1, 1)),
+    (classify_isotropic_plane, [[1, 0, 1, -1, 0, 0], [0, 1, -1, -1, 0, 0]]),
+    (classify_isotropic_plane, [[1, 0, 0, 0, 1, 1], [0, 1, -1, -1, 0, 0]]),
+]
+
+
+def test_warm_certificate_matches_builds_one_lattice(monkeypatch):
+    """Once the models are built, checking a certificate builds only the
+    certificate's own Lattice, for every kind."""
+    classes = [classify(None, x) for classify, x in ONE_OF_EACH_KIND]
+    assert sorted(cls.kind for cls in classes) == sorted(boundary_models())
+    assert all(map(certificate_matches, classes))  # warm
+    built = []
+    init = Lattice.__init__
+
+    def counting_init(self, gram, name=None):
+        built.append(gram)
+        init(self, gram, name)
+
+    monkeypatch.setattr(Lattice, "__init__", counting_init)
+    for cls in classes:
+        built.clear()
+        assert certificate_matches(cls)
+        assert built == [cls.certificate], cls.kind
 
 
 def test_certificate_matches_rejects_wrong_kind():

@@ -50,6 +50,7 @@ from latconf.lattices import (
     transcendental_slice,
 )
 from latconf.matrices import Matrix, hnf, snf
+from test_finite_forms import _all_subgroups
 
 
 def test_named_lattices():
@@ -363,11 +364,12 @@ def test_overlattice_enumeration_of_reference_lattice():
 
 
 def _overlattices_by_filter(l):
-    """Oracle: every subgroup of the discriminant group, kept when it is
-    isotropic and glued alone through the public entry point."""
+    """Oracle: every subgroup of the discriminant group, from the
+    test-local enumeration ``_all_subgroups``, kept when it is isotropic
+    and glued alone through the public entry point."""
     form = l.discriminant_form()
     infos = []
-    for sub in form.all_subgroups():
+    for sub in _all_subgroups(form):
         gens = sorted(sub)
         if form.is_isotropic_subgroup(gens, use_quadratic=False)[0]:
             glue = overlattice_from_isotropic(l, gens, check_quadratic=False)
