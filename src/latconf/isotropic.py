@@ -125,15 +125,20 @@ def _integers(coords: list):
     return ints if ints == coords else None
 
 
+def _coordinates(v) -> list:
+    """``v`` as a list of ints; DimensionError unless each is an integer."""
+    if (ints := _integers(list(v))) is None:
+        raise DimensionError("vector coordinates must be integers")
+    return ints
+
+
 def classify_isotropic_vector(l: Lattice | None, v) -> IsotropicClass:
     """Classify a primitive isotropic vector of L (``l`` is None or L).
 
     Raises NotIsotropic / NotPrimitive / DimensionError on bad input, a
     coordinate that is not an integer included."""
     l = _slice_only(l)
-    v = _integers(list(v))
-    if v is None:
-        raise DimensionError("vector coordinates must be integers")
+    v = _coordinates(v)
     if len(v) != l.n:
         raise DimensionError("vector length mismatch")
     if all(x == 0 for x in v):
@@ -156,7 +161,7 @@ def classify_isotropic_plane(l: Lattice | None, basis) -> IsotropicClass:
     """Classify a primitive rank-2 totally isotropic plane of L (``l`` is
     None or L)."""
     l = _slice_only(l)
-    basis = basis if isinstance(basis, Matrix) else Matrix(basis)
+    basis = basis if isinstance(basis, Matrix) else Matrix(list(map(_coordinates, basis)))
     if basis.rows != 2 or basis.cols != l.n:
         raise DimensionError("plane basis must be 2 x n")
     if basis.rank() != 2:
@@ -212,13 +217,17 @@ def enumerate_isotropic_vectors(height: int = 5):
     One representative per +-pair (first nonzero coordinate positive).
     """
     rng = range(-height, height + 1)
+    squares = [(b, b * b) for b in rng]
     by_square_sum: dict[int, list[tuple[int, ...]]] = {}
-    for bs in product(rng, repeat=4):
-        by_square_sum.setdefault(sum(b * b for b in bs), []).append(bs)
+    for b1, s1 in squares:
+        for b2, s2 in squares:
+            for b3, s3 in squares:
+                for b4, s4 in squares:
+                    by_square_sum.setdefault(s1 + s2 + s3 + s4, []).append((b1, b2, b3, b4))
     candidates = (
         (a1, a2) + bs
-        for a1, a2 in product(rng, repeat=2)
-        for bs in by_square_sum.get(2 * (a1 * a1 + a2 * a2), ())
+        for (a1, t1), (a2, t2) in product(squares, repeat=2)
+        for bs in by_square_sum.get(2 * (t1 + t2), ())
     )
     # v > 0 lexicographically iff its first nonzero coordinate is positive
     zero = (0,) * 6

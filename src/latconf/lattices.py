@@ -12,6 +12,11 @@ saturations and orthogonal complements (HNF integer kernels), overlattice
 gluing along isotropic discriminant subgroups, integral overlattice
 enumeration, binary Gauss reduction and the two-adic index-exponent formula.
 
+Gluing works on integer rows: the glue rows over one denominator go
+through one Hermite form, and the glued Gram is an integer product.  An
+overlattice of index k is unimodular iff |det L| = k², so enumeration
+takes one determinant, of L.
+
 A lattice derives its discriminant data once, on first use, from one
 Smith decomposition d = u·G·v: the form and the generator lifts (rows
 of u) and the coefficients of dual vectors (through v).  Every call
@@ -29,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
+from operator import mul
 
 from .errors import (
     DegenerateGram,
@@ -498,22 +504,26 @@ def _glue(l: Lattice, lifts: Matrix, gens, order: int) -> GlueResult:
     reduced coefficient tuples ``gens`` generate; ``lifts`` are the
     dual-vector lifts of the canonical discriminant generators.
 
-    The glue rows gens·lifts share one denominator ``den``; with H the
-    integer HNF rows of [den·I ; den·glue rows], the new basis is H / den
-    and the glued Gram is basis·G·basisᵀ."""
+    The glue rows gens·lifts are integer rows over one denominator
+    ``den`` in lowest terms; with H the HNF rows of [den·I ; glue rows],
+    the basis is H / den and the glued Gram H·G·Hᵀ over den²·G.den, an
+    integer product over the nonzero entries of H (most rows are den·e_i)."""
     n = l.n
-    glue = Matrix.from_integers(gens, 1, lifts.rows) * lifts
-    den = glue.den
-    scaled = [[den if i == j else 0 for j in range(n)] for i in range(n)]
-    top = hnf(Matrix.from_integers(scaled + list(glue.num))).num[:n]
-    basis = Matrix.from_integers(top, den)
-    new_gram = basis * l.gram * basis.transpose()
+    glue = [[sum(map(mul, g, col)) for col in zip(*lifts.num)] for g in gens]
+    k = gcd(lifts.den, *(x for row in glue for x in row))
+    den, glue = lifts.den // k, [[x // k for x in row] for row in glue]
+    scaled = [[den * (i == j) for j in range(n)] for i in range(n)]
+    top = hnf(Matrix.from_integers(scaled + glue, 1, n)).num[:n]
+    sparse, G = [[(j, x) for j, x in enumerate(row) if x] for row in top], l.gram.num
+    hg = [[sum(x * G[j][c] for j, x in s) for c in range(n)] for s in sparse]
+    gram = [[sum(x * row[j] for j, x in s) for s in sparse] for row in hg]
+    new_gram = Matrix.from_integers(gram, den * den * l.gram.den, n)
     # H is upper triangular with positive pivots: full rank n, index den**n / ∏ pivots
     if den**n != order * prod(top[i][i] for i in range(n)):
         raise IntegralityViolation("glue index does not match subgroup order")
     if not new_gram.is_integral():
         raise IntegralityViolation("glued lattice is not integral")
-    return GlueResult(Lattice(new_gram), basis, order)
+    return GlueResult(Lattice(new_gram), Matrix.from_integers(top, den), order)
 
 
 @dataclass(frozen=True)
@@ -542,19 +552,13 @@ def enumerate_integral_overlattices(l: Lattice):
             ``SUBGROUP_BOUND`` isotropic subgroups.
     """
     form, lifts = l.discriminant_data()
+    det = abs(l.det())
     results = []
     for sub in form.isotropic_subgroups():
         gens = sorted(sub)
         glue = _glue(l, lifts, gens, len(sub))
-        results.append(
-            OverlatticeInfo(
-                subgroup=tuple(gens),
-                index=glue.index,
-                lattice=glue.lattice,
-                parity=glue.lattice.parity(),
-                unimodular=glue.lattice.is_unimodular(),
-            )
-        )
+        results.append(OverlatticeInfo(tuple(gens), glue.index, glue.lattice,
+                                       glue.lattice.parity(), det == glue.index**2))
     return results
 
 

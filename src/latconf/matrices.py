@@ -8,7 +8,8 @@ normal forms used by the rest of the package:
   and the rank of integer rows,
 * ``integer_kernel``: the HNF basis of the integer kernel of integer rows,
 * ``solve_rows``: the coefficients of rows in the row span of a basis,
-* row-style Hermite normal form ``hnf`` of the row lattice,
+* row-style Hermite normal form ``hnf`` of the row lattice, by row
+  insertion into a triangular basis (Cohen, GTM 138, §2.4.2),
 * Smith normal form ``snf`` with both unimodular transforms, read off
   the blocks of one working matrix ``[[m, I], [I, 0]]``.
 
@@ -413,37 +414,36 @@ def solve_rows(basis: Matrix, rows: Matrix):
 # ---------------------------------------------------------------------------
 
 
-def _require_integral(m: Matrix, what: str):
-    if not m.is_integral():
-        raise DimensionError(f"{what} requires an integer matrix")
-
-
 def hnf(m: Matrix) -> Matrix:
     """Row-style Hermite normal form of the row lattice of ``m``: echelon
     form with positive pivots, entries above each pivot reduced into
-    ``[0, pivot)``, zero rows last."""
-    _require_integral(m, "hnf")
-    a = [list(row) for row in m.num]
-    prow = 0
-    for col in range(m.cols):
-        # Euclid down the column: its least nonzero entry reduces the rest
-        while nz := [r for r in range(prow, m.rows) if a[r][col]]:
-            sel = min(nz, key=lambda r: abs(a[r][col]))
-            a[prow], a[sel] = a[sel], a[prow]
-            if len(nz) == 1:
+    ``[0, pivot)``, zero rows last.  Each row is inserted into a
+    triangular basis: at its first nonzero entry x it becomes a new pivot
+    row (negated if x < 0), or meets pivot row p of pivot a in one 2×2
+    step (p, row) ↦ (s·p + t·row, (a/g)·row − (x/g)·p), s·a + t·x = g =
+    gcd(a, x).  A last pass reduces the entries above each pivot (Cohen,
+    GTM 138, §2.4.2); the form is unique, so the step order never shows."""
+    if not m.is_integral():
+        raise DimensionError("hnf requires an integer matrix")
+    basis = {}
+    for row in m.num:
+        for col in range(m.cols):
+            if not (x := row[col]):
+                continue
+            if (p := basis.get(col)) is None:
+                basis[col] = row if x > 0 else [-y for y in row]
                 break
-            for r in range(prow + 1, m.rows):
-                if a[r][col]:
-                    q = a[r][col] // a[prow][col]
-                    a[r] = [x - q * y for x, y in zip(a[r], a[prow])]
-        if prow < m.rows and a[prow][col]:
-            if a[prow][col] < 0:
-                a[prow] = [-x for x in a[prow]]
-            for r in range(prow):
-                q = a[r][col] // a[prow][col]
-                a[r] = [x - q * y for x, y in zip(a[r], a[prow])]
-            prow += 1
-    return _of_integers(a, 1, m.cols)
+            a = p[col]
+            g = gcd(a, x)
+            if t := pow(x // g, -1, a // g):  # t·x = g mod a; else a divides x
+                basis[col] = [(g - t * x) // a * u + t * v for u, v in zip(p, row)]
+            row = [a // g * v - x // g * u for u, v in zip(p, row)]
+    rows = [basis[c] for c in sorted(basis)]
+    for i, c in enumerate(sorted(basis)):
+        for j in range(i):
+            if q := rows[j][c] // rows[i][c]:
+                rows[j] = [u - q * v for u, v in zip(rows[j], rows[i])]
+    return _of_integers(rows + [[0] * m.cols] * (m.rows - len(rows)), 1, m.cols)
 
 
 def snf(m: Matrix):
@@ -460,7 +460,8 @@ def snf(m: Matrix):
     block ``v``.  The pivot search, the clearing passes and the
     divisibility step read only the ``m`` block.
     """
-    _require_integral(m, "snf")
+    if not m.is_integral():
+        raise DimensionError("snf requires an integer matrix")
     nrows, ncols = m.rows, m.cols
     a = [list(row) + [int(i == k) for k in range(nrows)] for i, row in enumerate(m.num)]
     a += [[int(i == j) for j in range(ncols)] + [0] * nrows for i in range(ncols)]

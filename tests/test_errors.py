@@ -84,6 +84,15 @@ CASES = {
     "plane not isotropic": (
         lambda: classify_isotropic_plane(None, [[1, 0, 0, 0, 0, 0], PLANE[1]]),
         NotIsotropic, "plane is not totally isotropic"),
+    "plane with a non-numeric coordinate": (
+        lambda: classify_isotropic_plane(None, [["a", 0, 0, 0, 0, 0], PLANE[1]]),
+        DimensionError, "vector coordinates must be integers"),
+    "plane with a None coordinate": (
+        lambda: classify_isotropic_plane(None, [[None, 0, 0, 0, 0, 0], PLANE[1]]),
+        DimensionError, "vector coordinates must be integers"),
+    "plane with an infinite coordinate": (
+        lambda: classify_isotropic_plane(None, [[float("inf"), 0, 0, 0, 0, 0], PLANE[1]]),
+        DimensionError, "vector coordinates must be integers"),
     "vector of length 5": (
         lambda: classify_isotropic_vector(None, [1, 0, 1, 1, 0]),
         DimensionError, "vector length mismatch"),

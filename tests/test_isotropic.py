@@ -80,6 +80,15 @@ def test_rejects_bad_vectors():
             classify_isotropic_vector(None, v)
 
 
+@pytest.mark.parametrize("bad", ["a", None, float("inf")], ids=["non-numeric", "none", "infinite"])
+def test_plane_classifier_rejects_non_integer_coordinates(bad):
+    """A list basis goes through the vector classifier's integer check,
+    so no ValueError, TypeError or OverflowError escapes the Matrix
+    constructor."""
+    with pytest.raises(DimensionError, match="must be integers"):
+        classify_isotropic_plane(None, [[bad, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]])
+
+
 def test_vector_census_three_classes():
     vectors = enumerate_isotropic_vectors(height=3)
     census = isotropic_vector_census(vectors=vectors)

@@ -392,9 +392,10 @@ def test_overlattice_enumeration_matches_single_glues(name):
     assert len(expected) > 1
 
 
-def test_overlattice_enumeration_on_seeded_grams():
-    """The filtered route as oracle on rescaled random Grams, definite
-    and indefinite, with discriminant groups of order at most 64."""
+def _seeded_lattices():
+    """Rescaled random Grams, definite and indefinite, with discriminant
+    groups of order at most 64, up to the twelfth that has an
+    overlattice of index above 1."""
     rng = random.Random(2606)
     tried = 0
     while tried < 12:
@@ -406,9 +407,47 @@ def test_overlattice_enumeration_on_seeded_grams():
         l = Lattice(Matrix(rows))
         if l.det() == 0 or abs(l.det()) > 64:
             continue
-        expected = _overlattices_by_filter(l)
-        assert enumerate_integral_overlattices(l) == expected
-        tried += len(expected) > 1
+        yield l
+        tried += len(l.discriminant_form().isotropic_subgroups()) > 1
+
+
+def test_overlattice_enumeration_on_seeded_grams():
+    """The filtered route as oracle on the seeded Grams."""
+    for l in _seeded_lattices():
+        assert enumerate_integral_overlattices(l) == _overlattices_by_filter(l)
+
+
+@pytest.mark.parametrize("name", CATALOGUE + ("Z(8,0)*2", "seeded"))
+def test_glue_gram_and_unimodular_flag_against_matrix_route(name):
+    """On every overlattice: the unimodular flag read off the index is
+    ``is_unimodular`` of the glued lattice, and the integer Gram is the
+    ``Matrix`` product basis·G·basisᵀ of the basis that gluing the
+    subgroup alone returns (2,981 overlattices for Z(8,0)*2)."""
+    lattices = list(_seeded_lattices()) if name == "seeded" else [parse_lattice_name(name)]
+    for l in lattices:
+        for info in enumerate_integral_overlattices(l):
+            assert info.unimodular == info.lattice.is_unimodular()
+            glue = overlattice_from_isotropic(l, info.subgroup)
+            assert glue.lattice == info.lattice
+            assert info.lattice.gram == glue.basis * l.gram * glue.basis.transpose()
+
+
+@pytest.mark.parametrize("name", CATALOGUE)
+def test_warm_overlattice_enumeration_makes_no_matrix_product(name, monkeypatch):
+    """Once the discriminant form is derived, gluing forms every Gram as
+    an integer product: no ``Matrix.__mul__`` call."""
+    l = parse_lattice_name(name)
+    l.discriminant_form()
+    products = []
+    mul = Matrix.__mul__
+
+    def counted(self, other):
+        products.append((self.rows, self.cols, other.cols))
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    assert len(enumerate_integral_overlattices(l)) > 1
+    assert products == []
 
 
 @pytest.mark.parametrize("n, codes", [(6, 15), (8, 135)])

@@ -295,6 +295,76 @@ def test_hnf_example():
     assert h.entry(1, 0) == 0
 
 
+def _euclid_hnf(m):
+    """Oracle: the Hermite form by Euclid down each column, its least
+    nonzero entry reducing the rest, then the entries above the pivot
+    reduced at once."""
+    a = [list(row) for row in m.num]
+    prow = 0
+    for col in range(m.cols):
+        while nz := [r for r in range(prow, m.rows) if a[r][col]]:
+            sel = min(nz, key=lambda r: abs(a[r][col]))
+            a[prow], a[sel] = a[sel], a[prow]
+            if len(nz) == 1:
+                break
+            for r in range(prow + 1, m.rows):
+                if a[r][col]:
+                    q = a[r][col] // a[prow][col]
+                    a[r] = [x - q * y for x, y in zip(a[r], a[prow])]
+        if prow < m.rows and a[prow][col]:
+            if a[prow][col] < 0:
+                a[prow] = [-x for x in a[prow]]
+            for r in range(prow):
+                q = a[r][col] // a[prow][col]
+                a[r] = [x - q * y for x, y in zip(a[r], a[prow])]
+            prow += 1
+    return Matrix.from_integers(a, 1, m.cols)
+
+
+def _hnf_oracle_inputs():
+    """Seeded integer matrices: every shape from 0x0 to 8x9 (zero rows,
+    zero columns and negative leading entries forced in), then the
+    shapes the callers build: [A | I] (``integer_kernel``),
+    [den·I ; glue rows] (``_glue``) and [diag(orders) ; gens]
+    (``subgroup_order``)."""
+    rng = random.Random(38)
+    for r in range(9):
+        for c in range(10):
+            for _ in range(3):
+                a = [[0 if rng.random() < 0.3 else rng.randint(-20, 20) for _ in range(c)]
+                     for _ in range(r)]
+                if r and c:
+                    a[rng.randrange(r)] = [0] * c
+                    zero = rng.randrange(c)
+                    for row in a:
+                        row[zero] = 0
+                    lead = rng.randrange(r)
+                    a[lead][rng.randrange(c)] = -rng.randint(1, 20)
+                yield Matrix.from_integers(a, 1, c)
+    for _ in range(60):
+        k, n = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(k)]
+        yield Matrix.from_integers([[row[j] for row in rows] + [int(i == j) for i in range(n)]
+                                    for j in range(n)], 1, k + n)
+        den = rng.randint(2, 24)
+        glue = [[rng.randint(-3 * den, 3 * den) for _ in range(n)] for _ in range(k)]
+        yield Matrix.from_integers([[den * (i == j) for j in range(n)] for i in range(n)] + glue)
+        orders = [rng.choice((2, 3, 4, 6, 8, 12)) for _ in range(n)]
+        gens = [[rng.randrange(o) for o in orders] for _ in range(k)]
+        yield Matrix.from_integers([[o * (i == j) for j in range(n)]
+                                    for i, o in enumerate(orders)] + gens)
+
+
+def test_hnf_against_euclid_oracle():
+    """Row insertion gives the Euclid oracle's Hermite form byte for byte."""
+    count = 0
+    for m in _hnf_oracle_inputs():
+        h = hnf(m)
+        assert (h.rows, h.cols, h.num) == (m.rows, m.cols, _euclid_hnf(m).num), m
+        count += 1
+    assert count == 9 * 10 * 3 + 60 * 3
+
+
 # -- differential tests of the elimination kernel ------------------------
 
 
