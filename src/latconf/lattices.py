@@ -509,12 +509,16 @@ def _glue(l: Lattice, lifts: Matrix, gens, order: int) -> GlueResult:
     the basis is H / den and the glued Gram H·G·Hᵀ over den²·G.den, an
     integer product over the nonzero entries of H (most rows are den·e_i)."""
     n = l.n
-    glue = [[sum(map(mul, g, col)) for col in zip(*lifts.num)] for g in gens]
+    # a unimodular l has no lift rows: then every glue row is n zeros
+    cols = list(zip(*lifts.num)) or [()] * n
+    glue = [[sum(map(mul, g, col)) for col in cols] for g in gens]
     k = gcd(lifts.den, *(x for row in glue for x in row))
-    den, glue = lifts.den // k, [[x // k for x in row] for row in glue]
+    den = lifts.den // k
+    glue = [[x // k for x in row] for row in glue]
     scaled = [[den * (i == j) for j in range(n)] for i in range(n)]
     top = hnf(Matrix.from_integers(scaled + glue, 1, n)).num[:n]
-    sparse, G = [[(j, x) for j, x in enumerate(row) if x] for row in top], l.gram.num
+    G = l.gram.num
+    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in top]
     hg = [[sum(x * G[j][c] for j, x in s) for c in range(n)] for s in sparse]
     gram = [[sum(x * row[j] for j, x in s) for s in sparse] for row in hg]
     new_gram = Matrix.from_integers(gram, den * den * l.gram.den, n)
@@ -557,8 +561,15 @@ def enumerate_integral_overlattices(l: Lattice):
     for sub in form.isotropic_subgroups():
         gens = sorted(sub)
         glue = _glue(l, lifts, gens, len(sub))
-        results.append(OverlatticeInfo(tuple(gens), glue.index, glue.lattice,
-                                       glue.lattice.parity(), det == glue.index**2))
+        results.append(
+            OverlatticeInfo(
+                subgroup=tuple(gens),
+                index=glue.index,
+                lattice=glue.lattice,
+                parity=glue.lattice.parity(),
+                unimodular=det == glue.index**2,
+            )
+        )
     return results
 
 

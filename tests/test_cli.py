@@ -238,6 +238,16 @@ def test_json_strings_and_booleans_are_not_numbers(capsys, argv):
     assert (code, set(doc), doc["error"]["kind"]) == (2, {"error"}, "UsageError")
 
 
+@pytest.mark.parametrize("argv, key", [
+    (("lattice", "overlattices", "--name", "E8"), "count"),
+    (("lattice", "overlattices", "--name", "H"), "count"),
+    (("lattice", "glue", "--name", "E8", "--gens", "[[]]"), "index"),
+])
+def test_unimodular_lattice_glues_to_itself(capsys, argv, key):
+    code, doc = run_json(capsys, *argv)
+    assert (code, doc[key]) == (0, 1)
+
+
 def test_overlattices_past_the_subgroup_bound_exit_1(capsys):
     # (Z/2)^8 has 417,199 subgroups; the walk stops at the subgroup bound
     start = time.perf_counter()

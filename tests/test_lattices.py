@@ -432,6 +432,17 @@ def test_glue_gram_and_unimodular_flag_against_matrix_route(name):
             assert info.lattice.gram == glue.basis * l.gram * glue.basis.transpose()
 
 
+@pytest.mark.parametrize("l", [E8(), hyperbolic(), Zpq(1, 1)], ids=["E8", "H", "Z(1,1)"])
+def test_unimodular_lattice_is_its_only_overlattice(l):
+    """A unimodular lattice has a trivial discriminant group and no lift
+    rows: its one overlattice is itself, of index 1."""
+    infos = enumerate_integral_overlattices(l)
+    assert [(i.subgroup, i.index, i.unimodular) for i in infos] == [(((),), 1, True)]
+    assert infos[0].lattice == l
+    glue = overlattice_from_isotropic(l, [()])
+    assert (glue.index, glue.basis, glue.lattice) == (1, Matrix.identity(l.n), l)
+
+
 @pytest.mark.parametrize("name", CATALOGUE)
 def test_warm_overlattice_enumeration_makes_no_matrix_product(name, monkeypatch):
     """Once the discriminant form is derived, gluing forms every Gram as
