@@ -31,6 +31,14 @@ Triple points are integer cross products over their lead entries, and
 the Cremona involution takes the dot products of the integer columns
 with the integer pair vertices, over ``den**3``.
 
+Each input is computed once, however many readers follow: the zero
+minors and the canonical columns are memoised for the last two
+configurations, keyed by their integer columns, so that
+``equivalent(back, c)`` keeps ``c``'s entry past ``back``'s, and
+``gale_dual`` for the last system, keyed by its value.  No memo keeps
+an exception; ``orbit`` keys each g·item, a new configuration, with
+the unmemoised kernel.
+
 The public constructor and ``with_matrix`` check the labels and that no
 column is zero.  The configurations this module derives from a valid
 one are built without those checks (``_derived``), as each is valid by
@@ -163,14 +171,15 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
+@lru_cache(maxsize=2)
 def _zero_triples(cols):
-    """The column triples of the integer columns ``cols`` whose 3-minor
-    is zero, in lex order."""
-    return [
+    """The column triples of the integer columns ``cols``, a tuple of
+    tuples, whose 3-minor is zero, as a tuple in lex order."""
+    return tuple(
         (i, j, k)
         for i, j, k in combinations(range(len(cols)), 3)
         if not _det3(cols[i], cols[j], cols[k])
-    ]
+    )
 
 
 def plucker(c: ConfigMatrix) -> dict:
@@ -229,7 +238,7 @@ def stability(c: ConfigMatrix) -> StabilityReport:
     """
     if c.n != 6:
         raise DimensionError("stability is defined for six lines")
-    cols = list(zip(*c.matrix.num))
+    cols = tuple(zip(*c.matrix.num))
     groups = _coincidence_groups(cols)
     group_of = {j: g for g, members in enumerate(groups) for j in members}
     zeros = _zero_triples(cols)
@@ -279,7 +288,7 @@ def triple_points(c: ConfigMatrix):
     Each entry is (triple of column indices, common point) where the
     point is scaled so its first nonzero coordinate is 1.
     """
-    cols = list(zip(*c.matrix.num))
+    cols = tuple(zip(*c.matrix.num))
     for i, j in combinations(range(c.n), 2):
         if _proportional(cols[i], cols[j]):
             raise DimensionError(f"columns {i} and {j} are the same line")
@@ -296,10 +305,12 @@ def triple_points(c: ConfigMatrix):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=2)
 def _canonical_columns(cols):
-    """(frame, columns): the first frame of the integer columns ``cols``
-    and each column's image, divided by its signed content (the gcd of
-    its entries, with the sign of its first nonzero entry).
+    """(frame, columns): the first frame of the integer columns ``cols``,
+    a tuple of tuples, and each column's image, divided by its signed
+    content (the gcd of its entries, with the sign of its first nonzero
+    entry).
 
     By Cramer's rule, with frame (a, b, e, d), entry i of the image of x
     is M_i(x)/M_i(d), where M_0(x) = det[x, b, e], M_1(x) = det[a, x, e]
@@ -344,7 +355,7 @@ def canonical_form(c: ConfigMatrix):
 
     Returns (normalized ConfigMatrix, frame column subset).
     """
-    frame, columns = _canonical_columns(list(zip(*c.matrix.num)))
+    frame, columns = _canonical_columns(tuple(zip(*c.matrix.num)))
     leads = [next(t for t in w if t) for w in columns]
     den = lcm(*leads)
     normal = [[t * (den // lead) for t in w] for w, lead in zip(columns, leads)]
@@ -355,7 +366,7 @@ def canonical_key(c: ConfigMatrix):
     """``(labels, frame, columns)`` of ``_canonical_columns``, with no
     Matrix: two configurations are GL3 x torus equivalent with fixed
     labels iff their keys are equal."""
-    return (c.labels, *_canonical_columns(list(zip(*c.matrix.num))))
+    return (c.labels, *_canonical_columns(tuple(zip(*c.matrix.num))))
 
 
 def equivalent(a: ConfigMatrix, b: ConfigMatrix) -> bool:
@@ -425,9 +436,13 @@ def gale_dual(q):
     """(q, G, F): the quadric system ``q`` as a Matrix, checked to be
     4 x 7 of rank 4 (exactly three kernel rows); its Gale dual G, the
     3 x 7 echelon kernel basis; F the free columns of q's RREF, so
-    column F[a] of G is e_a.  One elimination of q."""
-    if not isinstance(q, Matrix):
-        q = Matrix(q)
+    column F[a] of G is e_a.  One elimination of q; the memo holds the
+    last system."""
+    return _gale_dual(q if isinstance(q, Matrix) else Matrix(q))
+
+
+@lru_cache(maxsize=1)
+def _gale_dual(q: Matrix):
     if q.rows != 4 or q.cols != 7:
         raise DimensionError("quadric system must be 4 x 7")
     g, chars = null_space(list(q.num), 7)
@@ -465,7 +480,7 @@ def dependent_columns(g: Matrix):
     dependent 4-subset: complements reverse the lex order of subsets of
     range(7).
     """
-    zeros = _zero_triples(list(zip(*g.num)))
+    zeros = _zero_triples(tuple(zip(*g.num)))
     return tuple(j for j in range(7) if j not in zeros[-1]) if zeros else None
 
 
@@ -677,6 +692,8 @@ def orbit(items, elements, action):
     its action would raise is not raised.
     """
     keys = [canonical_key(item) for item in items]
+    # each g·item is a new configuration, so its key skips the memo
+    columns = _canonical_columns.__wrapped__
     classes = []
     assigned = set()
     for idx, item in enumerate(items):
@@ -688,7 +705,8 @@ def orbit(items, elements, action):
                 pending.setdefault(keys[jdx], []).append(jdx)
         cls = [idx]
         for el in elements:
-            cls += pending.pop(canonical_key(action(el, item)), ())
+            moved = action(el, item)
+            cls += pending.pop((moved.labels, *columns(tuple(zip(*moved.matrix.num)))), ())
             if not pending:
                 break
         cls.sort()

@@ -23,6 +23,7 @@ permutations against the list, weighting each plane it meets.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -126,8 +127,13 @@ def _integers(coords: list):
 
 
 def _coordinates(v) -> list:
-    """``v`` as a list of ints; DimensionError unless each is an integer."""
-    if (ints := _integers(list(v))) is None:
+    """``v`` as a list of ints; DimensionError unless ``v`` is iterable
+    and each of its entries is an integer."""
+    try:
+        ints = _integers(list(v))
+    except TypeError:  # v is not iterable
+        ints = None
+    if ints is None:
         raise DimensionError("vector coordinates must be integers")
     return ints
 
@@ -161,7 +167,10 @@ def classify_isotropic_plane(l: Lattice | None, basis) -> IsotropicClass:
     """Classify a primitive rank-2 totally isotropic plane of L (``l`` is
     None or L)."""
     l = _slice_only(l)
-    basis = basis if isinstance(basis, Matrix) else Matrix(list(map(_coordinates, basis)))
+    if not isinstance(basis, Matrix):
+        if not isinstance(basis, Iterable):
+            raise DimensionError("plane basis must be 2 x n")
+        basis = Matrix(list(map(_coordinates, basis)))
     if basis.rows != 2 or basis.cols != l.n:
         raise DimensionError("plane basis must be 2 x n")
     if basis.rank() != 2:

@@ -33,11 +33,13 @@ A system's seven period maps share what does not depend on kappa: its
 integer columns, the smoothness witness of its Gale dual and the source
 piece.  A memo of one entry, keyed by the system as a Matrix (compared
 by value), holds these for the last system that ``period_map``,
-``period_maps``, ``kappa_target``, ``invariant_deformations`` or
-``kernel_family_vectors`` read, so a loop over kappa eliminates the
-system once.  It holds no exception:
+``period_maps``, ``kappa_target`` or ``invariant_deformations`` read,
+so a loop over kappa eliminates the system once.  It holds no exception:
 a system error leaves the previous entry, and the smoothness test is
-raised outside it, after the kappa check.
+raised outside it, after the kappa check.  ``kernel_family_vectors``
+and ``deformed_system`` check the system through ``gale_dual`` alone,
+whose own memo holds the last system's Gale dual, so they build no
+source piece.
 """
 
 from __future__ import annotations
@@ -366,8 +368,7 @@ def kernel_family_vectors(q, kappa: int):
     Multiplying such a vector by x_kappa gives one of the relation
     rows of the target, so its period-map image vanishes exactly.
     """
-    q = q if isinstance(q, Matrix) else Matrix(q)
-    _system(q)  # the system's check, read off the memo
+    q = gale_dual(q)[0]  # the system's check, with no source piece
     return kappa_rows(q, check_kappa(kappa))
 
 

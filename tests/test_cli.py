@@ -6,6 +6,7 @@ import random
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 from unittest import mock
@@ -312,7 +313,7 @@ def test_config_commands_answer_with_one_json_document(rows, command, kappa):
     argv = ["config", command, "--config", json.dumps(rows)]
     if command in ("nodes", "drop"):
         argv += ["--kappa", str(kappa)]
-    _answers_with_one_json_document(argv)
+    _answers_with_one_json_document(argv, _DOMAIN_ERRORS["config", command])
 
 
 def test_config_nodes_reports_a_degenerate_triple(capsys):
@@ -324,7 +325,32 @@ def test_config_nodes_reports_a_degenerate_triple(capsys):
     assert doc["triples"] == [{"columns": [0, 1, 2], "labels": [1, 2, 3], "kind": "Degenerate"}]
 
 
-def _answers_with_one_json_document(argv):
+_LATTICE_INPUT = {"InvalidName", "DimensionError", "DegenerateGram", "NonIntegralLattice"}
+_SYSTEM_INPUT = {"DimensionError", "LabelError", "SmoothnessRequired"}
+
+# the domain errors (exit 1) each command can raise on its input
+_DOMAIN_ERRORS = {
+    ("lattice", "disc-form"): _LATTICE_INPUT,
+    ("lattice", "complement"): _LATTICE_INPUT,
+    ("lattice", "glue"): _LATTICE_INPUT | {"IntegralityViolation"},
+    ("lattice", "classify-isotropic"): {"DimensionError", "NotIsotropic", "NotPrimitive"},
+    ("lattice", "overlattices"): _LATTICE_INPUT | {"GroupTooLarge"},
+    ("lattice", "index-formula"): {"DimensionError"},
+    ("jacobian", "dims"): _SYSTEM_INPUT,
+    ("jacobian", "period-rank"): _SYSTEM_INPUT,
+    ("config", "plucker"): {"DimensionError"},
+    ("config", "stability"): {"DimensionError"},
+    ("config", "canonical"): {"DimensionError", "NoFrame"},
+    ("config", "cremona"): {"DimensionError", "VerticesCollinear"},
+    ("config", "nodes"): {"DimensionError", "LabelError"},
+    ("config", "drop"): {"DimensionError", "LabelError"},
+}
+
+
+def _answers_with_one_json_document(argv, domain_errors):
+    """Run ``argv``: one JSON document on stdout and nothing on stderr;
+    exit 0 with an answer, 1 with an error of a kind in ``domain_errors``
+    or 2 with a usage error."""
     out, err = io.StringIO(), io.StringIO()
     stdin, sys.stdin = sys.stdin, io.StringIO("[1, 2")  # for a '-' value
     try:
@@ -332,9 +358,15 @@ def _answers_with_one_json_document(argv):
             code = main(argv)
     finally:
         sys.stdin = stdin
-    assert code in (0, 1, 2)
     doc = json.loads(out.getvalue())  # a second document would be "Extra data"
     assert err.getvalue() == ""
+    kind = doc["error"]["kind"] if set(doc) == {"error"} else None
+    if code == 0:
+        assert kind is None, doc
+    elif code == 1:
+        assert kind in domain_errors, (argv, doc)
+    else:
+        assert (code, kind) == (2, "UsageError"), (argv, code, doc)
     return code, doc
 
 
@@ -358,11 +390,13 @@ _junk = st.sampled_from([
     '{"rows":1,"cols":2,"entries":[[1]]}',
 ])
 _int_text = st.integers(min_value=-2, max_value=9).map(str)
+# catalogue names of integral lattices, then a non-integral one and
+# names that do not parse
+_CATALOGUE = ("D6", "D4", "D4*2", "E8", "H", "L", "Z(2,4)", "Z(4,4)")
 _values = {
-    "--name": st.sampled_from([
-        "D6", "D4", "D4*2", "E8", "H", "L", "Z(2,4)", "Z(4,4)", "H(1/2)+E8*-1",
-        "A2", "Z(2)", "H(abc)", "D(2,x)", "E8*1/0", "D100000",
-    ]),
+    "--name": st.sampled_from(_CATALOGUE + (
+        "H(1/2)+E8*-1", "A2", "Z(2)", "H(abc)", "D(2,x)", "E8*1/0", "D100000",
+    )),
     "--gram": _json_matrix(),
     "--basis": _json_matrix(),
     "--gens": st.lists(st.lists(_small, min_size=1, max_size=3), max_size=2)
@@ -399,34 +433,91 @@ _commands = {
 
 @st.composite
 def _argv(draw, group):
-    """A ``group`` subcommand with most of its flags, maybe one missing
-    or repeated, some with junk values, and maybe an unknown flag."""
+    """(argv, command, values): a ``group`` subcommand with most of its
+    flags, maybe one missing or repeated, some with junk values, and
+    maybe an unknown flag; ``values`` maps each flag to its last value,
+    or is None when a junk value or an unknown flag was drawn."""
     command = draw(st.sampled_from([c for c in _commands if c[0] == group]))
     flags = _commands[command]
     chosen = [flag for flag in flags if draw(st.integers(0, 4))]
     if draw(st.integers(0, 3)) == 0:
         chosen.append(draw(st.sampled_from(flags)))
-    argv = list(command)
+    argv, values, clean = list(command), {}, True
     for flag in chosen:
         argv.append(flag)
         if flag not in _switches:
-            argv.append(draw(_junk if draw(st.integers(0, 3)) == 0 else _values[flag]))
+            junk = draw(st.integers(0, 3)) == 0
+            clean = clean and not junk
+            values[flag] = draw(_junk if junk else _values[flag])
+            argv.append(values[flag])
     if draw(st.integers(0, 3)) == 0:
         at = draw(st.integers(1, len(argv)))
         argv[at:at] = draw(st.sampled_from([["--bogus"], ["--bogus", "1"], ["-k"]]))
-    return argv
+        clean = False
+    return argv, command, values if clean else None
+
+
+def _det(rows):
+    """The determinant of a square matrix, by Laplace expansion."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+def _smooth(text):
+    """Whether the JSON ``text`` is a 4 x 7 system whose 4-column minors
+    are all nonzero."""
+    rows = [[Fraction(str(x)) for x in row] for row in json.loads(text)]
+    return len(rows) == 4 and {len(row) for row in rows} == {7} and all(
+        _det([[row[j] for j in cols] for row in rows]) for cols in combinations(range(7), 4)
+    )
+
+
+_KAPPAS = [str(kappa) for kappa in range(1, 8)]
+
+
+def _must_answer(command, values) -> bool:
+    """Whether a command line with no junk value and no unknown flag, the
+    last value of each flag in ``values``, must exit 0: a catalogue name
+    of an integral lattice for ``disc-form`` and ``overlattices``, a
+    smooth system (``period-rank``: or none, for a seeded one) and a
+    kappa of 1..7 (``dims``: or none, for all seven) for ``jacobian``."""
+    if command in (("lattice", "disc-form"), ("lattice", "overlattices")):
+        return values.get("--name") in _CATALOGUE
+    if command == ("jacobian", "dims"):
+        return ("--system" in values and _smooth(values["--system"])
+                and values.get("--kappa", "1") in _KAPPAS)
+    if command == ("jacobian", "period-rank"):
+        return (values.get("--kappa") in _KAPPAS
+                and ("--system" not in values or _smooth(values["--system"])))
+    return False
+
+
+def _answers_valid_input(drawn):
+    argv, command, values = drawn
+    code, _doc = _answers_with_one_json_document(argv, _DOMAIN_ERRORS[command])
+    if values is not None and _must_answer(command, values):
+        assert code == 0, argv
+
+
+@pytest.mark.parametrize("command", ["disc-form", "overlattices"])
+@pytest.mark.parametrize("name", _CATALOGUE)
+def test_catalogue_names_answer(command, name):
+    code, doc = _answers_with_one_json_document(["lattice", command, "--name", name], set())
+    assert code == 0, doc
 
 
 @settings(max_examples=100, deadline=None)
-@given(argv=_argv("lattice"))
-def test_lattice_commands_answer_with_one_json_document(argv):
-    _answers_with_one_json_document(argv)
+@given(drawn=_argv("lattice"))
+def test_lattice_commands_answer_with_one_json_document(drawn):
+    _answers_valid_input(drawn)
 
 
 @settings(max_examples=100, deadline=None)
-@given(argv=_argv("jacobian"))
-def test_jacobian_commands_answer_with_one_json_document(argv):
-    _answers_with_one_json_document(argv)
+@given(drawn=_argv("jacobian"))
+def test_jacobian_commands_answer_with_one_json_document(drawn):
+    _answers_valid_input(drawn)
 
 
 def _matches_no_check(prefix):
@@ -463,7 +554,7 @@ def _verify_argv(draw):
 def test_verify_answers_with_one_json_document(argv):
     with mock.patch("latconf.cli.run_verify",
                     side_effect=AssertionError("a check ran")):
-        code, doc = _answers_with_one_json_document(argv)
+        code, doc = _answers_with_one_json_document(argv, set())
     assert (code, doc["error"]["kind"]) == (2, "UsageError")
 
 
@@ -478,7 +569,7 @@ def test_jacobian_dims_of_a_non_smooth_system_exit_1(capsys):
     assert (code, doc["smooth"], doc["dependent_columns"]) == (
         0, False, [0, 1, 2, 4])
     code, doc = _answers_with_one_json_document(
-        ["jacobian", "dims", "--system", system])
+        ["jacobian", "dims", "--system", system], _DOMAIN_ERRORS["jacobian", "dims"])
     assert (code, set(doc), doc["error"]["kind"]) == (1, {"error"}, "SmoothnessRequired")
 
 

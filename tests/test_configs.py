@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latconf.configs
+import latconf.matrices
 from latconf.configs import (
     CHAR_LABELS,
     PAIR_LABELS,
@@ -992,3 +994,124 @@ def test_smoothness_rejects_bad_input():
         smoothness(rank3)
     with pytest.raises(DimensionError, match="4 x 7"):
         smoothness(Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+
+
+ZEROS = latconf.configs._zero_triples
+COLUMNS = latconf.configs._canonical_columns
+GALE = latconf.configs._gale_dual
+
+
+def _clear_memos():
+    for memo in (ZEROS, COLUMNS, GALE):
+        memo.cache_clear()
+
+
+def _counting(monkeypatch):
+    """A Counter of the 3-minors (``configs._det3``, key "minors") and
+    the eliminations (``matrices.bareiss``, keyed by shape) taken from
+    here on."""
+    counts = Counter()
+    det3, bareiss = latconf.configs._det3, latconf.matrices.bareiss
+
+    def counted_det3(a, b, c):
+        counts["minors"] += 1
+        return det3(a, b, c)
+
+    def counted_bareiss(m, reduce=False):
+        counts[len(m), len(m[0]) if m else 0] += 1
+        return bareiss(m, reduce)
+
+    monkeypatch.setattr(latconf.configs, "_det3", counted_det3)
+    monkeypatch.setattr(latconf.matrices, "bareiss", counted_bareiss)
+    return counts
+
+
+def test_each_input_is_scanned_once(monkeypatch):
+    """A configuration's zero minors and canonical columns, and a
+    system's Gale dual, are computed once however many readers follow."""
+    _clear_memos()
+    counts = _counting(monkeypatch)
+    stability(GENERIC)
+    triple_points(GENERIC)
+    assert counts["minors"] == 20
+    counts.clear()
+    normal, frame = canonical_form(GENERIC)
+    assert counts["minors"] == 4  # the first 4-subset is a frame
+    assert equivalent(GENERIC, GENERIC)
+    assert canonical_key(GENERIC)[1:] == COLUMNS(tuple(zip(*GENERIC.matrix.num)))
+    assert counts["minors"] == 4 and COLUMNS.cache_info().misses == 1
+    # the line-configs op: c's entry outlives the key of cremona(cremona(c))
+    back = cremona(cremona(GENERIC))
+    assert equivalent(back, GENERIC)
+    assert COLUMNS.cache_info().misses == 2
+    q = random_system(random.Random(71))  # which tests its draws' smoothness
+    _clear_memos()
+    counts.clear()
+    assert smoothness(q) == (True, None)
+    seven = seven_line_config(q)
+    assert triple_points(seven) == []
+    assert counts == {(4, 7): 1, "minors": 35}
+
+
+def _same_num(rng, c):
+    """``c``'s integer columns over another denominator."""
+    d = rng.choice((101, 103, 107))
+    other = ConfigMatrix(Matrix.from_integers(c.matrix.num, c.matrix.den * d), c.labels)
+    assert other.matrix.num == c.matrix.num and other.matrix.den != c.matrix.den
+    return other
+
+
+def _memo_outputs(c):
+    """Every memo reader's output for ``c``, a domain error included."""
+    out = [
+        _outputs(lambda: triple_points(c)),
+        _outputs(lambda: canonical_form(c)),
+        _outputs(lambda: canonical_key(c)),
+        _outputs(lambda: dependent_columns(c.matrix)),
+    ]
+    if c.n == 6:
+        out.append(stability(c))
+        out.append(_outputs(lambda: equivalent(cremona(cremona(c)), c)))
+    return out
+
+
+def _fresh(outputs, *args):
+    _clear_memos()
+    return outputs(*args)
+
+
+def test_memos_against_fresh_calls():
+    """Warm memos, holding the configuration or system before, give
+    what cold ones give: on seeded configurations, each followed by its
+    integer columns over another denominator, and on the minor-scan
+    systems, whose rank-3 members raise on every call."""
+    rng = random.Random(73)
+    items = []
+    for _ in range(60):
+        c = _seeded_configs(rng, rng.choice((6, 7)))
+        items += [c, _same_num(rng, c), c]
+    fresh = [_fresh(_memo_outputs, c) for c in items]
+    assert [_memo_outputs(c) for c in items] == fresh
+    for c, d in zip(items[::3], items[1::3]):  # den changes no memo reader
+        assert _memo_outputs(c) == _memo_outputs(d)
+
+    def system_outputs(q):
+        return [_outputs(lambda: gale_dual(q)), _outputs(lambda: smoothness(q)),
+                _outputs(lambda: seven_line_config(q))]
+
+    rows = [[1, 2, 3, 4, 5, 6, 7], [0, 1, 1, 2, 3, 5, 8], [2, 3, 5, 7, 11, 13, 17]]
+    rank3 = Matrix(rows + [[a + b for a, b in zip(rows[0], rows[1])]])
+    systems = _minor_scan_systems()
+    systems[1::10] = [rank3] * len(systems[1::10])
+    fresh = [_fresh(system_outputs, q) for q in systems]
+    for _ in range(2):
+        assert [system_outputs(q) for q in systems] == fresh
+    good = systems[0]
+    gale_dual(good)
+    for _ in range(3):
+        with pytest.raises(DimensionError, match="rank 4"):
+            gale_dual(rank3)
+        hits = GALE.cache_info().hits
+        assert gale_dual([list(row) for row in good.data]) == gale_dual(good)
+        assert GALE.cache_info().hits == hits + 2  # the error kept no entry
+    assert type(ZEROS(tuple(zip(*GENERIC.matrix.num)))) is tuple

@@ -93,6 +93,21 @@ CASES = {
     "plane with an infinite coordinate": (
         lambda: classify_isotropic_plane(None, [[float("inf"), 0, 0, 0, 0, 0], PLANE[1]]),
         DimensionError, "vector coordinates must be integers"),
+    "plane with a row that is not iterable": (
+        lambda: classify_isotropic_plane(None, [5, 6]),
+        DimensionError, "vector coordinates must be integers"),
+    "plane basis None": (
+        lambda: classify_isotropic_plane(None, None),
+        DimensionError, "plane basis must be 2 x n"),
+    "plane basis 5": (
+        lambda: classify_isotropic_plane(None, 5),
+        DimensionError, "plane basis must be 2 x n"),
+    "vector 5": (
+        lambda: classify_isotropic_vector(None, 5),
+        DimensionError, "vector coordinates must be integers"),
+    "vector None": (
+        lambda: classify_isotropic_vector(None, None),
+        DimensionError, "vector coordinates must be integers"),
     "vector of length 5": (
         lambda: classify_isotropic_vector(None, [1, 0, 1, 1, 0]),
         DimensionError, "vector length mismatch"),

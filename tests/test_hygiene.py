@@ -26,6 +26,8 @@
   (``functools.cache``, ``lru_cache(maxsize=None)``) if it takes
   parameters: such a cache would keep every input the process has seen,
   so a benchmark that repeats its ops would time cached results.
+* Every cache outside a function is pinned here with its size, so a
+  new memo, or a larger one, is a deliberate edit of this file.
 """
 
 import ast
@@ -289,7 +291,7 @@ def test_slice_and_models_built_only_in_cached_helpers():
     for node in helpers:
         a = node.args
         assert not (a.posonlyargs or a.args or a.kwonlyargs or a.vararg or a.kwarg), node.name
-        assert any(map(_unbounded_cache, node.decorator_list)), node.name
+        assert "unbounded" in map(_cache_size, node.decorator_list), node.name
 
 
 def test_integer_diagonalization_and_short_vectors():
@@ -336,31 +338,45 @@ def test_fraction_views_only_at_the_boundary():
     assert scopes == FRACTION_BOUNDARY_SCOPES, scopes
 
 
-def _unbounded_cache(decorator) -> bool:
-    """Whether a decorator is ``cache`` or ``lru_cache(maxsize=None)``,
-    bare or as an attribute of ``functools``."""
+def _cache_size(decorator):
+    """The size of a ``cache`` or ``lru_cache`` decorator, bare or as an
+    attribute of ``functools``: "unbounded" for ``cache`` and maxsize
+    None, an int otherwise; None for any other decorator."""
     call = decorator if isinstance(decorator, ast.Call) else None
     target = call.func if call else decorator
     name = getattr(target, "id", getattr(target, "attr", None))
-    if name != "lru_cache" or call is None:
-        return name == "cache"
-    size = call.args[:1] + [kw.value for kw in call.keywords if kw.arg == "maxsize"]
-    return any(isinstance(v, ast.Constant) and v.value is None for v in size)
+    if name == "cache":
+        return "unbounded"
+    if name != "lru_cache":
+        return None
+    size = call.args[:1] + [kw.value for kw in call.keywords if kw.arg == "maxsize"] if call else []
+    size = ast.literal_eval(size[0]) if size else 128  # lru_cache's default
+    return "unbounded" if size is None else size
 
 
-def _unbounded_caches(tree):
-    """Names of the functions outside any function (module level or in a
-    class) that take parameters and cache their calls without bound."""
-    found, todo = [], list(tree.body)
+def _cached_functions(tree):
+    """The functions outside any function (module level or in a class)
+    that cache their calls: (node, size) pairs, ``_cache_size``'s size."""
+    todo = list(tree.body)
     while todo:
         node = todo.pop()
         if isinstance(node, ast.ClassDef):
             todo += node.body
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            a = node.args
-            takes = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
-            if any(takes) and any(map(_unbounded_cache, node.decorator_list)):
-                found.append(node.name)
+            for size in map(_cache_size, node.decorator_list):
+                if size is not None:
+                    yield node, size
+
+
+def _unbounded_caches(tree):
+    """Names of the functions outside any function (module level or in a
+    class) that take parameters and cache their calls without bound."""
+    found = []
+    for node, size in _cached_functions(tree):
+        a = node.args
+        takes = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+        if any(takes) and size == "unbounded":
+            found.append(node.name)
     return sorted(found)
 
 
@@ -382,3 +398,40 @@ def test_no_unbounded_input_caches():
         for name in _unbounded_caches(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert not offending, offending
+
+
+# every cache outside a function, with its size: the one-entry memos of
+# the last system, the two-entry memos of the last two configurations'
+# columns, the 168 elements of GL3(F2), and the parameterless builders
+PINNED_CACHES = {
+    "configs._canonical_columns": 2,
+    "configs._gale_dual": 1,
+    "configs._gl3f2_preimages": 168,
+    "configs._zero_triples": 2,
+    "isotropic._signed_permutations": "unbounded",
+    "isotropic._slice": "unbounded",
+    "isotropic.boundary_models": "unbounded",
+    "jacobian._system_data": 1,
+}
+
+
+def test_every_cache_is_pinned():
+    """A new cache, or a resized one, could let a benchmark time cached
+    results, so it needs an edit of ``PINNED_CACHES``."""
+    sample = ast.parse(
+        "@functools.lru_cache\ndef a(x): pass\n"
+        "@lru_cache(2)\ndef b(x): pass\n"
+        "class C:\n    @lru_cache(maxsize=None, typed=True)\n    def c(self): pass\n"
+        "@cache\ndef d(): pass\n"
+        "@staticmethod\ndef e(x): pass\n"
+        "def f(x):\n    @lru_cache(1)\n    def g(y): pass\n"
+    )
+    assert sorted((node.name, size) for node, size in _cached_functions(sample)) == [
+        ("a", 128), ("b", 2), ("c", "unbounded"), ("d", "unbounded"),
+    ]
+    found = {
+        f"{path.stem}.{node.name}": size
+        for path in MODULES
+        for node, size in _cached_functions(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == PINNED_CACHES

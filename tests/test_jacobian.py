@@ -9,6 +9,7 @@ from math import gcd
 import pytest
 import sympy
 
+import latconf.configs
 import latconf.jacobian
 import latconf.matrices
 from latconf.configs import seven_line_config, smoothness
@@ -100,6 +101,13 @@ def _degenerate(rng, kappa):
 
 
 MEMO = latconf.jacobian._system_data
+GALE = latconf.configs._gale_dual
+
+
+def _clear_memos():
+    """Cold memos: the system's entry and its Gale dual."""
+    MEMO.cache_clear()
+    GALE.cache_clear()
 
 
 def test_period_map_error_order():
@@ -157,7 +165,7 @@ def test_one_elimination_of_the_system(monkeypatch):
         "kernel_family_vectors",
     )
     for name, call in calls.items():
-        MEMO.cache_clear()
+        _clear_memos()
         shapes.clear()
         call()
         assert shapes.count((4, 7)) == 1, name
@@ -200,7 +208,7 @@ def test_period_map_eliminations(monkeypatch):
         return _original(m, reduce)
 
     monkeypatch.setattr(latconf.matrices, "bareiss", counted)
-    MEMO.cache_clear()
+    _clear_memos()
     period_map(q, 6)
     assert shapes == [(4, 7), (6, 12), (3, 6), (3, 4), (3, 4), (2, 6)]
     # a repeat on the same system, with any kappa, reads the system and
@@ -209,6 +217,29 @@ def test_period_map_eliminations(monkeypatch):
         shapes.clear()
         period_map(q, kappa)
         assert shapes == [(3, 6), (3, 4), (3, 4), (2, 6)]
+
+
+def test_kernel_family_vectors_checks_the_system_alone(monkeypatch):
+    """``kernel_family_vectors`` checks the system through its Gale dual
+    and builds no source piece: a cold call eliminates the system only,
+    and a call after ``period_map`` on the same system eliminates
+    nothing."""
+    q = random_system(random.Random(43))
+    shapes = []
+
+    def counted(m, reduce=False, _original=latconf.matrices.bareiss):
+        shapes.append((len(m), len(m[0]) if m else 0))
+        return _original(m, reduce)
+
+    monkeypatch.setattr(latconf.matrices, "bareiss", counted)
+    _clear_memos()
+    cold = kernel_family_vectors(q, 2)
+    assert shapes == [(4, 7)]
+    _clear_memos()
+    period_map(q, 2)
+    shapes.clear()
+    assert kernel_family_vectors(q, 2) == cold
+    assert shapes == []
 
 
 def test_warm_period_map_builds_two_matrices(monkeypatch):
