@@ -1035,7 +1035,7 @@ def test_each_input_is_scanned_once(monkeypatch):
     triple_points(GENERIC)
     assert counts["minors"] == 20
     counts.clear()
-    normal, frame = canonical_form(GENERIC)
+    canonical_form(GENERIC)
     assert counts["minors"] == 4  # the first 4-subset is a frame
     assert equivalent(GENERIC, GENERIC)
     assert canonical_key(GENERIC)[1:] == COLUMNS(tuple(zip(*GENERIC.matrix.num)))
@@ -1061,23 +1061,32 @@ def _same_num(rng, c):
     return other
 
 
-def _memo_outputs(c):
-    """Every memo reader's output for ``c``, a domain error included."""
-    out = [
-        _outputs(lambda: triple_points(c)),
-        _outputs(lambda: canonical_form(c)),
-        _outputs(lambda: canonical_key(c)),
-        _outputs(lambda: dependent_columns(c.matrix)),
-    ]
-    if c.n == 6:
-        out.append(stability(c))
-        out.append(_outputs(lambda: equivalent(cremona(cremona(c)), c)))
+def _read(readers, before):
+    """Each reader's output, a domain error included, after a call of
+    ``before``."""
+    out = []
+    for read in readers:
+        before()
+        out.append(_outputs(read))
     return out
 
 
-def _fresh(outputs, *args):
-    _clear_memos()
-    return outputs(*args)
+def _memo_outputs(c, before=lambda: None):
+    """Every memo reader's output for the configuration ``c``."""
+    readers = [
+        lambda: triple_points(c),
+        lambda: canonical_form(c),
+        lambda: canonical_key(c),
+        lambda: dependent_columns(c.matrix),
+    ]
+    if c.n == 6:
+        readers += [lambda: stability(c), lambda: equivalent(cremona(cremona(c)), c)]
+    return _read(readers, before)
+
+
+def _system_outputs(q, before=lambda: None):
+    """``gale_dual``, ``smoothness`` and ``seven_line_config`` of ``q``."""
+    return _read([lambda: gale_dual(q), lambda: smoothness(q), lambda: seven_line_config(q)], before)
 
 
 def test_memos_against_fresh_calls():
@@ -1090,22 +1099,17 @@ def test_memos_against_fresh_calls():
     for _ in range(60):
         c = _seeded_configs(rng, rng.choice((6, 7)))
         items += [c, _same_num(rng, c), c]
-    fresh = [_fresh(_memo_outputs, c) for c in items]
+    fresh = [_memo_outputs(c, _clear_memos) for c in items]
     assert [_memo_outputs(c) for c in items] == fresh
     for c, d in zip(items[::3], items[1::3]):  # den changes no memo reader
         assert _memo_outputs(c) == _memo_outputs(d)
-
-    def system_outputs(q):
-        return [_outputs(lambda: gale_dual(q)), _outputs(lambda: smoothness(q)),
-                _outputs(lambda: seven_line_config(q))]
-
     rows = [[1, 2, 3, 4, 5, 6, 7], [0, 1, 1, 2, 3, 5, 8], [2, 3, 5, 7, 11, 13, 17]]
     rank3 = Matrix(rows + [[a + b for a, b in zip(rows[0], rows[1])]])
     systems = _minor_scan_systems()
     systems[1::10] = [rank3] * len(systems[1::10])
-    fresh = [_fresh(system_outputs, q) for q in systems]
+    fresh = [_system_outputs(q, _clear_memos) for q in systems]
     for _ in range(2):
-        assert [system_outputs(q) for q in systems] == fresh
+        assert [_system_outputs(q) for q in systems] == fresh
     good = systems[0]
     gale_dual(good)
     for _ in range(3):
