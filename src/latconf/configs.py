@@ -32,12 +32,12 @@ the Cremona involution takes the dot products of the integer columns
 with the integer pair vertices, over ``den**3``.
 
 Each input is computed once, however many readers follow: the zero
-minors and the canonical columns are memoised for the last two
-configurations, keyed by their integer columns, so that
-``equivalent(back, c)`` keeps ``c``'s entry past ``back``'s, and
-``gale_dual`` for the last system, keyed by its value.  No memo keeps
-an exception; ``orbit`` keys each g·item, a new configuration, with
-the unmemoised kernel.
+minors of the last configuration, the canonical columns of the last
+two (``_recent_canonical_columns``, which ``canonical_form`` and
+``equivalent`` read, so ``equivalent(back, c)`` keeps ``c``'s entry
+past ``back``'s) and the Gale dual of the last system are memoised,
+keyed by value; no memo keeps an exception.  ``canonical_key``, which
+``orbit`` calls on each g·item, a new configuration, has no memo.
 
 The public constructor and ``with_matrix`` check the labels and that no
 column is zero.  The configurations this module derives from a valid
@@ -171,7 +171,7 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def _zero_triples(cols):
     """The column triples of the integer columns ``cols``, a tuple of
     tuples, whose 3-minor is zero, as a tuple in lex order."""
@@ -305,12 +305,10 @@ def triple_points(c: ConfigMatrix):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=2)
 def _canonical_columns(cols):
-    """(frame, columns): the first frame of the integer columns ``cols``,
-    a tuple of tuples, and each column's image, divided by its signed
-    content (the gcd of its entries, with the sign of its first nonzero
-    entry).
+    """(frame, columns): the first frame of the integer columns ``cols``
+    and each column's image, divided by its signed content (the gcd of
+    its entries, with the sign of its first nonzero entry).
 
     By Cramer's rule, with frame (a, b, e, d), entry i of the image of x
     is M_i(x)/M_i(d), where M_0(x) = det[x, b, e], M_1(x) = det[a, x, e]
@@ -342,6 +340,13 @@ def _canonical_columns(cols):
     return frame, tuple(out)
 
 
+@lru_cache(maxsize=2)
+def _recent_canonical_columns(cols):
+    """``_canonical_columns(cols)`` for the last two configurations that
+    ``canonical_form`` or ``equivalent`` read."""
+    return _canonical_columns(cols)
+
+
 def canonical_form(c: ConfigMatrix):
     """Normalize under GL3 and column scalings; labels kept in place.
 
@@ -355,7 +360,7 @@ def canonical_form(c: ConfigMatrix):
 
     Returns (normalized ConfigMatrix, frame column subset).
     """
-    frame, columns = _canonical_columns(tuple(zip(*c.matrix.num)))
+    frame, columns = _recent_canonical_columns(tuple(zip(*c.matrix.num)))
     leads = [next(t for t in w if t) for w in columns]
     den = lcm(*leads)
     normal = [[t * (den // lead) for t in w] for w, lead in zip(columns, leads)]
@@ -371,7 +376,10 @@ def canonical_key(c: ConfigMatrix):
 
 def equivalent(a: ConfigMatrix, b: ConfigMatrix) -> bool:
     """GL3 x torus equivalence with fixed labels, via canonical keys."""
-    return a.labels == b.labels and canonical_key(a) == canonical_key(b)
+    if a.labels != b.labels:
+        return False
+    key_a, key_b = (_recent_canonical_columns(tuple(zip(*c.matrix.num))) for c in (a, b))
+    return key_a == key_b
 
 
 # ---------------------------------------------------------------------------
@@ -692,8 +700,6 @@ def orbit(items, elements, action):
     its action would raise is not raised.
     """
     keys = [canonical_key(item) for item in items]
-    # each g·item is a new configuration, so its key skips the memo
-    columns = _canonical_columns.__wrapped__
     classes = []
     assigned = set()
     for idx, item in enumerate(items):
@@ -705,8 +711,7 @@ def orbit(items, elements, action):
                 pending.setdefault(keys[jdx], []).append(jdx)
         cls = [idx]
         for el in elements:
-            moved = action(el, item)
-            cls += pending.pop((moved.labels, *columns(tuple(zip(*moved.matrix.num)))), ())
+            cls += pending.pop(canonical_key(action(el, item)), ())
             if not pending:
                 break
         cls.sort()

@@ -23,7 +23,6 @@ permutations against the list, weighting each plane it meets.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -130,10 +129,10 @@ def _coordinates(v) -> list:
     """``v`` as a list of ints; DimensionError unless ``v`` is iterable
     and each of its entries is an integer."""
     try:
-        ints = _integers(list(v))
+        coords = list(v)
     except TypeError:  # v is not iterable
-        ints = None
-    if ints is None:
+        raise DimensionError("vector coordinates must be integers") from None
+    if (ints := _integers(coords)) is None:
         raise DimensionError("vector coordinates must be integers")
     return ints
 
@@ -168,9 +167,11 @@ def classify_isotropic_plane(l: Lattice | None, basis) -> IsotropicClass:
     None or L)."""
     l = _slice_only(l)
     if not isinstance(basis, Matrix):
-        if not isinstance(basis, Iterable):
-            raise DimensionError("plane basis must be 2 x n")
-        basis = Matrix(list(map(_coordinates, basis)))
+        try:
+            rows = list(basis)
+        except TypeError:  # basis is not iterable
+            raise DimensionError("plane basis must be 2 x n") from None
+        basis = Matrix(list(map(_coordinates, rows)))
     if basis.rows != 2 or basis.cols != l.n:
         raise DimensionError("plane basis must be 2 x n")
     if basis.rank() != 2:

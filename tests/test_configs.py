@@ -997,7 +997,7 @@ def test_smoothness_rejects_bad_input():
 
 
 ZEROS = latconf.configs._zero_triples
-COLUMNS = latconf.configs._canonical_columns
+COLUMNS = latconf.configs._recent_canonical_columns
 GALE = latconf.configs._gale_dual
 
 
@@ -1038,12 +1038,20 @@ def test_each_input_is_scanned_once(monkeypatch):
     canonical_form(GENERIC)
     assert counts["minors"] == 4  # the first 4-subset is a frame
     assert equivalent(GENERIC, GENERIC)
-    assert canonical_key(GENERIC)[1:] == COLUMNS(tuple(zip(*GENERIC.matrix.num)))
     assert counts["minors"] == 4 and COLUMNS.cache_info().misses == 1
     # the line-configs op: c's entry outlives the key of cremona(cremona(c))
     back = cremona(cremona(GENERIC))
     assert equivalent(back, GENERIC)
     assert COLUMNS.cache_info().misses == 2
+    # canonical_key, orbit's key of each g·item, runs the kernel unmemoised
+    held = COLUMNS.cache_info()
+    counts.clear()
+    assert canonical_key(GENERIC)[1:] == latconf.configs._canonical_columns(
+        tuple(zip(*GENERIC.matrix.num))
+    )
+    assert counts["minors"] == 8
+    assert orbit([GENERIC, back], wreath_elements(), act_wreath) == [[0, 1]]
+    assert COLUMNS.cache_info() == held
     q = random_system(random.Random(71))  # which tests its draws' smoothness
     _clear_memos()
     counts.clear()

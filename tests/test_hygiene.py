@@ -401,13 +401,14 @@ def test_no_unbounded_input_caches():
 
 
 # every cache outside a function, with its size: the one-entry memos of
-# the last system, the two-entry memos of the last two configurations'
-# columns, the 168 elements of GL3(F2), and the parameterless builders
+# the last system and of the last configuration's zero minors, the
+# canonical columns of the last two configurations, the 168 elements of
+# GL3(F2), and the parameterless builders
 PINNED_CACHES = {
-    "configs._canonical_columns": 2,
     "configs._gale_dual": 1,
     "configs._gl3f2_preimages": 168,
-    "configs._zero_triples": 2,
+    "configs._recent_canonical_columns": 2,
+    "configs._zero_triples": 1,
     "isotropic._signed_permutations": "unbounded",
     "isotropic._slice": "unbounded",
     "isotropic.boundary_models": "unbounded",

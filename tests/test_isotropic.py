@@ -89,6 +89,27 @@ def test_plane_classifier_rejects_non_integer_coordinates(bad):
         classify_isotropic_plane(None, [[bad, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]])
 
 
+class _Indexed:
+    """A sequence that iterates through ``__getitem__`` only."""
+
+    def __init__(self, items):
+        self.items = items
+
+    def __getitem__(self, i):
+        return self.items[i]
+
+
+def test_plane_classifier_takes_any_iterable_basis():
+    """The basis and its rows need only be iterable, as ``list`` reads
+    them, not instances of ``collections.abc.Iterable``."""
+    rows = [[1, 0, 1, -1, 0, 0], [0, 1, -1, -1, 0, 0]]
+    want = classify_isotropic_plane(None, rows)
+    assert classify_isotropic_plane(None, _Indexed([_Indexed(r) for r in rows])) == want
+    assert classify_isotropic_vector(None, _Indexed([1, 1, 2, 0, 0, 0])) == (
+        classify_isotropic_vector(None, [1, 1, 2, 0, 0, 0])
+    )
+
+
 def test_vector_census_three_classes():
     vectors = enumerate_isotropic_vectors(height=3)
     census = isotropic_vector_census(vectors=vectors)
